@@ -19,13 +19,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from lamopt.errors import DomainError, NumericalError, RegimeWarning
 from lamopt.mobility import DiffusionParams, MobilityParams, compute_diffusion, global_drift
 
-_WEAK_DRIFT_MAX = 1.0    # global drift below this: weak regime
-_STRONG_DRIFT_MIN = 10.0  # global drift above this: strong regime
+WEAK_DRIFT_MAX = 1.0     # global drift at or below this: weak regime
+STRONG_DRIFT_MIN = 10.0  # global drift at or above this: strong regime
 _OFFSET_SCALE_CAP = 1e6   # "no directionality" stand-in for the offset scale
 
 
@@ -114,11 +113,13 @@ def weak_drift_coeffs_closed_form(diff: DiffusionParams, R: float) -> WeakDriftC
 def weak_drift_interval(diff: DiffusionParams, R: float, x, y):
     """Two-term weak-drift approximation of the zero-call-rate interval.
 
-    Warns when evaluated outside its regime (global drift above 1).
+    Warns when evaluated outside its regime (global drift above
+    ``WEAK_DRIFT_MAX``).
     """
-    if global_drift(diff, R) > _WEAK_DRIFT_MAX:
+    gam = global_drift(diff, R)
+    if gam > WEAK_DRIFT_MAX:
         warnings.warn(
-            f"weak-drift interval used at global drift {global_drift(diff, R):.3g} > 1",
+            f"weak-drift interval used at global drift {gam:.3g} > {WEAK_DRIFT_MAX:g}",
             RegimeWarning, stacklevel=2,
         )
     c = weak_drift_coeffs(diff, R)
@@ -191,12 +192,13 @@ def strong_drift_interval(diff: DiffusionParams, R: float, x, y):
     cross-axis diffusion dropped has the exact solution implemented here in
     an overflow-free form (all exponents nonpositive).
 
-    Warns when evaluated outside its regime (global drift below 10).
+    Warns when evaluated outside its regime (global drift below
+    ``STRONG_DRIFT_MIN``).
     """
     gam = global_drift(diff, R)
-    if gam < _STRONG_DRIFT_MIN:
+    if gam < STRONG_DRIFT_MIN:
         warnings.warn(
-            f"strong-drift interval used at global drift {gam:.3g} < 10",
+            f"strong-drift interval used at global drift {gam:.3g} < {STRONG_DRIFT_MIN:g}",
             RegimeWarning, stacklevel=2,
         )
     return _strong_interval_stable(diff.mu1, diff.sigma11, R, x, y)
@@ -229,7 +231,10 @@ class GalerkinSolution:
     from ``R`` (full concentration) to infinity (no preferred direction).
     The scalar ``C`` matches the area-averaged residual; by the divergence
     theorem the drift term integrates to zero over the disc, so only the
-    diffusion and call-rate moments ``C11, C22, C0`` appear.
+    diffusion and call-rate moments appear: the disc integrals ``C11`` of
+    ``g_xx``, ``C22`` of ``g_yy`` and ``C0`` of ``g``, all in closed form
+    (see :func:`galerkin_solution`).  ``C = -pi R^2 / (s11/2 C11 +
+    s22/2 C22 - lam C0)``.
     """
 
     a: float
@@ -272,24 +277,20 @@ def trial_offset_scale(params: MobilityParams, R: float,
     return min(a, cap)
 
 
-def _quad_scaled(fn, lo, hi, points, scale) -> float:
-    val, err = quad(fn, lo, hi, points=points, limit=400,
-                    epsabs=max(1e-300, 1e-11 * scale), epsrel=1e-11)
-    if not math.isfinite(val):
-        raise NumericalError("trial-moment quadrature diverged")
-    return val
-
-
 def galerkin_solution(diff: DiffusionParams, R: float, lam: float,
                       a: float) -> GalerkinSolution:
     """Build the one-term solution for offset scale ``a``.
 
-    The diffusion and call-rate moments of the trial function reduce to 1-D
-    integrals over the cross-section height and are evaluated by adaptive
-    quadrature with subdivision hints at the near-boundary peak.
+    The diffusion and call-rate moments of the trial function have closed
+    forms.  With ``c = sqrt(a^2 - R^2)`` and ``d = a - c = R^2 / (a + c)``:
+    ``C11 = -4 pi a d / c``, ``C22 = -4 pi d`` and
+    ``C0 = (2 pi / 3) d^2 (a + 2 c)`` (the last from the polar integral
+    ``int_0^R (R^2 - r^2) r 2 pi / sqrt(a^2 - r^2) dr``).  None of them
+    cancels at any ``a``.
 
     Raises:
         DomainError: nonpositive call rate/dimensions.
+        NumericalError: the moment denominator is not negative.
     Warns:
         RegimeWarning: when ``a < R`` (clamped to R(1 + 1e-9)).
     """
@@ -301,41 +302,14 @@ def galerkin_solution(diff: DiffusionParams, R: float, lam: float,
         warnings.warn(f"offset scale a={a:.6g} < R; clamped", RegimeWarning,
                       stacklevel=2)
         a = R * (1.0 + 1e-9)
-    # Near-degenerate geometry: evaluate the moment integrands a touch off
-    # the pole so the pole at (-R, 0) stays integrable.
+    # Near-degenerate geometry: evaluate the moments a touch off a = R,
+    # where the trial function's pole at (-R, 0) makes C11 diverge.
     a_eval = max(a, R * (1.0 + 1e-6))
-    c2 = (a_eval - R) * (a_eval + R)
-    c = math.sqrt(c2)
-
-    def w_of(y):
-        return math.sqrt(max(R * R - y * y, 0.0))
-
-    pts = sorted({0.0, min(0.999 * R, c), min(0.999 * R, 10.0 * c), 0.999 * R})
-    pts = [p for p in pts if 0.0 <= p < R]
-    pts = sorted(set([-p for p in pts] + pts))
-
-    # d2/dx2 moment: integral over x of g_xx is -4 a w / (a^2 - w^2)
-    c11 = _quad_scaled(
-        lambda y: -4.0 * a_eval * w_of(y) / (c2 + y * y),
-        -R, R, pts, scale=4.0 * a_eval * R / c2 * 2 * R,
-    )
-    # d2/dy2 moment: integral over x of g_yy is -2 log((a+w)/(a-w))
-    c22 = _quad_scaled(
-        lambda y: -2.0 * math.log1p(2.0 * w_of(y) / (a_eval - w_of(y))),
-        -R, R, pts, scale=4.0 * R * math.log1p(2.0 * R / (a_eval - R)),
-    )
-    # plain moment (area integral of g), with the large-a cancellation
-    # removed analytically when it would eat the working precision
-    if a_eval >= 100.0 * R:
-        c0 = math.pi * (R**4 / (2.0 * a_eval) + R**6 / (12.0 * a_eval**3)
-                        + R**8 / (32.0 * a_eval**5))
-    else:
-        c0 = _quad_scaled(
-            lambda y: (R * R - y * y - a_eval * a_eval)
-            * math.log1p(2.0 * w_of(y) / (a_eval - w_of(y)))
-            + 2.0 * a_eval * w_of(y),
-            -R, R, pts, scale=2.0 * a_eval * R * 2 * R,
-        )
+    c = math.sqrt((a_eval - R) * (a_eval + R))
+    d = R * R / (a_eval + c)
+    c11 = -4.0 * math.pi * a_eval * d / c
+    c22 = -4.0 * math.pi * d
+    c0 = 2.0 * math.pi / 3.0 * d * d * (a_eval + 2.0 * c)
     denom = diff.sigma11 / 2.0 * c11 + diff.sigma22 / 2.0 * c22 - lam * c0
     if denom >= 0.0:
         raise NumericalError(f"trial-moment denominator {denom:.3e} is not negative")
@@ -433,7 +407,7 @@ def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
         r_opt = (s * U / (lam * V * math.pi)) ** 0.25
         t_opt = r_opt**2 / s
         x_opt = 0.0  # the optimal offset vanishes with the drift
-        consistent = global_drift(diff, r_opt) <= _WEAK_DRIFT_MAX
+        consistent = global_drift(diff, r_opt) <= WEAK_DRIFT_MAX
     elif regime == "strong":
         if diff.mu1 <= 0.0:
             raise DomainError("strong regime requires mu1 > 0")
@@ -446,7 +420,7 @@ def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
             r_opt = (U * diff.mu1 / (2.0 * lam * V * math.pi)) ** (1.0 / 3.0)
             t_opt = r_opt / diff.mu1
             x_opt = 0.0
-        consistent = global_drift(diff, r_opt) >= _STRONG_DRIFT_MIN
+        consistent = global_drift(diff, r_opt) >= STRONG_DRIFT_MIN
     else:
         raise DomainError(f"unknown regime {regime!r}")
 

@@ -23,14 +23,15 @@ import warnings
 
 import numpy as np
 
-from lamopt.approx import galerkin_interval, optimal_offset, trial_offset_scale
-from lamopt.config import DEFAULTS, mobility_from_config, parse_config
-from lamopt.costs import (
-    CostParams,
-    joint_optimize,
-    paging_breakdown_at,
-    saving_ratio,
+from lamopt.approx import (
+    STRONG_DRIFT_MIN,
+    WEAK_DRIFT_MAX,
+    galerkin_interval,
+    optimal_offset,
+    trial_offset_scale,
 )
+from lamopt.config import DEFAULTS, mobility_from_config, parse_config
+from lamopt.costs import CostParams, joint_optimize, paging_breakdown_at
 from lamopt.ctrw import SimConfig, estimate_T
 from lamopt.errors import DomainError
 from lamopt.mobility import compute_diffusion, global_drift
@@ -39,8 +40,6 @@ from lamopt.validate import INJECTIONS, format_report, run_checks
 
 # Concentration sweep: log grid plus stand-ins for the two limits.
 K_GRID = [1e-4] + [float(k) for k in np.logspace(-2, 2, 17)] + [1e6]
-
-_WEAK_MAX, _STRONG_MIN = 1.0, 10.0
 
 
 def _fmt(value) -> str:
@@ -90,8 +89,8 @@ def fig5_rows(cfg: dict) -> tuple[list[str], list[list]]:
         diff = compute_diffusion(mob)
         sol = galerkin_interval(mob, R, lam, diff)
         gam = global_drift(diff, R)
-        t_weak = R * R / diff.sigma_trace if gam <= _WEAK_MAX else None
-        t_strong = 2.0 * R / diff.mu1 if gam >= _STRONG_MIN else None
+        t_weak = R * R / diff.sigma_trace if gam <= WEAK_DRIFT_MAX else None
+        t_strong = 2.0 * R / diff.mu1 if gam >= STRONG_DRIFT_MIN else None
         rows.append([k, sol.interval_at_opt(), t_weak, t_strong])
     return ["k", "T_galerkin", "T_weak_asymptotic", "T_strong_asymptotic"], rows
 
@@ -148,14 +147,14 @@ def cmd_optimize(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         opt = joint_optimize(mob, costs, args.provider, baseline="offset")
-        saving = saving_ratio(mob, costs, args.provider)
+        ctr = joint_optimize(mob, costs, args.provider, baseline="center")
         breakdown = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt,
                                         mode=args.paging_mode)
     header = ["k", "lambda_per_hr", "provider", "x_opt_km", "R_opt_km",
               "C_u", "C_p", "C_t", "saving_ratio"]
     rows = [[cfg["k"], costs.lam, args.provider, opt.x_opt, opt.r_opt,
              breakdown.C_u, breakdown.C_p, breakdown.C_u + breakdown.C_p,
-             saving]]
+             (ctr.c_min - opt.c_min) / ctr.c_min]]
     _write_csv(args.out, header, rows)
     return 0
 

@@ -17,6 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from lamopt.approx import (
+    STRONG_DRIFT_MIN,
+    WEAK_DRIFT_MAX,
     asymptotic_optimum,
     galerkin_solution,
     optimal_offset,
@@ -352,9 +354,9 @@ def _auto_regime_optimum(diff, costs, baseline: str):
         weak = asymptotic_optimum(diff, costs, "weak", baseline)
         strong = (asymptotic_optimum(diff, costs, "strong", baseline)
                   if diff.mu1 > 0.0 else None)
-    if strong is not None and global_drift(diff, strong.r_opt) >= 10.0:
+    if strong is not None and global_drift(diff, strong.r_opt) >= STRONG_DRIFT_MIN:
         return strong
-    if global_drift(diff, weak.r_opt) <= 1.0 or strong is None:
+    if global_drift(diff, weak.r_opt) <= WEAK_DRIFT_MAX or strong is None:
         return weak
     warnings.warn("drift between regimes; choosing the cheaper closed form",
                   stacklevel=3)

@@ -257,11 +257,16 @@ def surviving_positions(X, t_target: float, R: float, params: MobilityParams,
 
     Returns:
         (positions array of shape (n_survivors, 2), survival fraction).
+
+    Raises:
+        DomainError: some trial neither passed ``t_target`` nor exited
+            within ``max_steps`` (it would bias the fraction either way).
     """
     if t_target < 0.0:
         raise DomainError("time must be >= 0")
     x0, y0 = _check_start(X, R)
     survivors = []
+    censored_total = 0
     n_done = 0
     chunk = 0
     r2 = R * R
@@ -287,8 +292,12 @@ def surviving_positions(X, t_target: float, R: float, params: MobilityParams,
             py[keep] += dy[~frozen]
             exited = px[keep] ** 2 + py[keep] ** 2 >= r2
             alive = keep[~exited]
+        censored_total += alive.size
         n_done += m
         chunk += 1
+    if censored_total:
+        raise DomainError(f"{censored_total} trials still running at max_steps "
+                          f"before t={t_target}; raise max_steps")
     pos = np.vstack(survivors) if survivors else np.empty((0, 2))
     return pos, pos.shape[0] / cfg.n_trials
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from lamopt.errors import GeometryError
 
 Cell = tuple[int, int]
@@ -91,8 +89,3 @@ def _cube_round(qf: float, rf: float) -> Cell:
     elif dr > ds:
         r = -q - s
     return int(q), int(r)
-
-
-def centers_array(grid: HexGrid, cells) -> np.ndarray:
-    """(n, 2) array of cell centers."""
-    return np.array([grid.center(c) for c in cells], dtype=float)

@@ -177,7 +177,6 @@ class MobilityParams:
         length_dist: sampling law for lengths ("exponential", "gamma",
             "deterministic"); first two moments always match the fields.
         time_dist: sampling law for dwell times (same tags).
-        direction_family: tag of the turn-angle density family.
         second_moment_len: E[length^2], km^2; derived, stored for convenience.
     """
 
@@ -188,7 +187,6 @@ class MobilityParams:
     var_time: float
     length_dist: str = "exponential"
     time_dist: str = "gamma"
-    direction_family: str = "double_exponential"
     second_moment_len: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -200,8 +198,6 @@ class MobilityParams:
             raise DomainError(f"mean_time must be > 0, got {self.mean_time}")
         if self.var_len < 0.0 or self.var_time < 0.0:
             raise DomainError("variances must be >= 0")
-        if self.direction_family != "double_exponential":
-            raise DomainError(f"unknown direction family {self.direction_family!r}")
         object.__setattr__(
             self, "second_moment_len", self.var_len + self.mean_len**2
         )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lamopt.config import DEFAULTS, mobility_from_config
+from lamopt.config import mobility_from_config
 from lamopt.costs import CostParams, PagingPlan, build_paging_plan, joint_optimize
 from lamopt.ctrw import sample_steps
 from lamopt.errors import ConsistencyViolationError, DomainError, GeometryError
@@ -376,10 +376,3 @@ def run_episode(scenario: Scenario) -> EpisodeMetrics:
         C_p=c_p,
         C_t=c_u + c_p,
     )
-
-
-def scenario_defaults(**overrides) -> dict:
-    """Scenario config dict from package defaults plus overrides."""
-    cfg = dict(DEFAULTS)
-    cfg.update(overrides)
-    return cfg

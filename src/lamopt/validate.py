@@ -26,6 +26,7 @@ import lamopt.approx as approx_mod
 import lamopt.costs as costs_mod
 import lamopt.mobility as mobility_mod
 from lamopt.approx import (
+    _disc_quadrature,
     asymptotic_optimum,
     drift_moment_residual,
     galerkin_solution,
@@ -194,6 +195,27 @@ def check_offset_bruteforce() -> CheckResult:
                   "within 1e-3", t0)
 
 
+def check_trial_moments() -> CheckResult:
+    t0 = time.perf_counter()
+    from lamopt.mobility import DiffusionParams
+    diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+    worst = 0.0
+    for R in (1.0, 2.5):
+        for a in (1.2 * R, 3.0 * R, 20.0 * R, 300.0 * R):
+            sol = galerkin_solution(diff, R, 0.0, a)
+            # g = (R^2 - x^2 - y^2) / (x + a); g_xx and g_yy written out
+            refs = (
+                (sol.C11, lambda x, y: 2.0 * (R * R - y * y - a * a) / (x + a) ** 3),
+                (sol.C22, lambda x, y: -2.0 / (x + a)),
+                (sol.C0, lambda x, y: (R * R - x * x - y * y) / (x + a)),
+            )
+            for closed, integrand in refs:
+                ref = _disc_quadrature(integrand, R, nr=48, ntheta=128)
+                worst = max(worst, abs(closed - ref) / abs(ref))
+    return _check("trial_moments_closed_form_vs_disc_quadrature", worst <= 1e-9,
+                  f"worst rel err {worst:.2e}", "relative 1e-9", t0)
+
+
 def check_drift_term_absent() -> CheckResult:
     t0 = time.perf_counter()
     diff = compute_diffusion(default_mobility(0.5))
@@ -317,6 +339,7 @@ ALL_CHECKS = (
     check_default_design_numbers,
     check_diffusion_shape,
     check_offset_bruteforce,
+    check_trial_moments,
     check_drift_term_absent,
     check_weak_coeffs,
     check_mc_vs_pde,

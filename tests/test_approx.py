@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from lamopt.approx import (
@@ -137,6 +138,40 @@ class TestStrongDrift:
             strong_drift_interval(weak, 1.0, 0.0, 0.0)
 
 
+def _adaptive_moments(a: float, R: float) -> tuple[float, float, float]:
+    """(C11, C22, C0) by adaptive quadrature over the cross-section height.
+
+    Over a chord of half-width w the trial function's x-integrals are
+    ``-4 a w / (a^2 - w^2)`` (g_xx), ``-2 log((a + w) / (a - w))`` (g_yy)
+    and ``(R^2 - y^2 - a^2) log((a + w) / (a - w)) + 2 a w`` (g).
+    """
+    c2 = (a - R) * (a + R)
+    c = math.sqrt(c2)
+    pts = sorted({0.0, min(0.999 * R, c), min(0.999 * R, 10.0 * c), 0.999 * R})
+    pts = sorted({-p for p in pts} | set(pts))
+
+    def w_of(y):
+        return math.sqrt(max(R * R - y * y, 0.0))
+
+    def integrate(fn, scale):
+        return quad(fn, -R, R, points=pts, limit=400,
+                    epsabs=1e-11 * scale, epsrel=1e-11)[0]
+
+    c11 = integrate(lambda y: -4.0 * a * w_of(y) / (c2 + y * y),
+                    8.0 * a * R * R / c2)
+    c22 = integrate(lambda y: -2.0 * math.log1p(2.0 * w_of(y) / (a - w_of(y))),
+                    4.0 * R * math.log1p(2.0 * R / (a - R)))
+    if a >= 100.0 * R:
+        c0 = math.pi * (R**4 / (2.0 * a) + R**6 / (12.0 * a**3)
+                        + R**8 / (32.0 * a**5))
+    else:
+        c0 = integrate(lambda y: (R * R - y * y - a * a)
+                       * math.log1p(2.0 * w_of(y) / (a - w_of(y)))
+                       + 2.0 * a * w_of(y),
+                       4.0 * a * R * R)
+    return c11, c22, c0
+
+
 class TestGalerkinSolution:
     def test_offset_scale_limits(self):
         # offset scale runs from R (full concentration) to the cap (none)
@@ -181,14 +216,33 @@ class TestGalerkinSolution:
             assert sol.C0 == pytest.approx(ref, rel=1e-7)
 
     def test_series_branch_consistent_with_quadrature(self):
-        # both the quadrature branch (a < 100 R) and the large-a series
-        # match an independent 2-D disc quadrature of the trial function
+        # on either side of a = 100 R, where the adaptive oracle's large-a
+        # series takes over, the closed-form plain moment matches an
+        # independent 2-D disc quadrature of the trial function
         from lamopt.approx import _disc_quadrature
         diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
         for a in (99.9, 100.1):
             sol = galerkin_solution(diff, 1.0, 1.0, a)
             ref = _disc_quadrature(lambda x, y: (1 - x * x - y * y) / (x + a), 1.0)
             assert sol.C0 == pytest.approx(ref, rel=1e-9)
+
+    def test_moments_vs_adaptive_quadrature_oracle(self):
+        # the closed-form moments against the 1-D cross-section integrals
+        # they reduce from, by adaptive quadrature (with the three-term
+        # large-a series for C0, whose integrand cancels there); and the
+        # scale law: C11 / R, C22 / R and C0 / R^3 depend only on a / R
+        diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+        for q in (1 + 1e-6, 1.001, 1.1, 2.0, 10.0, 88.3, 99.9, 100.1, 1e3, 1e6):
+            unit = galerkin_solution(diff, 1.0, 1.0, q)
+            for R in (0.01, 1.0, 42.0):
+                sol = galerkin_solution(diff, R, 1.0, q * R)
+                c11, c22, c0 = _adaptive_moments(max(q * R, R * (1.0 + 1e-6)), R)
+                assert sol.C11 == pytest.approx(c11, rel=1e-9)
+                assert sol.C22 == pytest.approx(c22, rel=1e-9)
+                assert sol.C0 == pytest.approx(c0, rel=1e-9)
+                assert sol.C11 / R == pytest.approx(unit.C11, rel=1e-9)
+                assert sol.C22 / R == pytest.approx(unit.C22, rel=1e-9)
+                assert sol.C0 / R**3 == pytest.approx(unit.C0, rel=1e-9)
 
     def test_drift_moment_vanishes(self):
         diff = compute_diffusion(default_mobility(0.7))

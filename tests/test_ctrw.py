@@ -175,6 +175,14 @@ class TestEmpiricalDensity:
         ]
         assert all(b <= a for a, b in zip(fractions, fractions[1:]))
 
+    def test_trials_running_at_max_steps_raise(self):
+        # a trial neither frozen at t_target nor exited is not silently
+        # dropped from the survival fraction
+        params = brownian_surrogate()
+        cfg = SimConfig(n_trials=200, seed=16, max_steps=3)
+        with pytest.raises(DomainError, match="max_steps"):
+            surviving_positions((0.0, 0.0), 1.0, 1.0, params, cfg)
+
 
 class TestSimConfig:
     def test_validation(self):
