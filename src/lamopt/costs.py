@@ -45,6 +45,9 @@ class CostParams:
     m: int = 1
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.lam, self.U, self.V)):
+            raise DomainError(
+                f"lam, U and V must be finite, got {self.lam}, {self.U}, {self.V}")
         if self.lam < 0.0:
             raise DomainError("lam must be >= 0")
         if self.U <= 0.0 or self.V <= 0.0:

@@ -194,8 +194,8 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
     Returns:
         EstimateWithCI in hours.
     """
-    if lam < 0.0:
-        raise DomainError(f"call rate must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DomainError(f"call rate must be finite and >= 0, got {lam}")
     x0, y0 = _check_start(X, R)
     vals = []
     censored_total = 0

@@ -250,6 +250,11 @@ class Scenario:
     cell_area_km2: float = 1.0
     design: tuple[float, float] | None = None  # (x_opt, r_opt) pin
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.duration_hr) and self.duration_hr > 0.0):
+            raise DomainError(
+                f"duration_hr must be finite and > 0, got {self.duration_hr}")
+
     @classmethod
     def from_config(cls, cfg: dict) -> "Scenario":
         costs = CostParams(lam=cfg["lambda_per_hr"], U=cfg["U"], V=cfg["V"],

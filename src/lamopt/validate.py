@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import spsolve
 
 import lamopt.approx as approx_mod
 import lamopt.costs as costs_mod
@@ -44,6 +45,7 @@ from lamopt.pde import (
     DiscGrid,
     NeverArrival,
     TimeGrid,
+    assemble_operator,
     mean_interval_general,
     solve_1d,
     solve_forward,
@@ -113,6 +115,20 @@ def check_brownian_exact() -> CheckResult:
     v = f.value_at((0.0, 0.0))
     return _check("brownian_center_interval", abs(v - 0.5) <= 1e-3,
                   f"{v:.6f}", "0.5 +- 1e-3", t0)
+
+
+def check_half_disc_fold() -> CheckResult:
+    t0 = time.perf_counter()
+    grid = DiscGrid(1.0, 1.0 / 48)
+    worst = 0.0
+    for k in (0.5, 20.0):
+        diff = compute_diffusion(default_mobility(k))
+        full = spsolve(assemble_operator(diff, grid, 0.2).tocsc(),
+                       np.full(grid.n_nodes, -1.0))
+        half = solve_mean_interval(diff, 1.0, 0.2, grid).values
+        worst = max(worst, float(np.max(np.abs(half - full)) / np.max(full)))
+    return _check("mean_interval_half_disc_vs_full_lu", worst <= 1e-12,
+                  f"worst rel diff {worst:.2e}", "relative 1e-12", t0)
 
 
 def check_one_dim() -> CheckResult:
@@ -334,6 +350,7 @@ def check_protocol_episode() -> CheckResult:
 
 ALL_CHECKS = (
     check_brownian_exact,
+    check_half_disc_fold,
     check_one_dim,
     check_strong_ratios,
     check_default_design_numbers,

@@ -89,6 +89,33 @@ class TestOptimizeAndSimulate:
         bad.write_text("nonsense_key = 3\n")
         assert main(["optimize", "--config", str(bad), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("line", ["lambda_per_hr = nan", "lambda_per_hr = inf",
+                                      "U = inf", "V = nan"])
+    def test_non_finite_cost_rejected(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_rejected_by_ctrw_mode(self, tmp_path, rate):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"lambda_per_hr = {rate}\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--mode", "ctrw", "--trials", "100", "--x-km", "0.0"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["-5", "0", "nan", "inf"])
+    def test_bad_duration_rejected(self, tmp_path, duration):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"k = 20\nduration_hr = {duration}\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestValidate:
     def test_clean_run_passes(self, capsys):

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from lamopt.config import default_mobility
 from lamopt.ctrw import SimConfig, empirical_density
-from lamopt.errors import DomainError, NumericalError
+from lamopt.errors import DegenerateDiffusionError, DomainError, NumericalError
 from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import (
     DeterministicArrival,
@@ -15,6 +16,7 @@ from lamopt.pde import (
     ExponentialArrival,
     NeverArrival,
     TimeGrid,
+    assemble_operator,
     mean_interval_general,
     solve_1d,
     solve_forward,
@@ -23,6 +25,12 @@ from lamopt.pde import (
 )
 
 UNIT = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+
+
+def full_system_solve(diff, grid, lam):
+    """Oracle for the half-disc solve: one LU of the whole-disc operator."""
+    A = assemble_operator(diff, grid, lam)
+    return spla.spsolve(A.tocsc(), np.full(grid.n_nodes, -1.0))
 
 
 class TestDiscGrid:
@@ -51,6 +59,14 @@ class TestDiscGrid:
         idx = g.nearest_node_index([0.999 * math.cos(ang)], [0.999 * math.sin(ang)])
         assert idx[0] >= 0
 
+    def test_mirror_is_y_reflection_involution(self):
+        g = DiscGrid(1.3, 1.3 / 20)
+        assert np.all(g.mirror >= 0)
+        np.testing.assert_array_equal(g.mirror[g.mirror], np.arange(g.n_nodes))
+        np.testing.assert_array_equal(g.x[g.mirror], g.x)
+        np.testing.assert_array_equal(g.y[g.mirror], -g.y)
+        np.testing.assert_array_equal(g.mirror[g.j == 0], np.flatnonzero(g.j == 0))
+
     def test_interpolation_at_node_is_exact(self):
         g = DiscGrid(1.0, 1.0 / 16)
         w = g.interpolation_weights((g.x[10], g.y[10]))
@@ -73,6 +89,25 @@ class TestMeanInterval:
             flipped[(ix, jy)] = f.values[i]
         for (ix, jy), v in flipped.items():
             assert v == pytest.approx(flipped[(ix, -jy)], abs=1e-9)
+
+    @pytest.mark.parametrize("k", [1e-4, 0.5, 3.16, 20.0])
+    def test_half_disc_matches_full_system(self, k):
+        diff = compute_diffusion(default_mobility(k))
+        for R in (0.05, 1.29, 20.0):
+            grid = DiscGrid(R, R / 32)
+            for lam in (0, 0.2, 2):  # an integer rate is accepted too
+                ref = full_system_solve(diff, grid, lam)
+                f = solve_mean_interval(diff, R, lam, grid)
+                assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_transverse_drift_rejected(self):
+        with pytest.raises(DegenerateDiffusionError):
+            solve_mean_interval(DiffusionParams(1.0, 0.01, 1.0, 1.0), 1.0, 0.0,
+                                DiscGrid(1.0, 1.0 / 16))
+        # round-off transverse drift, as the direction quadrature leaves it
+        f = solve_mean_interval(DiffusionParams(1.0, 1e-18, 1.0, 1.0), 1.0, 0.0,
+                                DiscGrid(1.0, 1.0 / 16))
+        assert f.values.min() >= 0.0
 
     def test_grid_convergence_second_order(self):
         # on a drifted problem successive half-steps shrink the change
