@@ -31,7 +31,7 @@ from lamopt.approx import (
     trial_offset_scale,
 )
 from lamopt.config import DEFAULTS, mobility_from_config, parse_config
-from lamopt.costs import CostParams, joint_optimize, paging_breakdown_at
+from lamopt.costs import PROVIDERS, CostParams, joint_optimize, paging_breakdown_at
 from lamopt.ctrw import SimConfig, estimate_T
 from lamopt.errors import DomainError
 from lamopt.mobility import compute_diffusion, global_drift
@@ -164,7 +164,14 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.mode == "episode":
-        scenario = Scenario.from_config(cfg)
+        scenario = Scenario(
+            mobility=mobility_from_config(cfg),
+            costs=_costs_from_cfg(cfg),
+            strategy=str(cfg.get("strategy", "optimal")),
+            duration_hr=float(cfg.get("duration_hr", 100.0)),
+            seed=int(cfg.get("seed", 0)),
+            provider=str(cfg.get("provider", "asymptotic")),
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             m = run_episode(scenario)
@@ -214,25 +221,26 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=True):
-        sp.add_argument("--config", default=None, help="key = value config file")
+    def subcommand(name, summary, config=True, out_required=True):
+        sp = sub.add_parser(name, help=summary)
+        if config:
+            sp.add_argument("--config", default=None, help="key = value config file")
         sp.add_argument("--out", required=out_required, help="output CSV path")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--provider", choices=("pde", "galerkin", "asymptotic"),
-                        default="galerkin")
-        sp.add_argument("--paging-mode", choices=("paper", "cumulative"),
-                        default="paper")
+        return sp
 
     for name in ("fig5", "fig6", "fig7", "fig8"):
-        common(sub.add_parser(name, help=f"emit {name} sweep CSV"))
-    common(sub.add_parser("optimize", help="joint optimum for one config"))
-    sp_sim = sub.add_parser("simulate", help="protocol episode or raw MC run")
-    common(sp_sim)
+        subcommand(name, f"emit {name} sweep CSV")
+    sp_opt = subcommand("optimize", "joint optimum for one config")
+    sp_opt.add_argument("--provider", choices=PROVIDERS, default="galerkin")
+    sp_opt.add_argument("--paging-mode", choices=("paper", "cumulative"),
+                        default="paper")
+    sp_sim = subcommand("simulate", "protocol episode or raw MC run")
+    sp_sim.add_argument("--seed", type=int, default=None)
     sp_sim.add_argument("--mode", choices=("episode", "ctrw"), default="episode")
     sp_sim.add_argument("--trials", type=int, default=100_000)
     sp_sim.add_argument("--x-km", type=float, default=None)
-    sp_val = sub.add_parser("validate", help="run the oracle cross-check suite")
-    common(sp_val, out_required=False)
+    sp_val = subcommand("validate", "run the oracle cross-check suite",
+                        config=False, out_required=False)
     sp_val.add_argument("--inject", choices=INJECTIONS, default=None,
                         help="corrupt the diffusion mapping (negative control)")
     return p

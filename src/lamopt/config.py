@@ -7,6 +7,7 @@ keys fall back to the documented defaults.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from lamopt.errors import DomainError
@@ -41,7 +42,8 @@ def parse_config(source: str | Path) -> dict:
     defaults filled in for absent keys.
 
     Raises:
-        DomainError: unknown key, bad syntax, or unparsable value.
+        DomainError: unknown key, bad syntax, an unparsable or non-finite
+            value, or ``R_km <= 0``.
     """
     text = str(source)
     if "\n" not in text and "=" not in text:
@@ -69,6 +71,10 @@ def parse_config(source: str | Path) -> dict:
             cfg[key] = float(value)
         except ValueError as exc:
             raise DomainError(f"config line {lineno}: bad value for {key!r}: {value!r}") from exc
+        if not math.isfinite(cfg[key]):
+            raise DomainError(f"config line {lineno}: {key!r} must be finite, got {value!r}")
+    if not cfg["R_km"] > 0.0:
+        raise DomainError(f"R_km must be > 0, got {cfg['R_km']}")
     cfg["m_paging"] = int(round(cfg["m_paging"]))
     if "seed" in cfg:
         cfg["seed"] = int(round(cfg["seed"]))

@@ -5,6 +5,11 @@ are simulated step by step exactly as the motion model defines them (rest for
 a random dwell, then displace instantaneously), with no diffusion
 approximation anywhere.
 
+Every vectorized estimate runs on one walk, ``_walk_chunk``: a trial stops at
+its first jump endpoint outside the disc, or before its first jump that would
+complete strictly past its horizon (a call gap, infinity, or an observation
+time).  ``first_exit`` is the scalar walk, kept as an independent oracle.
+
 Exit from a disc is detected at jump endpoints; the radial overshoot of the
 exiting jump is reported as a diagnostic so the endpoint convention can be
 audited against the continuum solutions.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +39,6 @@ class SimConfig:
     n_trials: int = 100_000
     seed: int = 0
     max_steps: int = 1_000_000
-    rng_streams: str = "chunked-philox"
     chunk_size: int = 16_384
 
     def __post_init__(self) -> None:
@@ -41,11 +46,6 @@ class SimConfig:
             raise DomainError("n_trials must be >= 1")
         if self.max_steps < 1:
             raise DomainError("max_steps must be >= 1")
-        if self.rng_streams != "chunked-philox":
-            raise DomainError(f"unknown rng stream policy {self.rng_streams!r}")
-
-    def chunk_rng(self, chunk_index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox([self.seed, chunk_index]))
 
 
 @dataclass(frozen=True)
@@ -135,45 +135,81 @@ def first_exit(X, R: float, params: MobilityParams,
     return ExitSample(tau=t, exit_point=(x, y), n_steps=max_steps, censored=True)
 
 
-def _min_exit_chunk(x0: float, y0: float, R: float, lam: float,
-                    params: MobilityParams, rng: np.random.Generator,
-                    n: int, max_steps: int):
-    """Simulate one chunk; returns (values, censored_mask, n_steps).
+class _Walk(NamedTuple):
+    """Per-trial outcome of ``_walk_chunk``."""
 
-    ``values[i]`` is min(call interarrival, first exit time) for trial i.
-    Trials stop as soon as either event is decided, so high call rates
-    truncate the walk early.
+    t: np.ndarray         # exit time, or the horizon if the trial passed it
+    x: np.ndarray         # position when the trial stopped
+    y: np.ndarray
+    exited: np.ndarray    # stopped by a jump endpoint outside the disc
+    steps: np.ndarray     # jumps drawn, the stopping one included
+    censored: np.ndarray  # still running after max_steps jumps
+
+
+def _walk_chunk(x0: float, y0: float, R: float, horizon,
+                params: MobilityParams, rng: np.random.Generator,
+                n: int, max_steps: int) -> _Walk:
+    """Walk ``n`` trials from (x0, y0) until each stops (module docstring).
+
+    ``horizon`` is a scalar or one value per trial.  The running trials are
+    kept compacted in trial order, and each step draws one ``sample_steps``
+    batch for exactly those trials.  A censored trial reports the clock and
+    position after its ``max_steps`` jumps.
     """
-    px = np.full(n, x0)
-    py = np.full(n, y0)
-    t = np.zeros(n)
-    zeta = rng.exponential(1.0 / lam, n) if lam > 0.0 else np.full(n, np.inf)
-    values = np.empty(n)
-    steps = np.zeros(n, dtype=np.int64)
+    t_out = np.empty(n)
+    x_out = np.empty(n)
+    y_out = np.empty(n)
+    exited = np.zeros(n, dtype=bool)
+    steps = np.full(n, max_steps, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
-    alive = np.arange(n)
+    idx = np.arange(n)
+    t = np.zeros(n)
+    x = np.full(n, x0, dtype=float)
+    y = np.full(n, y0, dtype=float)
+    h = np.broadcast_to(np.asarray(horizon, dtype=float), (n,))
     r2 = R * R
-    step = 0
-    while alive.size:
-        step += 1
-        m = alive.size
-        dx, dy, dwell = sample_steps(params, rng, m)
-        t[alive] += dwell
-        px[alive] += dx
-        py[alive] += dy
-        exited = px[alive] ** 2 + py[alive] ** 2 >= r2
-        called = t[alive] >= zeta[alive]
-        done = exited | called
-        if step >= max_steps:
-            idx = alive[~done]
-            censored[idx] = True
-            steps[idx] = step
-            done = np.ones(m, dtype=bool)
-        idx = alive[done & ~censored[alive]]
-        values[idx] = np.minimum(t[idx], zeta[idx])
-        steps[idx] = step
-        alive = alive[~done]
-    return values, censored, steps
+    for step in range(1, max_steps + 1):
+        dx, dy, dwell = sample_steps(params, rng, idx.size)
+        t_next = t + dwell
+        x_next = x + dx
+        y_next = y + dy
+        passed = t_next > h
+        stop = passed | (x_next**2 + y_next**2 >= r2)
+        i = idx[stop]
+        held = passed[stop]
+        t_out[i] = np.minimum(t_next[stop], h[stop])
+        x_out[i] = np.where(held, x[stop], x_next[stop])
+        y_out[i] = np.where(held, y[stop], y_next[stop])
+        exited[i] = ~held
+        steps[i] = step
+        run = ~stop
+        idx, h = idx[run], h[run]
+        t, x, y = t_next[run], x_next[run], y_next[run]
+        if idx.size == 0:
+            break
+    t_out[idx] = t
+    x_out[idx] = x
+    y_out[idx] = y
+    censored[idx] = True
+    return _Walk(t_out, x_out, y_out, exited, steps, censored)
+
+
+def _chunks(cfg: SimConfig):
+    """Yield ``(rng, n)`` per chunk: its Philox substream and trial count."""
+    for chunk, start in enumerate(range(0, cfg.n_trials, cfg.chunk_size)):
+        rng = np.random.Generator(np.random.Philox([cfg.seed, chunk]))
+        yield rng, min(cfg.chunk_size, cfg.n_trials - start)
+
+
+def _mean_ci(values: list[np.ndarray], censored: int) -> EstimateWithCI:
+    """Mean and 95% half-width over the uncensored values of every chunk."""
+    v = np.concatenate(values)
+    n = v.size
+    if n == 0:
+        raise DomainError("all trials censored; raise max_steps")
+    half = 1.96 * float(v.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
+    return EstimateWithCI(mean=float(v.mean()), half_width_95=half, n=n,
+                          censored_count=censored)
 
 
 def estimate_T(X, R: float, lam: float, params: MobilityParams,
@@ -181,7 +217,8 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
     """Estimate the mean update interval E[min(call gap, exit time)].
 
     Per trial an exponential call gap (infinite when ``lam == 0``) is drawn
-    independently of the trajectory.  Censored trials (hit ``max_steps``
+    independently of the trajectory and is the trial's horizon, so high call
+    rates truncate the walk early.  Censored trials (hit ``max_steps``
     before either event) are excluded from the mean and counted.
 
     Args:
@@ -197,51 +234,29 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DomainError(f"call rate must be finite and >= 0, got {lam}")
     x0, y0 = _check_start(X, R)
-    vals = []
-    censored_total = 0
-    n_done = 0
-    chunk = 0
-    while n_done < cfg.n_trials:
-        m = min(cfg.chunk_size, cfg.n_trials - n_done)
-        v, cens, _ = _min_exit_chunk(
-            x0, y0, R, lam, params, cfg.chunk_rng(chunk), m, cfg.max_steps
-        )
-        vals.append(v[~cens])
-        censored_total += int(cens.sum())
-        n_done += m
-        chunk += 1
-    values = np.concatenate(vals)
-    n = values.size
-    if n == 0:
-        raise DomainError("all trials censored; raise max_steps")
-    mean = float(values.mean())
-    half = 1.96 * float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
-    return EstimateWithCI(mean=mean, half_width_95=half, n=n,
-                          censored_count=censored_total)
+    values, censored = [], 0
+    for rng, n in _chunks(cfg):
+        zeta = rng.exponential(1.0 / lam, n) if lam > 0.0 else math.inf
+        walk = _walk_chunk(x0, y0, R, zeta, params, rng, n, cfg.max_steps)
+        values.append(walk.t[~walk.censored])
+        censored += int(walk.censored.sum())
+    return _mean_ci(values, censored)
 
 
 def mean_exit_steps(X, R: float, params: MobilityParams,
                     cfg: SimConfig) -> EstimateWithCI:
-    """Mean number of displacements before first exit (no call truncation)."""
+    """Mean number of displacements before first exit (no call truncation).
+
+    Raises:
+        DomainError: every trial was censored at ``max_steps``.
+    """
     x0, y0 = _check_start(X, R)
-    counts = []
-    chunk = 0
-    n_done = 0
-    censored_total = 0
-    while n_done < cfg.n_trials:
-        m = min(cfg.chunk_size, cfg.n_trials - n_done)
-        _, cens, steps = _min_exit_chunk(
-            x0, y0, R, 0.0, params, cfg.chunk_rng(chunk), m, cfg.max_steps
-        )
-        counts.append(steps[~cens])
-        censored_total += int(cens.sum())
-        n_done += m
-        chunk += 1
-    s = np.concatenate(counts).astype(float)
-    mean = float(s.mean())
-    half = 1.96 * float(s.std(ddof=1)) / math.sqrt(s.size)
-    return EstimateWithCI(mean=mean, half_width_95=half, n=s.size,
-                          censored_count=censored_total)
+    counts, censored = [], 0
+    for rng, n in _chunks(cfg):
+        walk = _walk_chunk(x0, y0, R, math.inf, params, rng, n, cfg.max_steps)
+        counts.append(walk.steps[~walk.censored].astype(float))
+        censored += int(walk.censored.sum())
+    return _mean_ci(counts, censored)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +271,8 @@ def surviving_positions(X, t_target: float, R: float, params: MobilityParams,
     the endpoint of the last jump completed before that time.
 
     Returns:
-        (positions array of shape (n_survivors, 2), survival fraction).
+        (positions array of shape (n_survivors, 2) in trial order, survival
+        fraction).
 
     Raises:
         DomainError: some trial neither passed ``t_target`` nor exited
@@ -265,40 +281,16 @@ def surviving_positions(X, t_target: float, R: float, params: MobilityParams,
     if t_target < 0.0:
         raise DomainError("time must be >= 0")
     x0, y0 = _check_start(X, R)
-    survivors = []
-    censored_total = 0
-    n_done = 0
-    chunk = 0
-    r2 = R * R
-    while n_done < cfg.n_trials:
-        m = min(cfg.chunk_size, cfg.n_trials - n_done)
-        rng = cfg.chunk_rng(chunk)
-        px = np.full(m, x0)
-        py = np.full(m, y0)
-        t = np.zeros(m)
-        alive = np.arange(m)
-        for _ in range(cfg.max_steps):
-            if alive.size == 0:
-                break
-            dx, dy, dwell = sample_steps(params, rng, alive.size)
-            t_next = t[alive] + dwell
-            frozen = t_next > t_target
-            idx_frozen = alive[frozen]
-            if idx_frozen.size:
-                survivors.append(np.column_stack([px[idx_frozen], py[idx_frozen]]))
-            keep = alive[~frozen]
-            t[keep] = t_next[~frozen]
-            px[keep] += dx[~frozen]
-            py[keep] += dy[~frozen]
-            exited = px[keep] ** 2 + py[keep] ** 2 >= r2
-            alive = keep[~exited]
-        censored_total += alive.size
-        n_done += m
-        chunk += 1
-    if censored_total:
-        raise DomainError(f"{censored_total} trials still running at max_steps "
+    survivors, censored = [], 0
+    for rng, n in _chunks(cfg):
+        walk = _walk_chunk(x0, y0, R, t_target, params, rng, n, cfg.max_steps)
+        alive = ~(walk.exited | walk.censored)
+        survivors.append(np.column_stack([walk.x[alive], walk.y[alive]]))
+        censored += int(walk.censored.sum())
+    if censored:
+        raise DomainError(f"{censored} trials still running at max_steps "
                           f"before t={t_target}; raise max_steps")
-    pos = np.vstack(survivors) if survivors else np.empty((0, 2))
+    pos = np.vstack(survivors)
     return pos, pos.shape[0] / cfg.n_trials
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from lamopt.cli import main
+from lamopt.config import DEFAULTS, SCENARIO_KEYS
 from lamopt.validate import run_checks
 
 
@@ -115,6 +116,38 @@ class TestOptimizeAndSimulate:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "fig5", "simulate"])
+    @pytest.mark.parametrize("line", [
+        f"{key} = {value}"
+        for key in sorted(set(DEFAULTS) | (SCENARIO_KEYS - {"strategy", "provider"}))
+        for value in ("nan", "inf")
+    ] + ["R_km = 0", "R_km = -1"])
+    def test_bad_config_value_rejected(self, tmp_path, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--out", "x.csv", "--seed", "3"],
+        ["fig6", "--out", "x.csv", "--provider", "pde"],
+        ["fig7", "--out", "x.csv", "--paging-mode", "cumulative"],
+        ["optimize", "--out", "x.csv", "--seed", "3"],
+        ["simulate", "--out", "x.csv", "--provider", "pde"],
+        ["simulate", "--out", "x.csv", "--paging-mode", "cumulative"],
+        ["validate", "--config", "bad.cfg"],
+        ["validate", "--provider", "pde"],
+    ])
+    def test_unread_flag_rejected(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestValidate:

@@ -115,6 +115,24 @@ class TestFirstExit:
         expected = 2.0 / (mu1 * params.mean_time)
         assert est.mean == pytest.approx(expected, rel=0.02)
 
+    def test_mean_steps_matches_recorded_value(self):
+        est = mean_exit_steps((-0.3, 0.0), 1.0, default_mobility(20.0),
+                              SimConfig(n_trials=2_000, seed=23, chunk_size=1_024))
+        assert est == EstimateWithCI(mean=66.317, half_width_95=0.3504523881599089,
+                                     n=2000, censored_count=0)
+
+    def test_mean_steps_all_censored_raises(self):
+        cfg = SimConfig(n_trials=256, seed=8, max_steps=3)
+        with pytest.raises(DomainError, match="censored"):
+            mean_exit_steps((0.0, 0.0), 1.0, default_mobility(0.0), cfg)
+
+    def test_mean_steps_single_trial(self):
+        est = mean_exit_steps((0.0, 0.0), 1.0, default_mobility(20.0),
+                              SimConfig(n_trials=1, seed=8))
+        assert est.n == 1
+        assert est.mean >= 1.0
+        assert est.half_width_95 == math.inf
+
     def test_censoring_reported(self):
         params = default_mobility(0.0)
         cfg = SimConfig(n_trials=256, seed=8, max_steps=3)
@@ -126,6 +144,31 @@ class TestFirstExit:
 
 
 class TestEstimateT:
+    # (mean, half-width, n, censored) recorded before the three chunk loops
+    # were folded into one walk; the walk must reproduce them exactly.
+    @pytest.mark.parametrize("X, lam, k, max_steps, expected", [
+        ((0.0, 0.0), 0.2, 0.5, 1_000_000, EstimateWithCI(
+            mean=0.3456473784819636, half_width_95=0.003635084818465673,
+            n=3000, censored_count=0)),
+        ((-0.5, 0.0), 2.0, 20.0, 1_000_000, EstimateWithCI(
+            mean=0.14446287714809178, half_width_95=0.0017877412186531137,
+            n=3000, censored_count=0)),
+        ((0.1, 0.2), 0.0, 1e6, 1_000_000, EstimateWithCI(
+            mean=0.09973125448193271, half_width_95=0.0005498281861544891,
+            n=3000, censored_count=0)),
+    ])
+    def test_matches_recorded_values(self, X, lam, k, max_steps, expected):
+        cfg = SimConfig(n_trials=3_000, seed=21, chunk_size=1_024,
+                        max_steps=max_steps)
+        assert estimate_T(X, 1.0, lam, default_mobility(k), cfg) == expected
+
+    def test_censored_matches_recorded_values(self):
+        cfg = SimConfig(n_trials=2_000, seed=22, max_steps=40, chunk_size=1_024)
+        est = estimate_T((0.0, 0.0), 0.3, 5.0, default_mobility(0.5), cfg)
+        assert est == EstimateWithCI(mean=0.053151449622324626,
+                                     half_width_95=0.001305743858360561,
+                                     n=1321, censored_count=679)
+
     def test_high_rate_dominates(self):
         est = estimate_T((0.0, 0.0), 1.0, 1e6, default_mobility(0.5),
                          SimConfig(n_trials=50_000, seed=9))
@@ -175,6 +218,21 @@ class TestEmpiricalDensity:
         ]
         assert all(b <= a for a, b in zip(fractions, fractions[1:]))
 
+    # survivor count and sum of the sorted rows, recorded before the three
+    # chunk loops were folded into one walk (rows may come in another order)
+    @pytest.mark.parametrize("t, n_survivors, row_sum", [
+        (0.0, 3000, 599.9999999999999),
+        (0.05, 3000, 1000.4168023918894),
+        (0.4, 286, 238.5261802781535),
+    ])
+    def test_survivors_match_recorded(self, t, n_survivors, row_sum):
+        pos, frac = surviving_positions((0.2, 0.0), t, 1.0, default_mobility(0.5),
+                                        SimConfig(n_trials=3_000, seed=24,
+                                                  chunk_size=1_024))
+        assert pos.shape == (n_survivors, 2)
+        assert frac == n_survivors / 3_000
+        assert float(pos[np.lexsort((pos[:, 1], pos[:, 0]))].sum()) == row_sum
+
     def test_trials_running_at_max_steps_raise(self):
         # a trial neither frozen at t_target nor exited is not silently
         # dropped from the survival fraction
@@ -190,15 +248,15 @@ class TestSimConfig:
             SimConfig(n_trials=0)
         with pytest.raises(DomainError):
             SimConfig(max_steps=0)
-        with pytest.raises(DomainError):
-            SimConfig(rng_streams="global")
 
     def test_chunk_streams_worker_independent(self):
-        # chunked substreams: results identical whatever the chunk size,
-        # as long as the chunk boundaries are (here trials = 2 full chunks)
-        a = estimate_T((0.0, 0.0), 1.0, 2.0, default_mobility(0.5),
-                       SimConfig(n_trials=2_048, seed=15, chunk_size=1_024))
-        sub1 = estimate_T((0.0, 0.0), 1.0, 2.0, default_mobility(0.5),
-                          SimConfig(n_trials=1_024, seed=15, chunk_size=1_024))
-        assert isinstance(a, EstimateWithCI)
-        assert sub1.n == 1_024
+        # chunk c draws from the substream (seed, c), so chunk 0's trials end
+        # the same way whatever the total: its survivors come first, in trial
+        # order, and match a run of that chunk alone
+        mob = default_mobility(0.5)
+        one, _ = surviving_positions((0.0, 0.0), 0.4, 1.0, mob,
+                                     SimConfig(n_trials=1_024, seed=15, chunk_size=1_024))
+        two, _ = surviving_positions((0.0, 0.0), 0.4, 1.0, mob,
+                                     SimConfig(n_trials=2_048, seed=15, chunk_size=1_024))
+        assert 0 < len(one) < len(two)
+        np.testing.assert_array_equal(two[:len(one)], one)

@@ -14,12 +14,10 @@ from lamopt.errors import ConsistencyViolationError, DomainError, GeometryError
 from lamopt.hexgrid import HexGrid
 from lamopt.mobility import compute_diffusion
 from lamopt.protocol import (
-    Msg1,
-    MtState,
-    NetworkDb,
+    EpisodeMetrics,
     Scenario,
     construct_la,
-    handle_cell_entry,
+    episode_design,
     network_update,
     page,
     run_episode,
@@ -110,96 +108,115 @@ class TestConstructLa:
         assert la1.interior_cells & la2.interior_cells
 
 
+def _scenario(k: float, lam: float, **kw) -> Scenario:
+    return Scenario(mobility=default_mobility(k),
+                    costs=CostParams(lam=lam, U=20.0, V=1.0), **kw)
+
+
 class TestUpdateExchange:
     def test_interior_entry_is_noop(self):
-        la = construct_la((0.0, 0.0), (1.0, 0.0), -1.0, 4.0, GRID)
-        mt = MtState(position=(0.0, 0.0), current_cell=GRID.cell_of(0, 0),
-                     params=default_mobility(0.5), direction=(1.0, 0.0),
-                     boundary_cells=la.boundary_cells)
-        inner = next(iter(la.interior_cells - {mt.current_cell}))
-        assert handle_cell_entry(mt, inner, GRID) is None
-        assert mt.current_cell == inner
+        # the terminal watches exactly the boundary ring, so no interior
+        # cell (the anchor's own cell included) triggers an update
+        sc = _scenario(0.5, 2.0, design=(-1.0, 4.0))
+        anchor = GRID.cell_of(0.0, 0.0)
+        la = network_update(anchor, episode_design(sc), sc, GRID)
+        assert anchor in la.interior_cells
+        assert not (la.interior_cells & la.boundary_cells)
 
     def test_boundary_entry_triggers(self):
-        la = construct_la((0.0, 0.0), (1.0, 0.0), -1.0, 4.0, GRID)
-        mt = MtState(position=(0.0, 0.0), current_cell=GRID.cell_of(0, 0),
-                     params=default_mobility(0.5), direction=(1.0, 0.0),
-                     boundary_cells=la.boundary_cells)
-        target = next(iter(la.boundary_cells))
-        msg1 = handle_cell_entry(mt, target, GRID)
-        assert isinstance(msg1, Msg1)
-        assert msg1.y_tau == GRID.center(target)
+        # an update triggered in a boundary cell anchors the new LA on that
+        # cell's center, and the cell pages in the first round
+        sc = _scenario(0.5, 2.0, design=(-1.0, 4.0))
+        design = episode_design(sc)
+        la = network_update(GRID.cell_of(0.0, 0.0), design, sc, GRID)
+        target = max(la.boundary_cells, key=lambda c: GRID.center(c)[0])
+        la2 = network_update(target, design, sc, GRID)
+        assert la2.initial_position == GRID.center(target)
+        assert la2.center == pytest.approx(
+            (GRID.center(target)[0] + 1.0, GRID.center(target)[1]))
+        assert target in la2.sub_area_cells[0]
+        assert target not in la2.boundary_cells
+        assert page(la2, target).rounds == 1
 
-    def test_network_update_deterministic_and_stores(self):
-        db = NetworkDb(grid=GRID)
-        msg1 = Msg1(params=default_mobility(20.0), y_tau=(0.0, 0.0),
-                    direction=(1.0, 0.0))
-        costs = CostParams(lam=0.2, U=20.0, V=1.0)
+    def test_network_update_deterministic(self):
+        sc = _scenario(20.0, 0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = network_update(db, "mt7", msg1, costs)
-            b = network_update(db, "mt7", msg1, costs)
+            design = episode_design(sc)
+        a = network_update((0, 0), design, sc, GRID)
+        b = network_update((0, 0), design, sc, GRID)
         assert a == b
-        assert "mt7" in db.entries
-        la = db.entries["mt7"]
         # strong drift: the anchor ends up near the trailing rim
-        d = math.hypot(la.initial_position[0] - la.center[0],
-                       la.initial_position[1] - la.center[1])
-        assert d > 0.9 * la.radius
-        # the boundary list the terminal stores is exactly the ring
-        assert frozenset(a.boundary_cells) == la.boundary_cells
+        d = math.hypot(a.initial_position[0] - a.center[0],
+                       a.initial_position[1] - a.center[1])
+        assert d > 0.9 * a.radius
+        # the watch list is exactly the ring around the interior
+        ring = {n for c in a.interior_cells for n in GRID.neighbors(c)
+                if n not in a.interior_cells}
+        assert a.boundary_cells == ring
 
     def test_weak_drift_center_near_anchor(self):
-        db = NetworkDb(grid=GRID)
-        msg1 = Msg1(params=default_mobility(1e-4), y_tau=(2.0, 1.0),
-                    direction=(1.0, 0.0))
         # large region (small rate) so the construction is not degenerate
+        sc = _scenario(1e-4, 0.05)
+        cell = GRID.cell_of(2.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            network_update(db, "mt", msg1, CostParams(lam=0.05, U=20.0, V=1.0))
-        la = db.entries["mt"]
-        assert math.hypot(la.center[0] - 2.0, la.center[1] - 1.0) < 0.01 * la.radius
+            la = network_update(cell, episode_design(sc), sc, GRID)
+        ax, ay = GRID.center(cell)
+        assert la.initial_position == (ax, ay)
+        assert math.hypot(la.center[0] - ax, la.center[1] - ay) < 0.01 * la.radius
+
+
+class TestEpisodeDesign:
+    def test_pinned_design(self):
+        assert episode_design(_scenario(20.0, 0.0, design=(-4.0, 4.2))) == (-4.0, 4.2)
+        # the centered strategy drops the pinned offset
+        assert episode_design(_scenario(20.0, 0.0, design=(-4.0, 4.2),
+                                        strategy="center")) == (0.0, 4.2)
+
+    def test_optimized_design_per_strategy(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            x_opt, r_opt = episode_design(_scenario(20.0, 0.2))
+            x_ctr, r_ctr = episode_design(_scenario(20.0, 0.2, strategy="center"))
+        assert -r_opt < x_opt < 0.0
+        assert x_ctr == 0.0 and r_ctr > 0.0
+
+    def test_zero_rate_needs_pinned_design(self):
+        with pytest.raises(DomainError):
+            episode_design(_scenario(20.0, 0.0))
+
+    @pytest.mark.parametrize("kw", [{"strategy": "offset"}, {"provider": "exact"}],
+                             ids=["strategy", "provider"])
+    def test_scenario_rejects_unknown_names(self, kw):
+        with pytest.raises(DomainError):
+            _scenario(0.5, 2.0, **kw)
 
 
 class TestPaging:
     @pytest.fixture()
-    def stored(self):
-        db = NetworkDb(grid=GRID)
-        la = construct_la((0.0, 0.0), (1.0, 0.0), -1.0, 4.0, GRID, m=3,
-                          var_theta=0.6)
-        db.entries["mt"] = la
-        return db, la
+    def la(self):
+        return construct_la((0.0, 0.0), (1.0, 0.0), -1.0, 4.0, GRID, m=3,
+                            var_theta=0.6)
 
-    def test_first_round_hit(self, stored):
-        db, la = stored
-        cell = la.sub_area_cells[0][0]
-        res = page(db, "mt", cell)
+    def test_first_round_hit(self, la):
+        res = page(la, la.sub_area_cells[0][0])
         assert res.rounds == 1
         assert res.cells_paged == len(la.sub_area_cells[0])
 
-    def test_last_round_pages_everything(self, stored):
-        db, la = stored
-        cell = la.sub_area_cells[-1][-1]
-        res = page(db, "mt", cell)
+    def test_last_round_pages_everything(self, la):
+        res = page(la, la.sub_area_cells[-1][-1])
         assert res.rounds == 3
         assert res.cells_paged == len(la.interior_cells)
 
     def test_single_round_pages_whole_region(self):
-        db = NetworkDb(grid=GRID)
         la = construct_la((0.0, 0.0), (1.0, 0.0), 0.0, 4.0, GRID, m=1)
-        db.entries["mt"] = la
-        res = page(db, "mt", next(iter(la.interior_cells)))
+        res = page(la, next(iter(la.interior_cells)))
         assert res.cells_paged == len(la.interior_cells)
 
-    def test_outside_cell_raises(self, stored):
-        db, la = stored
+    def test_outside_cell_raises(self, la):
         with pytest.raises(ConsistencyViolationError):
-            page(db, "mt", (99, 99))
-
-    def test_unknown_terminal(self, stored):
-        db, _ = stored
-        with pytest.raises(DomainError):
-            page(db, "nobody", (0, 0))
+            page(la, (99, 99))
 
 
 class TestRunEpisode:
@@ -265,3 +282,27 @@ class TestRunEpisode:
         rounds = dict(m.paging_rounds_hist)
         assert sum(rounds.values()) == m.calls
         assert max(rounds) <= 3
+
+    # EpisodeMetrics recorded before the update path was collapsed to one
+    # network_update; the episode must reproduce them exactly.
+    @pytest.mark.parametrize("k, lam, strategy, m, expected", [
+        pytest.param(20.0, 0.2, "optimal", 1, EpisodeMetrics(
+            duration_hr=30.0, update_count=35, boundary_updates=27,
+            call_triggered_updates=8, calls=8, cells_paged_total=448,
+            paging_rounds_hist=((1, 8),), paging_failures=0,
+            C_u=23.333333333333332, C_p=14.933333333333334,
+            C_t=38.266666666666666), id="boundary-driven"),
+        pytest.param(0.5, 2.0, "center", 2, EpisodeMetrics(
+            duration_hr=30.0, update_count=95, boundary_updates=33,
+            call_triggered_updates=62, calls=62, cells_paged_total=372,
+            paging_rounds_hist=((1, 62),), paging_failures=0,
+            C_u=63.333333333333336, C_p=12.4,
+            C_t=75.73333333333333), id="call-driven"),
+    ])
+    def test_matches_recorded_metrics(self, k, lam, strategy, m, expected):
+        scenario = Scenario(mobility=default_mobility(k),
+                            costs=CostParams(lam=lam, U=20.0, V=1.0, m=m),
+                            strategy=strategy, duration_hr=30.0, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_episode(scenario) == expected
