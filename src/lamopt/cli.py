@@ -17,7 +17,6 @@ seed and config, byte for byte.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -128,14 +127,12 @@ def fig7_fig8_rows(cfg: dict) -> tuple[list[str], list[list]]:
 
 def cmd_figure(args, which: str) -> int:
     cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if which == "fig5":
-            header, rows = fig5_rows(cfg)
-        elif which == "fig6":
-            header, rows = fig6_rows(cfg)
-        else:
-            header, rows = fig7_fig8_rows(cfg)
+    if which == "fig5":
+        header, rows = fig5_rows(cfg)
+    elif which == "fig6":
+        header, rows = fig6_rows(cfg)
+    else:
+        header, rows = fig7_fig8_rows(cfg)
     _write_csv(args.out, header, rows)
     return 0
 
@@ -144,12 +141,10 @@ def cmd_optimize(args) -> int:
     cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
     mob = mobility_from_config(cfg)
     costs = _costs_from_cfg(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        opt = joint_optimize(mob, costs, args.provider, baseline="offset")
-        ctr = joint_optimize(mob, costs, args.provider, baseline="center")
-        breakdown = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt,
-                                        mode=args.paging_mode)
+    opt = joint_optimize(mob, costs, args.provider, baseline="offset")
+    ctr = joint_optimize(mob, costs, args.provider, baseline="center")
+    breakdown = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt,
+                                    mode=args.paging_mode)
     header = ["k", "lambda_per_hr", "provider", "x_opt_km", "R_opt_km",
               "C_u", "C_p", "C_t", "saving_ratio"]
     rows = [[cfg["k"], costs.lam, args.provider, opt.x_opt, opt.r_opt,
@@ -172,9 +167,7 @@ def cmd_simulate(args) -> int:
             seed=int(cfg.get("seed", 0)),
             provider=str(cfg.get("provider", "asymptotic")),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            m = run_episode(scenario)
+        m = run_episode(scenario)
         header = ["strategy", "k", "lambda_per_hr", "duration_hr", "updates",
                   "boundary_updates", "call_updates", "cells_paged",
                   "C_u", "C_p", "C_t"]
@@ -187,9 +180,7 @@ def cmd_simulate(args) -> int:
         R = cfg["R_km"]
         lam = cfg["lambda_per_hr"]
         if args.x_km is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                x = optimal_offset(trial_offset_scale(mob, R), R)
+            x = optimal_offset(trial_offset_scale(mob, R), R)
         else:
             x = args.x_km
         sim = SimConfig(n_trials=args.trials, seed=int(cfg.get("seed", 0)))
@@ -203,9 +194,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = run_checks(inject=args.inject)
+    results = run_checks(inject=args.inject)
     report = format_report(results)
     print(report)
     if args.out:
@@ -214,6 +203,13 @@ def cmd_validate(args) -> int:
                      r.expected.replace(",", ";"), r.seconds]
                     for r in results])
     return 0 if all(r.passed for r in results) else 1
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_opt.add_argument("--paging-mode", choices=("paper", "cumulative"),
                         default="paper")
     sp_sim = subcommand("simulate", "protocol episode or raw MC run")
-    sp_sim.add_argument("--seed", type=int, default=None)
+    sp_sim.add_argument("--seed", type=_seed, default=None)
     sp_sim.add_argument("--mode", choices=("episode", "ctrw"), default="episode")
     sp_sim.add_argument("--trials", type=int, default=100_000)
     sp_sim.add_argument("--x-km", type=float, default=None)
@@ -250,13 +246,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("fig5", "fig6", "fig7", "fig8"):
-            return cmd_figure(args, "fig7" if args.command == "fig8" else args.command)
-        if args.command == "optimize":
-            return cmd_optimize(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_validate(args)
+        # Regime and search warnings are not reported yet; the CSV carries
+        # only the numbers.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if args.command in ("fig5", "fig6", "fig7", "fig8"):
+                return cmd_figure(args, "fig7" if args.command == "fig8"
+                                  else args.command)
+            if args.command == "optimize":
+                return cmd_optimize(args)
+            if args.command == "simulate":
+                return cmd_simulate(args)
+            return cmd_validate(args)
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

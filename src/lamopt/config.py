@@ -43,7 +43,7 @@ def parse_config(source: str | Path) -> dict:
 
     Raises:
         DomainError: unknown key, bad syntax, an unparsable or non-finite
-            value, or ``R_km <= 0``.
+            value, ``R_km <= 0`` or a negative ``seed``.
     """
     text = str(source)
     if "\n" not in text and "=" not in text:
@@ -78,6 +78,8 @@ def parse_config(source: str | Path) -> dict:
     cfg["m_paging"] = int(round(cfg["m_paging"]))
     if "seed" in cfg:
         cfg["seed"] = int(round(cfg["seed"]))
+        if cfg["seed"] < 0:
+            raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from lamopt.approx import (
     STRONG_DRIFT_MIN,
@@ -121,24 +120,23 @@ def wedge_indices(plan: PagingPlan, xs, ys) -> np.ndarray:
 def region_areas(plan: PagingPlan, R: float) -> np.ndarray:
     """Exact areas of the wedge-disc intersections.
 
-    From the anchor at (x0, 0) the distance to the circle along direction
-    ``phi`` is ``rho = -x0 cos(phi) + sqrt(R^2 - x0^2 sin^2 phi)``; each
-    mirrored wedge pair integrates ``rho^2`` over its angular span.
+    The ray from the anchor (x0, 0) at angle ``phi`` meets the circle at
+    ``q = (x0 + rho cos phi, |rho sin phi|)``, with
+    ``rho = -x0 cos(phi) + sqrt(R^2 - x0^2 sin^2 phi)``.  Both mirrored
+    halves swept from ``phi = 0`` make a sector minus a triangle:
+    ``F(phi) = R^2 alpha - x0 q_y`` with ``alpha = atan2(q_y, q_x)``, so
+    wedge i has area ``F(cum[i+1]) - F(cum[i])``.  The ``abs`` folds a last
+    cumulative angle one ulp past pi back onto the axis (``atan2`` would
+    give -pi there).
     """
     x0 = plan.anchor_x
     if abs(x0) >= R:
         raise GeometryError("paging anchor must lie inside the disc")
-
-    def rho2(phi):
-        s = math.sin(phi)
-        rho = -x0 * math.cos(phi) + math.sqrt(R * R - x0 * x0 * s * s)
-        return rho * rho
-
-    cum = plan.cumulative
-    areas = np.empty(plan.m)
-    for i in range(plan.m):
-        val, _ = quad(rho2, cum[i], cum[i + 1], limit=200)
-        areas[i] = val  # two mirrored halves of rho^2/2 each
+    phi = plan.cumulative
+    cos, sin = np.cos(phi), np.sin(phi)
+    rho = -x0 * cos + np.sqrt(R * R - x0 * x0 * sin * sin)
+    q_x, q_y = x0 + rho * cos, np.abs(rho * sin)
+    areas = np.diff(R * R * np.arctan2(q_y, q_x) - x0 * q_y)
     total = float(areas.sum())
     if not math.isclose(total, math.pi * R * R, rel_tol=1e-6):
         raise GeometryError(

@@ -19,15 +19,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from lamopt.errors import DegenerateDiffusionError, DomainError, NumericalError
+from lamopt.errors import DegenerateDiffusionError, DomainError
 
 _TWO_PI = 2.0 * math.pi
-
-# Direction-concentration values at or above this behave as a point mass on
-# the preferred axis for every moment we compute.
-_K_POINT_MASS = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +75,6 @@ def sample_direction(k: float, rng: np.random.Generator, size: int | None = None
     return float(theta[0]) if size is None else theta
 
 
-def _direction_breakpoints(k: float) -> list[float]:
-    """Subdivision hints for adaptive quadrature of the peaked density."""
-    if k <= 1.0:
-        return [0.0]
-    pts = {0.0}
-    for c in (1.0, 5.0, 20.0, 40.0):
-        p = min(0.999 * math.pi, c / k)
-        pts.add(p)
-        pts.add(-p)
-    return sorted(pts)
-
-
 @dataclass(frozen=True)
 class DirectionMoments:
     """Trigonometric moments of the turn-angle distribution."""
@@ -104,59 +87,68 @@ class DirectionMoments:
     var_theta: float  # rad^2
 
 
+def _theta2_ratio(u: float) -> float:
+    """``N(u) / u^2`` for ``N(u) = 2 (1 - e^-u) - u (u + 2) e^-u``, ``u > 0``.
+
+    Written as ``2 (1 - e^-u) / u^2 - e^-u (1 + 2/u)`` from ``u = 2`` on, so
+    nothing overflows.  Below ``u = 2`` the direct form cancels (N ~ u^3/3;
+    Var[theta] from it is 2e-13 off relative at k = 0.01 and 9e-10 off at
+    k = 1e-4), so the ratio is summed as ``2 e^-u sum_{n>=3} u^(n-2) / n!``,
+    whose terms fall below 1e-17 of the sum within 25 terms.
+    """
+    e = math.exp(-u)
+    if u >= 2.0:
+        return 2.0 * -math.expm1(-u) / u / u - e * (1.0 + 2.0 / u)
+    term = u / 6.0
+    total = term
+    n = 3
+    while term > 1e-17 * total:
+        n += 1
+        term *= u / n
+        total += term
+    return 2.0 * e * total
+
+
 @lru_cache(maxsize=4096)
-def direction_moments(k: float, tol: float = 1e-10) -> DirectionMoments:
-    """Compute direction moments by adaptive quadrature of the density.
+def direction_moments(k: float) -> DirectionMoments:
+    """Closed-form moments of the double-exponential turn angle.
+
+    With ``u = k pi``, ``e = exp(-u)`` and ``z = 1 - e``:
+
+        E[cos]       = k^2 (1 + e) / ((k^2 + 1) z)
+        E[sin^2]     = 2 / (k^2 + 4),   so E[cos 2 theta] = k^2 / (k^2 + 4)
+        E[cos^2]     = 1 - E[sin^2]
+        E[sin] = E[cos sin] = E[theta] = 0   (the law is even)
+        Var[theta]   = pi^2 N(u) / (u^2 z),   N(u) = 2z - u (u + 2) e
+
+    ``N / u^2`` comes from ``_theta2_ratio``, a series below ``u = 2``.
+    ``k = 0`` is the uniform law.  Against 40-digit arithmetic the forms are
+    within 1e-15 relative for k in [1e-8, 1e6], and they stay finite for
+    every finite ``k``.
 
     Args:
-        k: concentration factor, ``k >= 0``.
-        tol: absolute tolerance requested per moment integral.
+        k: concentration factor, finite and ``>= 0``.
 
     Returns:
-        DirectionMoments with ``e_cos2 + e_sin2 = 1`` to quadrature accuracy.
-
-    Raises:
-        NumericalError: a moment integral did not reach ``tol``.
+        DirectionMoments with ``e_cos2 + e_sin2 = 1``.
     """
-    if k < 0.0:
-        raise DomainError(f"concentration factor must be >= 0, got {k}")
+    if not (k >= 0.0 and math.isfinite(k)):
+        raise DomainError(f"concentration factor must be finite and >= 0, got {k}")
     if k == 0.0:
         return DirectionMoments(0.0, 0.0, 0.5, 0.5, 0.0, math.pi**2 / 3.0)
-    if k >= _K_POINT_MASS:
-        return DirectionMoments(1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-
-    pts = _direction_breakpoints(k)
-
-    def moment(fn) -> float:
-        val, err = quad(
-            lambda th: fn(th) * direction_pdf(k, th),
-            -math.pi,
-            math.pi,
-            points=pts,
-            limit=400,
-            epsabs=tol * 1e-2,
-            epsrel=1e-12,
-        )
-        if err > tol:
-            raise NumericalError(
-                f"direction moment quadrature reached {err:.3e} > tol {tol:.3e} at k={k}"
-            )
-        return val
-
-    e_cos = moment(np.cos)
-    e_sin = moment(np.sin)
-    e_cos2 = moment(lambda th: np.cos(th) ** 2)
-    e_sin2 = moment(lambda th: np.sin(th) ** 2)
-    e_cos_sin = moment(lambda th: np.cos(th) * np.sin(th))
-    e_theta = moment(lambda th: th)
-    e_theta2 = moment(lambda th: th**2)
+    u = k * math.pi
+    e = math.exp(-u)
+    z = -math.expm1(-u)
+    k2 = k * k
+    e_sin2 = 2.0 / (k2 + 4.0)
     return DirectionMoments(
-        e_cos=e_cos,
-        e_sin=e_sin,
-        e_cos2=e_cos2,
+        # k2 overflows past k ~ 1.3e154, where E[cos] is 1 to the last bit
+        e_cos=k2 * (1.0 + e) / ((k2 + 1.0) * z) if k2 < math.inf else 1.0,
+        e_sin=0.0,
+        e_cos2=1.0 - e_sin2,
         e_sin2=e_sin2,
-        e_cos_sin=e_cos_sin,
-        var_theta=e_theta2 - e_theta**2,
+        e_cos_sin=0.0,
+        var_theta=math.pi**2 * _theta2_ratio(u) / z,
     )
 
 

@@ -8,39 +8,39 @@ the *approximations* relative to the exact solver is reported by the
 acceptance tests instead, since approximation error is a property of the
 method, not of the code.
 
-``run_checks(inject=...)`` deliberately corrupts the mobility-to-diffusion
-mapping so the suite's sensitivity can be demonstrated (negative controls).
+Every check takes the mobility-to-diffusion mapping under test and returns
+``(passed, measured, expected)``; checks built on fixed diffusion parameters
+ignore the mapping.  ``run_checks(inject=...)`` hands the checks a
+deliberately corrupted mapping so the suite's sensitivity can be
+demonstrated (negative controls).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-import lamopt.approx as approx_mod
-import lamopt.costs as costs_mod
-import lamopt.mobility as mobility_mod
 from lamopt.approx import (
     _disc_quadrature,
     asymptotic_optimum,
     drift_moment_residual,
     galerkin_solution,
     optimal_offset,
+    strong_drift_argmax,
     strong_drift_interval,
-    trial_offset_scale,
     weak_drift_coeffs,
     weak_drift_coeffs_closed_form,
 )
 from lamopt.config import default_mobility
 from lamopt.costs import CostParams, build_paging_plan
 from lamopt.ctrw import SimConfig, estimate_T
-from lamopt.mobility import compute_diffusion
+from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import (
     DiscGrid,
     NeverArrival,
@@ -66,85 +66,71 @@ class CheckResult:
     seconds: float
 
 
-@contextlib.contextmanager
-def _inject_diffusion_bug(kind: str | None):
-    """Corrupt the diffusion mapping in every module that binds it."""
-    if kind is None:
-        yield
-        return
-    if kind not in INJECTIONS:
-        raise ValueError(f"unknown injection {kind!r}")
-    original = mobility_mod.compute_diffusion
+def _diffusion_mapping(inject: str | None):
+    """The mobility-to-diffusion mapping under test, corrupted on request."""
+    if inject is None:
+        return compute_diffusion
+    if inject not in INJECTIONS:
+        raise ValueError(f"unknown injection {inject!r}")
 
     def corrupted(params):
-        d = original(params)
-        if kind == "flip-drift-sign":
-            return mobility_mod.DiffusionParams(
-                mu1=-d.mu1, mu2=d.mu2, sigma11=d.sigma11,
-                sigma22=d.sigma22, sigma12=d.sigma12)
-        return mobility_mod.DiffusionParams(
-            mu1=d.mu1, mu2=d.mu2, sigma11=d.sigma11,
-            sigma22=-d.sigma22, sigma12=d.sigma12)
+        d = compute_diffusion(params)
+        if inject == "flip-drift-sign":
+            return replace(d, mu1=-d.mu1)
+        return replace(d, sigma22=-d.sigma22)
 
-    patched = [mobility_mod, costs_mod, approx_mod]
-    try:
-        for mod in patched:
-            mod.compute_diffusion = corrupted
-        globals()["compute_diffusion"] = corrupted
-        yield
-    finally:
-        for mod in patched:
-            mod.compute_diffusion = original
-        globals()["compute_diffusion"] = original
+    return corrupted
 
 
-def _check(name, passed, measured, expected, t0) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), measured=measured,
-                       expected=expected, seconds=time.perf_counter() - t0)
+# Report name -> check, in run order; filled by ``@_check``.
+CHECKS: dict[str, Callable] = {}
+
+
+def _check(name: str):
+    """Register a check under the one name every report uses for it."""
+    def register(fn):
+        CHECKS[name] = fn
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_brownian_exact() -> CheckResult:
-    t0 = time.perf_counter()
-    from lamopt.mobility import DiffusionParams
+@_check("brownian_center_interval")
+def check_brownian_exact(to_diffusion) -> tuple[bool, str, str]:
     f = solve_mean_interval(DiffusionParams(0.0, 0.0, 1.0, 1.0), 1.0, 0.0,
                             DiscGrid(1.0, 1.0 / 64))
     v = f.value_at((0.0, 0.0))
-    return _check("brownian_center_interval", abs(v - 0.5) <= 1e-3,
-                  f"{v:.6f}", "0.5 +- 1e-3", t0)
+    return abs(v - 0.5) <= 1e-3, f"{v:.6f}", "0.5 +- 1e-3"
 
 
-def check_half_disc_fold() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("mean_interval_half_disc_vs_full_lu")
+def check_half_disc_fold(to_diffusion) -> tuple[bool, str, str]:
     grid = DiscGrid(1.0, 1.0 / 48)
     worst = 0.0
     for k in (0.5, 20.0):
-        diff = compute_diffusion(default_mobility(k))
+        diff = to_diffusion(default_mobility(k))
         full = spsolve(assemble_operator(diff, grid, 0.2).tocsc(),
                        np.full(grid.n_nodes, -1.0))
         half = solve_mean_interval(diff, 1.0, 0.2, grid).values
         worst = max(worst, float(np.max(np.abs(half - full)) / np.max(full)))
-    return _check("mean_interval_half_disc_vs_full_lu", worst <= 1e-12,
-                  f"worst rel diff {worst:.2e}", "relative 1e-12", t0)
+    return worst <= 1e-12, f"worst rel diff {worst:.2e}", "relative 1e-12"
 
 
-def check_one_dim() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("segment_recovery")
+def check_one_dim(to_diffusion) -> tuple[bool, str, str]:
     s = solve_1d(0.0, 1.0, 4.0, 0.0)
     mid = float(s.interval(2.0))
     s2 = solve_1d(1e-6, 1.0, 1.0, 0.0)
     ok = abs(mid - 4.0) <= 1e-12 and abs(s2.x_opt - 0.5) <= 1e-6
-    return _check("segment_recovery", ok,
-                  f"T(L/2)={mid:.3e}, x_opt={s2.x_opt:.8f}",
-                  "L^2/4 exactly; x_opt -> L/2", t0)
+    return ok, f"T(L/2)={mid:.3e}, x_opt={s2.x_opt:.8f}", "L^2/4 exactly; x_opt -> L/2"
 
 
-def check_strong_ratios() -> CheckResult:
-    t0 = time.perf_counter()
-    diff = compute_diffusion(default_mobility(1e6))
+@_check("strong_regime_ratios")
+def check_strong_ratios(to_diffusion) -> tuple[bool, str, str]:
+    diff = to_diffusion(default_mobility(1e6))
     costs = CostParams(lam=2.0, U=20.0, V=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -156,31 +142,31 @@ def check_strong_ratios() -> CheckResult:
     ok = (abs(r_ratio - 2.0 ** (1 / 3)) <= 1e-6
           and abs(c_ratio - 4.0 ** (1 / 3)) <= 1e-6
           and abs(saving - 0.370) <= 1e-3)
-    return _check("strong_regime_ratios", ok,
-                  f"R ratio {r_ratio:.8f}, C ratio {c_ratio:.8f}, saving {saving:.5f}",
-                  "2^(1/3), 4^(1/3), 0.370", t0)
+    return (ok,
+            f"R ratio {r_ratio:.8f}, C ratio {c_ratio:.8f}, saving {saving:.5f}",
+            "2^(1/3), 4^(1/3), 0.370")
 
 
-def check_default_design_numbers() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("default_weak_design_numbers")
+def check_default_design_numbers(to_diffusion) -> tuple[bool, str, str]:
     mob = default_mobility(0.0)
-    diff = compute_diffusion(mob)
+    diff = to_diffusion(mob)
     costs = CostParams(lam=2.0, U=20.0, V=1.0)
     opt = asymptotic_optimum(diff, costs, "weak", "offset", mean_time=mob.mean_time)
     ok = 1.00 <= opt.r_opt <= 1.07 and 1300 <= opt.expected_steps <= 1380
-    return _check("default_weak_design_numbers", ok,
-                  f"R_opt={opt.r_opt:.4f} km, steps={opt.expected_steps:.1f}",
-                  "R_opt in [1.00, 1.07], steps in [1300, 1380]", t0)
+    return (ok,
+            f"R_opt={opt.r_opt:.4f} km, steps={opt.expected_steps:.1f}",
+            "R_opt in [1.00, 1.07], steps in [1300, 1380]")
 
 
-def check_diffusion_shape() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("diffusion_psd_and_axis_symmetry")
+def check_diffusion_shape(to_diffusion) -> tuple[bool, str, str]:
     ks = np.logspace(-3, 3, 13)
     mu_prev = -1.0
     ok = True
     detail = ""
     for k in ks:
-        d = compute_diffusion(default_mobility(float(k)))
+        d = to_diffusion(default_mobility(float(k)))
         eigs = np.linalg.eigvalsh(d.sigma)
         if eigs.min() < -1e-12:
             ok, detail = False, f"sigma not PSD at k={k:.3g} (min eig {eigs.min():.2e})"
@@ -192,13 +178,11 @@ def check_diffusion_shape() -> CheckResult:
             ok, detail = False, f"mu1 not nondecreasing at k={k:.3g}"
             break
         mu_prev = d.mu1
-    return _check("diffusion_psd_and_axis_symmetry", ok,
-                  detail or "PSD, symmetric, monotone over k grid", "all hold", t0)
+    return ok, detail or "PSD, symmetric, monotone over k grid", "all hold"
 
 
-def check_offset_bruteforce() -> CheckResult:
-    t0 = time.perf_counter()
-    from lamopt.mobility import DiffusionParams
+@_check("offset_formula_vs_bruteforce")
+def check_offset_bruteforce(to_diffusion) -> tuple[bool, str, str]:
     diff = DiffusionParams(0.0, 0.0, 0.2, 0.2)
     a, R = 2.0, 1.0
     sol = galerkin_solution(diff, R, 0.0, a)
@@ -206,14 +190,11 @@ def check_offset_bruteforce() -> CheckResult:
     brute = xs[int(np.argmax(sol.interval(xs, 0.0)))]
     formula = optimal_offset(a, R)
     ok = abs(brute - formula) <= 1e-3
-    return _check("offset_formula_vs_bruteforce", ok,
-                  f"formula {formula:.6f}, brute {brute:.6f}",
-                  "within 1e-3", t0)
+    return ok, f"formula {formula:.6f}, brute {brute:.6f}", "within 1e-3"
 
 
-def check_trial_moments() -> CheckResult:
-    t0 = time.perf_counter()
-    from lamopt.mobility import DiffusionParams
+@_check("trial_moments_closed_form_vs_disc_quadrature")
+def check_trial_moments(to_diffusion) -> tuple[bool, str, str]:
     diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
     worst = 0.0
     for R in (1.0, 2.5):
@@ -228,47 +209,45 @@ def check_trial_moments() -> CheckResult:
             for closed, integrand in refs:
                 ref = _disc_quadrature(integrand, R, nr=48, ntheta=128)
                 worst = max(worst, abs(closed - ref) / abs(ref))
-    return _check("trial_moments_closed_form_vs_disc_quadrature", worst <= 1e-9,
-                  f"worst rel err {worst:.2e}", "relative 1e-9", t0)
+    return worst <= 1e-9, f"worst rel err {worst:.2e}", "relative 1e-9"
 
 
-def check_drift_term_absent() -> CheckResult:
-    t0 = time.perf_counter()
-    diff = compute_diffusion(default_mobility(0.5))
+@_check("trial_drift_moment_vanishes")
+def check_drift_term_absent(to_diffusion) -> tuple[bool, str, str]:
+    diff = to_diffusion(default_mobility(0.5))
     res = drift_moment_residual(diff, 1.0, 3.0)
     ok = abs(res) <= 1e-8
-    return _check("trial_drift_moment_vanishes", ok, f"{res:.2e}", "0 +- 1e-8", t0)
+    return ok, f"{res:.2e}", "0 +- 1e-8"
 
 
-def check_weak_coeffs() -> CheckResult:
-    t0 = time.perf_counter()
-    diff = compute_diffusion(default_mobility(0.3))
+@_check("weak_coeffs_assembly_vs_closed_form")
+def check_weak_coeffs(to_diffusion) -> tuple[bool, str, str]:
+    diff = to_diffusion(default_mobility(0.3))
     num = weak_drift_coeffs(diff, 1.0)
     closed = weak_drift_coeffs_closed_form(diff, 1.0)
     ok = (math.isclose(num.A, closed.A, rel_tol=1e-9)
           and math.isclose(num.B, closed.B, rel_tol=1e-9))
-    return _check("weak_coeffs_assembly_vs_closed_form", ok,
-                  f"A {num.A:.10f} vs {closed.A:.10f}", "relative 1e-9", t0)
+    return ok, f"A {num.A:.10f} vs {closed.A:.10f}", "relative 1e-9"
 
 
-def check_mc_vs_pde() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("mc_vs_pde_interval")
+def check_mc_vs_pde(to_diffusion) -> tuple[bool, str, str]:
     mob = default_mobility(0.5)
-    diff = compute_diffusion(mob)
+    diff = to_diffusion(mob)
     X = (-0.3, 0.0)
     est = estimate_T(X, 1.0, 0.2, mob, SimConfig(n_trials=30_000, seed=11))
     field = solve_mean_interval(diff, 1.0, 0.2, DiscGrid(1.0, 1.0 / 96))
     pde_val = field.value_at(X)
     tol = max(0.03 * pde_val, est.half_width_95)
     ok = abs(est.mean - pde_val) <= tol
-    return _check("mc_vs_pde_interval", ok,
-                  f"MC {est.mean:.5f}+-{est.half_width_95:.5f} vs PDE {pde_val:.5f}",
-                  "within max(3%, CI)", t0)
+    return (ok,
+            f"MC {est.mean:.5f}+-{est.half_width_95:.5f} vs PDE {pde_val:.5f}",
+            "within max(3%, CI)")
 
 
-def check_forward_mass() -> CheckResult:
-    t0 = time.perf_counter()
-    diff = compute_diffusion(default_mobility(0.5))
+@_check("forward_mass_equals_survival")
+def check_forward_mass(to_diffusion) -> tuple[bool, str, str]:
+    diff = to_diffusion(default_mobility(0.5))
     grid = DiscGrid(1.0, 1.0 / 48)
     tg = TimeGrid(0.6, 240)
     X = grid.nearest_node_point((-0.4, 0.0))
@@ -280,61 +259,55 @@ def check_forward_mass() -> CheckResult:
         worst = max(worst, abs(mass - g) / max(g, 1e-12))
     neg = min(float(f.values.min()) for f in fwd.fields)
     ok = worst <= 0.01 and neg >= -1e-12
-    return _check("forward_mass_equals_survival", ok,
-                  f"worst rel err {worst:.2e}, min p {neg:.2e}",
-                  "<= 1%, p >= -1e-12", t0)
+    return ok, f"worst rel err {worst:.2e}, min p {neg:.2e}", "<= 1%, p >= -1e-12"
 
 
-def check_survival_integral() -> CheckResult:
-    t0 = time.perf_counter()
-    from lamopt.mobility import DiffusionParams
+@_check("survival_integral_identity")
+def check_survival_integral(to_diffusion) -> tuple[bool, str, str]:
     diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
     grid = DiscGrid(1.0, 1.0 / 48)
     curve = solve_survival(diff, (0.0, 0.0), 1.0, grid, TimeGrid(4.0, 2000))
     integral = mean_interval_general(curve, NeverArrival())
     direct = solve_mean_interval(diff, 1.0, 0.0, grid).value_at((0.0, 0.0))
     ok = abs(integral - direct) <= 0.02 * direct
-    return _check("survival_integral_identity", ok,
-                  f"integral {integral:.5f} vs direct {direct:.5f}", "within 2%", t0)
+    return ok, f"integral {integral:.5f} vs direct {direct:.5f}", "within 2%"
 
 
-def check_pde_offset_side() -> CheckResult:
-    t0 = time.perf_counter()
-    diff = compute_diffusion(default_mobility(20.0))
+@_check("pde_optimum_on_trailing_side")
+def check_pde_offset_side(to_diffusion) -> tuple[bool, str, str]:
+    diff = to_diffusion(default_mobility(20.0))
     field = solve_mean_interval(diff, 1.0, 0.0, DiscGrid(1.0, 1.0 / 64))
     x_star = field.axis_argmax()
     ok = x_star < -0.5
-    return _check("pde_optimum_on_trailing_side", ok,
-                  f"argmax x = {x_star:.4f}", "< -0.5 (trailing half)", t0)
+    return ok, f"argmax x = {x_star:.4f}", "< -0.5 (trailing half)"
 
 
-def check_strong_form_vs_pde() -> CheckResult:
-    t0 = time.perf_counter()
-    diff = compute_diffusion(default_mobility(20.0))
+@_check("strong_form_vs_pde")
+def check_strong_form_vs_pde(to_diffusion) -> tuple[bool, str, str]:
+    diff = to_diffusion(default_mobility(20.0))
     field = solve_mean_interval(diff, 1.0, 0.0, DiscGrid(1.0, 1.0 / 96))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        xo = approx_mod.strong_drift_argmax(diff, 1.0)
+        xo = strong_drift_argmax(diff, 1.0)
         sv = float(strong_drift_interval(diff, 1.0, xo, 0.0))
     pv = field.value_at((xo, 0.0))
     ok = abs(sv - pv) <= 0.10 * pv
-    return _check("strong_form_vs_pde", ok,
-                  f"closed {sv:.5f} vs pde {pv:.5f}", "within 10%", t0)
+    return ok, f"closed {sv:.5f} vs pde {pv:.5f}", "within 10%"
 
 
-def check_paging_plan() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("paging_angles_telescope")
+def check_paging_plan(to_diffusion) -> tuple[bool, str, str]:
     ok = True
     for m in (1, 2, 4, 7):
         for var in (0.0, 0.5, 2.0, math.pi**2 / 3):
             plan = build_paging_plan(m, var)
             if abs(sum(plan.angles) - math.pi) > 1e-12:
                 ok = False
-    return _check("paging_angles_telescope", ok, "sum = pi", "sum = pi", t0)
+    return ok, "sum = pi", "sum = pi"
 
 
-def check_protocol_episode() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("protocol_certainty_paging")
+def check_protocol_episode(to_diffusion) -> tuple[bool, str, str]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         metrics = run_episode(Scenario(
@@ -343,30 +316,9 @@ def check_protocol_episode() -> CheckResult:
             strategy="optimal", duration_hr=40.0, seed=5,
         ))
     ok = metrics.paging_failures == 0 and metrics.update_count > 10
-    return _check("protocol_certainty_paging", ok,
-                  f"{metrics.update_count} updates, {metrics.paging_failures} failures",
-                  "0 failures", t0)
-
-
-ALL_CHECKS = (
-    check_brownian_exact,
-    check_half_disc_fold,
-    check_one_dim,
-    check_strong_ratios,
-    check_default_design_numbers,
-    check_diffusion_shape,
-    check_offset_bruteforce,
-    check_trial_moments,
-    check_drift_term_absent,
-    check_weak_coeffs,
-    check_mc_vs_pde,
-    check_forward_mass,
-    check_survival_integral,
-    check_pde_offset_side,
-    check_strong_form_vs_pde,
-    check_paging_plan,
-    check_protocol_episode,
-)
+    return (ok,
+            f"{metrics.update_count} updates, {metrics.paging_failures} failures",
+            "0 failures")
 
 
 def run_checks(inject: str | None = None,
@@ -375,27 +327,27 @@ def run_checks(inject: str | None = None,
 
     Args:
         inject: None, "flip-drift-sign", or "sigma-sign-bug".
-        names: restrict to checks whose function name is in the set.
+        names: restrict to the checks with these report names (``CHECKS``
+            keys).
 
     Returns:
         List of CheckResult (one per executed check); a check that raises
         counts as failed with the exception text as the measurement.
     """
+    to_diffusion = _diffusion_mapping(inject)
     results = []
-    with _inject_diffusion_bug(inject):
-        for fn in ALL_CHECKS:
-            if names is not None and fn.__name__ not in names:
-                continue
-            t0 = time.perf_counter()
-            try:
-                results.append(fn())
-            except Exception as exc:  # a blown check is a failed check
-                results.append(CheckResult(
-                    name=fn.__name__.removeprefix("check_"), passed=False,
-                    measured=f"raised {type(exc).__name__}: {exc}",
-                    expected="no exception",
-                    seconds=time.perf_counter() - t0,
-                ))
+    for name, fn in CHECKS.items():
+        if names is not None and name not in names:
+            continue
+        t0 = time.perf_counter()
+        try:
+            passed, measured, expected = fn(to_diffusion)
+        except Exception as exc:  # a blown check is a failed check
+            passed, measured, expected = (
+                False, f"raised {type(exc).__name__}: {exc}", "no exception")
+        results.append(CheckResult(name=name, passed=bool(passed),
+                                   measured=measured, expected=expected,
+                                   seconds=time.perf_counter() - t0))
     return results
 
 

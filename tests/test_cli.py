@@ -1,10 +1,16 @@
 """CLI surface: schemas, determinism, exit codes, negative controls."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import lamopt
 from lamopt.cli import main
 from lamopt.config import DEFAULTS, SCENARIO_KEYS
-from lamopt.validate import run_checks
+from lamopt.validate import CHECKS, run_checks
 
 
 def read(path):
@@ -131,6 +137,35 @@ class TestOptimizeAndSimulate:
         assert not out.exists()
 
 
+class TestSeed:
+    @pytest.mark.parametrize("mode", ["episode", "ctrw"])
+    def test_negative_config_seed_rejected(self, tmp_path, mode):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = -1\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--mode", mode, "--trials", "10"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["episode", "ctrw"])
+    def test_negative_seed_flag_rejected(self, tmp_path, mode):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(out), "--mode", mode,
+                  "--trials", "10", "--seed", "-3"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+def test_cli_import_skips_scipy_integrate_and_optimize():
+    src = str(Path(lamopt.__file__).resolve().parents[1])
+    code = ("import sys, lamopt.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["fig5", "--out", "x.csv", "--seed", "3"],
@@ -163,10 +198,23 @@ class TestValidate:
 
     def test_sigma_injection_fails_psd(self):
         results = run_checks(inject="sigma-sign-bug",
-                             names={"check_diffusion_shape"})
+                             names={"diffusion_psd_and_axis_symmetry"})
         assert len(results) == 1
         assert not results[0].passed
         assert "PSD" in results[0].measured
+
+    def test_raising_check_keeps_its_name(self):
+        # under the sigma bug the half-disc check raises and the shape check
+        # fails; both report the name they pass under in a clean run
+        names = {"mean_interval_half_disc_vs_full_lu",
+                 "diffusion_psd_and_axis_symmetry"}
+        clean = run_checks(names=names)
+        broken = run_checks(inject="sigma-sign-bug", names=names)
+        assert all(r.passed for r in clean)
+        assert not any(r.passed for r in broken)
+        assert broken[0].measured.startswith("raised")
+        assert [r.name for r in broken] == [r.name for r in clean]
+        assert [r.name for r in clean] == [n for n in CHECKS if n in names]
 
     def test_report_csv(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -174,4 +222,4 @@ class TestValidate:
         assert code == 0
         lines = read(out)
         assert lines[0] == "check,passed,measured,expected,seconds"
-        assert len(lines) > 10
+        assert [line.split(",")[0] for line in lines[1:]] == list(CHECKS)

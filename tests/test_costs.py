@@ -1,5 +1,6 @@
 """Cost assembly, paging partition, and the joint optimization."""
 
+import itertools
 import math
 import warnings
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from lamopt.config import default_mobility
 from lamopt.costs import (
     CostParams,
+    PagingPlan,
     build_paging_plan,
     cost_breakdown,
     joint_optimize,
@@ -66,7 +69,45 @@ class TestPagingPlan:
             build_paging_plan(2, -0.1)
 
 
+def _quadrature_areas(plan, R: float) -> np.ndarray:
+    """Wedge areas by adaptive quadrature of ``rho(phi)^2`` over each wedge.
+
+    ``rho`` is the distance from the anchor to the circle along ``phi``; each
+    mirrored pair of half-wedges contributes ``rho^2 / 2`` twice.
+    """
+    x0 = plan.anchor_x
+
+    def rho2(phi):
+        s = math.sin(phi)
+        rho = -x0 * math.cos(phi) + math.sqrt(R * R - x0 * x0 * s * s)
+        return rho * rho
+
+    cum = plan.cumulative
+    return np.array([quad(rho2, cum[i], cum[i + 1], limit=200,
+                          epsabs=0.0, epsrel=1e-13)[0]
+                     for i in range(plan.m)])
+
+
 class TestRegionGeometry:
+    def test_swept_areas_vs_quadrature_oracle(self):
+        grid = itertools.product((2, 3, 4, 7), (0.0, 0.3, 1.0, 2.5, math.pi**2 / 3),
+                                 (0.999, -0.999, -0.9, -0.5, 0.0, 0.3, 0.9),
+                                 (0.05, 1.0, 42.0))
+        for m, var_theta, x_rel, R in grid:
+            plan = build_paging_plan(m, var_theta, anchor_x=x_rel * R)
+            np.testing.assert_allclose(region_areas(plan, R),
+                                       _quadrature_areas(plan, R),
+                                       rtol=0.0, atol=1e-13 * math.pi * R * R)
+
+    def test_last_ray_one_ulp_past_pi(self):
+        # a last cumulative angle one ulp past pi must still close the disc;
+        # atan2 of the slightly negative height there would give -pi
+        plan = PagingPlan(angles=(1.0, math.nextafter(math.pi - 1.0, 4.0)),
+                          anchor_x=0.3)
+        assert plan.cumulative[-1] > math.pi
+        areas = region_areas(plan, 1.0)
+        assert areas.sum() == pytest.approx(math.pi, rel=1e-15)
+
     def test_areas_tile_disc(self):
         for anchor in (0.0, -0.5, 0.4):
             plan = build_paging_plan(4, 0.8, anchor_x=anchor)

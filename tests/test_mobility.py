@@ -1,4 +1,4 @@
-"""Direction law, moment quadrature, and the diffusion mapping."""
+"""Direction law, closed-form direction moments, and the diffusion mapping."""
 
 import math
 
@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from lamopt.cli import K_GRID
 from lamopt.config import default_mobility, mobility_from_config, parse_config, DEFAULTS
 from lamopt.errors import DegenerateDiffusionError, DomainError
 from lamopt.mobility import (
@@ -51,10 +53,37 @@ class TestDirectionPdf:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=30.0))
     def test_normalized(self, k):
-        from scipy.integrate import quad
         total, _ = quad(lambda th: direction_pdf(k, th), -math.pi, math.pi,
                         points=[0.0], limit=200)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _quadrature_moments(k: float) -> dict[str, float]:
+    """Direction moments by adaptive quadrature of the density.
+
+    The breakpoints split the peak of a concentrated law at 1, 5, 20 and 40
+    decay lengths; odd moments vanish to round-off only, so quad cannot
+    meet their relative target and warns.
+    """
+    if k <= 1.0:
+        pts = [0.0]
+    else:
+        pts = sorted({0.0} | {s * min(0.999 * math.pi, c / k)
+                              for c in (1.0, 5.0, 20.0, 40.0) for s in (1.0, -1.0)})
+
+    def moment(fn) -> float:
+        return quad(lambda th: fn(th) * direction_pdf(k, th), -math.pi, math.pi,
+                    points=pts, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+
+    e_theta = moment(lambda th: th)
+    return {
+        "e_cos": moment(math.cos),
+        "e_sin": moment(math.sin),
+        "e_cos2": moment(lambda th: math.cos(th) ** 2),
+        "e_sin2": moment(lambda th: math.sin(th) ** 2),
+        "e_cos_sin": moment(lambda th: math.cos(th) * math.sin(th)),
+        "var_theta": moment(lambda th: th * th) - e_theta**2,
+    }
 
 
 class TestDirectionMoments:
@@ -80,6 +109,36 @@ class TestDirectionMoments:
             assert m.e_cos2 == pytest.approx((1 + k**2 / (k**2 + 4)) / 2, abs=1e-10)
             assert m.e_sin == pytest.approx(0.0, abs=1e-10)
             assert m.e_cos_sin == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_closed_forms_vs_quadrature_oracle(self):
+        for k in K_GRID + np.logspace(-8, 6, 57).tolist():
+            ref = _quadrature_moments(k)
+            m = direction_moments(k)
+            for name, value in ref.items():
+                assert getattr(m, name) == pytest.approx(value, abs=1e-12), (k, name)
+            assert m.var_theta == pytest.approx(ref["var_theta"], rel=1e-14), k
+
+    def test_small_k_series_matches_uniform_expansion(self):
+        # Var[theta] = pi^2/3 - pi^3 k / 12 + pi^4 k^2 / 360 + O(k^3) about
+        # the uniform law
+        for k in (1e-7, 1e-6, 1e-5):
+            expected = (math.pi**2 / 3 - math.pi**3 * k / 12
+                        + math.pi**4 * k * k / 360)
+            assert direction_moments(k).var_theta == pytest.approx(expected, rel=1e-14)
+
+    def test_finite_at_extreme_concentrations(self):
+        for k in (1e-300, 1e-200, 1e12, 1e200, 1e308):
+            m = direction_moments(k)
+            values = (m.e_cos, m.e_cos2, m.e_sin2, m.var_theta)
+            assert all(math.isfinite(v) for v in values), k
+        assert direction_moments(1e-300).var_theta == pytest.approx(math.pi**2 / 3)
+        assert direction_moments(1e200).e_cos == 1.0
+
+    @pytest.mark.parametrize("k", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_concentration(self, k):
+        with pytest.raises(DomainError):
+            direction_moments(k)
 
     def test_moments_match_sampling(self):
         # Monte-Carlo oracle for E[cos] at k = 2 (4 sigma band)
@@ -128,8 +187,8 @@ class TestComputeDiffusion:
         assert d.sigma22 == pytest.approx(0.0, abs=1e-9)
 
     def test_limit_agreement_tight(self):
-        # the generic quadrature path agrees with the closed-form limits to
-        # 1e-4 relative at the proxy concentrations
+        # the general closed forms agree with the limiting laws to 1e-4
+        # relative at the proxy concentrations
         p_lo = default_mobility(1e-4)
         d_lo = compute_diffusion(p_lo)
         iso = p_lo.second_moment_len / (2 * p_lo.mean_time)
