@@ -67,21 +67,20 @@ def weak_drift_coeffs(diff: DiffusionParams, R: float) -> WeakDriftCoeffs:
     The residual of ``L T + 1`` (no call-rate term) is made orthogonal to
     both trial functions under the plain area inner product.
     """
-    s11, s22, mu1, mu2 = diff.sigma11, diff.sigma22, diff.mu1, diff.mu2
+    s11, s22, mu1 = diff.sigma11, diff.sigma22, diff.mu1
 
     def phi1(x, y):
         return R * R - x * x - y * y
 
     def L_phi1(x, y):
-        return -(s11 + s22) - 2.0 * mu1 * x - 2.0 * mu2 * y
+        return -(s11 + s22) - 2.0 * mu1 * x
 
     def phi2(x, y):
         return phi1(x, y) * (x + y)
 
     def L_phi2(x, y):
         diffusion = s11 / 2.0 * (-6.0 * x - 2.0 * y) + s22 / 2.0 * (-2.0 * x - 6.0 * y)
-        drift = mu1 * (phi1(x, y) - 2.0 * x * (x + y)) + mu2 * (phi1(x, y) - 2.0 * y * (x + y))
-        return diffusion + drift
+        return diffusion + mu1 * (phi1(x, y) - 2.0 * x * (x + y))
 
     m = np.array([
         [_disc_quadrature(lambda x, y: phi1(x, y) * L_phi1(x, y), R),

@@ -114,7 +114,7 @@ def sample_displacement(params: MobilityParams, rng: np.random.Generator):
 
 def _check_start(X, R) -> tuple[float, float]:
     x0, y0 = float(X[0]), float(X[1])
-    if x0 * x0 + y0 * y0 >= R * R:
+    if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not strictly inside radius {R}")
     return x0, y0
 

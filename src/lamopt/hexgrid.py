@@ -2,13 +2,13 @@
 
 Pointy-top hexagons in axial coordinates (q, r); a cell id is the integer
 pair.  Point-to-cell lookup is exact hexagon containment via cube rounding,
-which is also the nearest-center (Voronoi) assignment.
+which is also the nearest-center (Voronoi) assignment.  The cell area is
+fixed at 1 km^2: the cost model counts paged cells as unit areas.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from lamopt.errors import GeometryError
 
@@ -19,25 +19,13 @@ _AXIAL_DIRECTIONS: tuple[Cell, ...] = (
 )
 
 
-@dataclass(frozen=True)
 class HexGrid:
-    """Plane tiling by hexagonal cells of the given area (km^2)."""
+    """Plane tiling by hexagonal cells of unit area (1 km^2)."""
 
-    cell_area: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.cell_area <= 0.0:
-            raise GeometryError("cell area must be > 0")
-
-    @property
-    def size(self) -> float:
-        """Circumradius (corner distance) of a cell, km."""
-        return math.sqrt(self.cell_area * 2.0 / (3.0 * math.sqrt(3.0)))
-
-    @property
-    def pitch(self) -> float:
-        """Distance between adjacent cell centers, km."""
-        return math.sqrt(3.0) * self.size
+    # circumradius (corner distance) of a unit-area cell, km
+    size = math.sqrt(2.0 / (3.0 * math.sqrt(3.0)))
+    # distance between adjacent cell centers, km
+    pitch = math.sqrt(3.0) * size
 
     def center(self, cell: Cell) -> tuple[float, float]:
         q, r = cell

@@ -1,15 +1,20 @@
 """Step-level mobility statistics and their diffusion approximation.
 
 The mobile terminal moves in i.i.d. displacements: a random length, a random
-direction about a fixed preferred axis, and a random dwell time per step.
-When many steps fit inside the region of interest, the walk is well
-approximated by a planar diffusion with drift vector ``mu`` and diffusion
-matrix ``sigma``:
+turn angle about the road direction, and a random dwell time per step.  The
+road is the +x axis everywhere in lamopt, and the turn-angle law is even, so
+a step has no mean transverse part and its x and y components are
+uncorrelated.  When many steps fit inside the region of interest, the walk
+is well approximated by a planar diffusion with drift ``mu1`` along the road
+and a diagonal diffusion matrix ``diag(sigma11, sigma22)``:
 
-    mu    = E[step vector] / E[dwell]
-    sigma = (Var[step vector] * E[dwell]^2 + Var[dwell] * m m^T) / E[dwell]^3
+    mu1     = m / E[dwell]
+    sigma11 = (Var[step x] * E[dwell]^2 + Var[dwell] * m^2) / E[dwell]^3
+    sigma22 = Var[step y] / E[dwell]
 
-with ``m = E[step vector]``.  All lengths are in km, times in hours.
+with ``m = E[step x]``.  ``DiffusionParams`` has no transverse drift and no
+cross-diffusion field, so no solver downstream needs to check for them.
+All lengths are in km, times in hours.
 """
 
 from __future__ import annotations
@@ -77,13 +82,15 @@ def sample_direction(k: float, rng: np.random.Generator, size: int | None = None
 
 @dataclass(frozen=True)
 class DirectionMoments:
-    """Trigonometric moments of the turn-angle distribution."""
+    """Trigonometric moments of the turn-angle distribution.
+
+    The law is even, so the odd moments (E[sin], E[cos sin], E[theta]) are
+    zero and not stored.
+    """
 
     e_cos: float
-    e_sin: float
     e_cos2: float
     e_sin2: float
-    e_cos_sin: float
     var_theta: float  # rad^2
 
 
@@ -135,7 +142,7 @@ def direction_moments(k: float) -> DirectionMoments:
     if not (k >= 0.0 and math.isfinite(k)):
         raise DomainError(f"concentration factor must be finite and >= 0, got {k}")
     if k == 0.0:
-        return DirectionMoments(0.0, 0.0, 0.5, 0.5, 0.0, math.pi**2 / 3.0)
+        return DirectionMoments(0.0, 0.5, 0.5, math.pi**2 / 3.0)
     u = k * math.pi
     e = math.exp(-u)
     z = -math.expm1(-u)
@@ -144,10 +151,8 @@ def direction_moments(k: float) -> DirectionMoments:
     return DirectionMoments(
         # k2 overflows past k ~ 1.3e154, where E[cos] is 1 to the last bit
         e_cos=k2 * (1.0 + e) / ((k2 + 1.0) * z) if k2 < math.inf else 1.0,
-        e_sin=0.0,
         e_cos2=1.0 - e_sin2,
         e_sin2=e_sin2,
-        e_cos_sin=0.0,
         var_theta=math.pi**2 * _theta2_ratio(u) / z,
     )
 
@@ -202,25 +207,15 @@ class MobilityParams:
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Drift vector and diffusion matrix of the continuum approximation.
+    """Drift along the road (+x) and the diagonal diffusion matrix.
 
-    Units: drift km/hr, diffusion km^2/hr.  The matrix is stored by its
-    three independent entries; ``sigma21 == sigma12`` always.
+    Units: drift km/hr, diffusion km^2/hr.  Motion is symmetric about the
+    road axis, so there is no transverse drift and no cross-diffusion.
     """
 
     mu1: float
-    mu2: float
     sigma11: float
     sigma22: float
-    sigma12: float = 0.0
-
-    @property
-    def mu(self) -> np.ndarray:
-        return np.array([self.mu1, self.mu2])
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.array([[self.sigma11, self.sigma12], [self.sigma12, self.sigma22]])
 
     @property
     def sigma_trace(self) -> float:
@@ -231,7 +226,8 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
     """Map step-level mobility parameters to drift and diffusion.
 
     The step vector is (L cos A, L sin A) with L the length and A the turn
-    angle, independent of each other and of the dwell time.
+    angle, independent of each other and of the dwell time.  A is even, so
+    E[L sin A] = Cov(L cos A, L sin A) = 0.
 
     Args:
         params: validated mobility parameters.
@@ -245,20 +241,15 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
     e_t = params.mean_time
     var_t = params.var_time
 
-    mean_vec = np.array([e_len * m.e_cos, e_len * m.e_sin])
-    # Covariance of the step vector from length/direction independence.
-    var11 = e_len2 * m.e_cos2 - mean_vec[0] ** 2
-    var22 = e_len2 * m.e_sin2 - mean_vec[1] ** 2
-    var12 = e_len2 * m.e_cos_sin - mean_vec[0] * mean_vec[1]
-
-    mu = mean_vec / e_t
+    mean_x = e_len * m.e_cos
+    # Step-component variances from length/direction independence.
+    var11 = e_len2 * m.e_cos2 - mean_x**2
+    var22 = e_len2 * m.e_sin2
     scale = 1.0 / e_t**3
-    s11 = (var11 * e_t**2 + var_t * mean_vec[0] ** 2) * scale
-    s22 = (var22 * e_t**2 + var_t * mean_vec[1] ** 2) * scale
-    s12 = (var12 * e_t**2 + var_t * mean_vec[0] * mean_vec[1]) * scale
     return DiffusionParams(
-        mu1=float(mu[0]), mu2=float(mu[1]),
-        sigma11=float(s11), sigma22=float(s22), sigma12=float(s12),
+        mu1=mean_x / e_t,
+        sigma11=(var11 * e_t**2 + var_t * mean_x**2) * scale,
+        sigma22=var22 * e_t**2 * scale,
     )
 
 

@@ -3,7 +3,7 @@
 The disc is embedded in a Cartesian lattice; nodes strictly inside carry
 unknowns and the zero boundary condition is imposed on the circle itself
 through shortened one-sided stencils at cut cells.  Three problems share one
-spatial operator ``L = s11/2 d_xx + s22/2 d_yy + mu1 d_x + mu2 d_y``:
+spatial operator ``L = s11/2 d_xx + s22/2 d_yy + mu1 d_x``:
 
 * stationary mean update interval:  ``L T - lam T = -1``, T = 0 on the circle;
 * survival probability:             ``dG/dt = L G``,  G(.,0) = 1;
@@ -13,14 +13,16 @@ The density problem is stepped with the transpose of the survival operator,
 which makes the discrete mass identity  ``integral p(.,t) = G(X,t)``  exact up
 to solver residual for matching time grids.
 
-The direction law is symmetric about the preferred road direction, so the
-drift has no transverse part (``mu2 = 0``) and the lattice is symmetric in
-the row index j.  The mean-interval system is then exactly mirror-symmetric
-in y, and ``solve_mean_interval`` solves it on the upper half disc only
-(j >= 0), folding the j < 0 columns onto their mirror nodes.  Every factor
-uses one LU helper, ``_factor``: a minimum-degree ordering of ``A^T + A``
-(about half the fill of the default column ordering on this stencil) with
-diagonal pivots preferred, which is safe on these M-matrix operators.
+The road is the +x axis and ``DiffusionParams`` carries no transverse drift
+and no cross-diffusion, so the operator has no ``d_y`` or ``d_xy`` term.
+With the lattice symmetric in the row index j, the mean-interval system is
+exactly mirror-symmetric in y, and ``solve_mean_interval`` solves it on the
+upper half disc only (j >= 0), folding the j < 0 columns onto their mirror
+nodes.  Every factor uses one LU helper, ``_factor``: a minimum-degree
+ordering of ``A^T + A`` (about half the fill of the default column ordering
+on this stencil) with diagonal pivots preferred, which is safe on these
+M-matrix operators.  ``scipy.sparse.linalg`` is imported there, on first
+use, so commands that never solve on the disc do not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from lamopt.errors import DegenerateDiffusionError, DomainError, NumericalError
 from lamopt.mobility import DiffusionParams
@@ -100,10 +101,6 @@ class DiscGrid:
         self.hn = np.where(self.north >= 0, h, np.maximum(by - self.y, tiny))
         self.hs = np.where(self.south >= 0, h, np.maximum(self.y + by, tiny))
 
-        self.is_boundary_adjacent = (
-            (self.east < 0) | (self.west < 0) | (self.north < 0) | (self.south < 0)
-        )
-
     def node_index(self, i: int, j: int) -> int:
         """Index of lattice node (i, j), or -1 if outside the disc."""
         n = self._n
@@ -141,7 +138,7 @@ class DiscGrid:
         """Bilinear weights for an interior point; falls back to nearest node
         when a stencil corner lies outside the disc."""
         x0, y0 = float(X[0]), float(X[1])
-        if x0 * x0 + y0 * y0 >= self.R**2:
+        if not x0 * x0 + y0 * y0 < self.R**2:  # a NaN coordinate fails too
             raise DomainError(f"point {X} is not inside the disc")
         fi, fj = x0 / self.h, y0 / self.h
         i0, j0 = math.floor(fi), math.floor(fj)
@@ -188,12 +185,6 @@ class ScalarField:
     def integral(self) -> float:
         return float(self.values.sum() * self.grid.h**2)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("x_km,y_km,value\n")
-            for x, y, v in zip(self.grid.x, self.grid.y, self.values):
-                f.write(f"{x:.10g},{y:.10g},{v:.10g}\n")
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -223,17 +214,14 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
                       lam: float = 0.0) -> sp.csr_matrix:
     """Assemble ``L - lam I`` with Dirichlet-0 closure on the circle.
 
-    Second-order central differences everywhere; the drift term switches to
-    a one-sided difference at nodes whose cell Peclet number exceeds 2, which
-    keeps the matrix an M-matrix in strongly drifted regimes.
+    Second-order central differences everywhere; the drift term (along x
+    only) switches to a one-sided difference at nodes whose cell Peclet
+    number exceeds 2, which keeps the matrix an M-matrix in strongly drifted
+    regimes.
     """
     if diff.sigma11 <= 0.0 or diff.sigma22 <= 0.0:
         raise DegenerateDiffusionError(
             "sigma11 and sigma22 must be > 0 for the disc solver"
-        )
-    if abs(diff.sigma12) > 1e-9 * max(diff.sigma11, diff.sigma22):
-        raise DegenerateDiffusionError(
-            "cross-diffusion is not supported (axis-sym direction law expected)"
         )
     if lam < 0.0:
         raise DomainError(f"call rate must be >= 0, got {lam}")
@@ -244,33 +232,40 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
 
-    def add_axis(neg_idx, pos_idx, h_neg, h_pos, s_coef, mu_coef):
-        nonlocal diag
-        # diffusion: one-sided-capable 3-point second difference
-        c_pos = 2.0 * s_coef / (h_pos * (h_neg + h_pos))
-        c_neg = 2.0 * s_coef / (h_neg * (h_neg + h_pos))
-        diag += -2.0 * s_coef / (h_neg * h_pos)
-        # drift: central below the Peclet threshold, one-sided above
-        pe = np.abs(mu_coef) * np.maximum(h_neg, h_pos) / s_coef
-        central = pe <= 2.0
-        d_pos = np.where(central, mu_coef * h_neg / (h_pos * (h_neg + h_pos)), 0.0)
-        d_neg = np.where(central, -mu_coef * h_pos / (h_neg * (h_neg + h_pos)), 0.0)
-        d_diag = np.where(central, mu_coef * (h_pos - h_neg) / (h_neg * h_pos), 0.0)
-        if mu_coef > 0.0:
-            d_pos = np.where(central, d_pos, mu_coef / h_pos)
-            d_diag = np.where(central, d_diag, -mu_coef / h_pos)
-        elif mu_coef < 0.0:
-            d_neg = np.where(central, d_neg, -mu_coef / h_neg)
-            d_diag = np.where(central, d_diag, mu_coef / h_neg)
-        diag += d_diag
-        for nbr, coef in ((pos_idx, c_pos + d_pos), (neg_idx, c_neg + d_neg)):
+    def second_difference(h_neg, h_pos, s_coef):
+        """Weights (neg, center, pos) of the one-sided-capable 3-point stencil."""
+        return (2.0 * s_coef / (h_neg * (h_neg + h_pos)),
+                -2.0 * s_coef / (h_neg * h_pos),
+                2.0 * s_coef / (h_pos * (h_neg + h_pos)))
+
+    def couple(neg_idx, pos_idx, c_neg, c_pos):
+        for nbr, coef in ((pos_idx, c_pos), (neg_idx, c_neg)):
             ok = nbr >= 0
             rows.append(np.nonzero(ok)[0])
             cols.append(nbr[ok])
             data.append(coef[ok])
 
-    add_axis(grid.west, grid.east, grid.hw, grid.he, diff.sigma11 / 2.0, diff.mu1)
-    add_axis(grid.south, grid.north, grid.hs, grid.hn, diff.sigma22 / 2.0, diff.mu2)
+    # x, the road axis: diffusion plus drift, central below the Peclet
+    # threshold and one-sided above
+    h_neg, h_pos, s_coef, mu = grid.hw, grid.he, diff.sigma11 / 2.0, diff.mu1
+    c_neg, c_diag, c_pos = second_difference(h_neg, h_pos, s_coef)
+    diag += c_diag
+    central = abs(mu) * np.maximum(h_neg, h_pos) / s_coef <= 2.0
+    d_pos = np.where(central, mu * h_neg / (h_pos * (h_neg + h_pos)), 0.0)
+    d_neg = np.where(central, -mu * h_pos / (h_neg * (h_neg + h_pos)), 0.0)
+    d_diag = np.where(central, mu * (h_pos - h_neg) / (h_neg * h_pos), 0.0)
+    if mu > 0.0:
+        d_pos = np.where(central, d_pos, mu / h_pos)
+        d_diag = np.where(central, d_diag, -mu / h_pos)
+    elif mu < 0.0:
+        d_neg = np.where(central, d_neg, -mu / h_neg)
+        d_diag = np.where(central, d_diag, mu / h_neg)
+    diag += d_diag
+    couple(grid.west, grid.east, c_neg + d_neg, c_pos + d_pos)
+    # y, across the road: diffusion only
+    c_neg, c_diag, c_pos = second_difference(grid.hs, grid.hn, diff.sigma22 / 2.0)
+    diag += c_diag
+    couple(grid.south, grid.north, c_neg, c_pos)
 
     all_rows = np.concatenate(rows + [np.arange(n)])
     all_cols = np.concatenate(cols + [np.arange(n)])
@@ -290,7 +285,7 @@ def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> float:
     return res
 
 
-def _factor(A: sp.spmatrix) -> spla.SuperLU:
+def _factor(A: sp.spmatrix):
     """Sparse LU of a disc operator, ``L - lam I``, its half-disc fold, or
     ``I - dt L``.
 
@@ -298,9 +293,14 @@ def _factor(A: sp.spmatrix) -> spla.SuperLU:
     of the five-point stencil; symmetric mode prefers diagonal pivots, which
     is safe because each of these matrices is an M-matrix up to sign, and
     elimination on one never meets a zero diagonal pivot.
+
+    Returns:
+        The ``scipy.sparse.linalg.SuperLU`` factor.
     """
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     options={"SymmetricMode": True})
+    from scipy.sparse.linalg import splu  # 0.1-0.5 s to import; only solves need it
+
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True})
 
 
 # ---------------------------------------------------------------------------
@@ -311,30 +311,23 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
                         grid: DiscGrid | None = None) -> ScalarField:
     """Solve the stationary equation for the mean update interval T(X).
 
-    ``s11/2 T_xx + s22/2 T_yy + mu1 T_x + mu2 T_y - lam T = -1`` with T = 0
-    on the circle of radius R.
+    ``s11/2 T_xx + s22/2 T_yy + mu1 T_x - lam T = -1`` with T = 0 on the
+    circle of radius R.
 
-    With ``mu2 = 0`` the discrete system is mirror-symmetric in y, so only
-    the rows of the nodes with j >= 0 are kept, the column of each j < 0 node
-    is added onto its mirror node's, and the half solution is mirrored back.
-    The residual is checked against the full operator.
+    The operator has no y-odd term, so the discrete system is
+    mirror-symmetric in y: only the rows of the nodes with j >= 0 are kept,
+    the column of each j < 0 node is added onto its mirror node's, and the
+    half solution is mirrored back.  The residual is checked against the
+    full operator.
 
     Returns:
         ScalarField of T over the grid; nonnegative, and bounded by 1/lam
         when ``lam > 0``.
-
-    Raises:
-        DegenerateDiffusionError: a transverse drift ``mu2`` breaks the
-            mirror symmetry.
     """
     if grid is None:
         grid = DiscGrid(R)
     if abs(grid.R - R) > 1e-12 * R:
         raise DomainError("grid radius does not match R")
-    if abs(diff.mu2) > 1e-9 * max(abs(diff.mu1), diff.sigma11, diff.sigma22):
-        raise DegenerateDiffusionError(
-            "transverse drift is not supported (axis-sym direction law expected)"
-        )
     A = assemble_operator(diff, grid, lam)
     rhs = np.full(grid.n_nodes, -1.0)
     upper = grid.j >= 0
@@ -372,12 +365,6 @@ class SurvivalCurve:
         horizon covers the decay."""
         return float(np.trapezoid(self.values, self.times))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t_hr,survival\n")
-            for t, g in zip(self.times, self.values):
-                f.write(f"{t:.10g},{g:.10g}\n")
-
 
 def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
                    tgrid: TimeGrid) -> SurvivalCurve:
@@ -387,7 +374,7 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     evaluated at X by bilinear interpolation (exact when X is a node).
     """
     x0, y0 = float(X[0]), float(X[1])
-    if x0 * x0 + y0 * y0 >= R * R:
+    if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not inside the disc")
     A = assemble_operator(diff, grid, 0.0)
     stepper = _factor(sp.identity(grid.n_nodes) - tgrid.dt * A)
@@ -424,7 +411,7 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     exactly (up to solver residual) on the same time grid.
     """
     x0, y0 = float(X[0]), float(X[1])
-    if x0 * x0 + y0 * y0 >= R * R:
+    if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not inside the disc")
     if output_times is None:
         output_times = [tgrid.t_max]
@@ -609,9 +596,9 @@ def _oned_eval(coeffs, mu, sigma, L, lam, x):
 def solve_1d(mu: float, sigma: float, L: float, lam: float = 0.0) -> OneDimSolution:
     """Mean update interval on [0, L]: ``(sigma/2) T'' + mu T' - lam T = -1``.
 
-    For ``lam == 0`` the solution and its maximizer are closed forms (the
-    driftless case reduces to ``x (L - x) / sigma``); for ``lam > 0`` the
-    two-exponential solution is built and the maximizer found numerically.
+    The solution and its maximizer are closed forms.  For ``lam == 0`` the
+    driftless case reduces to ``x (L - x) / sigma``; for ``lam > 0`` see
+    ``_oned_argmax_rate``.
     """
     if sigma <= 0.0 or L <= 0.0:
         raise DomainError("sigma and L must be > 0")
@@ -620,18 +607,27 @@ def solve_1d(mu: float, sigma: float, L: float, lam: float = 0.0) -> OneDimSolut
     if lam == 0.0:
         x_opt = _oned_argmax_closed(mu, sigma, L)
     else:
-        # Importing scipy.optimize adds about 17 MB of RSS and 0.2 s of
-        # start-up (2-core Xeon VM); nothing else in the package needs it.
-        from scipy.optimize import minimize_scalar
-
-        sol_tmp = _oned_coeffs(mu, sigma, L, lam)
-        res = minimize_scalar(
-            lambda x: -float(_oned_eval(sol_tmp, mu, sigma, L, lam, x)),
-            bounds=(0.0, L), method="bounded",
-            options={"xatol": 1e-12 * L},
-        )
-        x_opt = float(res.x)
+        x_opt = _oned_argmax_rate(_oned_coeffs(mu, sigma, L, lam), L)
     return OneDimSolution(mu=mu, sigma=sigma, L=L, lam=lam, x_opt=x_opt)
+
+
+def _oned_argmax_rate(coeffs, L: float) -> float:
+    """Maximizer of ``T = 1/lam + a e^{r+ (x - L)} + b e^{r- x}``, ``lam > 0``.
+
+    Here ``a, b < 0`` and ``r- < 0 < r+``, so T is strictly concave and its
+    maximizer is the one root of T',
+    ``x* = (log(b r- / (-a r+)) + r+ L) / (r+ - r-)``, clipped to [0, L].
+    When the ``a`` term underflows to 0, T rises all the way to L; when the
+    ``b`` term does, it falls from 0.
+    """
+    r_pos, r_neg, a, b = coeffs
+    slope_a, slope_b = -a * r_pos, b * r_neg  # both >= 0
+    if slope_a == 0.0:
+        return L
+    if slope_b == 0.0:
+        return 0.0
+    x = (math.log(slope_b) - math.log(slope_a) + r_pos * L) / (r_pos - r_neg)
+    return min(max(x, 0.0), L)
 
 
 def _oned_argmax_closed(mu: float, sigma: float, L: float) -> float:

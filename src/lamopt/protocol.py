@@ -17,6 +17,10 @@ exact crossing position instead can put the anchor's own cell outside the
 new interior set when the optimal offset is close to the threshold, which
 breaks certainty paging; the cell-center anchor makes the triggering cell
 interior by construction.
+
+The road runs along +x, as everywhere in lamopt (see ``mobility``): the LA
+center sits ahead of the anchor on the x axis and the paging wedges are
+mirrored about it.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from lamopt.mobility import MobilityParams, direction_moments
 Vec = tuple[float, float]
 
 STRATEGIES = ("optimal", "center")
-
-_ROAD_DIRECTION: Vec = (1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -105,15 +107,15 @@ class Scenario:
 # LA construction
 # ---------------------------------------------------------------------------
 
-def construct_la(y_tau: Vec, direction: Vec, x_opt: float, r_opt: float,
-                 grid: HexGrid, m: int = 1, var_theta: float = 0.0) -> LocationArea:
-    """Build an LA from the anchor pose and the optimized design.
+def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
+                 m: int = 1, var_theta: float = 0.0) -> LocationArea:
+    """Build an LA from the anchor position and the optimized design.
 
-    The LA center sits ``|x_opt|`` ahead of the anchor along the preferred
-    direction, so the anchor gets LA-frame coordinate (x_opt, 0).  Interior
-    cells are partitioned into ``m`` wedge sub-areas fanning out from the
-    anchor, mirrored about the preferred direction; the anchor's own cell
-    always belongs to the first sub-area.
+    The LA center sits ``|x_opt|`` ahead of the anchor along the road (+x),
+    so the anchor gets LA-frame coordinate (x_opt, 0).  Interior cells are
+    partitioned into ``m`` wedge sub-areas fanning out from the anchor,
+    mirrored about the road axis; the anchor's own cell always belongs to
+    the first sub-area.
     """
     if r_opt <= 0.0 or abs(x_opt) >= r_opt:
         raise DomainError(f"need 0 < |x_opt| < r_opt, got x_opt={x_opt}, r_opt={r_opt}")
@@ -121,11 +123,7 @@ def construct_la(y_tau: Vec, direction: Vec, x_opt: float, r_opt: float,
         raise GeometryError(
             f"threshold {r_opt:.3g} km below one cell diameter {2 * grid.size:.3g} km"
         )
-    dnorm = math.hypot(*direction)
-    if not math.isclose(dnorm, 1.0, rel_tol=1e-9):
-        raise DomainError("direction must be a unit vector")
-    ox = y_tau[0] + abs(x_opt) * direction[0]
-    oy = y_tau[1] + abs(x_opt) * direction[1]
+    ox, oy = y_tau[0] + abs(x_opt), y_tau[1]
 
     interior = grid.cells_within((ox, oy), r_opt)
     interior_set = frozenset(interior)
@@ -143,9 +141,7 @@ def construct_la(y_tau: Vec, direction: Vec, x_opt: float, r_opt: float,
             lists[0].append(c)
             continue
         px, py = grid.center(c)
-        vx, vy = px - y_tau[0], py - y_tau[1]
-        ang = math.atan2(abs(vx * direction[1] - vy * direction[0]),
-                         vx * direction[0] + vy * direction[1])
+        ang = math.atan2(abs(py - y_tau[1]), px - y_tau[0])
         lists[int(np.searchsorted(cum, ang, side="left"))].append(c)
     return LocationArea(
         center=(ox, oy), radius=r_opt, initial_position=y_tau,
@@ -184,8 +180,8 @@ def network_update(anchor_cell: Cell, design: tuple[float, float],
     """
     x_opt, r_opt = design
     var_theta = direction_moments(scenario.mobility.k).var_theta
-    return construct_la(grid.center(anchor_cell), _ROAD_DIRECTION, x_opt, r_opt,
-                        grid, m=scenario.costs.m, var_theta=var_theta)
+    return construct_la(grid.center(anchor_cell), x_opt, r_opt, grid,
+                        m=scenario.costs.m, var_theta=var_theta)
 
 
 def page(la: LocationArea, cell: Cell) -> PageResult:

@@ -24,7 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
 
 from lamopt.approx import (
     _disc_quadrature,
@@ -100,7 +99,7 @@ def _check(name: str):
 
 @_check("brownian_center_interval")
 def check_brownian_exact(to_diffusion) -> tuple[bool, str, str]:
-    f = solve_mean_interval(DiffusionParams(0.0, 0.0, 1.0, 1.0), 1.0, 0.0,
+    f = solve_mean_interval(DiffusionParams(0.0, 1.0, 1.0), 1.0, 0.0,
                             DiscGrid(1.0, 1.0 / 64))
     v = f.value_at((0.0, 0.0))
     return abs(v - 0.5) <= 1e-3, f"{v:.6f}", "0.5 +- 1e-3"
@@ -108,6 +107,8 @@ def check_brownian_exact(to_diffusion) -> tuple[bool, str, str]:
 
 @_check("mean_interval_half_disc_vs_full_lu")
 def check_half_disc_fold(to_diffusion) -> tuple[bool, str, str]:
+    from scipy.sparse.linalg import spsolve  # not on the import path of lamopt.cli
+
     grid = DiscGrid(1.0, 1.0 / 48)
     worst = 0.0
     for k in (0.5, 20.0):
@@ -159,7 +160,7 @@ def check_default_design_numbers(to_diffusion) -> tuple[bool, str, str]:
             "R_opt in [1.00, 1.07], steps in [1300, 1380]")
 
 
-@_check("diffusion_psd_and_axis_symmetry")
+@_check("diffusion_psd_and_monotone_drift")
 def check_diffusion_shape(to_diffusion) -> tuple[bool, str, str]:
     ks = np.logspace(-3, 3, 13)
     mu_prev = -1.0
@@ -167,23 +168,21 @@ def check_diffusion_shape(to_diffusion) -> tuple[bool, str, str]:
     detail = ""
     for k in ks:
         d = to_diffusion(default_mobility(float(k)))
-        eigs = np.linalg.eigvalsh(d.sigma)
-        if eigs.min() < -1e-12:
-            ok, detail = False, f"sigma not PSD at k={k:.3g} (min eig {eigs.min():.2e})"
-            break
-        if abs(d.mu2) > 1e-9 or abs(d.sigma12) > 1e-9:
-            ok, detail = False, f"axis symmetry broken at k={k:.3g}"
+        # the diffusion matrix is diagonal: PSD means both entries >= 0
+        s_min = min(d.sigma11, d.sigma22)
+        if s_min < -1e-12:
+            ok, detail = False, f"sigma not PSD at k={k:.3g} (min entry {s_min:.2e})"
             break
         if d.mu1 < mu_prev - 1e-12:
             ok, detail = False, f"mu1 not nondecreasing at k={k:.3g}"
             break
         mu_prev = d.mu1
-    return ok, detail or "PSD, symmetric, monotone over k grid", "all hold"
+    return ok, detail or "PSD, monotone over k grid", "all hold"
 
 
 @_check("offset_formula_vs_bruteforce")
 def check_offset_bruteforce(to_diffusion) -> tuple[bool, str, str]:
-    diff = DiffusionParams(0.0, 0.0, 0.2, 0.2)
+    diff = DiffusionParams(0.0, 0.2, 0.2)
     a, R = 2.0, 1.0
     sol = galerkin_solution(diff, R, 0.0, a)
     xs = np.arange(-R + 1e-4, R, 1e-4)
@@ -195,7 +194,7 @@ def check_offset_bruteforce(to_diffusion) -> tuple[bool, str, str]:
 
 @_check("trial_moments_closed_form_vs_disc_quadrature")
 def check_trial_moments(to_diffusion) -> tuple[bool, str, str]:
-    diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+    diff = DiffusionParams(0.0, 1.0, 1.0)
     worst = 0.0
     for R in (1.0, 2.5):
         for a in (1.2 * R, 3.0 * R, 20.0 * R, 300.0 * R):
@@ -264,7 +263,7 @@ def check_forward_mass(to_diffusion) -> tuple[bool, str, str]:
 
 @_check("survival_integral_identity")
 def check_survival_integral(to_diffusion) -> tuple[bool, str, str]:
-    diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+    diff = DiffusionParams(0.0, 1.0, 1.0)
     grid = DiscGrid(1.0, 1.0 / 48)
     curve = solve_survival(diff, (0.0, 0.0), 1.0, grid, TimeGrid(4.0, 2000))
     integral = mean_interval_general(curve, NeverArrival())

@@ -54,7 +54,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_brownian_exact():
     t0 = time.perf_counter()
-    field = solve_mean_interval(DiffusionParams(0.0, 0.0, 1.0, 1.0), 1.0, 0.0,
+    field = solve_mean_interval(DiffusionParams(0.0, 1.0, 1.0), 1.0, 0.0,
                                 DiscGrid(1.0, 1.0 / 128))
     elapsed = time.perf_counter() - t0
     center = field.value_at((0.0, 0.0))
@@ -218,7 +218,7 @@ def test_criterion_6_forward_conservation(k, x0, t_max):
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_offset_optimality():
-    diff = DiffusionParams(0.0, 0.0, 0.25, 0.25)
+    diff = DiffusionParams(0.0, 0.25, 0.25)
     lines, ok = [], True
     for a in (1.01, 1.5, 2.0, 10.0):
         sol = galerkin_solution(diff, 1.0, 0.0, a)

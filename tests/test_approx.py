@@ -42,7 +42,7 @@ class TestWeakDrift:
                 assert num.B == pytest.approx(ref.B, abs=abs(ref.A) * 1e-9)
 
     def test_driftless_recovers_exact(self):
-        diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+        diff = DiffusionParams(0.0, 1.0, 1.0)
         assert float(weak_drift_interval(diff, 1.0, 0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
         # and A collapses to 1 / (sigma11 + sigma22), B to 0
         c = weak_drift_coeffs(diff, 1.0)
@@ -199,7 +199,7 @@ class TestGalerkinSolution:
 
     def test_moment_quadrature_vs_closed_form(self):
         # the d2/dx2 moment has the closed form -4 pi a (a - c) / c
-        diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+        diff = DiffusionParams(0.0, 1.0, 1.0)
         for a in (1.01, 1.5, 2.0, 10.0, 99.0):
             sol = galerkin_solution(diff, 1.0, 0.0, a)
             c = math.sqrt((a - 1.0) * (a + 1.0))
@@ -209,7 +209,7 @@ class TestGalerkinSolution:
     def test_plain_moment_vs_disc_quadrature(self):
         # C0 equals the area integral of the trial function
         from lamopt.approx import _disc_quadrature
-        diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+        diff = DiffusionParams(0.0, 1.0, 1.0)
         for a in (1.2, 3.0, 50.0):
             sol = galerkin_solution(diff, 1.0, 1.0, a)
             ref = _disc_quadrature(lambda x, y: (1 - x * x - y * y) / (x + a), 1.0)
@@ -220,7 +220,7 @@ class TestGalerkinSolution:
         # series takes over, the closed-form plain moment matches an
         # independent 2-D disc quadrature of the trial function
         from lamopt.approx import _disc_quadrature
-        diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+        diff = DiffusionParams(0.0, 1.0, 1.0)
         for a in (99.9, 100.1):
             sol = galerkin_solution(diff, 1.0, 1.0, a)
             ref = _disc_quadrature(lambda x, y: (1 - x * x - y * y) / (x + a), 1.0)
@@ -231,7 +231,7 @@ class TestGalerkinSolution:
         # they reduce from, by adaptive quadrature (with the three-term
         # large-a series for C0, whose integrand cancels there); and the
         # scale law: C11 / R, C22 / R and C0 / R^3 depend only on a / R
-        diff = DiffusionParams(0.0, 0.0, 1.0, 1.0)
+        diff = DiffusionParams(0.0, 1.0, 1.0)
         for q in (1 + 1e-6, 1.001, 1.1, 2.0, 10.0, 88.3, 99.9, 100.1, 1e3, 1e6):
             unit = galerkin_solution(diff, 1.0, 1.0, q)
             for R in (0.01, 1.0, 42.0):
@@ -271,7 +271,7 @@ class TestOptimalOffset:
                                                          rel=1e-12)
 
     def test_matches_bruteforce_grid(self):
-        diff = DiffusionParams(0.0, 0.0, 0.3, 0.3)
+        diff = DiffusionParams(0.0, 0.3, 0.3)
         for a in (1.01, 1.5, 2.0, 10.0):
             sol = galerkin_solution(diff, 1.0, 0.0, a)
             xs = np.arange(-1.0 + 1e-4, 1.0, 1e-4)

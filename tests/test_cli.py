@@ -115,6 +115,14 @@ class TestOptimizeAndSimulate:
                      "--mode", "ctrw", "--trials", "100", "--x-km", "0.0"]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("x_km", ["nan", "inf", "1.0"])
+    def test_start_outside_disc_rejected_by_ctrw_mode(self, tmp_path, x_km):
+        # a NaN offset is not inside the disc either
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--out", str(out), "--mode", "ctrw",
+                     "--trials", "100", "--x-km", x_km]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("duration", ["-5", "0", "nan", "inf"])
     def test_bad_duration_rejected(self, tmp_path, duration):
         cfg = tmp_path / "bad.cfg"
@@ -160,7 +168,8 @@ class TestSeed:
 def test_cli_import_skips_scipy_integrate_and_optimize():
     src = str(Path(lamopt.__file__).resolve().parents[1])
     code = ("import sys, lamopt.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+            "print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.sparse.linalg'}"
+            " & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
@@ -198,7 +207,7 @@ class TestValidate:
 
     def test_sigma_injection_fails_psd(self):
         results = run_checks(inject="sigma-sign-bug",
-                             names={"diffusion_psd_and_axis_symmetry"})
+                             names={"diffusion_psd_and_monotone_drift"})
         assert len(results) == 1
         assert not results[0].passed
         assert "PSD" in results[0].measured
@@ -207,7 +216,7 @@ class TestValidate:
         # under the sigma bug the half-disc check raises and the shape check
         # fails; both report the name they pass under in a clean run
         names = {"mean_interval_half_disc_vs_full_lu",
-                 "diffusion_psd_and_axis_symmetry"}
+                 "diffusion_psd_and_monotone_drift"}
         clean = run_checks(names=names)
         broken = run_checks(inject="sigma-sign-bug", names=names)
         assert all(r.passed for r in clean)

@@ -88,6 +88,13 @@ class TestFirstExit:
             first_exit((1.0, 0.0), 1.0, default_mobility(0.5),
                        np.random.default_rng(0))
 
+    @pytest.mark.parametrize("X", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_start_rejected(self, X):
+        with pytest.raises(DomainError):
+            first_exit(X, 1.0, default_mobility(0.5), np.random.default_rng(0))
+        with pytest.raises(DomainError):
+            estimate_T(X, 1.0, 2.0, default_mobility(0.5), SimConfig(n_trials=10))
+
     def test_brownian_center_exit_time(self):
         # unit isotropic diffusion on the unit disc leaves the center after
         # 0.5 hr on average; endpoint exit detection biases the jump process

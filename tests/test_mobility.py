@@ -62,8 +62,10 @@ def _quadrature_moments(k: float) -> dict[str, float]:
     """Direction moments by adaptive quadrature of the density.
 
     The breakpoints split the peak of a concentrated law at 1, 5, 20 and 40
-    decay lengths; odd moments vanish to round-off only, so quad cannot
-    meet their relative target and warns.
+    decay lengths; the odd moment E[theta] vanishes to round-off only, so
+    quad cannot meet its relative target and warns.  The law is even, so
+    ``DirectionMoments`` stores no odd moment; ``TestDirectionPdf`` and the
+    Monte-Carlo tests cover that symmetry.
     """
     if k <= 1.0:
         pts = [0.0]
@@ -78,10 +80,8 @@ def _quadrature_moments(k: float) -> dict[str, float]:
     e_theta = moment(lambda th: th)
     return {
         "e_cos": moment(math.cos),
-        "e_sin": moment(math.sin),
         "e_cos2": moment(lambda th: math.cos(th) ** 2),
         "e_sin2": moment(lambda th: math.sin(th) ** 2),
-        "e_cos_sin": moment(lambda th: math.cos(th) * math.sin(th)),
         "var_theta": moment(lambda th: th * th) - e_theta**2,
     }
 
@@ -107,8 +107,6 @@ class TestDirectionMoments:
                 (1 + k**2) * (1 - math.exp(-k * math.pi)))
             assert m.e_cos == pytest.approx(e_cos, abs=1e-10)
             assert m.e_cos2 == pytest.approx((1 + k**2 / (k**2 + 4)) / 2, abs=1e-10)
-            assert m.e_sin == pytest.approx(0.0, abs=1e-10)
-            assert m.e_cos_sin == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_closed_forms_vs_quadrature_oracle(self):
@@ -209,9 +207,9 @@ class TestComputeDiffusion:
     @pytest.mark.parametrize("k", np.logspace(-3, 3, 9).tolist())
     def test_psd_and_axis_symmetry(self, k):
         d = compute_diffusion(default_mobility(k))
-        assert np.linalg.eigvalsh(d.sigma).min() >= -1e-12
-        assert abs(d.mu2) < 1e-9
-        assert abs(d.sigma12) < 1e-9
+        # the type holds no transverse drift or cross-diffusion; the
+        # diagonal diffusion matrix is PSD when both entries are
+        assert min(d.sigma11, d.sigma22) >= -1e-12
 
     def test_drift_monotone_in_concentration(self):
         mus = [compute_diffusion(default_mobility(k)).mu1
@@ -221,7 +219,7 @@ class TestComputeDiffusion:
 
 class TestGlobalDrift:
     def test_zero_drift(self):
-        assert global_drift(DiffusionParams(0.0, 0.0, 1.0, 1.0), 2.0) == 0.0
+        assert global_drift(DiffusionParams(0.0, 1.0, 1.0), 2.0) == 0.0
 
     def test_limits_across_concentration(self):
         lo = global_drift(compute_diffusion(default_mobility(1e-4)), 1.0)
@@ -231,9 +229,9 @@ class TestGlobalDrift:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateDiffusionError):
-            global_drift(DiffusionParams(1.0, 0.0, 0.0, 1.0), 1.0)
+            global_drift(DiffusionParams(1.0, 0.0, 1.0), 1.0)
         with pytest.raises(DomainError):
-            global_drift(DiffusionParams(1.0, 0.0, 1.0, 1.0), 0.0)
+            global_drift(DiffusionParams(1.0, 1.0, 1.0), 0.0)
 
 
 class TestConfig:

@@ -23,7 +23,7 @@ from lamopt.protocol import (
     run_episode,
 )
 
-GRID = HexGrid(1.0)
+GRID = HexGrid()
 
 
 class TestHexGrid:
@@ -62,22 +62,22 @@ class TestHexGrid:
 
 class TestConstructLa:
     def test_zero_offset_center_is_anchor(self):
-        la = construct_la((1.0, 2.0), (1.0, 0.0), 0.0, 4.0, GRID)
+        la = construct_la((1.0, 2.0), 0.0, 4.0, GRID)
         assert la.center == (1.0, 2.0)
 
     def test_offset_shifts_center_forward(self):
-        la = construct_la((0.0, 0.0), (1.0, 0.0), -3.0, 4.0, GRID)
+        la = construct_la((0.0, 0.0), -3.0, 4.0, GRID)
         assert la.center == (3.0, 0.0)
         # the anchor sits near the trailing rim: one radius behind center
         assert math.hypot(la.initial_position[0] - la.center[0],
                           la.initial_position[1] - la.center[1]) == pytest.approx(3.0)
 
     def test_interior_count_tracks_area(self):
-        la = construct_la((0.0, 0.0), (1.0, 0.0), 0.0, 5.0, GRID)
+        la = construct_la((0.0, 0.0), 0.0, 5.0, GRID)
         assert len(la.interior_cells) == pytest.approx(math.pi * 25.0, rel=0.1)
 
     def test_cell_lists_consistent(self):
-        la = construct_la((0.5, -0.5), (1.0, 0.0), -2.0, 5.0, GRID, m=3,
+        la = construct_la((0.5, -0.5), -2.0, 5.0, GRID, m=3,
                           var_theta=0.7)
         assert not (la.boundary_cells & la.interior_cells)
         # every interior-adjacent outside cell is in the boundary ring
@@ -97,14 +97,14 @@ class TestConstructLa:
 
     def test_degenerate_radius_rejected(self):
         with pytest.raises(GeometryError):
-            construct_la((0.0, 0.0), (1.0, 0.0), 0.0, 1.0, GRID)
+            construct_la((0.0, 0.0), 0.0, 1.0, GRID)
 
     def test_consecutive_las_overlap_at_moderate_offset(self):
         # a fresh LA anchored on a boundary cell of the previous one shares
         # interior cells with it when the offset is moderate
-        la1 = construct_la((0.0, 0.0), (1.0, 0.0), -1.5, 5.0, GRID)
+        la1 = construct_la((0.0, 0.0), -1.5, 5.0, GRID)
         ahead = max(la1.boundary_cells, key=lambda c: GRID.center(c)[0])
-        la2 = construct_la(GRID.center(ahead), (1.0, 0.0), -1.5, 5.0, GRID)
+        la2 = construct_la(GRID.center(ahead), -1.5, 5.0, GRID)
         assert la1.interior_cells & la2.interior_cells
 
 
@@ -196,7 +196,7 @@ class TestEpisodeDesign:
 class TestPaging:
     @pytest.fixture()
     def la(self):
-        return construct_la((0.0, 0.0), (1.0, 0.0), -1.0, 4.0, GRID, m=3,
+        return construct_la((0.0, 0.0), -1.0, 4.0, GRID, m=3,
                             var_theta=0.6)
 
     def test_first_round_hit(self, la):
@@ -210,7 +210,7 @@ class TestPaging:
         assert res.cells_paged == len(la.interior_cells)
 
     def test_single_round_pages_whole_region(self):
-        la = construct_la((0.0, 0.0), (1.0, 0.0), 0.0, 4.0, GRID, m=1)
+        la = construct_la((0.0, 0.0), 0.0, 4.0, GRID, m=1)
         res = page(la, next(iter(la.interior_cells)))
         assert res.cells_paged == len(la.interior_cells)
 
