@@ -2,13 +2,16 @@
 
 Pointy-top hexagons in axial coordinates (q, r); a cell id is the integer
 pair.  Point-to-cell lookup is exact hexagon containment via cube rounding,
-which is also the nearest-center (Voronoi) assignment.  The cell area is
-fixed at 1 km^2: the cost model counts paged cells as unit areas.
+which is also the nearest-center (Voronoi) assignment; ``cells_of`` does it
+for whole arrays of points and ``cell_of`` for one.  The cell area is fixed
+at 1 km^2: the cost model counts paged cells as unit areas.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from lamopt.errors import GeometryError
 
@@ -33,11 +36,28 @@ class HexGrid:
         return (math.sqrt(3.0) * s * (q + r / 2.0), 1.5 * s * r)
 
     def cell_of(self, x: float, y: float) -> Cell:
-        """Cell containing the point (cube rounding of fractional axials)."""
+        """Cell containing the point."""
+        q, r = self.cells_of(x, y)
+        return int(q), int(r)
+
+    def cells_of(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Axial (q, r) int64 arrays of the cells containing the points.
+
+        Cube rounding of the fractional axials: round all three cube
+        coordinates (half to even) and recompute the one that moved most.
+        """
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         s = self.size
         qf = (math.sqrt(3.0) / 3.0 * x - y / 3.0) / s
         rf = (2.0 / 3.0 * y) / s
-        return _cube_round(qf, rf)
+        sf = -qf - rf
+        q, r, s3 = np.rint(qf), np.rint(rf), np.rint(sf)
+        dq, dr, ds = np.abs(q - qf), np.abs(r - rf), np.abs(s3 - sf)
+        fix_q = (dq > dr) & (dq > ds)
+        fix_r = ~fix_q & (dr > ds)
+        q = np.where(fix_q, -r - s3, q)
+        r = np.where(fix_r, -q - s3, r)
+        return q.astype(np.int64), r.astype(np.int64)
 
     def neighbors(self, cell: Cell) -> tuple[Cell, ...]:
         q, r = cell
@@ -67,13 +87,3 @@ class HexGrid:
             out.extend((q, r) for q in range(q_lo, q_hi + 1))
         return out
 
-
-def _cube_round(qf: float, rf: float) -> Cell:
-    sf = -qf - rf
-    q, r, s = round(qf), round(rf), round(sf)
-    dq, dr, ds = abs(q - qf), abs(r - rf), abs(s - sf)
-    if dq > dr and dq > ds:
-        q = -r - s
-    elif dr > ds:
-        r = -q - s
-    return int(q), int(r)

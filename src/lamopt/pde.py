@@ -568,9 +568,13 @@ class OneDimSolution:
 def _oned_coeffs(mu: float, sigma: float, L: float, lam: float):
     if lam == 0.0:
         return ()
+    # The roots of (sigma/2) r^2 + mu r - lam; the one that would cancel in
+    # (-mu +- disc) / sigma comes from the product of the roots instead.
     disc = math.sqrt(mu * mu + 2.0 * sigma * lam)
-    r_pos = (-mu + disc) / sigma
-    r_neg = (-mu - disc) / sigma
+    if mu >= 0.0:
+        r_pos, r_neg = 2.0 * lam / (mu + disc), -(mu + disc) / sigma
+    else:
+        r_pos, r_neg = (disc - mu) / sigma, -2.0 * lam / (disc - mu)
     # T = 1/lam + A exp(r_pos (x - L)) + B exp(r_neg x); both exponents <= 0.
     m = np.array([[math.exp(-r_pos * L), 1.0], [1.0, math.exp(r_neg * L)]])
     ab = np.linalg.solve(m, np.array([-1.0 / lam, -1.0 / lam]))

@@ -8,15 +8,25 @@ the boundary list; the network pages the interior cells, partitioned into
 sub-area lists for delay-constrained sequential paging.
 
 The scheme has one event: the terminal enters a boundary cell or receives a
-call, and the LA is re-anchored on that cell.  ``network_update`` is the one
-place an episode builds an LA, for both triggers.  The radius/offset design
-does not change within an episode, so ``episode_design`` resolves it once.
+call, and the LA is re-anchored on that cell.  Updates are anchored on the
+center of the triggering cell.  Anchoring on the exact crossing position
+instead can put the anchor's own cell outside the new interior set when the
+optimal offset is close to the threshold, which breaks certainty paging; the
+cell-center anchor makes the triggering cell interior by construction.
 
-Updates are anchored on the center of the triggering cell.  Anchoring on the
-exact crossing position instead can put the anchor's own cell outside the
-new interior set when the optimal offset is close to the threshold, which
-breaks certainty paging; the cell-center anchor makes the triggering cell
-interior by construction.
+Every LA of an episode is a lattice translate of one template: the LA
+``construct_la`` builds at the origin cell with the episode's design, which
+``episode_template`` resolves once.  An update only moves the anchor cell,
+and ``network_update`` gives the LA it stands for.  For a generic design
+this is exactly the LA ``construct_la`` builds at the anchor's center.  When
+the threshold is a lattice distance, a cell center lies on the circle and
+float rounding decides its side afresh at each anchor; the template decides
+it once, so the LA has the same shape wherever the terminal is.
+
+``run_episode`` walks the presampled steps a chunk at a time with numpy and
+steps from event to event: a call is found by searching the jump times, a
+boundary entry by a membership test of the walked cells' keys relative to
+the anchor.
 
 The road runs along +x, as everywhere in lamopt (see ``mobility``): the LA
 center sits ahead of the anchor on the x axis and the paging wedges are
@@ -25,7 +35,6 @@ mirrored about it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +49,15 @@ from lamopt.mobility import MobilityParams, direction_moments
 Vec = tuple[float, float]
 
 STRATEGIES = ("optimal", "center")
+
+# Largest expected step count (horizon over mean dwell) of one episode.
+MAX_EPISODE_STEPS = 10**8
+# Steps per presampled block, and per numpy pass over a block (a divisor:
+# the walk draws the next block when its chunks reach the block's end).
+_BLOCK = 65536
+_CHUNK = 2048
+# Cell key q * _KEY_Q + r; unique while |r| < 2^31.
+_KEY_Q = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -101,6 +119,11 @@ class Scenario:
         if not (math.isfinite(self.duration_hr) and self.duration_hr > 0.0):
             raise DomainError(
                 f"duration_hr must be finite and > 0, got {self.duration_hr}")
+        steps = self.duration_hr / self.mobility.mean_time
+        if steps > MAX_EPISODE_STEPS:
+            raise DomainError(
+                f"duration_hr {self.duration_hr:g} needs about {steps:.3g} steps, "
+                f"more than the {MAX_EPISODE_STEPS:.0e} an episode may take")
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +194,35 @@ def episode_design(scenario: Scenario) -> tuple[float, float]:
     return opt.x_opt, opt.r_opt
 
 
-def network_update(anchor_cell: Cell, design: tuple[float, float],
-                   scenario: Scenario, grid: HexGrid) -> LocationArea:
-    """Build the LA for an update triggered in ``anchor_cell``.
+def episode_template(scenario: Scenario, grid: HexGrid) -> LocationArea:
+    """The episode's LA at the origin cell, which every update translates."""
+    x_opt, r_opt = episode_design(scenario)
+    var_theta = direction_moments(scenario.mobility.k).var_theta
+    return construct_la((0.0, 0.0), x_opt, r_opt, grid,
+                        m=scenario.costs.m, var_theta=var_theta)
+
+
+def network_update(template: LocationArea, anchor_cell: Cell,
+                   grid: HexGrid) -> LocationArea:
+    """The LA of an update triggered in ``anchor_cell``: the template moved
+    by that cell's axial offset.
 
     The LA is anchored on the cell's center, so the triggering cell is
     interior and pages in the first round.
     """
-    x_opt, r_opt = design
-    var_theta = direction_moments(scenario.mobility.k).var_theta
-    return construct_la(grid.center(anchor_cell), x_opt, r_opt, grid,
-                        m=scenario.costs.m, var_theta=var_theta)
+    qa, ra = anchor_cell
+    ax, ay = grid.center(anchor_cell)
+
+    def moved(cells):
+        return tuple((q + qa, r + ra) for q, r in cells)
+
+    return LocationArea(
+        center=(ax + template.center[0], ay + template.center[1]),
+        radius=template.radius, initial_position=(ax, ay),
+        boundary_cells=frozenset(moved(template.boundary_cells)),
+        interior_cells=frozenset(moved(template.interior_cells)),
+        sub_area_cells=tuple(moved(sub) for sub in template.sub_area_cells),
+    )
 
 
 def page(la: LocationArea, cell: Cell) -> PageResult:
@@ -206,70 +247,89 @@ def page(la: LocationArea, cell: Cell) -> PageResult:
 # end-to-end episode
 # ---------------------------------------------------------------------------
 
-def _step_stream(params: MobilityParams, rng: np.random.Generator,
-                 block: int = 65536):
-    """Endless (dx, dy, dwell) stream, presampled ``block`` steps at a time.
-
-    The first block is drawn on the call and each later one only when the
-    one before runs out, so the stream's draws interleave with the caller's
-    own draws from ``rng`` in a fixed order.
-    """
-    def later_blocks():
-        while True:
-            yield from zip(*sample_steps(params, rng, block))
-
-    return itertools.chain(zip(*sample_steps(params, rng, block)), later_blocks())
+def _first_hit(keys: np.ndarray, anchor: int, ring: np.ndarray,
+               lo: int, hi: int) -> int:
+    """First index in ``[lo, hi)`` whose key, taken relative to the anchor's,
+    is in ``ring`` (sorted, ending in a sentinel above every key); ``hi`` if
+    none is.  Scans doubling windows, since the hit is usually close."""
+    width = 64
+    while lo < hi:
+        top = min(lo + width, hi)
+        rel = keys[lo:top] - anchor
+        hit = ring[ring.searchsorted(rel)] == rel
+        if hit.any():
+            return lo + int(hit.argmax())
+        lo, width = top, 2 * width
+    return hi
 
 
 def run_episode(scenario: Scenario) -> EpisodeMetrics:
     """Simulate the full update/paging protocol over the given horizon.
 
-    Event loop over displacement completions and call deliveries.  Every
-    entry into a boundary cell of the current LA and every call re-anchors
-    the LA on the terminal's cell; each update costs U and each paged cell
-    costs V.  Deterministic for a fixed scenario (single Philox stream).
+    Every entry into a boundary cell of the current LA and every call
+    re-anchors the LA on the terminal's cell; each update costs U and each
+    paged cell costs V.  Calls that arrive by the time a jump completes are
+    delivered before it, in the cell the terminal rests in.  Deterministic
+    for a fixed scenario (single Philox stream): steps are drawn in blocks,
+    the first before the first call gap and each later one only when the
+    walk reaches it.
 
     Raises:
         ConsistencyViolationError: certainty paging failed (aborts the run).
     """
     grid = HexGrid()
     rng = np.random.Generator(np.random.Philox([scenario.seed]))
-    steps = _step_stream(scenario.mobility, rng)  # before the first call gap draw
-    design = episode_design(scenario)
+    block = sample_steps(scenario.mobility, rng, _BLOCK)
+    la = episode_template(scenario, grid)
+    ring = np.sort(np.array([q * _KEY_Q + r for q, r in la.boundary_cells]
+                            + [np.iinfo(np.int64).max], dtype=np.int64))
     lam = scenario.costs.lam
+    duration = scenario.duration_hr
+    next_call = rng.exponential(1.0 / lam) if lam > 0.0 else math.inf
 
-    pos = (0.0, 0.0)
-    cell = grid.cell_of(*pos)
-    la = network_update(cell, design, scenario, grid)
+    qa, ra = 0, 0  # anchor cell: the walk starts at the origin
     boundary_updates, call_updates = 1, 0
     cells_paged = 0
     rounds_hist: dict[int, int] = {}
-
-    t = 0.0
-    next_call = rng.exponential(1.0 / lam) if lam > 0.0 else math.inf
-    duration = scenario.duration_hr
-
-    for dx, dy, dwell in steps:
-        t_jump = t + dwell
-        # calls arriving while the terminal rests in its current cell
-        while next_call <= min(t_jump, duration):
-            t = next_call
-            result = page(la, cell)
-            cells_paged += result.cells_paged
-            rounds_hist[result.rounds] = rounds_hist.get(result.rounds, 0) + 1
-            la = network_update(cell, design, scenario, grid)
-            call_updates += 1
-            next_call = t + rng.exponential(1.0 / lam)
-        if t_jump >= duration:
-            break
-        t = t_jump
-        pos = (pos[0] + dx, pos[1] + dy)
-        new_cell = grid.cell_of(*pos)
-        if new_cell != cell:
-            cell = new_cell
-            if cell in la.boundary_cells:
-                la = network_update(cell, design, scenario, grid)
+    x = y = t = 0.0  # where and when the last walked jump completed
+    start = 0
+    while True:
+        if start == _BLOCK:
+            del block  # before the draw, so that one block is held at a time
+            block = sample_steps(scenario.mobility, rng, _BLOCK)
+            start = 0
+        # Entry 0 is the state before the chunk and entry j the state after
+        # its j-th jump; cumsum adds in the order of a running sum.
+        xs, ys, ts = (np.cumsum(np.concatenate(([v], a[start:start + _CHUNK])))
+                      for v, a in zip((x, y, t), block))
+        start += _CHUNK
+        q, r = grid.cells_of(xs, ys)
+        keys = q * _KEY_Q + r
+        last = ts.size - 1
+        end = int(ts.searchsorted(duration))  # first jump reaching the horizon
+        j = 1
+        while True:
+            # first jump completing at or after the next call
+            j_call = max(int(ts.searchsorted(next_call)), j)
+            hi = min(j_call, end)
+            j = _first_hit(keys, qa * _KEY_Q + ra, ring, j, hi)
+            if j < hi:
+                qa, ra = int(q[j]), int(r[j])
                 boundary_updates += 1
+                j += 1
+            elif j_call <= min(end, last) and next_call <= duration:
+                cell = int(q[j_call - 1]), int(r[j_call - 1])
+                result = page(la, (cell[0] - qa, cell[1] - ra))
+                cells_paged += result.cells_paged
+                rounds_hist[result.rounds] = rounds_hist.get(result.rounds, 0) + 1
+                qa, ra = cell
+                call_updates += 1
+                next_call += rng.exponential(1.0 / lam)
+            else:
+                break
+        if end <= last:
+            break
+        x, y, t = xs[-1], ys[-1], ts[-1]
 
     updates = boundary_updates + call_updates
     c_u = scenario.costs.U * updates / duration

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,17 @@ class TestOptimizeAndSimulate:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_unbounded_episode_rejected(self, tmp_path, capsys):
+        # about 4.5e11 steps of 8 s: refused before any work starts
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("k = 20\nduration_hr = 1e9\n")
+        out = tmp_path / "x.csv"
+        t0 = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["optimize", "fig5", "simulate"])
     @pytest.mark.parametrize("line", [

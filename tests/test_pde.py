@@ -16,6 +16,7 @@ from lamopt.pde import (
     ExponentialArrival,
     NeverArrival,
     TimeGrid,
+    _oned_coeffs,
     assemble_operator,
     mean_interval_general,
     solve_1d,
@@ -314,6 +315,18 @@ class TestOneDim:
         # and no grid point beats it
         xs = np.linspace(0.0, L, 2001)
         assert s.t_opt >= float(np.max(s.interval(xs))) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("mu", [1e8, -1e8])
+    def test_rate_roots_do_not_cancel(self, mu):
+        # at |mu| >> sqrt(sigma lam) one root of (sigma/2) r^2 + mu r - lam
+        # is about lam/|mu|, which (-mu +- disc)/sigma loses to cancellation
+        # (it read 1.49e-8 here)
+        r_pos, r_neg, _, _ = _oned_coeffs(mu, 1.0, 1.0, 1.0)
+        small = r_pos if mu > 0.0 else r_neg
+        assert small == pytest.approx(math.copysign(1e-8, mu), rel=1e-12)
+        s = solve_1d(mu, 1.0, 1.0, 1.0)
+        assert float(s.interval(0.5)) == pytest.approx(-math.expm1(-0.5e-8),
+                                                       rel=1e-6)
 
     @pytest.mark.parametrize("mu", [0.3, 4.0, 40.0])
     def test_rate_argmax_reflection(self, mu):

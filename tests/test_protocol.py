@@ -1,5 +1,6 @@
 """Hex lattice, LA construction, update exchange, paging, episodes."""
 
+import itertools
 import math
 import warnings
 
@@ -10,20 +11,104 @@ from hypothesis import strategies as st
 
 from lamopt.config import default_mobility
 from lamopt.costs import CostParams
+from lamopt.ctrw import sample_steps
 from lamopt.errors import ConsistencyViolationError, DomainError, GeometryError
 from lamopt.hexgrid import HexGrid
-from lamopt.mobility import compute_diffusion
+from lamopt.mobility import compute_diffusion, direction_moments
 from lamopt.protocol import (
+    MAX_EPISODE_STEPS,
     EpisodeMetrics,
     Scenario,
     construct_la,
     episode_design,
+    episode_template,
     network_update,
     page,
     run_episode,
 )
 
 GRID = HexGrid()
+
+
+def scalar_cell_of(x, y):
+    """Cube rounding of one point with Python scalars: the oracle for
+    ``HexGrid.cells_of``."""
+    s = GRID.size
+    qf = (math.sqrt(3.0) / 3.0 * x - y / 3.0) / s
+    rf = (2.0 / 3.0 * y) / s
+    sf = -qf - rf
+    q, r, t = round(qf), round(rf), round(sf)
+    dq, dr, dt = abs(q - qf), abs(r - rf), abs(t - sf)
+    if dq > dr and dq > dt:
+        q = -r - t
+    elif dr > dt:
+        r = -q - t
+    return int(q), int(r)
+
+
+def scalar_episode(scenario: Scenario) -> EpisodeMetrics:
+    """The per-step event loop that ``run_episode`` replaced, kept as its
+    oracle: one step at a time, one scalar cell lookup per step, and a
+    ``construct_la`` at the center of every update's anchor cell.  It draws
+    from the Philox stream in the same order: a block of steps first, the
+    first call gap, every later gap when its call is delivered, and the next
+    block when the walk reaches it."""
+    rng = np.random.Generator(np.random.Philox([scenario.seed]))
+
+    def later_blocks():
+        while True:
+            yield from zip(*sample_steps(scenario.mobility, rng, 65536))
+
+    steps = itertools.chain(zip(*sample_steps(scenario.mobility, rng, 65536)),
+                            later_blocks())
+    x_opt, r_opt = episode_design(scenario)
+    var_theta = direction_moments(scenario.mobility.k).var_theta
+
+    def network_update(cell):
+        return construct_la(GRID.center(cell), x_opt, r_opt, GRID,
+                            m=scenario.costs.m, var_theta=var_theta)
+
+    lam = scenario.costs.lam
+    pos = (0.0, 0.0)
+    cell = scalar_cell_of(*pos)
+    la = network_update(cell)
+    boundary_updates, call_updates = 1, 0
+    cells_paged = 0
+    rounds_hist = {}
+    t = 0.0
+    next_call = rng.exponential(1.0 / lam) if lam > 0.0 else math.inf
+    duration = scenario.duration_hr
+    for dx, dy, dwell in steps:
+        t_jump = t + dwell
+        while next_call <= min(t_jump, duration):
+            t = next_call
+            result = page(la, cell)
+            cells_paged += result.cells_paged
+            rounds_hist[result.rounds] = rounds_hist.get(result.rounds, 0) + 1
+            la = network_update(cell)
+            call_updates += 1
+            next_call = t + rng.exponential(1.0 / lam)
+        if t_jump >= duration:
+            break
+        t = t_jump
+        pos = (pos[0] + dx, pos[1] + dy)
+        new_cell = scalar_cell_of(*pos)
+        if new_cell != cell:
+            cell = new_cell
+            if cell in la.boundary_cells:
+                la = network_update(cell)
+                boundary_updates += 1
+
+    updates = boundary_updates + call_updates
+    c_u = scenario.costs.U * updates / duration
+    c_p = scenario.costs.V * cells_paged / duration
+    return EpisodeMetrics(
+        duration_hr=duration, update_count=updates,
+        boundary_updates=boundary_updates,
+        call_triggered_updates=call_updates, calls=call_updates,
+        cells_paged_total=cells_paged,
+        paging_rounds_hist=tuple(sorted(rounds_hist.items())),
+        paging_failures=0, C_u=c_u, C_p=c_p, C_t=c_u + c_p)
 
 
 class TestHexGrid:
@@ -58,6 +143,31 @@ class TestHexGrid:
     def test_center_cell_of_inverse(self):
         for cell in [(0, 0), (5, -3), (-7, 2)]:
             assert GRID.cell_of(*GRID.center(cell)) == cell
+
+    # Cell centers up to 1e6 km away, with the points where the rounding
+    # ties: the six corners and the six edge midpoints of a cell.
+    _ties = [(GRID.size * math.cos(math.radians(30 + 60 * i)),
+              GRID.size * math.sin(math.radians(30 + 60 * i))) for i in range(6)]
+    _ties += [(GRID.pitch / 2 * math.cos(math.radians(60 * i)),
+               GRID.pitch / 2 * math.sin(math.radians(60 * i))) for i in range(6)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        st.builds(lambda q, r, tie, frac: (
+            GRID.center((q, r))[0] + frac * tie[0],
+            GRID.center((q, r))[1] + frac * tie[1]),
+            st.integers(-600_000, 600_000), st.integers(-600_000, 600_000),
+            st.sampled_from(_ties), st.sampled_from([0.0, 1.0, 0.5, -1.0])),
+    ), min_size=1, max_size=40))
+    def test_cells_of_matches_scalar_rounding(self, points):
+        xs, ys = (np.array(v) for v in zip(*points))
+        q, r = GRID.cells_of(xs, ys)
+        assert q.dtype == r.dtype == np.int64
+        assert list(zip(q.tolist(), r.tolist())) == [scalar_cell_of(x, y)
+                                                     for x, y in points]
+        assert [GRID.cell_of(x, y) for x, y in points] == list(
+            zip(q.tolist(), r.tolist()))
 
 
 class TestConstructLa:
@@ -119,7 +229,7 @@ class TestUpdateExchange:
         # cell (the anchor's own cell included) triggers an update
         sc = _scenario(0.5, 2.0, design=(-1.0, 4.0))
         anchor = GRID.cell_of(0.0, 0.0)
-        la = network_update(anchor, episode_design(sc), sc, GRID)
+        la = network_update(episode_template(sc, GRID), anchor, GRID)
         assert anchor in la.interior_cells
         assert not (la.interior_cells & la.boundary_cells)
 
@@ -127,10 +237,10 @@ class TestUpdateExchange:
         # an update triggered in a boundary cell anchors the new LA on that
         # cell's center, and the cell pages in the first round
         sc = _scenario(0.5, 2.0, design=(-1.0, 4.0))
-        design = episode_design(sc)
-        la = network_update(GRID.cell_of(0.0, 0.0), design, sc, GRID)
+        template = episode_template(sc, GRID)
+        la = network_update(template, GRID.cell_of(0.0, 0.0), GRID)
         target = max(la.boundary_cells, key=lambda c: GRID.center(c)[0])
-        la2 = network_update(target, design, sc, GRID)
+        la2 = network_update(template, target, GRID)
         assert la2.initial_position == GRID.center(target)
         assert la2.center == pytest.approx(
             (GRID.center(target)[0] + 1.0, GRID.center(target)[1]))
@@ -142,10 +252,11 @@ class TestUpdateExchange:
         sc = _scenario(20.0, 0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            design = episode_design(sc)
-        a = network_update((0, 0), design, sc, GRID)
-        b = network_update((0, 0), design, sc, GRID)
-        assert a == b
+            template = episode_template(sc, GRID)
+            assert episode_template(sc, GRID) == template
+        a = network_update(template, (0, 0), GRID)
+        assert a == template
+        assert network_update(template, (0, 0), GRID) == a
         # strong drift: the anchor ends up near the trailing rim
         d = math.hypot(a.initial_position[0] - a.center[0],
                        a.initial_position[1] - a.center[1])
@@ -161,10 +272,43 @@ class TestUpdateExchange:
         cell = GRID.cell_of(2.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            la = network_update(cell, episode_design(sc), sc, GRID)
+            la = network_update(episode_template(sc, GRID), cell, GRID)
         ax, ay = GRID.center(cell)
         assert la.initial_position == (ax, ay)
         assert math.hypot(la.center[0] - ax, la.center[1] - ay) < 0.01 * la.radius
+
+    @pytest.mark.parametrize("x_opt, r_opt, m, var_theta", [
+        (-4.084, 4.152, 1, 0.0), (-1.0, 4.0, 3, 0.6), (-1.5, 5.0, 2, 0.7)])
+    def test_translate_is_construct_la_at_the_anchor(self, x_opt, r_opt, m,
+                                                      var_theta):
+        # for a generic design the template moved to an anchor is exactly
+        # the LA built at that anchor's center, far from the origin too
+        template = construct_la((0.0, 0.0), x_opt, r_opt, GRID, m=m,
+                                var_theta=var_theta)
+        rng = np.random.default_rng(8)
+        for q, r in rng.integers(-3000, 3001, size=(300, 2)).tolist():
+            direct = construct_la(GRID.center((q, r)), x_opt, r_opt, GRID,
+                                  m=m, var_theta=var_theta)
+            assert network_update(template, (q, r), GRID) == direct
+
+    def test_lattice_distance_radius_keeps_one_shape(self):
+        # With the threshold at two cell pitches and no offset, cell centers
+        # sit on the circle, and rounding puts some of them in or out of an
+        # LA built afresh at each anchor.  The episode's LA is the template
+        # moved, so it has the same cells relative to the anchor everywhere.
+        r_opt = 2.0 * GRID.pitch
+        template = construct_la((0.0, 0.0), 0.0, r_opt, GRID)
+        rng = np.random.default_rng(3)
+        reshaped = 0
+        for q, r in rng.integers(-3000, 3001, size=(100, 2)).tolist():
+            la = network_update(template, (q, r), GRID)
+            assert {(cq - q, cr - r) for cq, cr in la.interior_cells} == \
+                template.interior_cells
+            assert {(cq - q, cr - r) for cq, cr in la.boundary_cells} == \
+                template.boundary_cells
+            direct = construct_la(GRID.center((q, r)), 0.0, r_opt, GRID)
+            reshaped += direct.interior_cells != la.interior_cells
+        assert reshaped > 50
 
 
 class TestEpisodeDesign:
@@ -306,3 +450,43 @@ class TestRunEpisode:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert run_episode(scenario) == expected
+
+    # The block walk against the per-step loop it replaced: every counter and
+    # cost bit for bit, over drift regimes, paging rounds, calls off (a
+    # pinned design), and one horizon that outlasts the 65536-step block
+    # (160 h of 8 s dwells is about 72000 steps).
+    @pytest.mark.parametrize("k, lam, strategy, m, hours, design", [
+        (20.0, 0.2, "optimal", 1, 25.0, None),
+        (20.0, 0.2, "center", 3, 25.0, None),
+        (20.0, 0.0, "optimal", 1, 25.0, (-4.084, 4.152)),
+        (1.0, 0.25, "optimal", 3, 25.0, None),
+        (1.0, 2.0, "center", 1, 25.0, None),
+        (0.5, 2.0, "optimal", 3, 25.0, None),
+        (0.5, 0.0, "center", 1, 25.0, (-1.0, 4.0)),
+        (0.5, 2.0, "optimal", 1, 160.0, None),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_scalar_loop(self, k, lam, strategy, m, hours, design, seed):
+        scenario = Scenario(mobility=default_mobility(k),
+                            costs=CostParams(lam=lam, U=20.0, V=1.0, m=m),
+                            strategy=strategy, duration_hr=hours, seed=seed,
+                            design=design)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = scalar_episode(scenario)
+            assert run_episode(scenario) == expected
+
+    def test_lattice_distance_design_runs(self):
+        # a design whose LA built afresh would change shape from anchor to
+        # anchor still pages with certainty under the template
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = run_episode(self._scenario(design=(0.0, 2.0 * GRID.pitch),
+                                           duration_hr=40.0))
+        assert m.paging_failures == 0 and m.calls > 0
+
+    def test_work_bound(self):
+        hours = 1.01 * MAX_EPISODE_STEPS * default_mobility(20.0).mean_time
+        with pytest.raises(DomainError):
+            self._scenario(duration_hr=hours)
+        self._scenario(duration_hr=hours / 1.02)
