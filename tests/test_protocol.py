@@ -64,14 +64,14 @@ def scalar_episode(scenario: Scenario) -> EpisodeMetrics:
     x_opt, r_opt = episode_design(scenario)
     var_theta = direction_moments(scenario.mobility.k).var_theta
 
-    def network_update(cell):
+    def build_la(cell):
         return construct_la(GRID.center(cell), x_opt, r_opt, GRID,
                             m=scenario.costs.m, var_theta=var_theta)
 
     lam = scenario.costs.lam
     pos = (0.0, 0.0)
     cell = scalar_cell_of(*pos)
-    la = network_update(cell)
+    la = build_la(cell)
     boundary_updates, call_updates = 1, 0
     cells_paged = 0
     rounds_hist = {}
@@ -85,7 +85,7 @@ def scalar_episode(scenario: Scenario) -> EpisodeMetrics:
             result = page(la, cell)
             cells_paged += result.cells_paged
             rounds_hist[result.rounds] = rounds_hist.get(result.rounds, 0) + 1
-            la = network_update(cell)
+            la = build_la(cell)
             call_updates += 1
             next_call = t + rng.exponential(1.0 / lam)
         if t_jump >= duration:
@@ -96,7 +96,7 @@ def scalar_episode(scenario: Scenario) -> EpisodeMetrics:
         if new_cell != cell:
             cell = new_cell
             if cell in la.boundary_cells:
-                la = network_update(cell)
+                la = build_la(cell)
                 boundary_updates += 1
 
     updates = boundary_updates + call_updates
