@@ -32,25 +32,26 @@ SCENARIO_KEYS = {"strategy", "duration_hr", "seed", "provider"}
 
 _STRING_KEYS = {"strategy", "provider"}
 
+_INT_KEYS = ("m_paging", "seed")
+
 _S_PER_HR = 3600.0
 
 
-def parse_config(source: str | Path) -> dict:
-    """Parse a ``key = value`` file (or literal text containing newlines).
+def parse_config(path: str | Path) -> dict:
+    """Parse a ``key = value`` config file.
 
     Blank lines and ``#`` comments are ignored.  Returns a dict with
-    defaults filled in for absent keys.
+    defaults filled in for absent keys; ``m_paging`` and ``seed`` are ints.
 
     Raises:
-        DomainError: unknown key, bad syntax, an unparsable or non-finite
-            value, ``R_km <= 0`` or a negative ``seed``.
+        DomainError: unreadable file, unknown key, bad syntax, an unparsable
+            or non-finite value, ``R_km <= 0``, a fractional ``m_paging`` or
+            ``seed``, or a negative ``seed``.
     """
-    text = str(source)
-    if "\n" not in text and "=" not in text:
-        path = Path(source)
-        if not path.exists():
-            raise DomainError(f"config file not found: {path}")
-        text = path.read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(f"cannot read config file {path}: {exc.strerror}") from exc
 
     cfg: dict = dict(DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -75,29 +76,23 @@ def parse_config(source: str | Path) -> dict:
             raise DomainError(f"config line {lineno}: {key!r} must be finite, got {value!r}")
     if not cfg["R_km"] > 0.0:
         raise DomainError(f"R_km must be > 0, got {cfg['R_km']}")
-    cfg["m_paging"] = int(round(cfg["m_paging"]))
-    if "seed" in cfg:
-        cfg["seed"] = int(round(cfg["seed"]))
-        if cfg["seed"] < 0:
-            raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
+    for key in _INT_KEYS:
+        if key in cfg:
+            if cfg[key] != int(cfg[key]):
+                raise DomainError(f"{key} must be a whole number, got {cfg[key]}")
+            cfg[key] = int(cfg[key])
+    if cfg.get("seed", 0) < 0:
+        raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 
 def mobility_from_config(cfg: dict) -> MobilityParams:
-    """Build MobilityParams from a parsed config (SI -> km/hr conversion).
-
-    The displacement length is exponential, so its variance is the squared
-    mean; dwell times are gamma with the configured mean and variance.
-    """
-    mean_len_km = cfg["mean_len_m"] / 1000.0
-    mean_time_hr = cfg["E_eta_s"] / _S_PER_HR
-    var_time_hr2 = cfg["Var_eta_s2"] / _S_PER_HR**2
+    """Build MobilityParams from a parsed config (SI -> km/hr conversion)."""
     return MobilityParams(
         k=cfg["k"],
-        mean_len=mean_len_km,
-        var_len=mean_len_km**2,
-        mean_time=mean_time_hr,
-        var_time=var_time_hr2,
+        mean_len=cfg["mean_len_m"] / 1000.0,
+        mean_time=cfg["E_eta_s"] / _S_PER_HR,
+        var_time=cfg["Var_eta_s2"] / _S_PER_HR**2,
     )
 
 

@@ -305,6 +305,8 @@ def joint_optimize(mobility: MobilityParams, costs: CostParams,
     """
     if provider not in PROVIDERS:
         raise DomainError(f"provider must be one of {PROVIDERS}")
+    if baseline not in ("offset", "center"):
+        raise DomainError(f"unknown baseline {baseline!r}")
     if costs.lam <= 0.0:
         raise DomainError("joint optimization needs lam > 0 (paging term)")
     diff = compute_diffusion(mobility)

@@ -3,7 +3,9 @@
 This is the oracle the analytic machinery is validated against: trajectories
 are simulated step by step exactly as the motion model defines them (rest for
 a random dwell, then displace instantaneously), with no diffusion
-approximation anywhere.
+approximation anywhere.  ``sample_steps`` is the one step sampler: it draws
+the exponential lengths, double-exponential turn angles and gamma dwells
+that ``MobilityParams`` fixes.
 
 Every vectorized estimate runs on one walk, ``_walk_chunk``: a trial stops at
 its first jump endpoint outside the disc, or before its first jump that would
@@ -76,36 +78,20 @@ class EstimateWithCI:
 # step sampling
 # ---------------------------------------------------------------------------
 
-def _sample_positive(dist: str, mean: float, var: float,
-                     rng: np.random.Generator, n: int) -> np.ndarray:
-    if dist == "exponential":
-        if abs(var - mean**2) > 1e-9 * mean**2:
-            raise DomainError("exponential law requires var == mean^2")
-        return rng.exponential(mean, n)
-    if dist == "gamma":
-        if var <= 0.0:
-            raise DomainError("gamma law requires var > 0")
-        shape = mean**2 / var
-        return rng.gamma(shape, var / mean, n)
-    if dist == "deterministic":
-        if var != 0.0:
-            raise DomainError("deterministic law requires var == 0")
-        return np.full(n, mean)
-    raise DomainError(f"unknown distribution tag {dist!r}")
-
-
 def sample_steps(params: MobilityParams, rng: np.random.Generator, n: int):
-    """Vectorized draw of ``n`` independent (dx, dy, dwell) triples."""
-    length = _sample_positive(params.length_dist, params.mean_len, params.var_len, rng, n)
+    """Vectorized draw of ``n`` independent (dx, dy, dwell) triples.
+
+    Draws ``n`` exponential lengths, then ``n`` turn angles, then ``n``
+    gamma dwells.  Gamma has no zero-variance member, so ``var_time == 0``
+    raises DomainError.
+    """
+    if params.var_time <= 0.0:
+        raise DomainError("gamma law requires var > 0")
+    length = rng.exponential(params.mean_len, n)
     theta = sample_direction(params.k, rng, n)
-    dwell = _sample_positive(params.time_dist, params.mean_time, params.var_time, rng, n)
+    dwell = rng.gamma(params.mean_time**2 / params.var_time,
+                      params.var_time / params.mean_time, n)
     return length * np.cos(theta), length * np.sin(theta), dwell
-
-
-def sample_displacement(params: MobilityParams, rng: np.random.Generator):
-    """One displacement vector (km) and its dwell time (hours)."""
-    dx, dy, dwell = sample_steps(params, rng, 1)
-    return (float(dx[0]), float(dy[0])), float(dwell[0])
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +112,10 @@ def first_exit(X, R: float, params: MobilityParams,
     t = 0.0
     r2 = R * R
     for n in range(1, max_steps + 1):
-        (dx, dy), dwell = sample_displacement(params, rng)
-        t += dwell
-        x += dx
-        y += dy
+        dx, dy, dwell = sample_steps(params, rng, 1)
+        t += float(dwell[0])
+        x += float(dx[0])
+        y += float(dy[0])
         if x * x + y * y >= r2:
             return ExitSample(tau=t, exit_point=(x, y), n_steps=n)
     return ExitSample(tau=t, exit_point=(x, y), n_steps=max_steps, censored=True)

@@ -21,6 +21,9 @@ _AXIAL_DIRECTIONS: tuple[Cell, ...] = (
     (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1),
 )
 
+# tolerance of ``cells_within`` for a center on the circle, axial units
+_TIE = 1e-9
+
 
 class HexGrid:
     """Plane tiling by hexagonal cells of unit area (1 km^2)."""
@@ -67,23 +70,24 @@ class HexGrid:
                      radius: float) -> list[Cell]:
         """Cells whose centers lie within ``radius`` of the given point.
 
-        Deterministic row-major order (by r then q).
+        A center on the circle counts as within.  The row and column bounds
+        are widened by ``_TIE`` axial units, far above float rounding (about
+        1e-12 for a point 3000 cells out) and far below a cell, so such a
+        center is in whatever the rounding, and a disc about a cell center
+        has the same shape at every cell.  Deterministic row-major order
+        (by r then q).
         """
         if radius <= 0.0:
             raise GeometryError("radius must be > 0")
         cx, cy = center_xy
         s = self.size
         out: list[Cell] = []
-        r_lo = math.ceil((cy - radius) / (1.5 * s))
-        r_hi = math.floor((cy + radius) / (1.5 * s))
+        r_lo = math.ceil((cy - radius) / (1.5 * s) - _TIE)
+        r_hi = math.floor((cy + radius) / (1.5 * s) + _TIE)
         for r in range(r_lo, r_hi + 1):
             y = 1.5 * s * r
-            span2 = radius * radius - (y - cy) ** 2
-            if span2 < 0.0:
-                continue
-            span = math.sqrt(span2)
-            q_lo = math.ceil((cx - span) / (math.sqrt(3.0) * s) - r / 2.0)
-            q_hi = math.floor((cx + span) / (math.sqrt(3.0) * s) - r / 2.0)
+            span = math.sqrt(max(radius * radius - (y - cy) ** 2, 0.0))
+            q_lo = math.ceil((cx - span) / (math.sqrt(3.0) * s) - r / 2.0 - _TIE)
+            q_hi = math.floor((cx + span) / (math.sqrt(3.0) * s) - r / 2.0 + _TIE)
             out.extend((q, r) for q in range(q_lo, q_hi + 1))
         return out
-

@@ -1,12 +1,13 @@
 """Step-level mobility statistics and their diffusion approximation.
 
 The mobile terminal moves in i.i.d. displacements: a random length, a random
-turn angle about the road direction, and a random dwell time per step.  The
-road is the +x axis everywhere in lamopt, and the turn-angle law is even, so
-a step has no mean transverse part and its x and y components are
-uncorrelated.  When many steps fit inside the region of interest, the walk
-is well approximated by a planar diffusion with drift ``mu1`` along the road
-and a diagonal diffusion matrix ``diag(sigma11, sigma22)``:
+turn angle about the road direction, and a random dwell time per step, with
+the laws ``MobilityParams`` fixes.  The road is the +x axis everywhere in
+lamopt, and the turn-angle law is even, so a step has no mean transverse
+part and its x and y components are uncorrelated.  When many steps fit
+inside the region of interest, the walk is well approximated by a planar
+diffusion with drift ``mu1`` along the road and a diagonal diffusion matrix
+``diag(sigma11, sigma22)``:
 
     mu1     = m / E[dwell]
     sigma11 = (Var[step x] * E[dwell]^2 + Var[dwell] * m^2) / E[dwell]^3
@@ -20,7 +21,7 @@ All lengths are in km, times in hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,15 +62,14 @@ def direction_pdf(k: float, theta: float | np.ndarray) -> float | np.ndarray:
     return float(out) if np.isscalar(theta) else out
 
 
-def sample_direction(k: float, rng: np.random.Generator, size: int | None = None):
-    """Draw turn angles by exact inverse-CDF of the double-exponential density.
+def sample_direction(k: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` turn angles by exact inverse-CDF of the double-exponential law.
 
     The positive half is a truncated exponential on [0, pi]; a fair sign flip
     restores the symmetric law.
     """
     if k < 0.0:
         raise DomainError(f"concentration factor must be >= 0, got {k}")
-    n = 1 if size is None else size
     u = rng.random(n)
     sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     if k == 0.0:
@@ -77,7 +77,7 @@ def sample_direction(k: float, rng: np.random.Generator, size: int | None = None
     else:
         # F_half^{-1}(u) = -log(1 - u (1 - e^{-k pi})) / k
         theta = sign * (-np.log1p(u * math.expm1(-k * math.pi)) / k)
-    return float(theta[0]) if size is None else theta
+    return theta
 
 
 @dataclass(frozen=True)
@@ -165,26 +165,22 @@ def direction_moments(k: float) -> DirectionMoments:
 class MobilityParams:
     """Step-level motion parameters.
 
+    The step laws are fixed: the displacement length is exponential with
+    mean ``mean_len`` (so its variance is the squared mean), the turn angle
+    is double-exponential with concentration ``k``, and the dwell time is
+    gamma with mean ``mean_time`` and variance ``var_time``.
+
     Attributes:
         k: direction concentration factor (dimensionless, >= 0).
         mean_len: mean displacement length, km.
-        var_len: displacement length variance, km^2.
         mean_time: mean dwell time per displacement, hours.
         var_time: dwell time variance, hours^2.
-        length_dist: sampling law for lengths ("exponential", "gamma",
-            "deterministic"); first two moments always match the fields.
-        time_dist: sampling law for dwell times (same tags).
-        second_moment_len: E[length^2], km^2; derived, stored for convenience.
     """
 
     k: float
     mean_len: float
-    var_len: float
     mean_time: float
     var_time: float
-    length_dist: str = "exponential"
-    time_dist: str = "gamma"
-    second_moment_len: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.k < 0.0:
@@ -193,11 +189,18 @@ class MobilityParams:
             raise DomainError(f"mean_len must be > 0, got {self.mean_len}")
         if self.mean_time <= 0.0:
             raise DomainError(f"mean_time must be > 0, got {self.mean_time}")
-        if self.var_len < 0.0 or self.var_time < 0.0:
-            raise DomainError("variances must be >= 0")
-        object.__setattr__(
-            self, "second_moment_len", self.var_len + self.mean_len**2
-        )
+        if self.var_time < 0.0:
+            raise DomainError(f"var_time must be >= 0, got {self.var_time}")
+
+    @property
+    def var_len(self) -> float:
+        """Displacement length variance, km^2 (exponential law)."""
+        return self.mean_len**2
+
+    @property
+    def second_moment_len(self) -> float:
+        """E[length^2], km^2."""
+        return self.var_len + self.mean_len**2
 
     @property
     def speed(self) -> float:

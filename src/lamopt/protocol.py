@@ -17,11 +17,11 @@ cell-center anchor makes the triggering cell interior by construction.
 Every LA of an episode is a lattice translate of one template: the LA
 ``construct_la`` builds at the origin cell with the episode's design, which
 ``episode_template`` resolves once.  An update only moves the anchor cell,
-and ``network_update`` gives the LA it stands for.  For a generic design
-this is exactly the LA ``construct_la`` builds at the anchor's center.  When
-the threshold is a lattice distance, a cell center lies on the circle and
-float rounding decides its side afresh at each anchor; the template decides
-it once, so the LA has the same shape wherever the terminal is.
+and ``network_update`` gives the LA it stands for.  That is exactly the LA
+``construct_la`` builds at the anchor's center: ``HexGrid.cells_within``
+counts a cell center on the threshold circle as interior whatever the float
+rounding, so an LA has one shape at every anchor, also when the threshold
+is a lattice distance.  The template saves building an LA per update.
 
 ``run_episode`` walks the presampled steps a chunk at a time with numpy and
 steps from event to event: a call is found by searching the jump times, a

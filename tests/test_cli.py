@@ -143,6 +143,19 @@ class TestOptimizeAndSimulate:
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("key, argv", [
+        ("m_paging", ["optimize", "--paging-mode", "cumulative"]),
+        ("seed", ["simulate"]),
+    ])
+    def test_fractional_whole_number_rejected(self, tmp_path, capsys, key, argv):
+        # 2.6 is neither rounded to three paging rounds nor to seed 3
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = 2.6\n")
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["optimize", "fig5", "simulate"])
     @pytest.mark.parametrize("line", [
         f"{key} = {value}"

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from lamopt.config import default_mobility
 from lamopt.costs import (
+    PROVIDERS,
     CostParams,
     PagingPlan,
     build_paging_plan,
@@ -226,6 +227,14 @@ class TestJointOptimize:
         with pytest.raises(DomainError):
             joint_optimize(default_mobility(0.5),
                            CostParams(lam=0.0, U=20.0, V=1.0), "galerkin")
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    def test_unknown_baseline_rejected(self, provider):
+        # checked before any search, so no provider labels a center design
+        # with a misspelled baseline
+        with pytest.raises(DomainError, match="baseline"):
+            joint_optimize(default_mobility(0.5), COSTS, provider,
+                           baseline="centre")
 
 
 class TestSavingRatio:

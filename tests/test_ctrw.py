@@ -13,7 +13,6 @@ from lamopt.ctrw import (
     empirical_density,
     first_exit,
     mean_exit_steps,
-    sample_displacement,
     sample_steps,
     surviving_positions,
 )
@@ -28,8 +27,8 @@ def brownian_surrogate(mean_len: float = 0.02) -> MobilityParams:
     E[len^2] = 2 E[dwell] makes both diffusion entries exactly 1 km^2/hr.
     """
     mean_time = mean_len**2  # exponential lengths: E[len^2] = 2 mean^2
-    return MobilityParams(k=0.0, mean_len=mean_len, var_len=mean_len**2,
-                          mean_time=mean_time, var_time=(0.1 * mean_time) ** 2)
+    return MobilityParams(k=0.0, mean_len=mean_len, mean_time=mean_time,
+                          var_time=(0.1 * mean_time) ** 2)
 
 
 def test_brownian_surrogate_is_unit():
@@ -67,12 +66,6 @@ class TestSampling:
         ref = direction_moments(1.0).var_theta
         band = 4.0 * np.std(theta**2) / 1000.0
         assert abs(theta.var() - ref) < band
-
-    def test_single_draw(self):
-        rng = np.random.default_rng(3)
-        (dx, dy), dwell = sample_displacement(default_mobility(0.5), rng)
-        assert dwell > 0.0
-        assert math.hypot(dx, dy) > 0.0
 
 
 class TestFirstExit:

@@ -154,14 +154,11 @@ class TestMobilityParams:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            MobilityParams(k=-1.0, mean_len=0.02, var_len=4e-4,
-                           mean_time=1e-3, var_time=0.0)
+            MobilityParams(k=-1.0, mean_len=0.02, mean_time=1e-3, var_time=0.0)
         with pytest.raises(DomainError):
-            MobilityParams(k=0.5, mean_len=0.0, var_len=0.0,
-                           mean_time=1e-3, var_time=0.0)
+            MobilityParams(k=0.5, mean_len=0.0, mean_time=1e-3, var_time=0.0)
         with pytest.raises(DomainError):
-            MobilityParams(k=0.5, mean_len=0.02, var_len=4e-4,
-                           mean_time=0.0, var_time=0.0)
+            MobilityParams(k=0.5, mean_len=0.02, mean_time=0.0, var_time=0.0)
 
 
 class TestComputeDiffusion:
@@ -258,3 +255,20 @@ class TestConfig:
         path.write_text("k = sideways\n")
         with pytest.raises(DomainError):
             parse_config(path)
+
+    def test_path_may_contain_equals_sign(self, tmp_path):
+        # the argument is always a file path, never literal config text
+        folder = tmp_path / "run=1"
+        folder.mkdir()
+        path = folder / "scen.cfg"
+        path.write_text("k = 3\n")
+        assert parse_config(path)["k"] == 3.0
+        assert parse_config(str(path))["k"] == 3.0
+
+    @pytest.mark.parametrize("value", ["3", "3.0"])
+    def test_whole_number_keys_are_ints(self, tmp_path, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"m_paging = {value}\nseed = {value}\n")
+        cfg = parse_config(path)
+        assert cfg["m_paging"] == 3 and isinstance(cfg["m_paging"], int)
+        assert cfg["seed"] == 3 and isinstance(cfg["seed"], int)

@@ -140,6 +140,20 @@ class TestHexGrid:
                 x, y = GRID.center(c)
                 assert math.hypot(x - 0.3, y + 0.7) <= radius
 
+    @pytest.mark.parametrize("m, count", [(3, 13), (4, 19), (7, 31), (9, 37),
+                                          (12, 43), (13, 55)])
+    def test_centers_on_the_circle_are_within(self, m, count):
+        # at sqrt(m) pitches some lattice centers lie on the circle; all of
+        # them count, so the disc keeps the lattice's 60-degree turns and
+        # has one shape at every cell center
+        radius = math.sqrt(m) * GRID.pitch
+        cells = set(GRID.cells_within((0.0, 0.0), radius))
+        assert len(cells) == count
+        assert {(-r, q + r) for q, r in cells} == cells
+        qa, ra = 2500, -1700
+        far = GRID.cells_within(GRID.center((qa, ra)), radius)
+        assert {(q - qa, r - ra) for q, r in far} == cells
+
     def test_center_cell_of_inverse(self):
         for cell in [(0, 0), (5, -3), (-7, 2)]:
             assert GRID.cell_of(*GRID.center(cell)) == cell
@@ -293,9 +307,10 @@ class TestUpdateExchange:
 
     def test_lattice_distance_radius_keeps_one_shape(self):
         # With the threshold at two cell pitches and no offset, cell centers
-        # sit on the circle, and rounding puts some of them in or out of an
-        # LA built afresh at each anchor.  The episode's LA is the template
-        # moved, so it has the same cells relative to the anchor everywhere.
+        # sit on the circle.  The episode's LA is the template moved, so it
+        # has the same cells relative to the anchor everywhere, and an LA
+        # built afresh at any anchor equals it, since every center on the
+        # circle is interior whatever the rounding.
         r_opt = 2.0 * GRID.pitch
         template = construct_la((0.0, 0.0), 0.0, r_opt, GRID)
         rng = np.random.default_rng(3)
@@ -308,7 +323,7 @@ class TestUpdateExchange:
                 template.boundary_cells
             direct = construct_la(GRID.center((q, r)), 0.0, r_opt, GRID)
             reshaped += direct.interior_cells != la.interior_cells
-        assert reshaped > 50
+        assert reshaped == 0
 
 
 class TestEpisodeDesign:
