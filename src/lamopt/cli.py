@@ -158,6 +158,9 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if not cfg["Var_eta_s2"] > 0.0:
+        raise DomainError(f"Var_eta_s2 must be > 0 for simulate: the Monte-Carlo and "
+                          f"protocol routes draw gamma dwells, got {cfg['Var_eta_s2']}")
     if args.mode == "episode":
         scenario = Scenario(
             mobility=mobility_from_config(cfg),

@@ -3,14 +3,29 @@
 This is the oracle the analytic machinery is validated against: trajectories
 are simulated step by step exactly as the motion model defines them (rest for
 a random dwell, then displace instantaneously), with no diffusion
-approximation anywhere.  ``sample_steps`` is the one step sampler: it draws
-the exponential lengths, double-exponential turn angles and gamma dwells
-that ``MobilityParams`` fixes.
+approximation anywhere.  ``sample_steps`` draws the displacements
+(exponential lengths and double-exponential turn angles) and
+``sample_dwells`` the gamma dwells that ``MobilityParams`` fixes.
 
-Every vectorized estimate runs on one walk, ``_walk_chunk``: a trial stops at
-its first jump endpoint outside the disc, or before its first jump that would
-complete strictly past its horizon (a call gap, infinity, or an observation
-time).  ``first_exit`` is the scalar walk, kept as an independent oracle.
+The path of jump endpoints does not depend on the dwells, so every
+vectorized estimate runs on one spatial walk, ``_walk_chunk``, and time
+enters only through a step horizon drawn per trial before the walk: a trial
+stops at its first jump endpoint outside the disc (exited, even on its
+horizon step), or after its horizon-th jump.  Each estimate draws the
+horizon with the law its estimand needs:
+
+* ``estimate_T`` at call rate ``lam > 0``: a geometric kill step ``K`` with
+  ``P(K >= j) = phi^(j-1)``, where ``phi = (1 + lam theta)^(-kappa)`` is the
+  Laplace transform of one Gamma(kappa, theta) dwell.  For an exponential
+  call gap ``zeta`` and ``N`` jumps to exit, ``E[min(zeta, S_N)] =
+  (1 - E[phi^N]) / lam = (q / lam) E[min(N, K)]`` with ``q = 1 - phi``, so
+  ``(q / lam) * steps`` is an exact per-trial value.  At ``lam == 0`` there
+  is no horizon and the value is ``mean_time * steps`` (Wald).
+* ``mean_exit_steps``: no horizon.
+* ``surviving_positions`` at time ``t``: ``M = max{m : S_m <= t}``, the
+  number of jumps completed by ``t``, from the dwell partial sums ``S_m``.
+
+``first_exit`` is the scalar timed walk, kept as an independent oracle.
 
 Exit from a disc is detected at jump endpoints; the radial overshoot of the
 exiting jump is reported as a diagnostic so the endpoint convention can be
@@ -27,6 +42,9 @@ import numpy as np
 
 from lamopt.errors import DomainError
 from lamopt.mobility import MobilityParams, sample_direction
+
+# Dwells per block when ``_jumps_by`` steps the dwell sums toward a time.
+_DWELL_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -79,19 +97,28 @@ class EstimateWithCI:
 # ---------------------------------------------------------------------------
 
 def sample_steps(params: MobilityParams, rng: np.random.Generator, n: int):
-    """Vectorized draw of ``n`` independent (dx, dy, dwell) triples.
+    """Vectorized draw of ``n`` independent displacements ``(dx, dy)``.
 
-    Draws ``n`` exponential lengths, then ``n`` turn angles, then ``n``
-    gamma dwells.  Gamma has no zero-variance member, so ``var_time == 0``
-    raises DomainError.
+    Draws ``n`` exponential lengths, then ``n`` turn angles.
     """
-    if params.var_time <= 0.0:
-        raise DomainError("gamma law requires var > 0")
     length = rng.exponential(params.mean_len, n)
     theta = sample_direction(params.k, rng, n)
-    dwell = rng.gamma(params.mean_time**2 / params.var_time,
-                      params.var_time / params.mean_time, n)
-    return length * np.cos(theta), length * np.sin(theta), dwell
+    return length * np.cos(theta), length * np.sin(theta)
+
+
+def _gamma_law(params: MobilityParams) -> tuple[float, float]:
+    """Shape and scale of the dwell law.  Gamma has no zero-variance member,
+    so ``var_time == 0`` raises DomainError."""
+    if params.var_time <= 0.0:
+        raise DomainError("gamma law requires var > 0")
+    return (params.mean_time**2 / params.var_time,
+            params.var_time / params.mean_time)
+
+
+def sample_dwells(params: MobilityParams, rng: np.random.Generator, n: int):
+    """Vectorized draw of ``n`` independent gamma dwells, hours."""
+    shape, scale = _gamma_law(params)
+    return rng.gamma(shape, scale, n)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +139,8 @@ def first_exit(X, R: float, params: MobilityParams,
     t = 0.0
     r2 = R * R
     for n in range(1, max_steps + 1):
-        dx, dy, dwell = sample_steps(params, rng, 1)
-        t += float(dwell[0])
+        dx, dy = sample_steps(params, rng, 1)
+        t += float(sample_dwells(params, rng, 1)[0])
         x += float(dx[0])
         y += float(dy[0])
         if x * x + y * y >= r2:
@@ -124,11 +151,10 @@ def first_exit(X, R: float, params: MobilityParams,
 class _Walk(NamedTuple):
     """Per-trial outcome of ``_walk_chunk``."""
 
-    t: np.ndarray         # exit time, or the horizon if the trial passed it
+    steps: np.ndarray     # jumps walked, the stopping one included
     x: np.ndarray         # position when the trial stopped
     y: np.ndarray
     exited: np.ndarray    # stopped by a jump endpoint outside the disc
-    steps: np.ndarray     # jumps drawn, the stopping one included
     censored: np.ndarray  # still running after max_steps jumps
 
 
@@ -137,47 +163,48 @@ def _walk_chunk(x0: float, y0: float, R: float, horizon,
                 n: int, max_steps: int) -> _Walk:
     """Walk ``n`` trials from (x0, y0) until each stops (module docstring).
 
-    ``horizon`` is a scalar or one value per trial.  The running trials are
-    kept compacted in trial order, and each step draws one ``sample_steps``
-    batch for exactly those trials.  A censored trial reports the clock and
-    position after its ``max_steps`` jumps.
+    ``horizon`` is an int64 step count per trial, or None for no horizon; a
+    trial with horizon 0 never moves.  The running trials are kept
+    compacted in trial order, and each step draws one ``sample_steps``
+    batch for exactly those trials.  A censored trial reports its position
+    after ``max_steps`` jumps.
     """
-    t_out = np.empty(n)
-    x_out = np.empty(n)
-    y_out = np.empty(n)
+    steps = np.zeros(n, dtype=np.int64)
+    x_out = np.full(n, x0, dtype=float)
+    y_out = np.full(n, y0, dtype=float)
     exited = np.zeros(n, dtype=bool)
-    steps = np.full(n, max_steps, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
     idx = np.arange(n)
-    t = np.zeros(n)
-    x = np.full(n, x0, dtype=float)
-    y = np.full(n, y0, dtype=float)
-    h = np.broadcast_to(np.asarray(horizon, dtype=float), (n,))
+    h = None
+    if horizon is not None:
+        h = np.asarray(horizon, dtype=np.int64)
+        idx = idx[h > 0]
+        h = h[idx]
+    x = np.full(idx.size, x0, dtype=float)
+    y = np.full(idx.size, y0, dtype=float)
     r2 = R * R
-    for step in range(1, max_steps + 1):
-        dx, dy, dwell = sample_steps(params, rng, idx.size)
-        t_next = t + dwell
-        x_next = x + dx
-        y_next = y + dy
-        passed = t_next > h
-        stop = passed | (x_next**2 + y_next**2 >= r2)
+    step = 0
+    while idx.size and step < max_steps:
+        step += 1
+        dx, dy = sample_steps(params, rng, idx.size)
+        x += dx
+        y += dy
+        out = x * x + y * y >= r2
+        stop = out if h is None else out | (h == step)
         i = idx[stop]
-        held = passed[stop]
-        t_out[i] = np.minimum(t_next[stop], h[stop])
-        x_out[i] = np.where(held, x[stop], x_next[stop])
-        y_out[i] = np.where(held, y[stop], y_next[stop])
-        exited[i] = ~held
+        x_out[i] = x[stop]
+        y_out[i] = y[stop]
+        exited[i] = out[stop]
         steps[i] = step
         run = ~stop
-        idx, h = idx[run], h[run]
-        t, x, y = t_next[run], x_next[run], y_next[run]
-        if idx.size == 0:
-            break
-    t_out[idx] = t
+        idx, x, y = idx[run], x[run], y[run]
+        if h is not None:
+            h = h[run]
     x_out[idx] = x
     y_out[idx] = y
+    steps[idx] = max_steps
     censored[idx] = True
-    return _Walk(t_out, x_out, y_out, exited, steps, censored)
+    return _Walk(steps, x_out, y_out, exited, censored)
 
 
 def _chunks(cfg: SimConfig):
@@ -202,10 +229,11 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
                cfg: SimConfig) -> EstimateWithCI:
     """Estimate the mean update interval E[min(call gap, exit time)].
 
-    Per trial an exponential call gap (infinite when ``lam == 0``) is drawn
-    independently of the trajectory and is the trial's horizon, so high call
-    rates truncate the walk early.  Censored trials (hit ``max_steps``
-    before either event) are excluded from the mean and counted.
+    Per trial a geometric kill step (none when ``lam == 0``) is drawn
+    independently of the trajectory and is the trial's horizon, so high
+    call rates truncate the walk early; the module docstring gives the
+    exact per-trial value.  Censored trials (hit ``max_steps`` before
+    either event) are excluded from the mean and counted.
 
     Args:
         X: start point, strictly inside the disc.
@@ -216,15 +244,25 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
 
     Returns:
         EstimateWithCI in hours.
+
+    Raises:
+        DomainError: a bad rate or start point, ``lam > 0`` with
+            ``var_time == 0``, or every trial censored.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DomainError(f"call rate must be finite and >= 0, got {lam}")
     x0, y0 = _check_start(X, R)
+    q, per_step = 0.0, params.mean_time
+    if lam > 0.0:
+        shape, scale = _gamma_law(params)
+        q = -math.expm1(-shape * math.log1p(lam * scale))
+        if q > 0.0:  # else lam * theta underflowed and no trial is killed
+            per_step = q / lam
     values, censored = [], 0
     for rng, n in _chunks(cfg):
-        zeta = rng.exponential(1.0 / lam, n) if lam > 0.0 else math.inf
-        walk = _walk_chunk(x0, y0, R, zeta, params, rng, n, cfg.max_steps)
-        values.append(walk.t[~walk.censored])
+        kill = rng.geometric(q, n) if q > 0.0 else None
+        walk = _walk_chunk(x0, y0, R, kill, params, rng, n, cfg.max_steps)
+        values.append(per_step * walk.steps[~walk.censored])
         censored += int(walk.censored.sum())
     return _mean_ci(values, censored)
 
@@ -239,7 +277,7 @@ def mean_exit_steps(X, R: float, params: MobilityParams,
     x0, y0 = _check_start(X, R)
     counts, censored = [], 0
     for rng, n in _chunks(cfg):
-        walk = _walk_chunk(x0, y0, R, math.inf, params, rng, n, cfg.max_steps)
+        walk = _walk_chunk(x0, y0, R, None, params, rng, n, cfg.max_steps)
         counts.append(walk.steps[~walk.censored].astype(float))
         censored += int(walk.censored.sum())
     return _mean_ci(counts, censored)
@@ -249,27 +287,63 @@ def mean_exit_steps(X, R: float, params: MobilityParams,
 # surviving-position density
 # ---------------------------------------------------------------------------
 
+def _jumps_by(t: float, params: MobilityParams, rng: np.random.Generator,
+              n: int, cap: int) -> np.ndarray:
+    """Per trial, ``M = max{m : S_m <= t}`` for gamma dwell sums ``S_m``.
+
+    The sums advance a block of ``_DWELL_BLOCK`` dwells at a time, one
+    Gamma(B kappa, theta) draw per block.  In the block that crosses ``t``
+    the dwells are drawn as ``B`` Gamma(kappa) variates rescaled to the
+    block's sum, which is their exact law given that sum (the normalized
+    vector is Dirichlet and independent of the sum).  A trial whose count
+    passes ``cap`` stops there: only ``M > cap`` matters for it.
+    """
+    shape, scale = _gamma_law(params)
+    block = _DWELL_BLOCK
+    m = np.zeros(n, dtype=np.int64)
+    left = np.full(n, float(t))  # time left before t after m dwells
+    idx = np.arange(n)
+    while idx.size:
+        s = rng.gamma(block * shape, scale, idx.size)
+        within = s <= left[idx]
+        cross = idx[~within]
+        g = rng.standard_gamma(shape, (cross.size, block))
+        np.cumsum(g, axis=1, out=g)
+        # partial sums g scale to the block's sum s as g / g[-1] * s; the
+        # last one is the whole block, past t by definition
+        reach = left[cross] * g[:, -1] / s[~within]
+        m[cross] += np.count_nonzero(g[:, :-1] <= reach[:, None], axis=1)
+        idx = idx[within]
+        m[idx] += block
+        left[idx] -= s[within]
+        idx = idx[m[idx] <= cap]
+    return m
+
+
 def surviving_positions(X, t_target: float, R: float, params: MobilityParams,
                         cfg: SimConfig) -> tuple[np.ndarray, float]:
     """Positions of trajectories that have not exited by ``t_target``.
 
     The walker sits still between jumps, so its position at ``t_target`` is
-    the endpoint of the last jump completed before that time.
+    the endpoint of the last jump completed by that time; each trial walks
+    that many jumps unless it exits first.
 
     Returns:
         (positions array of shape (n_survivors, 2) in trial order, survival
         fraction).
 
     Raises:
-        DomainError: some trial neither passed ``t_target`` nor exited
-            within ``max_steps`` (it would bias the fraction either way).
+        DomainError: a negative or NaN ``t_target``, ``var_time == 0``, or
+            some trial neither passed ``t_target`` nor exited within
+            ``max_steps`` (it would bias the fraction either way).
     """
-    if t_target < 0.0:
-        raise DomainError("time must be >= 0")
+    if not t_target >= 0.0:  # NaN fails too
+        raise DomainError(f"time must be >= 0, got {t_target}")
     x0, y0 = _check_start(X, R)
     survivors, censored = [], 0
     for rng, n in _chunks(cfg):
-        walk = _walk_chunk(x0, y0, R, t_target, params, rng, n, cfg.max_steps)
+        jumps = _jumps_by(t_target, params, rng, n, cfg.max_steps)
+        walk = _walk_chunk(x0, y0, R, jumps, params, rng, n, cfg.max_steps)
         alive = ~(walk.exited | walk.censored)
         survivors.append(np.column_stack([walk.x[alive], walk.y[alive]]))
         censored += int(walk.censored.sum())

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lamopt.costs import PROVIDERS, CostParams, build_paging_plan, joint_optimize
-from lamopt.ctrw import sample_steps
+from lamopt.ctrw import sample_dwells, sample_steps
 from lamopt.errors import ConsistencyViolationError, DomainError, GeometryError
 from lamopt.hexgrid import Cell, HexGrid
 from lamopt.mobility import MobilityParams, direction_moments
@@ -263,6 +263,11 @@ def _first_hit(keys: np.ndarray, anchor: int, ring: np.ndarray,
     return hi
 
 
+def _draw_block(mobility: MobilityParams, rng: np.random.Generator):
+    """The next ``_BLOCK`` steps as ``(dx, dy, dwell)`` arrays."""
+    return (*sample_steps(mobility, rng, _BLOCK), sample_dwells(mobility, rng, _BLOCK))
+
+
 def run_episode(scenario: Scenario) -> EpisodeMetrics:
     """Simulate the full update/paging protocol over the given horizon.
 
@@ -279,7 +284,7 @@ def run_episode(scenario: Scenario) -> EpisodeMetrics:
     """
     grid = HexGrid()
     rng = np.random.Generator(np.random.Philox([scenario.seed]))
-    block = sample_steps(scenario.mobility, rng, _BLOCK)
+    block = _draw_block(scenario.mobility, rng)
     la = episode_template(scenario, grid)
     ring = np.sort(np.array([q * _KEY_Q + r for q, r in la.boundary_cells]
                             + [np.iinfo(np.int64).max], dtype=np.int64))
@@ -296,7 +301,7 @@ def run_episode(scenario: Scenario) -> EpisodeMetrics:
     while True:
         if start == _BLOCK:
             del block  # before the draw, so that one block is held at a time
-            block = sample_steps(scenario.mobility, rng, _BLOCK)
+            block = _draw_block(scenario.mobility, rng)
             start = 0
         # Entry 0 is the state before the chunk and entry j the state after
         # its j-th jump; cumsum adds in the order of a running sum.

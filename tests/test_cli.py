@@ -143,6 +143,28 @@ class TestOptimizeAndSimulate:
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("mode", ["episode", "ctrw"])
+    @pytest.mark.parametrize("var", ["0", "-1"])
+    def test_simulate_rejects_dwell_variance_not_positive(self, tmp_path, capsys, mode, var):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"Var_eta_s2 = {var}\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--mode", mode, "--trials", "10"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "Var_eta_s2" in err[0] and "Monte-Carlo and protocol" in err[0]
+
+    @pytest.mark.parametrize("argv", [["fig5"], ["optimize"]])
+    def test_zero_dwell_variance_accepted_off_simulate(self, tmp_path, argv):
+        # the analytic routes read only the dwell mean and variance
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("Var_eta_s2 = 0\n")
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("key, argv", [
         ("m_paging", ["optimize", "--paging-mode", "cumulative"]),
         ("seed", ["simulate"]),

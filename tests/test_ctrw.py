@@ -9,10 +9,16 @@ from lamopt.config import default_mobility
 from lamopt.ctrw import (
     EstimateWithCI,
     SimConfig,
+    _check_start,
+    _chunks,
+    _jumps_by,
+    _mean_ci,
+    _walk_chunk,
     estimate_T,
     empirical_density,
     first_exit,
     mean_exit_steps,
+    sample_dwells,
     sample_steps,
     surviving_positions,
 )
@@ -31,6 +37,95 @@ def brownian_surrogate(mean_len: float = 0.02) -> MobilityParams:
                           var_time=(0.1 * mean_time) ** 2)
 
 
+# ---------------------------------------------------------------------------
+# the timed walk, kept as the oracle of the spatial one
+# ---------------------------------------------------------------------------
+
+def timed_walk(x0, y0, R, horizon, params, rng, n, max_steps):
+    """The walk that ``_walk_chunk`` replaced, kept as its oracle.
+
+    Every step draws a dwell after its displacement, and a trial stops at
+    its first jump endpoint outside the disc, or before its first jump that
+    would complete strictly past its horizon, a time (that jump is not
+    applied).  Returns per trial ``(t, x, y, exited, steps, censored)``,
+    where ``t`` is the exit time, or the horizon if the trial passed it.
+    """
+    t_out = np.empty(n)
+    x_out = np.empty(n)
+    y_out = np.empty(n)
+    exited = np.zeros(n, dtype=bool)
+    steps = np.full(n, max_steps, dtype=np.int64)
+    censored = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
+    t = np.zeros(n)
+    x = np.full(n, x0, dtype=float)
+    y = np.full(n, y0, dtype=float)
+    h = np.broadcast_to(np.asarray(horizon, dtype=float), (n,))
+    r2 = R * R
+    for step in range(1, max_steps + 1):
+        dx, dy = sample_steps(params, rng, idx.size)
+        t_next = t + sample_dwells(params, rng, idx.size)
+        x_next = x + dx
+        y_next = y + dy
+        passed = t_next > h
+        stop = passed | (x_next**2 + y_next**2 >= r2)
+        i = idx[stop]
+        held = passed[stop]
+        t_out[i] = np.minimum(t_next[stop], h[stop])
+        x_out[i] = np.where(held, x[stop], x_next[stop])
+        y_out[i] = np.where(held, y[stop], y_next[stop])
+        exited[i] = ~held
+        steps[i] = step
+        run = ~stop
+        idx, h = idx[run], h[run]
+        t, x, y = t_next[run], x_next[run], y_next[run]
+        if idx.size == 0:
+            break
+    t_out[idx] = t
+    x_out[idx] = x
+    y_out[idx] = y
+    censored[idx] = True
+    return t_out, x_out, y_out, exited, steps, censored
+
+
+def timed_estimate_T(X, R, lam, params, cfg):
+    """``estimate_T`` on the timed walk: an exponential call gap per trial
+    is its horizon, and the trial's value is its clock when it stops."""
+    x0, y0 = _check_start(X, R)
+    values, censored = [], 0
+    for rng, n in _chunks(cfg):
+        zeta = rng.exponential(1.0 / lam, n) if lam > 0.0 else math.inf
+        t, _, _, _, _, cens = timed_walk(x0, y0, R, zeta, params, rng, n,
+                                         cfg.max_steps)
+        values.append(t[~cens])
+        censored += int(cens.sum())
+    return _mean_ci(values, censored)
+
+
+def timed_mean_exit_steps(X, R, params, cfg):
+    x0, y0 = _check_start(X, R)
+    counts, censored = [], 0
+    for rng, n in _chunks(cfg):
+        _, _, _, _, steps, cens = timed_walk(x0, y0, R, math.inf, params, rng, n,
+                                             cfg.max_steps)
+        counts.append(steps[~cens].astype(float))
+        censored += int(cens.sum())
+    return _mean_ci(counts, censored)
+
+
+def timed_surviving_positions(X, t_target, R, params, cfg):
+    x0, y0 = _check_start(X, R)
+    survivors = []
+    for rng, n in _chunks(cfg):
+        _, x, y, exited, _, cens = timed_walk(x0, y0, R, t_target, params, rng, n,
+                                              cfg.max_steps)
+        assert not cens.any()
+        alive = ~exited
+        survivors.append(np.column_stack([x[alive], y[alive]]))
+    pos = np.vstack(survivors)
+    return pos, pos.shape[0] / cfg.n_trials
+
+
 def test_brownian_surrogate_is_unit():
     d = compute_diffusion(brownian_surrogate())
     assert d.sigma11 == pytest.approx(1.0, rel=1e-9)
@@ -42,7 +137,7 @@ class TestSampling:
     def test_dwell_mean_lln(self):
         params = default_mobility(0.5)
         rng = np.random.default_rng(0)
-        _, _, dwell = sample_steps(params, rng, 1_000_000)
+        dwell = sample_dwells(params, rng, 1_000_000)
         band = 4.0 * dwell.std() / 1000.0
         assert abs(dwell.mean() - params.mean_time) < band
 
@@ -51,17 +146,17 @@ class TestSampling:
         # so the 1e-5 ceiling needs k a decade above the 1e6 proxy
         params = default_mobility(1e7)
         rng = np.random.default_rng(1)
-        dx, dy, _ = sample_steps(params, rng, 100_000)
+        dx, dy = sample_steps(params, rng, 100_000)
         theta = np.arctan2(dy, dx)
         assert np.max(np.abs(theta)) < 1e-5
         rng = np.random.default_rng(1)
-        dx6, dy6, _ = sample_steps(default_mobility(1e6), rng, 100_000)
+        dx6, dy6 = sample_steps(default_mobility(1e6), rng, 100_000)
         assert np.max(np.abs(np.arctan2(dy6, dx6))) < 2 * math.log(100_000) / 1e6
 
     def test_direction_variance_matches_quadrature(self):
         params = default_mobility(1.0)
         rng = np.random.default_rng(2)
-        dx, dy, _ = sample_steps(params, rng, 1_000_000)
+        dx, dy = sample_steps(params, rng, 1_000_000)
         theta = np.arctan2(dy, dx)
         ref = direction_moments(1.0).var_theta
         band = 4.0 * np.std(theta**2) / 1000.0
@@ -116,9 +211,16 @@ class TestFirstExit:
         assert est.mean == pytest.approx(expected, rel=0.02)
 
     def test_mean_steps_matches_recorded_value(self):
+        # recorded from the timed walk, which the oracle reproduces exactly
+        est = timed_mean_exit_steps((-0.3, 0.0), 1.0, default_mobility(20.0),
+                                    SimConfig(n_trials=2_000, seed=23, chunk_size=1_024))
+        assert est == EstimateWithCI(mean=66.317, half_width_95=0.3504523881599089,
+                                     n=2000, censored_count=0)
+
+    def test_time_free_mean_steps_matches_recorded_value(self):
         est = mean_exit_steps((-0.3, 0.0), 1.0, default_mobility(20.0),
                               SimConfig(n_trials=2_000, seed=23, chunk_size=1_024))
-        assert est == EstimateWithCI(mean=66.317, half_width_95=0.3504523881599089,
+        assert est == EstimateWithCI(mean=65.762, half_width_95=0.3473675377866417,
                                      n=2000, censored_count=0)
 
     def test_mean_steps_all_censored_raises(self):
@@ -144,8 +246,9 @@ class TestFirstExit:
 
 
 class TestEstimateT:
-    # (mean, half-width, n, censored) recorded before the three chunk loops
-    # were folded into one walk; the walk must reproduce them exactly.
+    # (mean, half-width, n, censored) recorded from the timed walk, before
+    # the three chunk loops were folded into one walk; its oracle must
+    # reproduce them exactly.
     @pytest.mark.parametrize("X, lam, k, max_steps, expected", [
         ((0.0, 0.0), 0.2, 0.5, 1_000_000, EstimateWithCI(
             mean=0.3456473784819636, half_width_95=0.003635084818465673,
@@ -160,19 +263,49 @@ class TestEstimateT:
     def test_matches_recorded_values(self, X, lam, k, max_steps, expected):
         cfg = SimConfig(n_trials=3_000, seed=21, chunk_size=1_024,
                         max_steps=max_steps)
-        assert estimate_T(X, 1.0, lam, default_mobility(k), cfg) == expected
+        assert timed_estimate_T(X, 1.0, lam, default_mobility(k), cfg) == expected
 
     def test_censored_matches_recorded_values(self):
         cfg = SimConfig(n_trials=2_000, seed=22, max_steps=40, chunk_size=1_024)
-        est = estimate_T((0.0, 0.0), 0.3, 5.0, default_mobility(0.5), cfg)
+        est = timed_estimate_T((0.0, 0.0), 0.3, 5.0, default_mobility(0.5), cfg)
         assert est == EstimateWithCI(mean=0.053151449622324626,
                                      half_width_95=0.001305743858360561,
                                      n=1321, censored_count=679)
+
+    # the same inputs on the spatial walk with step horizons
+    @pytest.mark.parametrize("X, lam, k, expected", [
+        ((0.0, 0.0), 0.2, 0.5, EstimateWithCI(
+            mean=0.3465306731383358, half_width_95=0.003576116570657202,
+            n=3000, censored_count=0)),
+        ((-0.5, 0.0), 2.0, 20.0, EstimateWithCI(
+            mean=0.14427710013648426, half_width_95=0.0017685790382543074,
+            n=3000, censored_count=0)),
+        ((0.1, 0.2), 0.0, 1e6, EstimateWithCI(
+            mean=0.09967185185185186, half_width_95=0.0005259980036201155,
+            n=3000, censored_count=0)),
+    ])
+    def test_time_free_matches_recorded_values(self, X, lam, k, expected):
+        cfg = SimConfig(n_trials=3_000, seed=21, chunk_size=1_024)
+        assert estimate_T(X, 1.0, lam, default_mobility(k), cfg) == expected
+
+    def test_time_free_censored_matches_recorded_values(self):
+        cfg = SimConfig(n_trials=2_000, seed=22, max_steps=40, chunk_size=1_024)
+        est = estimate_T((0.0, 0.0), 0.3, 5.0, default_mobility(0.5), cfg)
+        assert est == EstimateWithCI(mean=0.05235898555871345,
+                                     half_width_95=0.0013159507549593056,
+                                     n=1271, censored_count=729)
 
     def test_high_rate_dominates(self):
         est = estimate_T((0.0, 0.0), 1.0, 1e6, default_mobility(0.5),
                          SimConfig(n_trials=50_000, seed=9))
         assert est.mean == pytest.approx(1e-6, rel=0.05)
+
+    def test_rate_below_float_resolution_is_zero_rate(self):
+        # lam * theta underflows to 0, so the kill probability per step is 0
+        cfg = SimConfig(n_trials=500, seed=17)
+        mob = default_mobility(0.5)
+        assert (estimate_T((0.1, 0.0), 1.0, 1e-320, mob, cfg)
+                == estimate_T((0.1, 0.0), 1.0, 0.0, mob, cfg))
 
     def test_reproducible(self):
         cfg = SimConfig(n_trials=4_096, seed=10)
@@ -198,6 +331,165 @@ class TestEstimateT:
         assert xs[int(np.argmax(means))] < 0.0
 
 
+def direct_jumps_by(t, params, rng, n):
+    """``M = max{m : S_m <= t}`` by a running sum of one dwell per step."""
+    m = np.zeros(n, dtype=np.int64)
+    s = np.zeros(n)
+    idx = np.arange(n)
+    while idx.size:
+        s[idx] += sample_dwells(params, rng, idx.size)
+        idx = idx[s[idx] <= t]
+        m[idx] += 1
+    return m
+
+
+def within_ci(a: EstimateWithCI, b: EstimateWithCI) -> bool:
+    """Two independent estimates agree within the sum of their 95% half-widths."""
+    return abs(a.mean - b.mean) <= a.half_width_95 + b.half_width_95
+
+
+def fraction_ci(hits: int, n: int) -> EstimateWithCI:
+    p = hits / n
+    return EstimateWithCI(mean=p, half_width_95=1.96 * math.sqrt(p * (1 - p) / n), n=n)
+
+
+class TestTimeFreeLaw:
+    """The spatial walk with step horizons against the timed walk it
+    replaced: the same law, so independent runs agree within their CIs."""
+
+    @pytest.mark.parametrize("X", [(-0.1, 0.0), (0.1, 0.15)], ids=["on_axis", "off_axis"])
+    @pytest.mark.parametrize("lam", [0.0, 0.2, 2.0, 50.0])
+    @pytest.mark.parametrize("k", [0.1, 0.5, 20.0])
+    def test_estimate_T_matches_timed_oracle(self, k, lam, X):
+        mob = default_mobility(k)
+        new = estimate_T(X, 0.5, lam, mob, SimConfig(n_trials=10_000, seed=40))
+        old = timed_estimate_T(X, 0.5, lam, mob, SimConfig(n_trials=10_000, seed=41))
+        assert new.censored_count == old.censored_count == 0
+        assert within_ci(new, old), (new, old)
+
+    def test_censored_matches_timed_oracle(self):
+        # A trial is censored when it neither exits nor is killed within
+        # max_steps; both walks give that event the probability
+        # E[phi^max_steps; no exit].  The uncensored means differ by a
+        # second-order term (0.4% here), well inside the CI.
+        mob = default_mobility(0.5)
+        new = estimate_T((0.0, 0.0), 0.3, 5.0, mob,
+                         SimConfig(n_trials=10_000, seed=42, max_steps=40))
+        old = timed_estimate_T((0.0, 0.0), 0.3, 5.0, mob,
+                               SimConfig(n_trials=10_000, seed=43, max_steps=40))
+        assert within_ci(fraction_ci(new.censored_count, 10_000),
+                         fraction_ci(old.censored_count, 10_000))
+        assert within_ci(new, old), (new, old)
+
+    def test_zero_rate_is_wald(self):
+        # E[S_N] = mean_time E[N]: at lam = 0 no horizon is drawn, so both
+        # estimates walk the same trials
+        mob = default_mobility(0.5)
+        cfg = SimConfig(n_trials=5_000, seed=44)
+        est = estimate_T((0.2, -0.1), 1.0, 0.0, mob, cfg)
+        steps = mean_exit_steps((0.2, -0.1), 1.0, mob, cfg)
+        assert est.mean == pytest.approx(mob.mean_time * steps.mean, rel=1e-12)
+        assert est.n == steps.n
+
+    @pytest.mark.parametrize("var_eta_s2, t", [
+        (1.0, 0.4),      # shape 64, about 180 jumps: many blocks
+        (64.0, 0.05),    # shape 1 (exponential dwells): M is Poisson(22.5)
+        (128.0, 0.003),  # shape 0.5, t below one block
+    ])
+    def test_jumps_by_matches_dwell_cumsum(self, var_eta_s2, t):
+        from scipy.stats import chi2_contingency
+
+        mob = default_mobility(0.5, var_eta_s2)
+        n = 20_000
+        new = _jumps_by(t, mob, np.random.default_rng(45), n, cap=10**6)
+        old = direct_jumps_by(t, mob, np.random.default_rng(46), n)
+        se_mean = math.sqrt((new.var() + old.var()) / n)
+        assert abs(new.mean() - old.mean()) <= 4 * se_mean
+
+        def var_se2(m):
+            d = m - m.mean()
+            return (np.mean(d**4) - m.var() ** 2) / n
+
+        se_var = math.sqrt(var_se2(new) + var_se2(old))
+        assert abs(new.var() - old.var()) <= 4 * se_var
+        # two-sample chi-square on the histogram, tails pooled so that
+        # every bin expects at least 5 draws per sample
+        values = np.arange(max(new.max(), old.max()) + 1)
+        table = np.array([np.bincount(new, minlength=values.size),
+                          np.bincount(old, minlength=values.size)])
+        bins, acc = [], np.zeros(2, dtype=np.int64)
+        for col in table.T:
+            acc = acc + col
+            if acc.sum() >= 10:
+                bins.append(acc)
+                acc = np.zeros(2, dtype=np.int64)
+        bins[-1] = bins[-1] + acc
+        assert chi2_contingency(np.array(bins).T).pvalue > 1e-3
+
+    def test_jumps_by_stops_counting_past_cap(self):
+        mob = default_mobility(0.5)
+        full = _jumps_by(0.05, mob, np.random.default_rng(47), 2_000, cap=10**6)
+        capped = _jumps_by(0.05, mob, np.random.default_rng(47), 2_000, cap=5)
+        assert np.array_equal(capped > 5, full > 5)
+        assert np.array_equal(capped[full <= 5], full[full <= 5])
+        assert _jumps_by(0.0, mob, np.random.default_rng(47), 10, cap=5).max() == 0
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(DomainError, match="time"):
+            surviving_positions((0.0, 0.0), t, 1.0, default_mobility(0.5),
+                                SimConfig(n_trials=10))
+
+    def test_huge_time_is_bounded_by_max_steps(self):
+        # the dwell sums stop at max_steps, so this raises at once instead of
+        # summing about 4.5e11 dwells per trial
+        cfg = SimConfig(n_trials=100, seed=48, max_steps=50)
+        with pytest.raises(DomainError, match="max_steps"):
+            surviving_positions((0.0, 0.0), 1e9, 1.0, default_mobility(0.5), cfg)
+
+    @pytest.mark.parametrize("t", [0.05, 0.4])
+    def test_survival_matches_timed_oracle(self, t):
+        mob = default_mobility(0.5)
+        n = 20_000
+        pos, _ = surviving_positions((0.2, 0.0), t, 1.0, mob,
+                                     SimConfig(n_trials=n, seed=49))
+        ref, _ = timed_surviving_positions((0.2, 0.0), t, 1.0, mob,
+                                           SimConfig(n_trials=n, seed=50))
+        assert within_ci(fraction_ci(len(pos), n), fraction_ci(len(ref), n))
+        for col in (0, 1):
+            a, b = pos[:, col], ref[:, col]
+            ha = 1.96 * a.std(ddof=1) / math.sqrt(a.size)
+            hb = 1.96 * b.std(ddof=1) / math.sqrt(b.size)
+            assert abs(a.mean() - b.mean()) <= ha + hb
+        assert np.all(np.hypot(pos[:, 0], pos[:, 1]) < 1.0)
+
+    def test_horizon_is_an_exact_step_count(self):
+        mob = default_mobility(0.5)
+        horizon = np.random.default_rng(51).integers(0, 60, 500)
+        walk = _walk_chunk(0.0, 0.0, 1e9, horizon, mob, np.random.default_rng(52),
+                           500, max_steps=40)
+        assert not walk.exited.any()
+        assert np.array_equal(walk.censored, horizon > 40)
+        assert np.array_equal(walk.steps, np.minimum(horizon, 40))
+        still = horizon == 0
+        assert still.any() and np.all(walk.x[still] == 0.0) and np.all(walk.y[still] == 0.0)
+
+    def test_exit_on_the_horizon_step_counts_as_exit(self):
+        # both walks draw the same first batch, so a horizon of one jump
+        # stops every trial where the unlimited walk takes its first jump
+        mob = default_mobility(20.0)
+        n = 2_000
+        free = _walk_chunk(0.99, 0.0, 1.0, None, mob, np.random.default_rng(53), n, 100)
+        one = _walk_chunk(0.99, 0.0, 1.0, np.ones(n, dtype=np.int64), mob,
+                          np.random.default_rng(53), n, 100)
+        first = free.steps == 1
+        assert 0 < first.sum() < n
+        assert np.array_equal(one.exited, first)
+        assert np.all(one.steps == 1)
+        assert np.array_equal(one.x[first], free.x[first])
+        assert np.all(np.hypot(one.x[~first], one.y[~first]) < 1.0)
+
+
 class TestEmpiricalDensity:
     def test_time_zero_all_mass_at_start(self):
         grid = DiscGrid(1.0, 1.0 / 16)
@@ -218,20 +510,35 @@ class TestEmpiricalDensity:
         ]
         assert all(b <= a for a, b in zip(fractions, fractions[1:]))
 
-    # survivor count and sum of the sorted rows, recorded before the three
-    # chunk loops were folded into one walk (rows may come in another order)
+    # survivor count and sum of the sorted rows, recorded from the timed
+    # walk before the three chunk loops were folded into one walk (rows may
+    # come in another order)
     @pytest.mark.parametrize("t, n_survivors, row_sum", [
         (0.0, 3000, 599.9999999999999),
         (0.05, 3000, 1000.4168023918894),
         (0.4, 286, 238.5261802781535),
     ])
     def test_survivors_match_recorded(self, t, n_survivors, row_sum):
+        pos, frac = timed_surviving_positions((0.2, 0.0), t, 1.0, default_mobility(0.5),
+                                              SimConfig(n_trials=3_000, seed=24,
+                                                        chunk_size=1_024))
+        assert pos.shape == (n_survivors, 2)
+        assert frac == n_survivors / 3_000
+        assert float(pos[np.lexsort((pos[:, 1], pos[:, 0]))].sum()) == row_sum
+
+    # the same inputs on the spatial walk, survivors in trial order
+    @pytest.mark.parametrize("t, n_survivors, row_sum", [
+        (0.0, 3000, 599.9999999999999),
+        (0.05, 3000, 991.1405606406385),
+        (0.4, 319, 270.5851445349296),
+    ])
+    def test_time_free_survivors_match_recorded(self, t, n_survivors, row_sum):
         pos, frac = surviving_positions((0.2, 0.0), t, 1.0, default_mobility(0.5),
                                         SimConfig(n_trials=3_000, seed=24,
                                                   chunk_size=1_024))
         assert pos.shape == (n_survivors, 2)
         assert frac == n_survivors / 3_000
-        assert float(pos[np.lexsort((pos[:, 1], pos[:, 0]))].sum()) == row_sum
+        assert float(pos.sum()) == row_sum
 
     def test_trials_running_at_max_steps_raise(self):
         # a trial neither frozen at t_target nor exited is not silently

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lamopt.config import default_mobility
 from lamopt.costs import CostParams
-from lamopt.ctrw import sample_steps
+from lamopt.ctrw import sample_dwells, sample_steps
 from lamopt.errors import ConsistencyViolationError, DomainError, GeometryError
 from lamopt.hexgrid import HexGrid
 from lamopt.mobility import compute_diffusion, direction_moments
@@ -55,12 +55,15 @@ def scalar_episode(scenario: Scenario) -> EpisodeMetrics:
     block when the walk reaches it."""
     rng = np.random.Generator(np.random.Philox([scenario.seed]))
 
+    def block():
+        return zip(*sample_steps(scenario.mobility, rng, 65536),
+                   sample_dwells(scenario.mobility, rng, 65536))
+
     def later_blocks():
         while True:
-            yield from zip(*sample_steps(scenario.mobility, rng, 65536))
+            yield from block()
 
-    steps = itertools.chain(zip(*sample_steps(scenario.mobility, rng, 65536)),
-                            later_blocks())
+    steps = itertools.chain(block(), later_blocks())
     x_opt, r_opt = episode_design(scenario)
     var_theta = direction_moments(scenario.mobility.k).var_theta
 
