@@ -30,7 +30,13 @@ from lamopt.approx import (
     trial_offset_scale,
 )
 from lamopt.config import DEFAULTS, mobility_from_config, parse_config
-from lamopt.costs import PROVIDERS, CostParams, joint_optimize, paging_breakdown_at
+from lamopt.costs import (  # joint_optimize: the one-baseline search, kept public here
+    PROVIDERS,
+    CostParams,
+    joint_optimize,
+    optimize_pair,
+    paging_breakdown_at,
+)
 from lamopt.ctrw import SimConfig, estimate_T
 from lamopt.errors import DomainError
 from lamopt.mobility import compute_diffusion, global_drift
@@ -114,8 +120,7 @@ def fig7_fig8_rows(cfg: dict) -> tuple[list[str], list[list]]:
     rows = []
     for k in K_GRID:
         mob = _mobility_at(cfg, k)
-        opt = joint_optimize(mob, costs, "galerkin", baseline="offset")
-        ctr = joint_optimize(mob, costs, "galerkin", baseline="center")
+        opt, ctr = optimize_pair(mob, costs, "galerkin")
         saving = (ctr.c_min - opt.c_min) / ctr.c_min
         rows.append([k, opt.x_opt, opt.r_opt, saving])
     return ["k", "x_opt_km", "R_opt_km", "saving_ratio"], rows
@@ -141,8 +146,7 @@ def cmd_optimize(args) -> int:
     cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
     mob = mobility_from_config(cfg)
     costs = _costs_from_cfg(cfg)
-    opt = joint_optimize(mob, costs, args.provider, baseline="offset")
-    ctr = joint_optimize(mob, costs, args.provider, baseline="center")
+    opt, ctr = optimize_pair(mob, costs, args.provider)
     breakdown = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt,
                                     mode=args.paging_mode)
     header = ["k", "lambda_per_hr", "provider", "x_opt_km", "R_opt_km",

@@ -28,6 +28,7 @@ from lamopt.mobility import MobilityParams, compute_diffusion, global_drift
 from lamopt.pde import DiscGrid, ScalarField, solve_mean_interval
 
 PROVIDERS = ("pde", "galerkin", "asymptotic")
+BASELINES = ("offset", "center")
 
 
 @dataclass(frozen=True)
@@ -243,23 +244,25 @@ class OptimizationResult:
     unimodal: bool = True
 
 
-def _interval_at_radius(mobility: MobilityParams, diff, costs: CostParams,
-                        provider: str, baseline: str, R: float,
-                        pde_nodes: int):
-    """(T, x) for a candidate radius under the chosen provider."""
+def _solve_at_radius(mobility: MobilityParams, diff, costs: CostParams,
+                     provider: str, R: float, pde_nodes: int):
+    """The interval solution at a candidate radius: the one-term galerkin
+    solution, or the pde field.  Both baselines read their design from it."""
     if provider == "galerkin":
         a = trial_offset_scale(mobility, R, diff)
-        sol = galerkin_solution(diff, R, costs.lam, a)
-        x = optimal_offset(sol.a, R) if baseline == "offset" else 0.0
-        return float(sol.interval(x, 0.0)), x
+        return galerkin_solution(diff, R, costs.lam, a)
     if provider == "pde":
-        field = solve_mean_interval(diff, R, costs.lam, DiscGrid(R, R / pde_nodes))
-        if baseline == "offset":
-            x = field.axis_argmax()
-        else:
-            x = 0.0
-        return field.value_at((x, 0.0)), x
+        return solve_mean_interval(diff, R, costs.lam, DiscGrid(R, R / pde_nodes))
     raise DomainError(f"unknown provider {provider!r}")
+
+
+def _design(solution, R: float, baseline: str) -> tuple[float, float]:
+    """(T, x) of one baseline from an interval solution at radius R."""
+    if isinstance(solution, ScalarField):
+        x = solution.axis_argmax() if baseline == "offset" else 0.0
+        return solution.value_at((x, 0.0)), x
+    x = optimal_offset(solution.a, R) if baseline == "offset" else 0.0
+    return float(solution.interval(x, 0.0)), x
 
 
 def _golden_section(fn, lo: float, hi: float, rel_tol: float) -> float:
@@ -303,51 +306,101 @@ def joint_optimize(mobility: MobilityParams, costs: CostParams,
     Returns:
         OptimizationResult with cost in cost-units per hour.
     """
+    return _optimize(mobility, costs, provider, (baseline,), r_bounds, rel_tol,
+                     scan_points, pde_nodes)[0]
+
+
+def optimize_pair(mobility: MobilityParams, costs: CostParams,
+                  provider: str = "galerkin",
+                  r_bounds: tuple[float, float] = (1e-2, 1e2),
+                  rel_tol: float = 1e-4, scan_points: int = 25,
+                  pde_nodes: int = 64) -> tuple[OptimizationResult, OptimizationResult]:
+    """The offset and the center optimum, each at its own radius.
+
+    Returns the same results as ``joint_optimize`` for each baseline, with
+    one coarse radius scan for both: each scan radius is solved once, and
+    both designs are read from that solution.  The two golden-section
+    searches stay apart.
+
+    Returns:
+        (offset result, center result).
+    """
+    offset, center = _optimize(mobility, costs, provider, BASELINES, r_bounds,
+                               rel_tol, scan_points, pde_nodes)
+    return offset, center
+
+
+def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
+              baselines: tuple[str, ...], r_bounds: tuple[float, float],
+              rel_tol: float, scan_points: int,
+              pde_nodes: int) -> list[OptimizationResult]:
+    """Joint optimum for each baseline, from one shared coarse scan."""
     if provider not in PROVIDERS:
         raise DomainError(f"provider must be one of {PROVIDERS}")
-    if baseline not in ("offset", "center"):
-        raise DomainError(f"unknown baseline {baseline!r}")
+    for baseline in baselines:
+        if baseline not in BASELINES:
+            raise DomainError(f"unknown baseline {baseline!r}")
     if costs.lam <= 0.0:
         raise DomainError("joint optimization needs lam > 0 (paging term)")
     diff = compute_diffusion(mobility)
 
     if provider == "asymptotic":
-        opt = _auto_regime_optimum(diff, costs, baseline)
-        return OptimizationResult(
-            x_opt=opt.x_opt, r_opt=opt.r_opt, c_min=opt.c_min, t_opt=opt.t_opt,
-            provider=provider, baseline=baseline,
-        )
-
-    def objective_log(lr: float) -> float:
-        R = math.exp(lr)
-        t, _ = _interval_at_radius(mobility, diff, costs, provider, baseline,
-                                   R, pde_nodes)
-        return update_cost(t, costs.U) + costs.lam * math.pi * R * R * costs.V
+        results = []
+        for baseline in baselines:
+            opt = _auto_regime_optimum(diff, costs, baseline)
+            results.append(OptimizationResult(
+                x_opt=opt.x_opt, r_opt=opt.r_opt, c_min=opt.c_min, t_opt=opt.t_opt,
+                provider=provider, baseline=baseline,
+            ))
+        return results
 
     lo, hi = math.log(r_bounds[0]), math.log(r_bounds[1])
-    grid = np.linspace(lo, hi, scan_points)
-    vals = np.array([objective_log(g) for g in grid])
-    n_minima = sum(
-        1 for i in range(1, scan_points - 1)
-        if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]
-    )
-    unimodal = n_minima <= 1
-    if not unimodal:
-        warnings.warn("cost scan is not unimodal in R; using dense scan",
-                      stacklevel=2)
-        grid = np.linspace(lo, hi, scan_points * 8)
-        vals = np.array([objective_log(g) for g in grid])
-    b = int(np.argmin(vals))
-    lo_b = grid[max(b - 1, 0)]
-    hi_b = grid[min(b + 1, grid.size - 1)]
-    lr_opt = _golden_section(objective_log, lo_b, hi_b, rel_tol)
-    r_opt = math.exp(lr_opt)
-    t_opt, x_opt = _interval_at_radius(mobility, diff, costs, provider,
-                                       baseline, r_opt, pde_nodes)
-    c_min = update_cost(t_opt, costs.U) + costs.lam * math.pi * r_opt**2 * costs.V
-    return OptimizationResult(x_opt=x_opt, r_opt=r_opt, c_min=c_min,
-                              t_opt=t_opt, provider=provider,
-                              baseline=baseline, unimodal=unimodal)
+
+    def solve(lr: float):
+        return _solve_at_radius(mobility, diff, costs, provider, math.exp(lr),
+                                pde_nodes)
+
+    def cost(lr: float, solution, baseline: str) -> float:
+        R = math.exp(lr)
+        t, _ = _design(solution, R, baseline)
+        return update_cost(t, costs.U) + costs.lam * math.pi * R * R * costs.V
+
+    def scan(points: int, wanted) -> tuple[np.ndarray, dict]:
+        grid = np.linspace(lo, hi, points)
+        vals = {b: np.empty(points) for b in wanted}
+        for i, lr in enumerate(grid):
+            solution = solve(lr)
+            for b in wanted:
+                vals[b][i] = cost(lr, solution, b)
+        return grid, vals
+
+    grid, vals = scan(scan_points, baselines)
+    unimodal = {}
+    for b, v in vals.items():
+        n_minima = sum(1 for i in range(1, scan_points - 1)
+                       if v[i] < v[i - 1] and v[i] < v[i + 1])
+        unimodal[b] = n_minima <= 1
+        if not unimodal[b]:
+            warnings.warn("cost scan is not unimodal in R; using dense scan",
+                          stacklevel=3)
+    dense = [b for b in baselines if not unimodal[b]]
+    if dense:
+        dense_grid, dense_vals = scan(scan_points * 8, dense)
+
+    results = []
+    for b in baselines:
+        g, v = (dense_grid, dense_vals[b]) if b in dense else (grid, vals[b])
+        i = int(np.argmin(v))
+        lo_b, hi_b = g[max(i - 1, 0)], g[min(i + 1, g.size - 1)]
+        lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr), b),
+                                 lo_b, hi_b, rel_tol)
+        r_opt = math.exp(lr_opt)
+        t_opt, x_opt = _design(solve(lr_opt), r_opt, b)
+        c_min = update_cost(t_opt, costs.U) + costs.lam * math.pi * r_opt**2 * costs.V
+        results.append(OptimizationResult(x_opt=x_opt, r_opt=r_opt, c_min=c_min,
+                                          t_opt=t_opt, provider=provider,
+                                          baseline=b, unimodal=unimodal[b]))
+    return results
 
 
 def _auto_regime_optimum(diff, costs, baseline: str):
@@ -362,7 +415,7 @@ def _auto_regime_optimum(diff, costs, baseline: str):
     if global_drift(diff, weak.r_opt) <= WEAK_DRIFT_MAX or strong is None:
         return weak
     warnings.warn("drift between regimes; choosing the cheaper closed form",
-                  stacklevel=3)
+                  stacklevel=4)
     return strong if strong.c_min < weak.c_min else weak
 
 
@@ -373,6 +426,5 @@ def saving_ratio(mobility: MobilityParams, costs: CostParams,
     Both baselines re-optimize their own radius.  Nonnegative; approaches
     ``1 - 4^(-1/3) ~ 0.370`` in the strongly drifted small-call-rate limit.
     """
-    opt = joint_optimize(mobility, costs, provider, baseline="offset", **kwargs)
-    ctr = joint_optimize(mobility, costs, provider, baseline="center", **kwargs)
+    opt, ctr = optimize_pair(mobility, costs, provider, **kwargs)
     return (ctr.c_min - opt.c_min) / ctr.c_min

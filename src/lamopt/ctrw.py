@@ -45,6 +45,9 @@ from lamopt.mobility import MobilityParams, sample_direction
 
 # Dwells per block when ``_jumps_by`` steps the dwell sums toward a time.
 _DWELL_BLOCK = 8
+# Most trials one run may take: every trial keeps its 8-byte result until
+# the run ends, 80 MB at this bound.
+MAX_TRIALS = 10**7
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise DomainError("n_trials must be >= 1")
+        if self.n_trials > MAX_TRIALS:
+            raise DomainError(f"n_trials {self.n_trials:.3g} is more than the "
+                              f"{MAX_TRIALS:.0e} a Monte-Carlo run may take")
         if self.max_steps < 1:
             raise DomainError("max_steps must be >= 1")
 

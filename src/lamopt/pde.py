@@ -23,10 +23,16 @@ ordering of ``A^T + A`` (about half the fill of the default column ordering
 on this stencil) with diagonal pivots preferred, which is safe on these
 M-matrix operators.  ``scipy.sparse.linalg`` is imported there, on first
 use, so commands that never solve on the disc do not load it.
+
+A grid's node set is decided in integers, and everything that depends on
+it alone (indices, the fold, the sparsity patterns and the half system's
+minimum-degree order) is built once per node set, in a memoized
+``_Lattice``; the nodes of ``DiscGrid(R, R/N)`` depend on N only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,12 +49,113 @@ _RESIDUAL_TARGET = 1e-10
 # grid and fields
 # ---------------------------------------------------------------------------
 
+# A lattice point whose i^2 + j^2 is within this relative distance of
+# (R/h)^2 lies on the circle and is left out: as a node, one of its cut
+# distances would be round-off, and its stencil weights about 1/round-off.
+_ON_CIRCLE_RTOL = 1e-9
+
+
+class _Lattice:
+    """Integer structure of the lattice points ``i^2 + j^2 <= K``.
+
+    Everything here depends on the node set only, so one instance serves
+    every DiscGrid with the same ``K``, whatever its radius and spacing: the
+    node and mirror indices, the CSR pattern of the full operator and the
+    CSC pattern of the half system.  The arrays are shared, and read-only.
+    """
+
+    def __init__(self, K: int):
+        n = math.isqrt(K)
+        side = 2 * n + 1
+        ii, jj = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1),
+                             indexing="ij")
+        inside = ii**2 + jj**2 <= K
+        self.n = n
+        self.index2d = np.full((side, side), -1, dtype=np.intc)
+        self.index2d[inside] = np.arange(int(inside.sum()))
+        self.i = ii[inside].astype(np.intc)
+        self.j = jj[inside].astype(np.intc)
+        self.n_nodes = self.i.size
+
+        def shifted(di: int, dj: int) -> np.ndarray:
+            ip = self.i + di + n
+            jp = self.j + dj + n
+            ok = (ip >= 0) & (ip < side) & (jp >= 0) & (jp < side)
+            out = np.full(self.n_nodes, -1, dtype=np.intc)
+            out[ok] = self.index2d[ip[ok], jp[ok]]
+            return out
+
+        # Nodes are numbered by i, then j, so the columns of a row sort as
+        # (west, south, the node itself, north, east): the CSR pattern of
+        # the operator is this table without its missing neighbours.
+        stencil = np.column_stack((shifted(-1, 0), shifted(0, -1),
+                                   np.arange(self.n_nodes, dtype=np.intc),
+                                   shifted(0, 1), shifted(1, 0)))
+        self.present = stencil >= 0
+        self.indices = stencil[self.present]
+        self.indptr = np.concatenate(([0], np.cumsum(self.present.sum(axis=1))),
+                                     dtype=np.intc)
+        # The node at (i, -j): always inside, since the inside test is even in j.
+        self.mirror = self.index2d[self.i + n, n - self.j]
+        _read_only(self.index2d, self.i, self.j, self.present, self.indices,
+                   self.indptr, self.mirror)
+
+    @functools.cached_property
+    def half_pattern(self):
+        """``(indptr, indices, src, slot, unfold)`` of the half system in CSC form.
+
+        The half system keeps the rows of the j >= 0 nodes and adds each
+        j < 0 column onto its mirror node's.  It is stored symmetrically
+        permuted by its minimum-degree order, so that ``_factor`` can skip
+        the ordering step: entry ``src[e]`` of the full CSR data adds into
+        entry ``slot[e]`` of the half CSC data, and ``unfold`` maps the
+        permuted half solution back onto every node.
+        """
+        upper = self.j >= 0
+        n_up = int(np.count_nonzero(upper))
+        # fold[k]: position, among the j >= 0 nodes, of node k or of its mirror
+        fold = (np.cumsum(upper, dtype=np.intc) - 1)[
+            np.where(upper, np.arange(self.n_nodes), self.mirror)]
+        rows = np.repeat(np.arange(self.n_nodes, dtype=np.intc), np.diff(self.indptr))
+        src = np.flatnonzero(upper[rows]).astype(np.intc)
+        h_row, h_col = fold[rows[src]], fold[self.indices[src]]
+        del rows
+        # The order depends on the pattern only; these values make the fold
+        # strictly diagonally dominant, so the ordering factor cannot fail.
+        probe = sp.csc_matrix((np.where(h_row == h_col, -5.0, 1.0), (h_row, h_col)),
+                              shape=(n_up, n_up))
+        rank = _factor(probe).perm_c.astype(np.int64)
+        del probe
+        keys, slot = np.unique(rank[h_col] * n_up + rank[h_row], return_inverse=True)
+        cols, rows_p = np.divmod(keys, n_up)
+        h_indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_up))))
+        return _read_only(h_indptr.astype(np.intc), rows_p.astype(np.intc), src,
+                          slot.astype(np.intc), rank[fold].astype(np.intc))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=4)
+def _lattice(K: int) -> _Lattice:
+    return _Lattice(K)
+
+
 class DiscGrid:
     """Cartesian lattice restricted to the open disc of radius R.
 
     Nodes sit at integer multiples of the spacing ``h`` (the origin is always
     a node).  For every node and axis direction the grid stores either the
     neighboring node or the distance to the circle along that direction.
+
+    The node set is decided in integers: ``(i, j)`` is a node when
+    ``i^2 + j^2`` is below ``(R/h)^2`` by more than a relative
+    ``_ON_CIRCLE_RTOL``, so points on the circle are never nodes, and the
+    nodes of ``DiscGrid(R, R/N)`` depend on N only.  Their integer structure
+    is one memoized ``_Lattice``; a grid adds only the float geometry.
     """
 
     def __init__(self, R: float, h: float | None = None):
@@ -61,61 +168,41 @@ class DiscGrid:
         self.R = float(R)
         self.h = float(h)
 
-        n = int(math.floor(R / h))
-        if (n * h) ** 2 >= R * R:
-            n -= 1
-        self._n = n
-        side = 2 * n + 1
-        ii, jj = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1),
-                             indexing="ij")
-        inside = (ii * h) ** 2 + (jj * h) ** 2 < R * R
-        self._index2d = np.full((side, side), -1, dtype=np.int64)
-        self._index2d[inside] = np.arange(int(inside.sum()))
-        self.i = ii[inside]
-        self.j = jj[inside]
+        # Largest integer below (R/h)^2 (1 - rtol): the bound on i^2 + j^2.
+        lat = _lattice(math.ceil((R / h) ** 2 * (1.0 - _ON_CIRCLE_RTOL)) - 1)
+        self._lattice = lat
+        self.i = lat.i
+        self.j = lat.j
+        self.mirror = lat.mirror
         self.x = self.i * h
         self.y = self.j * h
-        self.n_nodes = self.x.size
-
-        def shifted(di: int, dj: int) -> np.ndarray:
-            ip = self.i + di + n
-            jp = self.j + dj + n
-            ok = (ip >= 0) & (ip < side) & (jp >= 0) & (jp < side)
-            out = np.full(self.n_nodes, -1, dtype=np.int64)
-            out[ok] = self._index2d[ip[ok], jp[ok]]
-            return out
-
-        self.east = shifted(1, 0)
-        self.west = shifted(-1, 0)
-        self.north = shifted(0, 1)
-        self.south = shifted(0, -1)
-        # The node at (i, -j): always inside, since the inside test is even in j.
-        self.mirror = self._index2d[self.i + n, n - self.j]
+        self.n_nodes = lat.n_nodes
 
         # Distance to the neighbor or, when it falls outside, to the circle.
+        west, south, _, north, east = lat.present.T
         bx = np.sqrt(np.maximum(R * R - self.y**2, 0.0))
         by = np.sqrt(np.maximum(R * R - self.x**2, 0.0))
         tiny = 1e-12 * h
-        self.he = np.where(self.east >= 0, h, np.maximum(bx - self.x, tiny))
-        self.hw = np.where(self.west >= 0, h, np.maximum(self.x + bx, tiny))
-        self.hn = np.where(self.north >= 0, h, np.maximum(by - self.y, tiny))
-        self.hs = np.where(self.south >= 0, h, np.maximum(self.y + by, tiny))
+        self.he = np.where(east, h, np.maximum(bx - self.x, tiny))
+        self.hw = np.where(west, h, np.maximum(self.x + bx, tiny))
+        self.hn = np.where(north, h, np.maximum(by - self.y, tiny))
+        self.hs = np.where(south, h, np.maximum(self.y + by, tiny))
 
     def node_index(self, i: int, j: int) -> int:
         """Index of lattice node (i, j), or -1 if outside the disc."""
-        n = self._n
+        n = self._lattice.n
         if abs(i) > n or abs(j) > n:
             return -1
-        return int(self._index2d[i + n, j + n])
+        return int(self._lattice.index2d[i + n, j + n])
 
     def nearest_node_index(self, xs, ys) -> np.ndarray:
         """Vectorized nearest-node lookup with an inward search fallback."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        n = self._n
+        n = self._lattice.n
         ii = np.clip(np.rint(xs / self.h).astype(np.int64), -n, n)
         jj = np.clip(np.rint(ys / self.h).astype(np.int64), -n, n)
-        idx = self._index2d[ii + n, jj + n]
+        idx = self._lattice.index2d[ii + n, jj + n]
         for miss in np.nonzero(idx < 0)[0]:
             best, best_d2 = -1, np.inf
             for di in range(-2, 3):
@@ -226,24 +313,13 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     if lam < 0.0:
         raise DomainError(f"call rate must be >= 0, got {lam}")
 
-    n = grid.n_nodes
-    diag = np.full(n, -float(lam))
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    diag = np.full(grid.n_nodes, -float(lam))
 
     def second_difference(h_neg, h_pos, s_coef):
         """Weights (neg, center, pos) of the one-sided-capable 3-point stencil."""
         return (2.0 * s_coef / (h_neg * (h_neg + h_pos)),
                 -2.0 * s_coef / (h_neg * h_pos),
                 2.0 * s_coef / (h_pos * (h_neg + h_pos)))
-
-    def couple(neg_idx, pos_idx, c_neg, c_pos):
-        for nbr, coef in ((pos_idx, c_pos), (neg_idx, c_neg)):
-            ok = nbr >= 0
-            rows.append(np.nonzero(ok)[0])
-            cols.append(nbr[ok])
-            data.append(coef[ok])
 
     # x, the road axis: diffusion plus drift, central below the Peclet
     # threshold and one-sided above
@@ -261,16 +337,14 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
         d_neg = np.where(central, d_neg, -mu / h_neg)
         d_diag = np.where(central, d_diag, mu / h_neg)
     diag += d_diag
-    couple(grid.west, grid.east, c_neg + d_neg, c_pos + d_pos)
+    west, east = c_neg + d_neg, c_pos + d_pos
     # y, across the road: diffusion only
-    c_neg, c_diag, c_pos = second_difference(grid.hs, grid.hn, diff.sigma22 / 2.0)
+    south, c_diag, north = second_difference(grid.hs, grid.hn, diff.sigma22 / 2.0)
     diag += c_diag
-    couple(grid.south, grid.north, c_neg, c_pos)
 
-    all_rows = np.concatenate(rows + [np.arange(n)])
-    all_cols = np.concatenate(cols + [np.arange(n)])
-    all_data = np.concatenate(data + [diag])
-    return sp.coo_matrix((all_data, (all_rows, all_cols)), shape=(n, n)).tocsr()
+    lat = grid._lattice
+    data = np.column_stack((west, south, diag, north, east))[lat.present]
+    return sp.csr_matrix((data, lat.indices, lat.indptr), shape=(grid.n_nodes,) * 2)
 
 
 def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> float:
@@ -285,27 +359,38 @@ def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> float:
     return res
 
 
-def _factor(A: sp.spmatrix):
+def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
     """Sparse LU of a disc operator, ``L - lam I``, its half-disc fold, or
     ``I - dt L``.
 
     The minimum-degree ordering of ``A^T + A`` suits the symmetric pattern
     of the five-point stencil; symmetric mode prefers diagonal pivots, which
     is safe because each of these matrices is an M-matrix up to sign, and
-    elimination on one never meets a zero diagonal pivot.
+    elimination on one never meets a zero diagonal pivot.  A matrix already
+    permuted by that order is factored with ``permc_spec="NATURAL"``.
 
     Returns:
         The ``scipy.sparse.linalg.SuperLU`` factor.
     """
     from scipy.sparse.linalg import splu  # 0.1-0.5 s to import; only solves need it
 
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+    return splu(A.tocsc(), permc_spec=permc_spec,
                 options={"SymmetricMode": True})
 
 
 # ---------------------------------------------------------------------------
 # stationary mean update interval
 # ---------------------------------------------------------------------------
+
+def _half_system(A: sp.csr_matrix, grid: DiscGrid) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The half-disc fold of an assembled operator, permuted by the
+    lattice's stored order (a j = 0 row meets its j = 1 neighbour twice),
+    and the map from its solution to every node."""
+    indptr, indices, src, slot, unfold = grid._lattice.half_pattern
+    data = np.bincount(slot, weights=A.data[src], minlength=indices.size)
+    half = sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+    return half, unfold
+
 
 def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
                         grid: DiscGrid | None = None) -> ScalarField:
@@ -317,8 +402,9 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     The operator has no y-odd term, so the discrete system is
     mirror-symmetric in y: only the rows of the nodes with j >= 0 are kept,
     the column of each j < 0 node is added onto its mirror node's, and the
-    half solution is mirrored back.  The residual is checked against the
-    full operator.
+    half solution is mirrored back.  The half system is factored in the
+    minimum-degree order the grid's lattice stores.  The residual is
+    checked against the full operator.
 
     Returns:
         ScalarField of T over the grid; nonnegative, and bounded by 1/lam
@@ -330,16 +416,8 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
         raise DomainError("grid radius does not match R")
     A = assemble_operator(diff, grid, lam)
     rhs = np.full(grid.n_nodes, -1.0)
-    upper = grid.j >= 0
-    # fold[k]: position, among the j >= 0 nodes, of node k or of its mirror
-    upper_node = np.where(upper, np.arange(grid.n_nodes), grid.mirror)
-    fold = (np.cumsum(upper) - 1)[upper_node]
-    A_up = A[upper]
-    n_up = A_up.shape[0]
-    half = sp.csr_matrix((A_up.data, fold[A_up.indices], A_up.indptr),
-                         shape=(n_up, n_up))
-    half.sum_duplicates()  # a j = 0 row meets its j = 1 neighbour twice
-    T = _factor(half).solve(rhs[upper])[fold]
+    half, unfold = _half_system(A, grid)
+    T = _factor(half, "NATURAL").solve(np.full(half.shape[0], -1.0))[unfold]
     _check_residual(A, T, rhs)
     if np.min(T) < -1e-9:
         raise NumericalError(f"negative mean interval {np.min(T):.3e}")

@@ -143,6 +143,17 @@ class TestOptimizeAndSimulate:
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_unbounded_trial_count_rejected(self, tmp_path, capsys):
+        # about 2e7 s of walking at 50k trials/s, and 8 TB of trial results
+        out = tmp_path / "x.csv"
+        t0 = time.perf_counter()
+        assert main(["simulate", "--out", str(out), "--mode", "ctrw",
+                     "--trials", "1000000000000"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "n_trials" in err[0]
+
     @pytest.mark.parametrize("mode", ["episode", "ctrw"])
     @pytest.mark.parametrize("var", ["0", "-1"])
     def test_simulate_rejects_dwell_variance_not_positive(self, tmp_path, capsys, mode, var):

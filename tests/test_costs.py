@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from lamopt import costs
 from lamopt.config import default_mobility
 from lamopt.costs import (
     PROVIDERS,
@@ -18,6 +19,7 @@ from lamopt.costs import (
     build_paging_plan,
     cost_breakdown,
     joint_optimize,
+    optimize_pair,
     paging_breakdown_at,
     paging_cost,
     region_areas,
@@ -235,6 +237,66 @@ class TestJointOptimize:
         with pytest.raises(DomainError, match="baseline"):
             joint_optimize(default_mobility(0.5), COSTS, provider,
                            baseline="centre")
+
+
+class TestOptimizePair:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Count the interval solves the radius searches make."""
+        count = {"n": 0}
+        for name in ("solve_mean_interval", "galerkin_solution"):
+            fn = getattr(costs, name)
+
+            def counted(*args, fn=fn, **kwargs):
+                count["n"] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(costs, name, counted)
+        return count
+
+    @pytest.mark.parametrize("provider, search", [
+        ("galerkin", {}), ("pde", {"pde_nodes": 16}),
+    ])
+    def test_one_scan_for_both_baselines(self, solves, provider, search):
+        # 25 scan radii, then 21 golden-section steps and one final solve
+        # for each baseline
+        mob = default_mobility(2.0)
+        singles = []
+        for baseline in ("offset", "center"):
+            solves["n"] = 0
+            singles.append(joint_optimize(mob, COSTS, provider, baseline=baseline,
+                                          **search))
+            assert solves["n"] == 47
+        solves["n"] = 0
+        assert optimize_pair(mob, COSTS, provider, **search) == tuple(singles)
+        assert solves["n"] == 69
+
+    def test_asymptotic_pair(self, solves):
+        mob = default_mobility(2.0)
+        pair = optimize_pair(mob, COSTS, "asymptotic")
+        assert pair == tuple(joint_optimize(mob, COSTS, "asymptotic", baseline=b)
+                             for b in ("offset", "center"))
+        assert solves["n"] == 0
+
+    def test_dense_fallback_shared(self, solves, monkeypatch):
+        # a cost with three minima in log R sends both baselines to the
+        # dense scan, which is also solved once for both
+        def bumpy(solution, R, baseline):
+            paging = COSTS.lam * math.pi * R * R * COSTS.V
+            target = 1e5 * (1.1 + math.cos(3.0 * math.log(R))) + (baseline == "center")
+            return COSTS.U / (target - paging), 0.0
+
+        monkeypatch.setattr(costs, "_design", bumpy)
+        mob = default_mobility(2.0)
+        with pytest.warns(UserWarning, match="not unimodal"):
+            singles = tuple(joint_optimize(mob, COSTS, baseline=b)
+                            for b in ("offset", "center"))
+        separate, solves["n"] = solves["n"], 0
+        with pytest.warns(UserWarning, match="not unimodal"):
+            pair = optimize_pair(mob, COSTS)
+        assert pair == singles
+        assert not any(r.unimodal for r in pair)
+        assert solves["n"] == separate - (25 + 200)
 
 
 class TestSavingRatio:

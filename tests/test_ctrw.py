@@ -7,6 +7,7 @@ import pytest
 
 from lamopt.config import default_mobility
 from lamopt.ctrw import (
+    MAX_TRIALS,
     EstimateWithCI,
     SimConfig,
     _check_start,
@@ -555,6 +556,12 @@ class TestSimConfig:
             SimConfig(n_trials=0)
         with pytest.raises(DomainError):
             SimConfig(max_steps=0)
+
+    def test_trial_count_bounded(self):
+        # the benchmark's 50k trials and this suite's 200k stay legal
+        assert SimConfig(n_trials=MAX_TRIALS).n_trials == MAX_TRIALS >= 200_000
+        with pytest.raises(DomainError, match="n_trials"):
+            SimConfig(n_trials=MAX_TRIALS + 1)
 
     def test_chunk_streams_worker_independent(self):
         # chunk c draws from the substream (seed, c), so chunk 0's trials end

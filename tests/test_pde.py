@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lamopt.config import default_mobility
@@ -16,6 +17,8 @@ from lamopt.pde import (
     ExponentialArrival,
     NeverArrival,
     TimeGrid,
+    _factor,
+    _half_system,
     _oned_coeffs,
     assemble_operator,
     mean_interval_general,
@@ -34,7 +37,144 @@ def full_system_solve(diff, grid, lam):
     return spla.spsolve(A.tocsc(), np.full(grid.n_nodes, -1.0))
 
 
+def scratch_assemble(diff, grid, lam):
+    """Oracle for the lattice pattern: the operator assembled from scratch,
+    neighbours looked up from the node coordinates, duplicates summed by the
+    COO-to-CSR conversion."""
+    n = int(np.max(np.abs(grid.i)))
+    index2d = np.full((2 * n + 3, 2 * n + 3), -1, dtype=np.int64)
+    index2d[grid.i + n + 1, grid.j + n + 1] = np.arange(grid.n_nodes)
+    west, east, south, north = (index2d[grid.i + n + 1 + di, grid.j + n + 1 + dj]
+                                for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)))
+    diag = np.full(grid.n_nodes, -float(lam))
+    rows, cols, data = [], [], []
+
+    def second_difference(h_neg, h_pos, s_coef):
+        return (2.0 * s_coef / (h_neg * (h_neg + h_pos)),
+                -2.0 * s_coef / (h_neg * h_pos),
+                2.0 * s_coef / (h_pos * (h_neg + h_pos)))
+
+    def couple(neg_idx, pos_idx, c_neg, c_pos):
+        for nbr, coef in ((pos_idx, c_pos), (neg_idx, c_neg)):
+            ok = nbr >= 0
+            rows.append(np.nonzero(ok)[0])
+            cols.append(nbr[ok])
+            data.append(coef[ok])
+
+    h_neg, h_pos, s_coef, mu = grid.hw, grid.he, diff.sigma11 / 2.0, diff.mu1
+    c_neg, c_diag, c_pos = second_difference(h_neg, h_pos, s_coef)
+    diag += c_diag
+    central = abs(mu) * np.maximum(h_neg, h_pos) / s_coef <= 2.0
+    d_pos = np.where(central, mu * h_neg / (h_pos * (h_neg + h_pos)), 0.0)
+    d_neg = np.where(central, -mu * h_pos / (h_neg * (h_neg + h_pos)), 0.0)
+    d_diag = np.where(central, mu * (h_pos - h_neg) / (h_neg * h_pos), 0.0)
+    if mu > 0.0:
+        d_pos = np.where(central, d_pos, mu / h_pos)
+        d_diag = np.where(central, d_diag, -mu / h_pos)
+    elif mu < 0.0:
+        d_neg = np.where(central, d_neg, -mu / h_neg)
+        d_diag = np.where(central, d_diag, mu / h_neg)
+    diag += d_diag
+    couple(west, east, c_neg + d_neg, c_pos + d_pos)
+    c_neg, c_diag, c_pos = second_difference(grid.hs, grid.hn, diff.sigma22 / 2.0)
+    diag += c_diag
+    couple(south, north, c_neg, c_pos)
+    all_rows = np.concatenate(rows + [np.arange(grid.n_nodes)])
+    all_cols = np.concatenate(cols + [np.arange(grid.n_nodes)])
+    all_data = np.concatenate(data + [diag])
+    shape = (grid.n_nodes, grid.n_nodes)
+    return sp.coo_matrix((all_data, (all_rows, all_cols)), shape=shape).tocsr()
+
+
+def scratch_half(A, grid):
+    """Oracle for the stored half pattern: the j >= 0 rows of A with each
+    j < 0 column added onto its mirror node's, in node order."""
+    upper = grid.j >= 0
+    upper_node = np.where(upper, np.arange(grid.n_nodes), grid.mirror)
+    fold = (np.cumsum(upper) - 1)[upper_node]
+    A_up = A[upper]
+    half = sp.csr_matrix((A_up.data, fold[A_up.indices], A_up.indptr),
+                         shape=(A_up.shape[0],) * 2)
+    half.sum_duplicates()
+    return half, fold
+
+
+def scratch_solve(diff, grid, lam):
+    """Oracle for the mean-interval solve: a fresh minimum-degree factor of
+    the half system from scratch."""
+    half, fold = scratch_half(scratch_assemble(diff, grid, lam), grid)
+    return _factor(half).solve(np.full(half.shape[0], -1.0))[fold]
+
+
+class TestLatticePath:
+    @pytest.mark.parametrize("N", [16, 48, 64])
+    @pytest.mark.parametrize("k", [0.0, 0.5, 20.0])
+    def test_matches_scratch_assembly_and_factor(self, k, N):
+        # the stored pattern gives the same operator to the bit; the reused
+        # order moves T only in the last digits
+        diff = compute_diffusion(default_mobility(k))
+        for R in np.logspace(-2, 2, 25):
+            grid = DiscGrid(R, R / N)
+            for lam in (0.0, 0.2, 2.0):
+                A, ref = assemble_operator(diff, grid, lam), scratch_assemble(diff, grid, lam)
+                for part in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(A, part), getattr(ref, part))
+                T = solve_mean_interval(diff, R, lam, grid).values
+                T_ref = scratch_solve(diff, grid, lam)
+                assert np.max(np.abs(T - T_ref)) <= 1e-12 * np.max(np.abs(T_ref))
+
+    def test_matches_scratch_on_a_fine_lattice(self):
+        # 102k half-system nodes: the pattern's (column, row) keys pass 2^31
+        diff = compute_diffusion(default_mobility(0.5))
+        grid = DiscGrid(1.0, 1.0 / 256)
+        T = solve_mean_interval(diff, 1.0, 0.2, grid).values
+        T_ref = scratch_solve(diff, grid, 0.2)
+        assert np.max(np.abs(T - T_ref)) <= 1e-12 * np.max(np.abs(T_ref))
+
+    @pytest.mark.parametrize("N", [16, 48, 64])
+    def test_reused_order_keeps_fill(self, N):
+        for R in (0.05, 1.0, 20.0):
+            for k, lam in ((0.0, 0.0), (0.5, 0.2), (20.0, 2.0)):
+                diff = compute_diffusion(default_mobility(k))
+                grid = DiscGrid(R, R / N)
+                A = assemble_operator(diff, grid, lam)
+                reused = _factor(_half_system(A, grid)[0], "NATURAL")
+                fresh = _factor(scratch_half(A, grid)[0])
+                assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
+
+    def test_reused_order_fill_at_a_pivot_near_tie(self):
+        # threshold pivoting leaves the diagonal on near-ties here, and the
+        # last-digit differences of the reused order flip a few of them:
+        # 8842 against 8848 entries
+        diff = compute_diffusion(default_mobility(20.0))
+        R = 10**-0.5
+        grid = DiscGrid(R, R / 16)
+        A = assemble_operator(diff, grid, 2.0)
+        reused = _factor(_half_system(A, grid)[0], "NATURAL")
+        fresh = _factor(scratch_half(A, grid)[0])
+        fills = (reused.L.nnz + reused.U.nnz, fresh.L.nnz + fresh.U.nnz)
+        assert fills[0] == pytest.approx(fills[1], rel=1e-3)
+
+    def test_lattice_shared_and_read_only(self):
+        a, b = DiscGrid(1.0, 1.0 / 24), DiscGrid(7.3, 7.3 / 24)
+        assert a.i is b.i and a.mirror is b.mirror
+        with pytest.raises(ValueError):
+            a.i[0] = 0
+
+
 class TestDiscGrid:
+    @pytest.mark.parametrize("N", [48, 50, 60, 65])
+    def test_points_on_the_circle_are_not_nodes(self, N):
+        # with h = R/N float rounding used to let some i^2 + j^2 = N^2
+        # points in, with a cut distance clamped to 1e-12 h
+        ii, jj = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1))
+        n_inside = int(np.count_nonzero(ii**2 + jj**2 < N * N))
+        for R in np.random.default_rng(N).uniform(0.05, 20.0, 300):
+            g = DiscGrid(R, R / N)
+            assert g.n_nodes == n_inside
+            assert np.all(g.i**2 + g.j**2 < N * N)
+            assert min(float(np.min(d)) for d in (g.he, g.hw, g.hn, g.hs)) > 1e-3 * g.h
+
     def test_origin_is_node(self):
         g = DiscGrid(1.0, 1.0 / 32)
         assert g.node_index(0, 0) >= 0
