@@ -109,87 +109,20 @@ def weak_drift_coeffs_closed_form(diff: DiffusionParams, R: float) -> WeakDriftC
     return WeakDriftCoeffs(A=a, B=-diff.mu1 * a / (2.0 * s), R=R)
 
 
-def weak_drift_interval(diff: DiffusionParams, R: float, x, y):
-    """Two-term weak-drift approximation of the zero-call-rate interval.
-
-    Warns when evaluated outside its regime (global drift above
-    ``WEAK_DRIFT_MAX``).
-    """
-    gam = global_drift(diff, R)
-    if gam > WEAK_DRIFT_MAX:
-        warnings.warn(
-            f"weak-drift interval used at global drift {gam:.3g} > {WEAK_DRIFT_MAX:g}",
-            RegimeWarning, stacklevel=2,
-        )
-    c = weak_drift_coeffs(diff, R)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    phi1 = R * R - x * x - y * y
-    return phi1 * (c.A + c.B * (x + y))
-
-
 # ---------------------------------------------------------------------------
 # strong drift: exact solution on each cross-section of the drift axis
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StrongDriftSolution:
-    """Cross-section solution of the strongly drifted interval problem.
-
-    On the section at height y the solution is
-    ``c1(y) + c2(y) exp(-2 mu1 x / s11) - x/mu1 + s11/(2 mu1^2)``; the
-    coefficients are chosen so the interval vanishes at both chord ends.
-    ``interval`` evaluates an algebraically equivalent form whose exponents
-    are all nonpositive, so no region size overflows.
-    """
-
-    mu1: float
-    sigma11: float
-    R: float
-
-    def _w(self, y):
-        return np.sqrt(np.maximum(self.R**2 - np.asarray(y, dtype=float) ** 2, 0.0))
-
-    def c2(self, y):
-        w = self._w(y)
-        beta = 2.0 * self.mu1 / self.sigma11
-        return -w / (self.mu1 * np.sinh(beta * w))
-
-    def c1(self, y):
-        w = self._w(y)
-        beta = 2.0 * self.mu1 / self.sigma11
-        return (-self.c2(y) * np.exp(-beta * w) + w / self.mu1
-                - self.sigma11 / (2.0 * self.mu1**2))
-
-    def interval(self, x, y):
-        return _strong_interval_stable(self.mu1, self.sigma11, self.R, x, y)
-
-
-def _strong_interval_stable(mu1: float, sigma11: float, R: float, x, y):
-    if mu1 <= 0.0:
-        raise DomainError("strong-drift form requires mu1 > 0")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w2 = R * R - y * y
-    if np.any(w2 < -1e-12) or np.any(np.abs(x) > np.sqrt(np.maximum(w2, 0.0)) + 1e-12):
-        raise DomainError("point outside the disc")
-    w = np.sqrt(np.maximum(w2, 0.0))
-    beta = 2.0 * mu1 / sigma11
-    small = w < 1e-14 * R
-    wsafe = np.where(small, 1.0, w)
-    expw = np.exp(-2.0 * beta * wsafe)
-    expx = np.exp(-beta * (np.clip(x, -wsafe, wsafe) + wsafe))
-    t = (wsafe - x) / mu1 + (2.0 * wsafe / mu1) * (expw - expx) / (1.0 - expw)
-    return np.where(small, 0.0, t)
-
 
 def strong_drift_interval(diff: DiffusionParams, R: float, x, y):
     """Strong-drift interval: the drifted two-point problem on each chord.
 
     On the cross-section at height y the disc is the chord
     ``[-w, w], w = sqrt(R^2 - y^2)``, and the zero-call-rate equation with
-    cross-axis diffusion dropped has the exact solution implemented here in
-    an overflow-free form (all exponents nonpositive).
+    cross-axis diffusion dropped has the exact solution
+    ``c1(y) + c2(y) exp(-beta x) - x/mu1 + s11/(2 mu1^2)``, ``beta = 2 mu1/s11``,
+    with ``c1``, ``c2`` chosen so it vanishes at both chord ends.  It is
+    evaluated here in an algebraically equivalent form whose exponents are
+    all nonpositive, so no region size overflows.
 
     Warns when evaluated outside its regime (global drift below
     ``STRONG_DRIFT_MIN``).
@@ -200,7 +133,22 @@ def strong_drift_interval(diff: DiffusionParams, R: float, x, y):
             f"strong-drift interval used at global drift {gam:.3g} < {STRONG_DRIFT_MIN:g}",
             RegimeWarning, stacklevel=2,
         )
-    return _strong_interval_stable(diff.mu1, diff.sigma11, R, x, y)
+    mu1 = diff.mu1
+    if mu1 <= 0.0:
+        raise DomainError("strong-drift form requires mu1 > 0")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w2 = R * R - y * y
+    if np.any(w2 < -1e-12) or np.any(np.abs(x) > np.sqrt(np.maximum(w2, 0.0)) + 1e-12):
+        raise DomainError("point outside the disc")
+    w = np.sqrt(np.maximum(w2, 0.0))
+    beta = 2.0 * mu1 / diff.sigma11
+    small = w < 1e-14 * R
+    wsafe = np.where(small, 1.0, w)
+    expw = np.exp(-2.0 * beta * wsafe)
+    expx = np.exp(-beta * (np.clip(x, -wsafe, wsafe) + wsafe))
+    t = (wsafe - x) / mu1 + (2.0 * wsafe / mu1) * (expw - expx) / (1.0 - expw)
+    return np.where(small, 0.0, t)
 
 
 def strong_drift_argmax(diff: DiffusionParams, R: float) -> float:

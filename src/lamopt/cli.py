@@ -38,7 +38,7 @@ from lamopt.costs import (  # joint_optimize: the one-baseline search, kept publ
     paging_breakdown_at,
 )
 from lamopt.ctrw import SimConfig, estimate_T
-from lamopt.errors import DomainError
+from lamopt.errors import DomainError, GeometryError
 from lamopt.mobility import compute_diffusion, global_drift
 from lamopt.protocol import Scenario, run_episode
 from lamopt.validate import INJECTIONS, format_report, run_checks
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
             if args.command == "simulate":
                 return cmd_simulate(args)
             return cmd_validate(args)
-    except DomainError as exc:
+    except (DomainError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,11 +25,8 @@ horizon with the law its estimand needs:
 * ``surviving_positions`` at time ``t``: ``M = max{m : S_m <= t}``, the
   number of jumps completed by ``t``, from the dwell partial sums ``S_m``.
 
-``first_exit`` is the scalar timed walk, kept as an independent oracle.
-
-Exit from a disc is detected at jump endpoints; the radial overshoot of the
-exiting jump is reported as a diagnostic so the endpoint convention can be
-audited against the continuum solutions.
+Exit from a disc is detected at jump endpoints, so an exiting trial stops
+past the circle; the continuum solutions exit on it.
 """
 
 from __future__ import annotations
@@ -72,20 +69,6 @@ class SimConfig:
                               f"{MAX_TRIALS:.0e} a Monte-Carlo run may take")
         if self.max_steps < 1:
             raise DomainError("max_steps must be >= 1")
-
-
-@dataclass(frozen=True)
-class ExitSample:
-    """One first-exit realization."""
-
-    tau: float            # hours; cumulative dwell through the exiting jump
-    exit_point: tuple[float, float]
-    n_steps: int
-    censored: bool = False
-
-    @property
-    def overshoot(self) -> float:
-        return math.hypot(*self.exit_point)
 
 
 @dataclass(frozen=True)
@@ -136,22 +119,6 @@ def _check_start(X, R) -> tuple[float, float]:
     if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not strictly inside radius {R}")
     return x0, y0
-
-
-def first_exit(X, R: float, params: MobilityParams,
-               rng: np.random.Generator, max_steps: int = 1_000_000) -> ExitSample:
-    """Simulate one trajectory until its first jump endpoint leaves the disc."""
-    x, y = _check_start(X, R)
-    t = 0.0
-    r2 = R * R
-    for n in range(1, max_steps + 1):
-        dx, dy = sample_steps(params, rng, 1)
-        t += float(sample_dwells(params, rng, 1)[0])
-        x += float(dx[0])
-        y += float(dy[0])
-        if x * x + y * y >= r2:
-            return ExitSample(tau=t, exit_point=(x, y), n_steps=n)
-    return ExitSample(tau=t, exit_point=(x, y), n_steps=max_steps, censored=True)
 
 
 class _Walk(NamedTuple):
@@ -290,7 +257,7 @@ def mean_exit_steps(X, R: float, params: MobilityParams,
 
 
 # ---------------------------------------------------------------------------
-# surviving-position density
+# surviving positions
 # ---------------------------------------------------------------------------
 
 def _jumps_by(t: float, params: MobilityParams, rng: np.random.Generator,
@@ -359,26 +326,3 @@ def surviving_positions(X, t_target: float, R: float, params: MobilityParams,
     pos = np.vstack(survivors)
     return pos, pos.shape[0] / cfg.n_trials
 
-
-def empirical_density(X, t_target: float, R: float, params: MobilityParams,
-                      cfg: SimConfig, grid) -> tuple[np.ndarray, float]:
-    """Histogram of surviving positions on a disc grid, as a density.
-
-    Each surviving trajectory deposits mass 1/n_trials into the cell of its
-    nearest grid node, then counts are divided by the cell area; the array
-    integrates (sum * h^2) to the survival fraction.
-
-    Args:
-        grid: a ``lamopt.pde.DiscGrid``; the returned array aligns with its
-            node ordering.
-
-    Returns:
-        (density values per node, survival fraction).
-    """
-    pos, survival = surviving_positions(X, t_target, R, params, cfg)
-    values = np.zeros(grid.n_nodes)
-    if pos.shape[0]:
-        idx = grid.nearest_node_index(pos[:, 0], pos[:, 1])
-        np.add.at(values, idx, 1.0)
-        values /= cfg.n_trials * grid.h**2
-    return values, survival

@@ -202,11 +202,6 @@ class MobilityParams:
         """E[length^2], km^2."""
         return self.var_len + self.mean_len**2
 
-    @property
-    def speed(self) -> float:
-        """Free speed along a road section, km/hr."""
-        return self.mean_len / self.mean_time
-
 
 @dataclass(frozen=True)
 class DiffusionParams:
@@ -254,30 +249,6 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
         sigma11=(var11 * e_t**2 + var_t * mean_x**2) * scale,
         sigma22=var22 * e_t**2 * scale,
     )
-
-
-def compute_diffusion_1d(p_forward: float, mean_len: float, var_len: float,
-                         mean_time: float, var_time: float) -> tuple[float, float]:
-    """Drift and diffusion for motion on a line.
-
-    Each step covers a random length forward with probability ``p_forward``
-    and backward otherwise; dwell times as in the planar model.  The unit
-    discrete walk (deterministic unit lengths and dwells, p = 1/2) maps to
-    zero drift and unit diffusion.
-
-    Returns:
-        (mu, sigma) in km/hr and km^2/hr.
-    """
-    if not 0.0 <= p_forward <= 1.0:
-        raise DomainError("p_forward must be in [0, 1]")
-    if mean_len <= 0.0 or mean_time <= 0.0:
-        raise DomainError("mean_len and mean_time must be > 0")
-    e_len2 = var_len + mean_len**2
-    mean_step = (2.0 * p_forward - 1.0) * mean_len
-    var_step = e_len2 - mean_step**2
-    mu = mean_step / mean_time
-    sigma = (var_step * mean_time**2 + var_time * mean_step**2) / mean_time**3
-    return mu, sigma
 
 
 def global_drift(diff: DiffusionParams, radius: float) -> float:

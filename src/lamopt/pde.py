@@ -20,9 +20,12 @@ exactly mirror-symmetric in y, and ``solve_mean_interval`` solves it on the
 upper half disc only (j >= 0), folding the j < 0 columns onto their mirror
 nodes.  Every factor uses one LU helper, ``_factor``: a minimum-degree
 ordering of ``A^T + A`` (about half the fill of the default column ordering
-on this stencil) with diagonal pivots preferred, which is safe on these
-M-matrix operators.  ``scipy.sparse.linalg`` is imported there, on first
-use, so commands that never solve on the disc do not load it.
+on this stencil) in SuperLU's symmetric mode.  That mode does not force
+diagonal pivots: ``DiagPivotThresh`` stays at 1.0, so a diagonal entry is
+kept as the pivot only where it is its column's largest, and some factors
+pivot off the diagonal (``perm_r != perm_c`` at N = 64, R = 1, k = 0).
+``scipy.sparse`` is imported inside the functions that build or factor a
+matrix, so commands that never solve on the disc do not load it.
 
 A grid's node set is decided in integers, and everything that depends on
 it alone (indices, the fold, the sparsity patterns and the half system's
@@ -35,12 +38,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from lamopt.errors import DegenerateDiffusionError, DomainError, NumericalError
 from lamopt.mobility import DiffusionParams
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _RESIDUAL_TARGET = 1e-10
 
@@ -120,6 +126,8 @@ class _Lattice:
         src = np.flatnonzero(upper[rows]).astype(np.intc)
         h_row, h_col = fold[rows[src]], fold[self.indices[src]]
         del rows
+        import scipy.sparse as sp
+
         # The order depends on the pattern only; these values make the fold
         # strictly diagonally dominant, so the ordering factor cannot fail.
         probe = sp.csc_matrix((np.where(h_row == h_col, -5.0, 1.0), (h_row, h_col)),
@@ -253,15 +261,11 @@ class ScalarField:
         return float(sum(w * self.values[idx]
                          for idx, w in self.grid.interpolation_weights(X)))
 
-    def axis_profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, value) along the preferred-direction axis (y = 0)."""
-        on_axis = self.grid.j == 0
-        order = np.argsort(self.grid.x[on_axis])
-        return self.grid.x[on_axis][order], self.values[on_axis][order]
-
     def axis_argmax(self) -> float:
         """x of the maximum along y = 0, refined by a parabolic fit."""
-        xs, vals = self.axis_profile()
+        on_axis = self.grid.j == 0
+        order = np.argsort(self.grid.x[on_axis])
+        xs, vals = self.grid.x[on_axis][order], self.values[on_axis][order]
         b = int(np.argmax(vals))
         if 0 < b < xs.size - 1:
             denom = vals[b - 1] - 2 * vals[b] + vals[b + 1]
@@ -342,6 +346,8 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     south, c_diag, north = second_difference(grid.hs, grid.hn, diff.sigma22 / 2.0)
     diag += c_diag
 
+    import scipy.sparse as sp
+
     lat = grid._lattice
     data = np.column_stack((west, south, diag, north, east))[lat.present]
     return sp.csr_matrix((data, lat.indices, lat.indptr), shape=(grid.n_nodes,) * 2)
@@ -364,10 +370,11 @@ def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
     ``I - dt L``.
 
     The minimum-degree ordering of ``A^T + A`` suits the symmetric pattern
-    of the five-point stencil; symmetric mode prefers diagonal pivots, which
-    is safe because each of these matrices is an M-matrix up to sign, and
-    elimination on one never meets a zero diagonal pivot.  A matrix already
-    permuted by that order is factored with ``permc_spec="NATURAL"``.
+    of the five-point stencil.  Symmetric mode applies it to rows and
+    columns alike, but with ``DiagPivotThresh`` left at 1.0 SuperLU keeps a
+    diagonal pivot only where it is its column's largest entry; elsewhere it
+    pivots off the diagonal, which adds fill.  A matrix already permuted by
+    that order is factored with ``permc_spec="NATURAL"``.
 
     Returns:
         The ``scipy.sparse.linalg.SuperLU`` factor.
@@ -376,6 +383,13 @@ def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
 
     return splu(A.tocsc(), permc_spec=permc_spec,
                 options={"SymmetricMode": True})
+
+
+def _implicit_step(A: sp.csr_matrix, dt: float):
+    """LU of ``I - dt A``, one backward-Euler step of ``dG/dt = A G``."""
+    import scipy.sparse as sp
+
+    return _factor(sp.identity(A.shape[0]) - dt * A)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +401,8 @@ def _half_system(A: sp.csr_matrix, grid: DiscGrid) -> tuple[sp.csc_matrix, np.nd
     lattice's stored order (a j = 0 row meets its j = 1 neighbour twice),
     and the map from its solution to every node."""
     indptr, indices, src, slot, unfold = grid._lattice.half_pattern
+    import scipy.sparse as sp
+
     data = np.bincount(slot, weights=A.data[src], minlength=indices.size)
     half = sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
     return half, unfold
@@ -454,8 +470,7 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     x0, y0 = float(X[0]), float(X[1])
     if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not inside the disc")
-    A = assemble_operator(diff, grid, 0.0)
-    stepper = _factor(sp.identity(grid.n_nodes) - tgrid.dt * A)
+    stepper = _implicit_step(assemble_operator(diff, grid, 0.0), tgrid.dt)
     weights = grid.interpolation_weights((x0, y0))
     g = np.ones(grid.n_nodes)
     out = np.empty(tgrid.steps + 1)
@@ -494,8 +509,7 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     if output_times is None:
         output_times = [tgrid.t_max]
     src = int(grid.nearest_node_index([x0], [y0])[0])
-    A = assemble_operator(diff, grid, 0.0)
-    stepper = _factor(sp.identity(grid.n_nodes) - tgrid.dt * A)
+    stepper = _implicit_step(assemble_operator(diff, grid, 0.0), tgrid.dt)
 
     out_steps = sorted({int(round(t / tgrid.dt)) for t in output_times})
     if any(s < 0 or s > tgrid.steps for s in out_steps):

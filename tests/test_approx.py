@@ -1,7 +1,6 @@
 """Closed-form approximations against brute force and the exact solver."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,13 +19,19 @@ from lamopt.approx import (
     trial_offset_scale,
     weak_drift_coeffs,
     weak_drift_coeffs_closed_form,
-    weak_drift_interval,
 )
 from lamopt.config import default_mobility
 from lamopt.costs import CostParams
 from lamopt.errors import DomainError, RegimeWarning
 from lamopt.mobility import DiffusionParams, compute_diffusion, global_drift
 from lamopt.pde import DiscGrid, solve_mean_interval
+
+
+def weak_interval(diff, R, x, y):
+    """The two-term weak-drift approximation ``phi1 (A + B (x + y))``."""
+    c = weak_drift_coeffs(diff, R)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return (R * R - x * x - y * y) * (c.A + c.B * (x + y))
 
 
 class TestWeakDrift:
@@ -43,7 +48,7 @@ class TestWeakDrift:
 
     def test_driftless_recovers_exact(self):
         diff = DiffusionParams(0.0, 1.0, 1.0)
-        assert float(weak_drift_interval(diff, 1.0, 0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
+        assert float(weak_interval(diff, 1.0, 0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
         # and A collapses to 1 / (sigma11 + sigma22), B to 0
         c = weak_drift_coeffs(diff, 1.0)
         assert c.A == pytest.approx(0.5, abs=1e-9)
@@ -51,10 +56,8 @@ class TestWeakDrift:
 
     def test_boundary_zero(self):
         diff = compute_diffusion(default_mobility(0.05))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals = weak_drift_interval(diff, 1.0, np.array([1.0, 0.0, -0.6]),
-                                       np.array([0.0, -1.0, 0.8]))
+        vals = weak_interval(diff, 1.0, np.array([1.0, 0.0, -0.6]),
+                             np.array([0.0, -1.0, 0.8]))
         np.testing.assert_allclose(vals, 0.0, atol=1e-12)
 
     def test_matches_pde_in_regime(self):
@@ -63,14 +66,9 @@ class TestWeakDrift:
         diff = compute_diffusion(default_mobility(0.01))
         assert global_drift(diff, 1.0) < 1.0
         field = solve_mean_interval(diff, 1.0, 0.0, DiscGrid(1.0, 1.0 / 64))
-        approx_val = float(weak_drift_interval(diff, 1.0, 0.0, 0.0))
+        approx_val = float(weak_interval(diff, 1.0, 0.0, 0.0))
         pde_val = field.value_at((0.0, 0.0))
         assert approx_val == pytest.approx(pde_val, rel=0.10)
-
-    def test_regime_warning(self):
-        diff = compute_diffusion(default_mobility(5.0))
-        with pytest.warns(RegimeWarning):
-            weak_drift_interval(diff, 1.0, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -117,20 +115,21 @@ class TestStrongDrift:
         assert np.all(np.isfinite(vals))
 
     def test_coefficient_object_matches_direct_form(self, strong):
-        # where the coefficient representation is itself representable, the
-        # two evaluations agree; the chord ends land exactly on zero
-        from lamopt.approx import StrongDriftSolution
-        sol = StrongDriftSolution(mu1=strong.mu1, sigma11=strong.sigma11, R=1.0)
+        # where the textbook form c1 + c2 exp(-beta x) - x/mu1 + s11/(2 mu1^2)
+        # is itself representable, it agrees with the stable evaluation; the
+        # chord ends land exactly on zero
+        mu1, s11 = strong.mu1, strong.sigma11
+        beta = 2.0 * mu1 / s11
         for y in (0.0, 0.4, 0.8):
             w = math.sqrt(1.0 - y * y)
-            beta = 2.0 * strong.mu1 / strong.sigma11
+            c2 = -w / (mu1 * math.sinh(beta * w))
+            c1 = -c2 * math.exp(-beta * w) + w / mu1 - s11 / (2.0 * mu1**2)
             for x in (-0.2 * w, 0.0, 0.6 * w):
-                direct = float(sol.interval(x, y))
-                coef = (float(sol.c1(y)) + float(sol.c2(y)) * math.exp(-beta * x)
-                        - x / strong.mu1 + strong.sigma11 / (2 * strong.mu1**2))
+                direct = float(strong_drift_interval(strong, 1.0, x, y))
+                coef = c1 + c2 * math.exp(-beta * x) - x / mu1 + s11 / (2 * mu1**2)
                 assert coef == pytest.approx(direct, rel=1e-9, abs=1e-12)
-            assert float(sol.interval(w, y)) == pytest.approx(0.0, abs=1e-9)
-            assert float(sol.interval(-w, y)) == pytest.approx(0.0, abs=1e-9)
+            assert float(strong_drift_interval(strong, 1.0, w, y)) == pytest.approx(0.0, abs=1e-9)
+            assert float(strong_drift_interval(strong, 1.0, -w, y)) == pytest.approx(0.0, abs=1e-9)
 
     def test_regime_warning(self):
         weak = compute_diffusion(default_mobility(0.01))

@@ -154,6 +154,17 @@ class TestOptimizeAndSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "n_trials" in err[0]
 
+    def test_sub_cell_threshold_rejected(self, tmp_path, capsys):
+        # the optimal radius at 5000 calls/hr is below one cell diameter, so
+        # no location area of cells can hold it
+        cfg = tmp_path / "busy.cfg"
+        cfg.write_text("lambda_per_hr = 5000\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "cell diameter" in err[0]
+
     @pytest.mark.parametrize("mode", ["episode", "ctrw"])
     @pytest.mark.parametrize("var", ["0", "-1"])
     def test_simulate_rejects_dwell_variance_not_positive(self, tmp_path, capsys, mode, var):
@@ -224,9 +235,10 @@ class TestSeed:
 
 
 def test_cli_import_skips_scipy_integrate_and_optimize():
+    # nor scipy.sparse: only the disc solver needs it, and loads it itself
     src = str(Path(lamopt.__file__).resolve().parents[1])
     code = ("import sys, lamopt.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.sparse.linalg'}"
+            "print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.sparse'}"
             " & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})

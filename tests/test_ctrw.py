@@ -16,8 +16,6 @@ from lamopt.ctrw import (
     _mean_ci,
     _walk_chunk,
     estimate_T,
-    empirical_density,
-    first_exit,
     mean_exit_steps,
     sample_dwells,
     sample_steps,
@@ -127,6 +125,15 @@ def timed_surviving_positions(X, t_target, R, params, cfg):
     return pos, pos.shape[0] / cfg.n_trials
 
 
+def empirical_density(X, t_target, R, params, cfg, grid):
+    """Surviving positions binned to their nearest node of ``grid``, as a
+    density that integrates (sum * h^2) to the survival fraction."""
+    pos, survival = surviving_positions(X, t_target, R, params, cfg)
+    counts = np.bincount(grid.nearest_node_index(pos[:, 0], pos[:, 1]),
+                         minlength=grid.n_nodes)
+    return counts / (cfg.n_trials * grid.h**2), survival
+
+
 def test_brownian_surrogate_is_unit():
     d = compute_diffusion(brownian_surrogate())
     assert d.sigma11 == pytest.approx(1.0, rel=1e-9)
@@ -166,21 +173,17 @@ class TestSampling:
 
 class TestFirstExit:
     def test_start_near_boundary_exits_fast(self):
-        params = default_mobility(0.5)
-        rng = np.random.default_rng(4)
-        s = first_exit((1.0 - 1e-12, 0.0), 1.0, params, rng)
-        assert s.n_steps <= 3
-        assert s.overshoot >= 1.0
+        walk = _walk_chunk(1.0 - 1e-12, 0.0, 1.0, None, default_mobility(0.5),
+                           np.random.default_rng(4), 1, max_steps=1_000_000)
+        assert walk.exited[0] and walk.steps[0] <= 3
+        assert math.hypot(walk.x[0], walk.y[0]) >= 1.0
 
     def test_start_outside_rejected(self):
         with pytest.raises(DomainError):
-            first_exit((1.0, 0.0), 1.0, default_mobility(0.5),
-                       np.random.default_rng(0))
+            estimate_T((1.0, 0.0), 1.0, 2.0, default_mobility(0.5), SimConfig(n_trials=10))
 
     @pytest.mark.parametrize("X", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_start_rejected(self, X):
-        with pytest.raises(DomainError):
-            first_exit(X, 1.0, default_mobility(0.5), np.random.default_rng(0))
         with pytest.raises(DomainError):
             estimate_T(X, 1.0, 2.0, default_mobility(0.5), SimConfig(n_trials=10))
 

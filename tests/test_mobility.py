@@ -176,7 +176,7 @@ class TestComputeDiffusion:
         # fluctuations only
         p = default_mobility(1e6)
         d = compute_diffusion(p)
-        assert d.mu1 == pytest.approx(p.speed, rel=1e-6)
+        assert d.mu1 == pytest.approx(p.mean_len / p.mean_time, rel=1e-6)
         s11 = (p.var_len * p.mean_time**2 + p.var_time * p.mean_len**2) / p.mean_time**3
         assert d.sigma11 == pytest.approx(s11, rel=1e-6)
         assert d.sigma22 == pytest.approx(0.0, abs=1e-9)
@@ -191,7 +191,7 @@ class TestComputeDiffusion:
         assert d_lo.sigma22 == pytest.approx(iso, rel=1e-4)
         p_hi = default_mobility(1e6)
         d_hi = compute_diffusion(p_hi)
-        assert d_hi.mu1 == pytest.approx(p_hi.speed, rel=1e-4)
+        assert d_hi.mu1 == pytest.approx(p_hi.mean_len / p_hi.mean_time, rel=1e-4)
 
     def test_default_scenario_strong_drift(self):
         # 20 m sections at 8 s: full-concentration drift is 9 km/hr and the
