@@ -4,12 +4,15 @@ Three analytic routes complement the finite-difference solver:
 
 * a two-term polynomial Galerkin solution for weakly drifted motion;
 * the exact cross-section solution for strongly drifted motion (diffusion
-  across the drift axis neglected);
+  across the drift axis neglected): on each chord of the disc it is the
+  drifted two-point problem on a segment, evaluated by ``pde``'s segment
+  solution;
 * a one-term rational-trial-function solution valid for any concentration,
   whose maximizer yields the closed-form optimal start offset.
 
 The regime optima (radius, offset, minimum cost) follow from the weak and
-strong interval forms by balancing update cost against paging cost.
+strong interval forms by balancing update cost against paging cost.  Which
+regime a region is in is decided here alone, by ``drift_regime``.
 """
 
 from __future__ import annotations
@@ -20,12 +23,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lamopt.errors import DomainError, NumericalError, RegimeWarning
+from lamopt.errors import (
+    DegenerateDiffusionError,
+    DomainError,
+    NumericalError,
+    RegimeWarning,
+)
 from lamopt.mobility import DiffusionParams, MobilityParams, compute_diffusion, global_drift
+from lamopt.pde import segment_interval, solve_1d
 
 WEAK_DRIFT_MAX = 1.0     # global drift at or below this: weak regime
 STRONG_DRIFT_MIN = 10.0  # global drift at or above this: strong regime
 _OFFSET_SCALE_CAP = 1e6   # "no directionality" stand-in for the offset scale
+
+
+def drift_regime(diff: DiffusionParams, R: float) -> str | None:
+    """"weak" or "strong" by the global drift over radius R; None between."""
+    gam = global_drift(diff, R)
+    if gam <= WEAK_DRIFT_MAX:
+        return "weak"
+    if gam >= STRONG_DRIFT_MIN:
+        return "strong"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +136,21 @@ def strong_drift_interval(diff: DiffusionParams, R: float, x, y):
     """Strong-drift interval: the drifted two-point problem on each chord.
 
     On the cross-section at height y the disc is the chord
-    ``[-w, w], w = sqrt(R^2 - y^2)``, and the zero-call-rate equation with
-    cross-axis diffusion dropped has the exact solution
-    ``c1(y) + c2(y) exp(-beta x) - x/mu1 + s11/(2 mu1^2)``, ``beta = 2 mu1/s11``,
-    with ``c1``, ``c2`` chosen so it vanishes at both chord ends.  It is
-    evaluated here in an algebraically equivalent form whose exponents are
-    all nonpositive, so no region size overflows.
+    ``[-w, w], w = sqrt(R^2 - y^2)``.  With no calls and the cross-axis
+    diffusion dropped, the interval there is the segment solution
+    (``pde.segment_interval``, drift mu1, diffusion s11) on ``[0, 2w]`` at
+    ``x + w``; a zero-length chord gives 0.
 
     Warns when evaluated outside its regime (global drift below
     ``STRONG_DRIFT_MIN``).
     """
-    gam = global_drift(diff, R)
-    if gam < STRONG_DRIFT_MIN:
+    if drift_regime(diff, R) != "strong":
         warnings.warn(
-            f"strong-drift interval used at global drift {gam:.3g} < {STRONG_DRIFT_MIN:g}",
+            f"strong-drift interval used at global drift {global_drift(diff, R):.3g} "
+            f"< {STRONG_DRIFT_MIN:g}",
             RegimeWarning, stacklevel=2,
         )
-    mu1 = diff.mu1
-    if mu1 <= 0.0:
+    if diff.mu1 <= 0.0:
         raise DomainError("strong-drift form requires mu1 > 0")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -142,26 +158,14 @@ def strong_drift_interval(diff: DiffusionParams, R: float, x, y):
     if np.any(w2 < -1e-12) or np.any(np.abs(x) > np.sqrt(np.maximum(w2, 0.0)) + 1e-12):
         raise DomainError("point outside the disc")
     w = np.sqrt(np.maximum(w2, 0.0))
-    beta = 2.0 * mu1 / diff.sigma11
-    small = w < 1e-14 * R
-    wsafe = np.where(small, 1.0, w)
-    expw = np.exp(-2.0 * beta * wsafe)
-    expx = np.exp(-beta * (np.clip(x, -wsafe, wsafe) + wsafe))
-    t = (wsafe - x) / mu1 + (2.0 * wsafe / mu1) * (expw - expx) / (1.0 - expw)
-    return np.where(small, 0.0, t)
+    return segment_interval(diff.mu1, diff.sigma11, 2.0 * w, np.clip(x, -w, w) + w)
 
 
 def strong_drift_argmax(diff: DiffusionParams, R: float) -> float:
-    """Offset maximizing the strong-drift interval on the drift axis.
-
-    ``-(R/gamma) log((e^gamma - e^-gamma) / (2 gamma))`` evaluated stably;
-    tends to -R as the global drift grows.
-    """
-    gam = global_drift(diff, R)
-    if gam <= 0.0:
-        return 0.0
-    # log((e^g - e^-g)/(2g)) = g + log1p(-e^(-2g)) - log(2g)
-    return -(R / gam) * (gam + math.log1p(-math.exp(-2.0 * gam)) - math.log(2.0 * gam))
+    """Offset maximizing the strong-drift interval on the drift axis: the
+    segment maximizer on the diameter ``[-R, R]``; tends to -R as the global
+    drift grows."""
+    return solve_1d(diff.mu1, diff.sigma11, 2.0 * R).x_opt - R
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +352,15 @@ def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
         raise DomainError("asymptotic optimum needs lam, U, V all > 0")
     if baseline not in ("offset", "center"):
         raise DomainError(f"unknown baseline {baseline!r}")
+    if diff.sigma_trace <= 0.0:
+        raise DegenerateDiffusionError(
+            f"diffusion trace must be > 0 for a regime optimum, got {diff.sigma_trace}")
 
     if regime == "weak":
         s = diff.sigma_trace
         r_opt = (s * U / (lam * V * math.pi)) ** 0.25
         t_opt = r_opt**2 / s
         x_opt = 0.0  # the optimal offset vanishes with the drift
-        consistent = global_drift(diff, r_opt) <= WEAK_DRIFT_MAX
     elif regime == "strong":
         if diff.mu1 <= 0.0:
             raise DomainError("strong regime requires mu1 > 0")
@@ -367,10 +373,10 @@ def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
             r_opt = (U * diff.mu1 / (2.0 * lam * V * math.pi)) ** (1.0 / 3.0)
             t_opt = r_opt / diff.mu1
             x_opt = 0.0
-        consistent = global_drift(diff, r_opt) >= STRONG_DRIFT_MIN
     else:
         raise DomainError(f"unknown regime {regime!r}")
 
+    consistent = drift_regime(diff, r_opt) == regime
     if not consistent:
         warnings.warn(
             f"{regime} optimum at R={r_opt:.4g} has global drift "

@@ -23,8 +23,7 @@ import warnings
 import numpy as np
 
 from lamopt.approx import (
-    STRONG_DRIFT_MIN,
-    WEAK_DRIFT_MAX,
+    drift_regime,
     galerkin_interval,
     optimal_offset,
     trial_offset_scale,
@@ -39,7 +38,7 @@ from lamopt.costs import (  # joint_optimize: the one-baseline search, kept publ
 )
 from lamopt.ctrw import SimConfig, estimate_T
 from lamopt.errors import DomainError, GeometryError
-from lamopt.mobility import compute_diffusion, global_drift
+from lamopt.mobility import compute_diffusion
 from lamopt.protocol import Scenario, run_episode
 from lamopt.validate import INJECTIONS, format_report, run_checks
 
@@ -93,9 +92,9 @@ def fig5_rows(cfg: dict) -> tuple[list[str], list[list]]:
         mob = _mobility_at(cfg, k, var_eta_s2=0.1)
         diff = compute_diffusion(mob)
         sol = galerkin_interval(mob, R, lam, diff)
-        gam = global_drift(diff, R)
-        t_weak = R * R / diff.sigma_trace if gam <= WEAK_DRIFT_MAX else None
-        t_strong = 2.0 * R / diff.mu1 if gam >= STRONG_DRIFT_MIN else None
+        regime = drift_regime(diff, R)
+        t_weak = R * R / diff.sigma_trace if regime == "weak" else None
+        t_strong = 2.0 * R / diff.mu1 if regime == "strong" else None
         rows.append([k, sol.interval_at_opt(), t_weak, t_strong])
     return ["k", "T_galerkin", "T_weak_asymptotic", "T_strong_asymptotic"], rows
 

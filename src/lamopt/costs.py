@@ -15,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lamopt.approx import (
-    STRONG_DRIFT_MIN,
-    WEAK_DRIFT_MAX,
-    asymptotic_optimum,
-    galerkin_solution,
-    optimal_offset,
-    trial_offset_scale,
-)
+from lamopt.approx import asymptotic_optimum, galerkin_solution, trial_offset_scale
 from lamopt.errors import DomainError, GeometryError
-from lamopt.mobility import MobilityParams, compute_diffusion, global_drift
+from lamopt.mobility import MobilityParams, compute_diffusion
 from lamopt.pde import DiscGrid, ScalarField, solve_mean_interval
 
 PROVIDERS = ("pde", "galerkin", "asymptotic")
@@ -256,12 +249,12 @@ def _solve_at_radius(mobility: MobilityParams, diff, costs: CostParams,
     raise DomainError(f"unknown provider {provider!r}")
 
 
-def _design(solution, R: float, baseline: str) -> tuple[float, float]:
-    """(T, x) of one baseline from an interval solution at radius R."""
+def _design(solution, baseline: str) -> tuple[float, float]:
+    """(T, x) of one baseline from an interval solution."""
     if isinstance(solution, ScalarField):
         x = solution.axis_argmax() if baseline == "offset" else 0.0
         return solution.value_at((x, 0.0)), x
-    x = optimal_offset(solution.a, R) if baseline == "offset" else 0.0
+    x = solution.x_opt if baseline == "offset" else 0.0
     return float(solution.interval(x, 0.0)), x
 
 
@@ -362,7 +355,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
 
     def cost(lr: float, solution, baseline: str) -> float:
         R = math.exp(lr)
-        t, _ = _design(solution, R, baseline)
+        t, _ = _design(solution, baseline)
         return update_cost(t, costs.U) + costs.lam * math.pi * R * R * costs.V
 
     def scan(points: int, wanted) -> tuple[np.ndarray, dict]:
@@ -395,7 +388,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
         lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr), b),
                                  lo_b, hi_b, rel_tol)
         r_opt = math.exp(lr_opt)
-        t_opt, x_opt = _design(solve(lr_opt), r_opt, b)
+        t_opt, x_opt = _design(solve(lr_opt), b)
         c_min = update_cost(t_opt, costs.U) + costs.lam * math.pi * r_opt**2 * costs.V
         results.append(OptimizationResult(x_opt=x_opt, r_opt=r_opt, c_min=c_min,
                                           t_opt=t_opt, provider=provider,
@@ -410,9 +403,9 @@ def _auto_regime_optimum(diff, costs, baseline: str):
         weak = asymptotic_optimum(diff, costs, "weak", baseline)
         strong = (asymptotic_optimum(diff, costs, "strong", baseline)
                   if diff.mu1 > 0.0 else None)
-    if strong is not None and global_drift(diff, strong.r_opt) >= STRONG_DRIFT_MIN:
+    if strong is not None and strong.regime_consistent:
         return strong
-    if global_drift(diff, weak.r_opt) <= WEAK_DRIFT_MAX or strong is None:
+    if weak.regime_consistent or strong is None:
         return weak
     warnings.warn("drift between regimes; choosing the cheaper closed form",
                   stacklevel=4)

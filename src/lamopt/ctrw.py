@@ -97,11 +97,19 @@ def sample_steps(params: MobilityParams, rng: np.random.Generator, n: int):
 
 def _gamma_law(params: MobilityParams) -> tuple[float, float]:
     """Shape and scale of the dwell law.  Gamma has no zero-variance member,
-    so ``var_time == 0`` raises DomainError."""
+    so ``var_time == 0`` raises DomainError, as does a shape or scale that
+    overflows."""
     if params.var_time <= 0.0:
         raise DomainError("gamma law requires var > 0")
-    return (params.mean_time**2 / params.var_time,
-            params.var_time / params.mean_time)
+    try:
+        shape = params.mean_time**2 / params.var_time
+        scale = params.var_time / params.mean_time
+        if math.isfinite(shape) and math.isfinite(scale):
+            return shape, scale
+    except OverflowError:
+        pass
+    raise DomainError(f"gamma dwell law overflows for mean_time {params.mean_time:g} hr "
+                      f"and var_time {params.var_time:g} hr^2")
 
 
 def sample_dwells(params: MobilityParams, rng: np.random.Generator, n: int):

@@ -232,23 +232,33 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
 
     Returns:
         DiffusionParams in km/hr and km^2/hr.
+
+    Raises:
+        DomainError: a coefficient overflows or is not finite.
     """
     m = direction_moments(params.k)
     e_len = params.mean_len
-    e_len2 = params.second_moment_len
     e_t = params.mean_time
     var_t = params.var_time
 
-    mean_x = e_len * m.e_cos
-    # Step-component variances from length/direction independence.
-    var11 = e_len2 * m.e_cos2 - mean_x**2
-    var22 = e_len2 * m.e_sin2
-    scale = 1.0 / e_t**3
-    return DiffusionParams(
-        mu1=mean_x / e_t,
-        sigma11=(var11 * e_t**2 + var_t * mean_x**2) * scale,
-        sigma22=var22 * e_t**2 * scale,
-    )
+    try:
+        e_len2 = params.second_moment_len
+        mean_x = e_len * m.e_cos
+        # Step-component variances from length/direction independence.
+        var11 = e_len2 * m.e_cos2 - mean_x**2
+        var22 = e_len2 * m.e_sin2
+        scale = 1.0 / e_t**3
+        diff = DiffusionParams(
+            mu1=mean_x / e_t,
+            sigma11=(var11 * e_t**2 + var_t * mean_x**2) * scale,
+            sigma22=var22 * e_t**2 * scale,
+        )
+        if all(map(math.isfinite, (diff.mu1, diff.sigma11, diff.sigma22))):
+            return diff
+    except ArithmeticError:
+        pass
+    raise DomainError(f"no finite diffusion limit for mean_len {e_len:g} km "
+                      f"and mean_time {e_t:g} hr")
 
 
 def global_drift(diff: DiffusionParams, radius: float) -> float:

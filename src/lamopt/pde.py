@@ -643,17 +643,12 @@ class OneDimSolution:
     L: float
     lam: float
     x_opt: float
-    t_opt: float = field(init=False)
-    _coeffs: tuple = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_coeffs", _oned_coeffs(self.mu, self.sigma,
-                                                         self.L, self.lam))
-        object.__setattr__(self, "t_opt", float(self.interval(self.x_opt)))
+    t_opt: float
+    coeffs: tuple = field(repr=False)
 
     def interval(self, x):
         """T(x) for x in [0, L]; exact closed form."""
-        return _oned_eval(self._coeffs, self.mu, self.sigma, self.L,
+        return _oned_eval(self.coeffs, self.mu, self.sigma, self.L,
                           self.lam, np.asarray(x, dtype=float))
 
 
@@ -680,13 +675,22 @@ def _oned_eval(coeffs, mu, sigma, L, lam, x):
     if lam > 0.0:
         r_pos, r_neg, a, b = coeffs
         return 1.0 / lam + a * np.exp(r_pos * (x - L)) + b * np.exp(r_neg * x)
+    return segment_interval(mu, sigma, L, x)
+
+
+def segment_interval(mu: float, sigma: float, L, x):
+    """Solution of ``(sigma/2) T'' + mu T' = -1``, ``T(0) = T(L) = 0``, at x.
+
+    Every exponent is nonpositive.  ``L`` may hold one length per point (the
+    chords of ``approx``'s strong-drift form); a zero-length segment gives 0.
+    """
+    if mu < 0.0:
+        return segment_interval(-mu, sigma, L, L - x)
     if mu == 0.0:
         return x * (L - x) / sigma
-    if mu < 0.0:
-        return _oned_eval(coeffs, -mu, sigma, L, lam, L - x)
     g = 2.0 * mu / sigma
-    denom = -math.expm1(-g * L)
-    return (L * (-np.expm1(-g * x)) - x * denom) / (mu * denom)
+    denom = -np.expm1(-g * L)
+    return (L * (-np.expm1(-g * x)) - x * denom) / (mu * np.where(denom > 0.0, denom, 1.0))
 
 
 def solve_1d(mu: float, sigma: float, L: float, lam: float = 0.0) -> OneDimSolution:
@@ -700,11 +704,14 @@ def solve_1d(mu: float, sigma: float, L: float, lam: float = 0.0) -> OneDimSolut
         raise DomainError("sigma and L must be > 0")
     if lam < 0.0:
         raise DomainError("lam must be >= 0")
+    coeffs = _oned_coeffs(mu, sigma, L, lam)
     if lam == 0.0:
         x_opt = _oned_argmax_closed(mu, sigma, L)
     else:
-        x_opt = _oned_argmax_rate(_oned_coeffs(mu, sigma, L, lam), L)
-    return OneDimSolution(mu=mu, sigma=sigma, L=L, lam=lam, x_opt=x_opt)
+        x_opt = _oned_argmax_rate(coeffs, L)
+    t_opt = float(_oned_eval(coeffs, mu, sigma, L, lam, np.asarray(x_opt)))
+    return OneDimSolution(mu=mu, sigma=sigma, L=L, lam=lam, x_opt=x_opt,
+                          t_opt=t_opt, coeffs=coeffs)
 
 
 def _oned_argmax_rate(coeffs, L: float) -> float:

@@ -30,7 +30,8 @@ the anchor.
 
 The road runs along +x, as everywhere in lamopt (see ``mobility``): the LA
 center sits ahead of the anchor on the x axis and the paging wedges are
-mirrored about it.
+mirrored about it.  The paging sub-areas are the cost model's wedges, as
+``costs.wedge_indices`` bins the interior cell centers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lamopt.costs import PROVIDERS, CostParams, build_paging_plan, joint_optimize
+from lamopt.costs import (
+    PROVIDERS,
+    CostParams,
+    build_paging_plan,
+    joint_optimize,
+    wedge_indices,
+)
 from lamopt.ctrw import sample_dwells, sample_steps
 from lamopt.errors import ConsistencyViolationError, DomainError, GeometryError
 from lamopt.hexgrid import Cell, HexGrid
@@ -52,6 +59,11 @@ STRATEGIES = ("optimal", "center")
 
 # Largest expected step count (horizon over mean dwell) of one episode.
 MAX_EPISODE_STEPS = 10**8
+# Largest LA, in cells (pi r_opt^2 at unit cell area).  The LA is built as
+# Python tuples, at about 5 us and 300 bytes per cell (peak, 2-core x86
+# host), so 1e6 cells take about 5 s and 0.3 GB; the paper's designs need
+# tens to thousands of cells.
+MAX_LA_CELLS = 10**6
 # Steps per presampled block, and per numpy pass over a block (a divisor:
 # the walk draws the next block when its chunks reach the block's end).
 _BLOCK = 65536
@@ -94,10 +106,6 @@ class EpisodeMetrics:
     C_p: float
     C_t: float
 
-    @property
-    def mean_update_interval(self) -> float:
-        return self.duration_hr / self.update_count if self.update_count else math.inf
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -136,9 +144,14 @@ def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
 
     The LA center sits ``|x_opt|`` ahead of the anchor along the road (+x),
     so the anchor gets LA-frame coordinate (x_opt, 0).  Interior cells are
-    partitioned into ``m`` wedge sub-areas fanning out from the anchor,
-    mirrored about the road axis; the anchor's own cell always belongs to
-    the first sub-area.
+    partitioned into ``m`` sub-areas, the cost model's paging wedges
+    (``costs.wedge_indices``) fanning out from the anchor and mirrored about
+    the road axis, each in the row-major order of ``HexGrid.cells_within``;
+    the anchor's own cell always belongs to the first sub-area.
+
+    Raises:
+        DomainError: the LA would hold more than ``MAX_LA_CELLS`` cells.
+        GeometryError: the threshold is below one cell diameter.
     """
     if r_opt <= 0.0 or abs(x_opt) >= r_opt:
         raise DomainError(f"need 0 < |x_opt| < r_opt, got x_opt={x_opt}, r_opt={r_opt}")
@@ -146,6 +159,11 @@ def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
         raise GeometryError(
             f"threshold {r_opt:.3g} km below one cell diameter {2 * grid.size:.3g} km"
         )
+    cells = math.pi * r_opt * r_opt  # cells have unit area
+    if not cells <= MAX_LA_CELLS:
+        raise DomainError(
+            f"threshold {r_opt:.4g} km gives an LA of about {cells:.3g} cells, "
+            f"more than the {MAX_LA_CELLS:.0e} an LA may hold")
     ox, oy = y_tau[0] + abs(x_opt), y_tau[1]
 
     interior = grid.cells_within((ox, oy), r_opt)
@@ -155,17 +173,14 @@ def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
         if nbr not in interior_set
     )
 
-    plan = build_paging_plan(m, var_theta)
-    cum = plan.cumulative[1:-1]
+    plan = build_paging_plan(m, var_theta, anchor_x=y_tau[0])
+    px, py = np.array([grid.center(c) for c in interior]).T
+    idx = wedge_indices(plan, px, py - y_tau[1])
     anchor_cell = grid.cell_of(*y_tau)
+    idx[[c == anchor_cell for c in interior]] = 0
     lists: list[list[Cell]] = [[] for _ in range(m)]
-    for c in interior:
-        if c == anchor_cell:
-            lists[0].append(c)
-            continue
-        px, py = grid.center(c)
-        ang = math.atan2(abs(py - y_tau[1]), px - y_tau[0])
-        lists[int(np.searchsorted(cum, ang, side="left"))].append(c)
+    for c, i in zip(interior, idx):
+        lists[i].append(c)
     return LocationArea(
         center=(ox, oy), radius=r_opt, initial_position=y_tau,
         boundary_cells=boundary, interior_cells=interior_set,

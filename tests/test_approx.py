@@ -11,6 +11,7 @@ from lamopt.approx import (
     RegimeOptimum,
     asymptotic_optimum,
     drift_moment_residual,
+    drift_regime,
     galerkin_interval,
     galerkin_solution,
     optimal_offset,
@@ -357,6 +358,13 @@ class TestAsymptoticOptimum:
         diff = compute_diffusion(default_mobility(1e6))
         opt = asymptotic_optimum(diff, self.COSTS, "strong")
         assert -opt.r_opt < opt.x_opt < -0.9 * opt.r_opt
+
+    def test_drift_regime_thresholds(self):
+        # global drift 2 mu1 R / s11 = R here; both thresholds are inclusive
+        diff = DiffusionParams(1.0, 2.0, 2.0)
+        assert drift_regime(diff, 1.0) == "weak"
+        assert drift_regime(diff, 5.0) is None
+        assert drift_regime(diff, 10.0) == "strong"
 
     def test_regime_consistency_flag(self):
         diff = compute_diffusion(default_mobility(0.0))

@@ -165,6 +165,48 @@ class TestOptimizeAndSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "cell diameter" in err[0]
 
+    def test_unbounded_la_rejected(self, tmp_path, capsys):
+        # 1000 km steps put the optimal threshold at about 7200 km, an LA of
+        # about 1.6e8 cells: refused before any cell is listed
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("mean_len_m = 1e9\n")
+        out = tmp_path / "x.csv"
+        t0 = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "cells" in err[0]
+
+    @pytest.mark.parametrize("line, argv, names", [
+        # the diffusion coefficients divide by an underflowed mean_time^3,
+        # or overflow, or come out infinite
+        ("E_eta_s = 1e-300", ["optimize"], "mean_time"),
+        ("E_eta_s = 1e-300", ["fig5"], "mean_time"),
+        ("E_eta_s = 1e-300", ["fig7"], "mean_time"),
+        ("E_eta_s = 1e-110", ["optimize"], "mean_time"),
+        ("E_eta_s = 1e-110", ["fig5"], "mean_time"),
+        ("E_eta_s = 1e-100", ["fig5"], "mean_time"),
+        ("E_eta_s = 1e-100", ["optimize", "--provider", "asymptotic"], "mean_time"),
+        ("E_eta_s = 1e150", ["optimize"], "mean_time"),
+        ("E_eta_s = 1e300", ["fig5"], "mean_time"),
+        ("mean_len_m = 1e160", ["optimize"], "mean_len"),
+        # the squared dwell mean of the gamma law overflows
+        ("E_eta_s = 1e300", ["simulate", "--mode", "ctrw", "--trials", "10",
+                             "--x-km", "0"], "mean_time"),
+        # the step-length variance underflows to a zero diffusion
+        ("mean_len_m = 1e-160", ["optimize", "--provider", "asymptotic"],
+         "diffusion trace"),
+    ])
+    def test_extreme_step_scale_rejected(self, tmp_path, capsys, line, argv, names):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and names in err[0]
+
     @pytest.mark.parametrize("mode", ["episode", "ctrw"])
     @pytest.mark.parametrize("var", ["0", "-1"])
     def test_simulate_rejects_dwell_variance_not_positive(self, tmp_path, capsys, mode, var):

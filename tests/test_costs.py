@@ -281,7 +281,8 @@ class TestOptimizePair:
     def test_dense_fallback_shared(self, solves, monkeypatch):
         # a cost with three minima in log R sends both baselines to the
         # dense scan, which is also solved once for both
-        def bumpy(solution, R, baseline):
+        def bumpy(solution, baseline):
+            R = solution.R
             paging = COSTS.lam * math.pi * R * R * COSTS.V
             target = 1e5 * (1.1 + math.cos(3.0 * math.log(R))) + (baseline == "center")
             return COSTS.U / (target - paging), 0.0

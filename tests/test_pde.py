@@ -22,6 +22,7 @@ from lamopt.pde import (
     _oned_coeffs,
     assemble_operator,
     mean_interval_general,
+    segment_interval,
     solve_1d,
     solve_forward,
     solve_mean_interval,
@@ -408,6 +409,18 @@ class TestOneDim:
         for L in (4.0, 10.0):
             s = solve_1d(mu, sigma, L, 0.0)
             assert float(s.interval(L / 2)) == pytest.approx(L**2 / 4, rel=1e-12)
+
+    def test_segment_form_takes_a_length_per_point(self):
+        # one call over segments of different lengths matches solve_1d on
+        # each, and a zero-length segment gives 0
+        Ls = np.array([0.0, 0.5, 2.0, 30.0])
+        xs = np.array([0.0, 0.1, 1.5, 29.0])
+        for mu in (-0.7, 0.0, 0.7):
+            vals = segment_interval(mu, 1.3, Ls, xs)
+            assert vals[0] == 0.0
+            expected = [float(solve_1d(mu, 1.3, L).interval(x))
+                        for L, x in zip(Ls[1:], xs[1:])]
+            np.testing.assert_allclose(vals[1:], expected, rtol=1e-14)
 
     def test_argmax_limit_small_drift(self):
         s = solve_1d(1e-6, 1.0, 1.0, 0.0)

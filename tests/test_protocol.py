@@ -405,7 +405,7 @@ class TestRunEpisode:
         assert m.C_t == pytest.approx(m.C_u + m.C_p)
         # cost identity: empirical update cost is U over the mean interval
         assert m.C_u == pytest.approx(
-            self._scenario().costs.U / m.mean_update_interval)
+            self._scenario().costs.U / (m.duration_hr / m.update_count))
         assert m.paging_failures == 0
 
     def test_zero_rate_transit_interval(self):
@@ -422,8 +422,9 @@ class TestRunEpisode:
                 design=(-4.084, 4.152), duration_hr=300.0))
         expected = 2.0 * 4.152 / diff.mu1
         assert m.calls == 0
-        assert m.mean_update_interval == pytest.approx(expected, rel=0.08)
-        assert m.mean_update_interval > expected  # bias is one-sided
+        interval = m.duration_hr / m.update_count
+        assert interval == pytest.approx(expected, rel=0.08)
+        assert interval > expected  # bias is one-sided
 
     def test_center_strategy_pays_more(self):
         with warnings.catch_warnings():
