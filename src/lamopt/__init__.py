@@ -11,24 +11,4 @@ and builds on them the cost model (``costs``) and a cell-level protocol
 simulation (``protocol``).  ``cli`` exposes everything as subcommands.
 """
 
-from lamopt.mobility import (
-    DiffusionParams,
-    DirectionMoments,
-    MobilityParams,
-    compute_diffusion,
-    direction_moments,
-    direction_pdf,
-    global_drift,
-)
-
-__all__ = [
-    "DiffusionParams",
-    "DirectionMoments",
-    "MobilityParams",
-    "compute_diffusion",
-    "direction_moments",
-    "direction_pdf",
-    "global_drift",
-]
-
 __version__ = "0.1.0"

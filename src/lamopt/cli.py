@@ -28,7 +28,7 @@ from lamopt.approx import (
     optimal_offset,
     trial_offset_scale,
 )
-from lamopt.config import DEFAULTS, mobility_from_config, parse_config
+from lamopt.config import DEFAULTS, SCENARIO_KEYS, mobility_from_config, parse_config
 from lamopt.costs import (  # joint_optimize: the one-baseline search, kept public here
     PROVIDERS,
     CostParams,
@@ -165,14 +165,9 @@ def cmd_simulate(args) -> int:
         raise DomainError(f"Var_eta_s2 must be > 0 for simulate: the Monte-Carlo and "
                           f"protocol routes draw gamma dwells, got {cfg['Var_eta_s2']}")
     if args.mode == "episode":
-        scenario = Scenario(
-            mobility=mobility_from_config(cfg),
-            costs=_costs_from_cfg(cfg),
-            strategy=str(cfg.get("strategy", "optimal")),
-            duration_hr=float(cfg.get("duration_hr", 100.0)),
-            seed=int(cfg.get("seed", 0)),
-            provider=str(cfg.get("provider", "asymptotic")),
-        )
+        scenario = Scenario(mobility=mobility_from_config(cfg),
+                            costs=_costs_from_cfg(cfg),
+                            **{key: cfg[key] for key in SCENARIO_KEYS if key in cfg})
         m = run_episode(scenario)
         header = ["strategy", "k", "lambda_per_hr", "duration_hr", "updates",
                   "boundary_updates", "call_updates", "cells_paged",
@@ -267,6 +262,9 @@ def main(argv=None) -> int:
     except (DomainError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

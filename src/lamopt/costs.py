@@ -23,6 +23,12 @@ from lamopt.pde import DiscGrid, ScalarField, solve_mean_interval
 PROVIDERS = ("pde", "galerkin", "asymptotic")
 BASELINES = ("offset", "center")
 
+# The radius search: bracket in km, golden-section tolerance in log R, and
+# points of the coarse scan.
+_R_BRACKET = (1e-2, 1e2)
+_SEARCH_RTOL = 1e-4
+_SCAN_POINTS = 25
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -244,9 +250,7 @@ def _solve_at_radius(mobility: MobilityParams, diff, costs: CostParams,
     if provider == "galerkin":
         a = trial_offset_scale(mobility, R, diff)
         return galerkin_solution(diff, R, costs.lam, a)
-    if provider == "pde":
-        return solve_mean_interval(diff, R, costs.lam, DiscGrid(R, R / pde_nodes))
-    raise DomainError(f"unknown provider {provider!r}")
+    return solve_mean_interval(diff, R, costs.lam, DiscGrid(R, R / pde_nodes))
 
 
 def _design(solution, baseline: str) -> tuple[float, float]:
@@ -258,14 +262,15 @@ def _design(solution, baseline: str) -> tuple[float, float]:
     return float(solution.interval(x, 0.0)), x
 
 
-def _golden_section(fn, lo: float, hi: float, rel_tol: float) -> float:
-    """Golden-section minimizer on [lo, hi] (argument returned)."""
+def _golden_section(fn, lo: float, hi: float) -> float:
+    """Golden-section minimizer on [lo, hi] to ``_SEARCH_RTOL`` (argument
+    returned)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while abs(b - a) > rel_tol:
+    while abs(b - a) > _SEARCH_RTOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -279,17 +284,15 @@ def _golden_section(fn, lo: float, hi: float, rel_tol: float) -> float:
 
 def joint_optimize(mobility: MobilityParams, costs: CostParams,
                    provider: str = "galerkin", baseline: str = "offset",
-                   r_bounds: tuple[float, float] = (1e-2, 1e2),
-                   rel_tol: float = 1e-4, scan_points: int = 25,
                    pde_nodes: int = 64) -> OptimizationResult:
     """Minimize update plus whole-region paging cost over radius and offset.
 
     For each candidate radius the offset is the interval maximizer (the
     closed-form trial optimum for the galerkin provider, an axis grid search
     for the pde provider), reducing the problem to one variable; the outer
-    radius search is golden-section on log R after a coarse scan.  A coarse
-    scan showing multiple local minima triggers a dense-scan fallback with a
-    warning.
+    radius search is golden-section on log R over R in [0.01, 100] km after
+    a coarse scan.  A coarse scan showing multiple local minima triggers a
+    dense-scan fallback with a warning.
 
     Args:
         provider: "pde", "galerkin", or "asymptotic" (closed forms; regime
@@ -298,15 +301,16 @@ def joint_optimize(mobility: MobilityParams, costs: CostParams,
 
     Returns:
         OptimizationResult with cost in cost-units per hour.
+
+    Raises:
+        DomainError: the optimum radius sits on an end of the search
+            bracket, so the true optimum lies outside it.
     """
-    return _optimize(mobility, costs, provider, (baseline,), r_bounds, rel_tol,
-                     scan_points, pde_nodes)[0]
+    return _optimize(mobility, costs, provider, (baseline,), pde_nodes)[0]
 
 
 def optimize_pair(mobility: MobilityParams, costs: CostParams,
                   provider: str = "galerkin",
-                  r_bounds: tuple[float, float] = (1e-2, 1e2),
-                  rel_tol: float = 1e-4, scan_points: int = 25,
                   pde_nodes: int = 64) -> tuple[OptimizationResult, OptimizationResult]:
     """The offset and the center optimum, each at its own radius.
 
@@ -318,14 +322,12 @@ def optimize_pair(mobility: MobilityParams, costs: CostParams,
     Returns:
         (offset result, center result).
     """
-    offset, center = _optimize(mobility, costs, provider, BASELINES, r_bounds,
-                               rel_tol, scan_points, pde_nodes)
+    offset, center = _optimize(mobility, costs, provider, BASELINES, pde_nodes)
     return offset, center
 
 
 def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
-              baselines: tuple[str, ...], r_bounds: tuple[float, float],
-              rel_tol: float, scan_points: int,
+              baselines: tuple[str, ...],
               pde_nodes: int) -> list[OptimizationResult]:
     """Joint optimum for each baseline, from one shared coarse scan."""
     if provider not in PROVIDERS:
@@ -347,7 +349,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
             ))
         return results
 
-    lo, hi = math.log(r_bounds[0]), math.log(r_bounds[1])
+    lo, hi = math.log(_R_BRACKET[0]), math.log(_R_BRACKET[1])
 
     def solve(lr: float):
         return _solve_at_radius(mobility, diff, costs, provider, math.exp(lr),
@@ -367,10 +369,10 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
                 vals[b][i] = cost(lr, solution, b)
         return grid, vals
 
-    grid, vals = scan(scan_points, baselines)
+    grid, vals = scan(_SCAN_POINTS, baselines)
     unimodal = {}
     for b, v in vals.items():
-        n_minima = sum(1 for i in range(1, scan_points - 1)
+        n_minima = sum(1 for i in range(1, _SCAN_POINTS - 1)
                        if v[i] < v[i - 1] and v[i] < v[i + 1])
         unimodal[b] = n_minima <= 1
         if not unimodal[b]:
@@ -378,7 +380,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
                           stacklevel=3)
     dense = [b for b in baselines if not unimodal[b]]
     if dense:
-        dense_grid, dense_vals = scan(scan_points * 8, dense)
+        dense_grid, dense_vals = scan(_SCAN_POINTS * 8, dense)
 
     results = []
     for b in baselines:
@@ -386,8 +388,12 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
         i = int(np.argmin(v))
         lo_b, hi_b = g[max(i - 1, 0)], g[min(i + 1, g.size - 1)]
         lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr), b),
-                                 lo_b, hi_b, rel_tol)
+                                 lo_b, hi_b)
         r_opt = math.exp(lr_opt)
+        if min(lr_opt - lo, hi - lr_opt) <= _SEARCH_RTOL:
+            raise DomainError(
+                f"{b} optimum R = {r_opt:.6g} km sits on the search bracket "
+                f"[{_R_BRACKET[0]:g}, {_R_BRACKET[1]:g}] km")
         t_opt, x_opt = _design(solve(lr_opt), b)
         c_min = update_cost(t_opt, costs.U) + costs.lam * math.pi * r_opt**2 * costs.V
         results.append(OptimizationResult(x_opt=x_opt, r_opt=r_opt, c_min=c_min,
@@ -413,11 +419,11 @@ def _auto_regime_optimum(diff, costs, baseline: str):
 
 
 def saving_ratio(mobility: MobilityParams, costs: CostParams,
-                 provider: str = "galerkin", **kwargs) -> float:
+                 provider: str = "galerkin", pde_nodes: int = 64) -> float:
     """Relative cost reduction of the optimal offset over the centered start.
 
     Both baselines re-optimize their own radius.  Nonnegative; approaches
     ``1 - 4^(-1/3) ~ 0.370`` in the strongly drifted small-call-rate limit.
     """
-    opt, ctr = optimize_pair(mobility, costs, provider, **kwargs)
+    opt, ctr = optimize_pair(mobility, costs, provider, pde_nodes)
     return (ctr.c_min - opt.c_min) / ctr.c_min

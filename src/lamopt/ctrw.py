@@ -21,7 +21,6 @@ horizon with the law its estimand needs:
   (1 - E[phi^N]) / lam = (q / lam) E[min(N, K)]`` with ``q = 1 - phi``, so
   ``(q / lam) * steps`` is an exact per-trial value.  At ``lam == 0`` there
   is no horizon and the value is ``mean_time * steps`` (Wald).
-* ``mean_exit_steps``: no horizon.
 * ``surviving_positions`` at time ``t``: ``M = max{m : S_m <= t}``, the
   number of jumps completed by ``t``, from the dwell partial sums ``S_m``.
 
@@ -246,22 +245,6 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
         values.append(per_step * walk.steps[~walk.censored])
         censored += int(walk.censored.sum())
     return _mean_ci(values, censored)
-
-
-def mean_exit_steps(X, R: float, params: MobilityParams,
-                    cfg: SimConfig) -> EstimateWithCI:
-    """Mean number of displacements before first exit (no call truncation).
-
-    Raises:
-        DomainError: every trial was censored at ``max_steps``.
-    """
-    x0, y0 = _check_start(X, R)
-    counts, censored = [], 0
-    for rng, n in _chunks(cfg):
-        walk = _walk_chunk(x0, y0, R, None, params, rng, n, cfg.max_steps)
-        counts.append(walk.steps[~walk.censored].astype(float))
-        censored += int(walk.censored.sum())
-    return _mean_ci(counts, censored)
 
 
 # ---------------------------------------------------------------------------

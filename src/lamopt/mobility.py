@@ -28,45 +28,17 @@ import numpy as np
 
 from lamopt.errors import DegenerateDiffusionError, DomainError
 
-_TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # direction family: double-exponential density about the preferred axis
 # ---------------------------------------------------------------------------
 
-def direction_pdf(k: float, theta: float | np.ndarray) -> float | np.ndarray:
-    """Density of the turn angle about the preferred direction.
-
-    ``f(k, theta) = k exp(-k|theta|) / (2 (1 - exp(-k pi)))`` on [-pi, pi].
-    ``k = 0`` is the uniform limit 1/(2 pi); large ``k`` concentrates all
-    mass on ``theta = 0``.
-
-    Args:
-        k: concentration factor, ``k >= 0``.
-        theta: angle(s) in radians, each in [-pi, pi].
-
-    Returns:
-        Density value(s), 1/rad.
-    """
-    if k < 0.0 or not math.isfinite(k):
-        raise DomainError(f"concentration factor must be finite and >= 0, got {k}")
-    th = np.asarray(theta, dtype=float)
-    if np.any(np.abs(th) > math.pi + 1e-12):
-        raise DomainError("angle outside [-pi, pi]")
-    if k == 0.0:
-        out = np.full_like(th, 1.0 / _TWO_PI)
-    else:
-        norm = -2.0 * math.expm1(-k * math.pi)
-        out = k * np.exp(-k * np.abs(th)) / norm
-    return float(out) if np.isscalar(theta) else out
-
-
 def sample_direction(k: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` turn angles by exact inverse-CDF of the double-exponential law.
 
-    The positive half is a truncated exponential on [0, pi]; a fair sign flip
-    restores the symmetric law.
+    The law has density ``k exp(-k|theta|) / (2 (1 - exp(-k pi)))`` on
+    [-pi, pi], uniform at ``k = 0``.  The positive half is a truncated
+    exponential on [0, pi]; a fair sign flip restores the symmetric law.
     """
     if k < 0.0:
         raise DomainError(f"concentration factor must be >= 0, got {k}")
@@ -234,7 +206,8 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
         DiffusionParams in km/hr and km^2/hr.
 
     Raises:
-        DomainError: a coefficient overflows or is not finite.
+        DomainError: a coefficient overflows or is not finite, or
+            ``sigma11`` underflows to 0 (for a step length near 1e-160 km).
     """
     m = direction_moments(params.k)
     e_len = params.mean_len
@@ -254,7 +227,10 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
             sigma22=var22 * e_t**2 * scale,
         )
         if all(map(math.isfinite, (diff.mu1, diff.sigma11, diff.sigma22))):
-            return diff
+            if diff.sigma11 > 0.0:
+                return diff
+            raise DomainError(f"the diffusion trace underflows to 0 for mean_len "
+                              f"{e_len:g} km and mean_time {e_t:g} hr")
     except ArithmeticError:
         pass
     raise DomainError(f"no finite diffusion limit for mean_len {e_len:g} km "

@@ -49,6 +49,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _RESIDUAL_TARGET = 1e-10
+# Largest truncated tail ``mean_interval_general`` accepts, relative to
+# the integral it returns.
+_TAIL_RTOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +169,9 @@ class DiscGrid:
     is one memoized ``_Lattice``; a grid adds only the float geometry.
     """
 
-    def __init__(self, R: float, h: float | None = None):
+    def __init__(self, R: float, h: float):
         if R <= 0.0:
             raise DomainError(f"radius must be > 0, got {R}")
-        if h is None:
-            h = R / 64.0
         if h <= 0.0 or h > R / 2.0:
             raise DomainError(f"spacing {h} incompatible with radius {R}")
         self.R = float(R)
@@ -409,7 +410,7 @@ def _half_system(A: sp.csr_matrix, grid: DiscGrid) -> tuple[sp.csc_matrix, np.nd
 
 
 def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
-                        grid: DiscGrid | None = None) -> ScalarField:
+                        grid: DiscGrid) -> ScalarField:
     """Solve the stationary equation for the mean update interval T(X).
 
     ``s11/2 T_xx + s22/2 T_yy + mu1 T_x - lam T = -1`` with T = 0 on the
@@ -426,8 +427,6 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
         ScalarField of T over the grid; nonnegative, and bounded by 1/lam
         when ``lam > 0``.
     """
-    if grid is None:
-        grid = DiscGrid(R)
     if abs(grid.R - R) > 1e-12 * R:
         raise DomainError("grid radius does not match R")
     A = assemble_operator(diff, grid, lam)
@@ -452,12 +451,6 @@ class SurvivalCurve:
 
     times: np.ndarray
     values: np.ndarray
-    start: tuple[float, float]
-
-    def integral(self) -> float:
-        """Trapezoid integral of the curve: the mean exit time when the
-        horizon covers the decay."""
-        return float(np.trapezoid(self.values, self.times))
 
 
 def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
@@ -480,8 +473,7 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
         out[s] = sum(w * g[idx] for idx, w in weights)
     if np.any(out < -1e-9) or np.any(out > 1.0 + 1e-9):
         raise NumericalError("survival probability escaped [0, 1]")
-    return SurvivalCurve(times=tgrid.times, values=np.clip(out, 0.0, 1.0),
-                         start=(x0, y0))
+    return SurvivalCurve(times=tgrid.times, values=np.clip(out, 0.0, 1.0))
 
 
 @dataclass
@@ -581,17 +573,16 @@ class NeverArrival:
         return math.inf
 
 
-def mean_interval_general(curve: SurvivalCurve, arrival,
-                          rel_tol: float = 1e-4) -> float:
+def mean_interval_general(curve: SurvivalCurve, arrival) -> float:
     """Mean update interval for a general call-arrival law.
 
     Integrates ``G(X, t) P(gap >= t)`` over the sampled horizon by the
     trapezoid rule and bounds the truncated tail; the survival curve must be
-    sampled densely enough for the requested relative accuracy.
+    sampled densely enough for a relative accuracy of ``_TAIL_RTOL``.
 
     Raises:
         NumericalError: the estimated tail beyond the horizon exceeds
-            ``rel_tol`` of the integral (extend the horizon).
+            ``_TAIL_RTOL`` of the integral (extend the horizon).
     """
     times, values = curve.times, curve.values
     support_end = getattr(arrival, "support_end", math.inf)
@@ -610,9 +601,9 @@ def mean_interval_general(curve: SurvivalCurve, arrival,
         tail = g_end * _decay_time(curve)
     else:
         tail = g_end * arr_tail
-    if tail > rel_tol * max(value, 1e-300):
+    if tail > _TAIL_RTOL * max(value, 1e-300):
         raise NumericalError(
-            f"truncated tail {tail:.3e} exceeds {rel_tol:.0e} of {value:.3e}; extend t_max"
+            f"truncated tail {tail:.3e} exceeds {_TAIL_RTOL:.0e} of {value:.3e}; extend t_max"
         )
     return value
 

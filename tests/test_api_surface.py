@@ -1,0 +1,89 @@
+"""Every public name in ``src/lamopt`` has a caller outside the tests.
+
+The guard reads the package modules (``__init__.py`` aside), ``bench/`` and
+``scripts/`` as syntax trees.  A public top-level function or class, or a
+public method of one, counts as used when its name appears outside its own
+definition as a name, an attribute, an imported name or an exact string
+constant (``bench/tracing.py`` names some of the functions it wraps by
+string).  A decorated function or method is left out: its decorator
+registers or wraps it, as ``validate``'s ``@_check`` does.  A name only the
+tests reach belongs in the tests.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lamopt"
+
+# Kept without a caller, each for the reason given.
+ALLOWED_UNUSED = {
+    "ExponentialArrival": "a call-arrival law for mean_interval_general, "
+                          "to be wired to the CLI (ROADMAP direction 7)",
+    "DeterministicArrival": "a call-arrival law for mean_interval_general, "
+                            "to be wired to the CLI (ROADMAP direction 7)",
+}
+
+
+def _trees() -> dict[Path, ast.Module]:
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    for folder in ("bench", "scripts"):
+        files += sorted((ROOT / folder).rglob("*.py"))
+    return {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
+
+
+def _uses(node: ast.AST) -> Counter:
+    """Names used anywhere under ``node``."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found[n.value] += 1
+    return found
+
+
+def _undecorated_public(node: ast.AST) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.decorator_list and not node.name.startswith("_"))
+
+
+def _public_definitions(tree: ast.Module):
+    """``(name, node)`` of each public top-level class and undecorated
+    function, and of each undecorated public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in filter(_undecorated_public, node.body):
+                yield item.name, item
+        elif _undecorated_public(node):
+            yield node.name, node
+
+
+def unused_public_names() -> set[str]:
+    trees = _trees()
+    total = Counter()
+    for tree in trees.values():
+        total.update(_uses(tree))
+    unused = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for name, node in _public_definitions(tree):
+            if total[name] - _uses(node)[name] <= 0:
+                unused.add(name)
+    return unused
+
+
+def test_every_public_name_has_a_caller():
+    assert unused_public_names() == set(ALLOWED_UNUSED)
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lamopt
+from lamopt import cli
 from lamopt.cli import main
 from lamopt.config import DEFAULTS, SCENARIO_KEYS
 from lamopt.validate import CHECKS, run_checks
@@ -197,6 +198,14 @@ class TestOptimizeAndSimulate:
         # the step-length variance underflows to a zero diffusion
         ("mean_len_m = 1e-160", ["optimize", "--provider", "asymptotic"],
          "diffusion trace"),
+        ("mean_len_m = 1e-160", ["fig5"], "diffusion trace"),
+        ("mean_len_m = 1e-160", ["fig6"], "diffusion trace"),
+        ("mean_len_m = 1e-160", ["fig7"], "diffusion trace"),
+        ("mean_len_m = 1e-160", ["fig8"], "diffusion trace"),
+        ("mean_len_m = 1e-160", ["optimize"], "diffusion trace"),
+        ("mean_len_m = 1e-160", ["simulate"], "diffusion trace"),
+        ("mean_len_m = 1e-160", ["simulate", "--mode", "ctrw", "--trials", "10"],
+         "diffusion trace"),
     ])
     def test_extreme_step_scale_rejected(self, tmp_path, capsys, line, argv, names):
         cfg = tmp_path / "bad.cfg"
@@ -206,6 +215,31 @@ class TestOptimizeAndSimulate:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and names in err[0]
+
+    @pytest.mark.parametrize("line", [
+        "lambda_per_hr = 1e-9",  # paging is nearly free: R wants to grow
+        "U = 1e-12",             # updates are nearly free: R wants to shrink
+        "mean_len_m = 1e9",
+    ])
+    def test_optimum_on_search_bound_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "search bracket [0.01, 100] km" in err[0]
+
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "fig5_rows", broken)
+        out = tmp_path / "x.csv"
+        assert main(["fig5", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "internal error: RuntimeError: boom"]
 
     @pytest.mark.parametrize("mode", ["episode", "ctrw"])
     @pytest.mark.parametrize("var", ["0", "-1"])

@@ -217,8 +217,7 @@ class TestJointOptimize:
             assert cost_at(opt.r_opt * 0.95, centered) > opt.c_min
 
     def test_pde_provider_runs(self):
-        r = joint_optimize(default_mobility(0.5), COSTS, "pde",
-                           r_bounds=(0.3, 4.0), scan_points=9, pde_nodes=32)
+        r = joint_optimize(default_mobility(0.5), COSTS, "pde", pde_nodes=32)
         assert 0.3 < r.r_opt < 4.0
         assert r.x_opt < 0.0
         assert r.c_min > 0.0
@@ -229,6 +228,16 @@ class TestJointOptimize:
         with pytest.raises(DomainError):
             joint_optimize(default_mobility(0.5),
                            CostParams(lam=0.0, U=20.0, V=1.0), "galerkin")
+
+    @pytest.mark.parametrize("baseline", ["offset", "center"])
+    @pytest.mark.parametrize("cost, bound", [
+        (CostParams(lam=1e-9, U=20.0, V=1.0), "99.99"),   # R wants to grow
+        (CostParams(lam=2.0, U=1e-12, V=1.0), "0.0100"),  # R wants to shrink
+    ])
+    def test_optimum_on_search_bound_rejected(self, baseline, cost, bound):
+        with pytest.raises(DomainError, match=rf"{baseline} optimum R = {bound}.* "
+                                              r"sits on the search bracket \[0.01, 100\]"):
+            joint_optimize(default_mobility(0.5), cost, "galerkin", baseline=baseline)
 
     @pytest.mark.parametrize("provider", PROVIDERS)
     def test_unknown_baseline_rejected(self, provider):

@@ -16,7 +16,6 @@ from lamopt.ctrw import (
     _mean_ci,
     _walk_chunk,
     estimate_T,
-    mean_exit_steps,
     sample_dwells,
     sample_steps,
     surviving_positions,
@@ -34,6 +33,21 @@ def brownian_surrogate(mean_len: float = 0.02) -> MobilityParams:
     mean_time = mean_len**2  # exponential lengths: E[len^2] = 2 mean^2
     return MobilityParams(k=0.0, mean_len=mean_len, mean_time=mean_time,
                           var_time=(0.1 * mean_time) ** 2)
+
+
+def mean_exit_steps(X, R, params, cfg):
+    """Mean number of displacements before first exit (no call truncation).
+
+    By Wald's identity this is ``estimate_T`` at ``lam = 0`` divided by
+    ``mean_time``; the tests read it as a step count.
+    """
+    x0, y0 = _check_start(X, R)
+    counts, censored = [], 0
+    for rng, n in _chunks(cfg):
+        walk = _walk_chunk(x0, y0, R, None, params, rng, n, cfg.max_steps)
+        counts.append(walk.steps[~walk.censored].astype(float))
+        censored += int(walk.censored.sum())
+    return _mean_ci(counts, censored)
 
 
 # ---------------------------------------------------------------------------

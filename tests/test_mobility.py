@@ -16,10 +16,30 @@ from lamopt.mobility import (
     MobilityParams,
     compute_diffusion,
     direction_moments,
-    direction_pdf,
     global_drift,
     sample_direction,
 )
+
+
+def direction_pdf(k: float, theta: float | np.ndarray) -> float | np.ndarray:
+    """Density of the turn angle about the preferred direction.
+
+    ``f(k, theta) = k exp(-k|theta|) / (2 (1 - exp(-k pi)))`` on [-pi, pi];
+    ``k = 0`` is the uniform limit 1/(2 pi).  The moment quadratures below
+    integrate against it.
+    """
+    if k < 0.0 or not math.isfinite(k):
+        raise DomainError(f"concentration factor must be finite and >= 0, got {k}")
+    th = np.asarray(theta, dtype=float)
+    if np.any(np.abs(th) > math.pi + 1e-12):
+        raise DomainError("angle outside [-pi, pi]")
+    if k == 0.0:
+        out = np.full_like(th, 1.0 / (2.0 * math.pi))
+    else:
+        norm = -2.0 * math.expm1(-k * math.pi)
+        out = k * np.exp(-k * np.abs(th)) / norm
+    return float(out) if np.isscalar(theta) else out
+
 
 TABLE_MEAN_LEN = 0.02          # km
 TABLE_MEAN_TIME = 8.0 / 3600.0  # hr

@@ -181,10 +181,6 @@ class TestDiscGrid:
         assert g.node_index(0, 0) >= 0
         assert g.n_nodes == pytest.approx(math.pi * 32**2, rel=0.05)
 
-    def test_default_spacing(self):
-        g = DiscGrid(2.0)
-        assert g.h == pytest.approx(2.0 / 64)
-
     def test_all_nodes_strictly_inside(self):
         g = DiscGrid(1.0, 1.0 / 24)
         assert np.all(g.x**2 + g.y**2 < 1.0)
