@@ -30,7 +30,7 @@ from lamopt.errors import (
     RegimeWarning,
 )
 from lamopt.mobility import DiffusionParams, MobilityParams, compute_diffusion, global_drift
-from lamopt.pde import segment_interval, solve_1d
+from lamopt.pde import segment_argmax, segment_interval
 
 WEAK_DRIFT_MAX = 1.0     # global drift at or below this: weak regime
 STRONG_DRIFT_MIN = 10.0  # global drift at or above this: strong regime
@@ -165,7 +165,7 @@ def strong_drift_argmax(diff: DiffusionParams, R: float) -> float:
     """Offset maximizing the strong-drift interval on the drift axis: the
     segment maximizer on the diameter ``[-R, R]``; tends to -R as the global
     drift grows."""
-    return solve_1d(diff.mu1, diff.sigma11, 2.0 * R).x_opt - R
+    return segment_argmax(diff.mu1, diff.sigma11, 2.0 * R) - R
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,8 @@ def cmd_simulate(args) -> int:
             x = optimal_offset(trial_offset_scale(mob, R), R)
         else:
             x = args.x_km
-        sim = SimConfig(n_trials=args.trials, seed=int(cfg.get("seed", 0)))
+        sim = SimConfig(n_trials=args.trials,
+                        **{key: cfg[key] for key in ("seed",) if key in cfg})
         est = estimate_T((x, 0.0), R, lam, mob, sim)
         header = ["k", "lambda_per_hr", "x_km", "R_km", "mean_T_hr",
                   "ci_half_width", "n", "censored_count"]

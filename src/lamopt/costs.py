@@ -163,20 +163,13 @@ def paging_cost(plan: PagingPlan, density: ScalarField, lam: float, V: float,
     ``P_i`` integrates the surviving-position density over wedge i and
     ``A_i`` is its exact area.  Mode "paper" charges ``lam V sum P_i A_i``;
     mode "cumulative" charges the sequential-polling expectation
-    ``lam V sum_i P_i (A_1 + ... + A_i)``.  Both reduce to the whole-region
-    cost ``lam V pi R^2`` for a single round.
+    ``lam V sum_i P_i (A_1 + ... + A_i)``.  ``paging_breakdown_at`` checks
+    the mode at entry and charges a single round itself.
 
     Returns:
         (C_p, P_i tuple, A_i tuple).
     """
-    if mode not in ("paper", "cumulative"):
-        raise DomainError(f"unknown paging mode {mode!r}")
-    R = density.grid.R
-    if plan.m == 1:
-        area = math.pi * R * R
-        mass = density.integral()
-        return lam * V * area, (mass,), (area,)
-    areas = region_areas(plan, R)
+    areas = region_areas(plan, density.grid.R)
     idx = wedge_indices(plan, density.grid.x, density.grid.y)
     masses = np.zeros(plan.m)
     np.add.at(masses, idx, density.values * density.grid.h**2)
@@ -203,9 +196,11 @@ def paging_breakdown_at(mobility: MobilityParams, costs: CostParams,
 
     Solves the mean interval T at the start point, evolves the
     surviving-position density to exactly t = T, and charges the wedge
-    partition under the chosen mode.  With a single paging round this reduces
-    to the whole-region cost ``lam V pi R^2``.
+    partition under the chosen mode.  A single paging round is charged the
+    whole-region cost ``lam V pi R^2`` at probability 1, in either mode.
     """
+    if mode not in ("paper", "cumulative"):
+        raise DomainError(f"unknown paging mode {mode!r}")
     from lamopt.mobility import direction_moments
     from lamopt.pde import TimeGrid, solve_forward
 

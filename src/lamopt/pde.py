@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -273,9 +273,6 @@ class ScalarField:
             if denom < 0:
                 return float(xs[b] + 0.5 * self.grid.h * (vals[b - 1] - vals[b + 1]) / denom)
         return float(xs[b])
-
-    def integral(self) -> float:
-        return float(self.values.sum() * self.grid.h**2)
 
 
 @dataclass(frozen=True)
@@ -625,50 +622,6 @@ def _decay_time(curve: SurvivalCurve) -> float:
 # one-dimensional interval on a segment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OneDimSolution:
-    """Mean update interval on the segment [0, L] with absorbing ends."""
-
-    mu: float
-    sigma: float
-    L: float
-    lam: float
-    x_opt: float
-    t_opt: float
-    coeffs: tuple = field(repr=False)
-
-    def interval(self, x):
-        """T(x) for x in [0, L]; exact closed form."""
-        return _oned_eval(self.coeffs, self.mu, self.sigma, self.L,
-                          self.lam, np.asarray(x, dtype=float))
-
-
-def _oned_coeffs(mu: float, sigma: float, L: float, lam: float):
-    if lam == 0.0:
-        return ()
-    # The roots of (sigma/2) r^2 + mu r - lam; the one that would cancel in
-    # (-mu +- disc) / sigma comes from the product of the roots instead.
-    disc = math.sqrt(mu * mu + 2.0 * sigma * lam)
-    if mu >= 0.0:
-        r_pos, r_neg = 2.0 * lam / (mu + disc), -(mu + disc) / sigma
-    else:
-        r_pos, r_neg = (disc - mu) / sigma, -2.0 * lam / (disc - mu)
-    # T = 1/lam + A exp(r_pos (x - L)) + B exp(r_neg x); both exponents <= 0.
-    m = np.array([[math.exp(-r_pos * L), 1.0], [1.0, math.exp(r_neg * L)]])
-    ab = np.linalg.solve(m, np.array([-1.0 / lam, -1.0 / lam]))
-    return (r_pos, r_neg, float(ab[0]), float(ab[1]))
-
-
-def _oned_eval(coeffs, mu, sigma, L, lam, x):
-    if np.any(x < -1e-12) or np.any(x > L + 1e-12):
-        raise DomainError("x outside [0, L]")
-    x = np.clip(x, 0.0, L)
-    if lam > 0.0:
-        r_pos, r_neg, a, b = coeffs
-        return 1.0 / lam + a * np.exp(r_pos * (x - L)) + b * np.exp(r_neg * x)
-    return segment_interval(mu, sigma, L, x)
-
-
 def segment_interval(mu: float, sigma: float, L, x):
     """Solution of ``(sigma/2) T'' + mu T' = -1``, ``T(0) = T(L) = 0``, at x.
 
@@ -684,53 +637,16 @@ def segment_interval(mu: float, sigma: float, L, x):
     return (L * (-np.expm1(-g * x)) - x * denom) / (mu * np.where(denom > 0.0, denom, 1.0))
 
 
-def solve_1d(mu: float, sigma: float, L: float, lam: float = 0.0) -> OneDimSolution:
-    """Mean update interval on [0, L]: ``(sigma/2) T'' + mu T' - lam T = -1``.
-
-    The solution and its maximizer are closed forms.  For ``lam == 0`` the
-    driftless case reduces to ``x (L - x) / sigma``; for ``lam > 0`` see
-    ``_oned_argmax_rate``.
-    """
+def segment_argmax(mu: float, sigma: float, L: float) -> float:
+    """Maximizer of ``segment_interval`` over ``[0, L]``: ``L / 2`` without
+    drift, else ``-(1/g) log((1 - e^{-gL}) / (gL))`` with ``g = 2 mu / sigma``,
+    evaluated via log1p for accuracy deep into the small-drift limit."""
     if sigma <= 0.0 or L <= 0.0:
         raise DomainError("sigma and L must be > 0")
-    if lam < 0.0:
-        raise DomainError("lam must be >= 0")
-    coeffs = _oned_coeffs(mu, sigma, L, lam)
-    if lam == 0.0:
-        x_opt = _oned_argmax_closed(mu, sigma, L)
-    else:
-        x_opt = _oned_argmax_rate(coeffs, L)
-    t_opt = float(_oned_eval(coeffs, mu, sigma, L, lam, np.asarray(x_opt)))
-    return OneDimSolution(mu=mu, sigma=sigma, L=L, lam=lam, x_opt=x_opt,
-                          t_opt=t_opt, coeffs=coeffs)
-
-
-def _oned_argmax_rate(coeffs, L: float) -> float:
-    """Maximizer of ``T = 1/lam + a e^{r+ (x - L)} + b e^{r- x}``, ``lam > 0``.
-
-    Here ``a, b < 0`` and ``r- < 0 < r+``, so T is strictly concave and its
-    maximizer is the one root of T',
-    ``x* = (log(b r- / (-a r+)) + r+ L) / (r+ - r-)``, clipped to [0, L].
-    When the ``a`` term underflows to 0, T rises all the way to L; when the
-    ``b`` term does, it falls from 0.
-    """
-    r_pos, r_neg, a, b = coeffs
-    slope_a, slope_b = -a * r_pos, b * r_neg  # both >= 0
-    if slope_a == 0.0:
-        return L
-    if slope_b == 0.0:
-        return 0.0
-    x = (math.log(slope_b) - math.log(slope_a) + r_pos * L) / (r_pos - r_neg)
-    return min(max(x, 0.0), L)
-
-
-def _oned_argmax_closed(mu: float, sigma: float, L: float) -> float:
     if mu == 0.0:
         return L / 2.0
     if mu < 0.0:
-        return L - _oned_argmax_closed(-mu, sigma, L)
+        return L - segment_argmax(-mu, sigma, L)
     g = 2.0 * mu / sigma
-    # argmax of the drifted closed form: -(1/g) log((1 - e^{-gL}) / (gL)),
-    # evaluated via log1p for accuracy deep into the small-drift limit.
     u_minus_1 = (-math.expm1(-g * L) - g * L) / (g * L)
     return -math.log1p(u_minus_1) / g

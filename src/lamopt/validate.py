@@ -46,7 +46,8 @@ from lamopt.pde import (
     TimeGrid,
     assemble_operator,
     mean_interval_general,
-    solve_1d,
+    segment_argmax,
+    segment_interval,
     solve_forward,
     solve_mean_interval,
     solve_survival,
@@ -122,11 +123,10 @@ def check_half_disc_fold(to_diffusion) -> tuple[bool, str, str]:
 
 @_check("segment_recovery")
 def check_one_dim(to_diffusion) -> tuple[bool, str, str]:
-    s = solve_1d(0.0, 1.0, 4.0, 0.0)
-    mid = float(s.interval(2.0))
-    s2 = solve_1d(1e-6, 1.0, 1.0, 0.0)
-    ok = abs(mid - 4.0) <= 1e-12 and abs(s2.x_opt - 0.5) <= 1e-6
-    return ok, f"T(L/2)={mid:.3e}, x_opt={s2.x_opt:.8f}", "L^2/4 exactly; x_opt -> L/2"
+    mid = float(segment_interval(0.0, 1.0, 4.0, 2.0))
+    x_opt = segment_argmax(1e-6, 1.0, 1.0)
+    ok = abs(mid - 4.0) <= 1e-12 and abs(x_opt - 0.5) <= 1e-6
+    return ok, f"T(L/2)={mid:.3e}, x_opt={x_opt:.8f}", "L^2/4 exactly; x_opt -> L/2"
 
 
 @_check("strong_regime_ratios")

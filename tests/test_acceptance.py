@@ -33,7 +33,8 @@ from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import (
     DiscGrid,
     TimeGrid,
-    solve_1d,
+    segment_argmax,
+    segment_interval,
     solve_forward,
     solve_mean_interval,
     solve_survival,
@@ -70,14 +71,13 @@ def test_criterion_1_brownian_exact():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_segment_recovery():
-    sol = solve_1d(0.0, 1.0, 4.0, 0.0)
-    mid = float(sol.interval(2.0))
-    small_mu = solve_1d(1e-6, 1.0, 1.0, 0.0)
-    ok = mid == 4.0 and abs(small_mu.x_opt - 0.5) <= 1e-6
+    mid = float(segment_interval(0.0, 1.0, 4.0, 2.0))
+    x_opt = segment_argmax(1e-6, 1.0, 1.0)
+    ok = mid == 4.0 and abs(x_opt - 0.5) <= 1e-6
     report("criterion-2 segment recovery", ok,
-           f"T(L/2)={mid} (exact L^2/4), x_opt(mu->0)={small_mu.x_opt:.9f}")
+           f"T(L/2)={mid} (exact L^2/4), x_opt(mu->0)={x_opt:.9f}")
     assert mid == 4.0  # closed form, exact
-    assert abs(small_mu.x_opt - 0.5) <= 1e-6
+    assert abs(x_opt - 0.5) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

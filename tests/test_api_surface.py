@@ -8,6 +8,10 @@ constant (``bench/tracing.py`` names some of the functions it wraps by
 string).  A decorated function or method is left out: its decorator
 registers or wraps it, as ``validate``'s ``@_check`` does.  A name only the
 tests reach belongs in the tests.
+
+Because uses are matched by name, not by owner, a dead method could hide
+behind a same-named method of another class; so no two package classes may
+define a public method of the same name unless each pair is allowlisted.
 """
 
 import ast
@@ -23,6 +27,15 @@ ALLOWED_UNUSED = {
                           "to be wired to the CLI (ROADMAP direction 7)",
     "DeterministicArrival": "a call-arrival law for mean_interval_general, "
                             "to be wired to the CLI (ROADMAP direction 7)",
+}
+
+# Public method names that more than one package class defines, as
+# (class, method) pairs, each for the reason given.
+_ARRIVAL_LAW = "a call-arrival law: mean_interval_general reads it through one interface"
+ALLOWED_SHARED_METHODS = {
+    (law, method): _ARRIVAL_LAW
+    for law in ("NeverArrival", "ExponentialArrival", "DeterministicArrival")
+    for method in ("survival", "tail_integral")
 }
 
 
@@ -82,6 +95,27 @@ def unused_public_names() -> set[str]:
 
 def test_every_public_name_has_a_caller():
     assert unused_public_names() == set(ALLOWED_UNUSED)
+
+
+def shared_public_methods() -> set[tuple[str, str]]:
+    """``(class, method)`` of each public method, decorated or not, whose
+    name another top-level package class also defines."""
+    owners: dict[str, set[str]] = {}
+    for path, tree in _trees().items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for item in cls.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        owners.setdefault(item.name, set()).add(cls.name)
+    return {(cls, name) for name, classes in owners.items() if len(classes) > 1
+            for cls in classes}
+
+
+def test_no_public_method_name_is_shared_unless_allowed():
+    assert shared_public_methods() == set(ALLOWED_SHARED_METHODS)
 
 
 def test_package_root_imports_nothing():

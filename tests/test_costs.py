@@ -145,13 +145,15 @@ def uniform_density():
 
 
 class TestPagingCost:
-    def test_single_round_whole_disc(self, uniform_density):
-        plan = build_paging_plan(1, 0.3)
-        c_p, p_i, a_i = paging_cost(plan, uniform_density, 2.0, 1.0, "paper")
-        assert c_p == pytest.approx(2.0 * math.pi)
-        assert a_i == (pytest.approx(math.pi),)
-        c_pc, _, _ = paging_cost(plan, uniform_density, 2.0, 1.0, "cumulative")
-        assert c_pc == c_p
+    def test_single_round_whole_disc(self):
+        mob = default_mobility(0.5)
+        paper, cumulative = (paging_breakdown_at(mob, COSTS, x=-0.2, R=1.0,
+                                                 mode=mode, grid_nodes=16)
+                             for mode in ("paper", "cumulative"))
+        assert paper.C_p == pytest.approx(2.0 * math.pi)
+        assert paper.P_i == (1.0,)
+        assert paper.A_i == (pytest.approx(math.pi),)
+        assert cumulative == paper
 
     def test_uniform_density_identity(self, uniform_density):
         # with uniform mass the staged cost is lam V sum A_i^2 / (pi R^2),
@@ -175,10 +177,17 @@ class TestPagingCost:
         assert sum(breakdown.P_i) <= 1.0 + 1e-9
         assert breakdown.C_t == pytest.approx(breakdown.C_u + breakdown.C_p)
 
-    def test_mode_validation(self, uniform_density):
-        with pytest.raises(DomainError):
-            paging_cost(build_paging_plan(2, 0.4), uniform_density, 1.0, 1.0,
-                        "sideways")
+    def test_mode_validation(self):
+        with pytest.raises(DomainError, match="sideways"):
+            paging_breakdown_at(default_mobility(0.5),
+                                CostParams(lam=2.0, U=20.0, V=1.0, m=2),
+                                x=0.0, R=1.0, mode="sideways")
+
+    def test_single_round_checks_mode(self):
+        # the mode is checked at entry, before the single-round rule returns
+        with pytest.raises(DomainError, match="sideways"):
+            paging_breakdown_at(default_mobility(0.5), COSTS, x=0.0, R=1.0,
+                                mode="sideways")
 
 
 class TestJointOptimize:
