@@ -151,7 +151,7 @@ def cmd_optimize(args) -> int:
     header = ["k", "lambda_per_hr", "provider", "x_opt_km", "R_opt_km",
               "C_u", "C_p", "C_t", "saving_ratio"]
     rows = [[cfg["k"], costs.lam, args.provider, opt.x_opt, opt.r_opt,
-             breakdown.C_u, breakdown.C_p, breakdown.C_u + breakdown.C_p,
+             breakdown.C_u, breakdown.C_p, breakdown.C_t,
              (ctr.c_min - opt.c_min) / ctr.c_min]]
     _write_csv(args.out, header, rows)
     return 0

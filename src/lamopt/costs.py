@@ -29,6 +29,11 @@ _R_BRACKET = (1e-2, 1e2)
 _SEARCH_RTOL = 1e-4
 _SCAN_POINTS = 25
 
+# Most sequential paging rounds a cost model accepts.  The defaults and the
+# benchmark use 1 to 3; the plan, its areas and the protocol's pager all
+# grow linearly in the round count.
+MAX_PAGING_ROUNDS = 1000
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -51,8 +56,9 @@ class CostParams:
             raise DomainError("lam must be >= 0")
         if self.U <= 0.0 or self.V <= 0.0:
             raise DomainError("U and V must be > 0")
-        if self.m < 1:
-            raise DomainError("m must be >= 1")
+        if not 1 <= self.m <= MAX_PAGING_ROUNDS:
+            raise DomainError(
+                f"m must be between 1 and {MAX_PAGING_ROUNDS} paging rounds, got {self.m}")
 
 
 def update_cost(t_mean: float, U: float) -> float:
@@ -208,14 +214,14 @@ def paging_breakdown_at(mobility: MobilityParams, costs: CostParams,
     grid = DiscGrid(R, R / grid_nodes)
     field = solve_mean_interval(diff, R, costs.lam, grid)
     t_mean = field.value_at((x, 0.0))
-    plan = build_paging_plan(costs.m, direction_moments(mobility.k).var_theta,
-                             anchor_x=x)
     if costs.m == 1:
         area = math.pi * R * R
         c_u = update_cost(t_mean, costs.U)
         c_p = costs.lam * costs.V * area
         return CostBreakdown(C_u=c_u, C_p=c_p, C_t=c_u + c_p,
                              P_i=(1.0,), A_i=(area,))
+    plan = build_paging_plan(costs.m, direction_moments(mobility.k).var_theta,
+                             anchor_x=x)
     fwd = solve_forward(diff, (x, 0.0), R, grid, TimeGrid(t_mean, time_steps),
                         output_times=[t_mean])
     return cost_breakdown(t_mean, costs, plan, fwd.fields[-1], mode)

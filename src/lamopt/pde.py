@@ -49,9 +49,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _RESIDUAL_TARGET = 1e-10
-# Largest truncated tail ``mean_interval_general`` accepts, relative to
-# the integral it returns.
-_TAIL_RTOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +453,9 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
 
     G starts at 1 inside the disc and decays monotonically; the curve is
     evaluated at X by bilinear interpolation (exact when X is a node).
+    Its integral is the call-free mean interval, ``integral_0^inf G(X, t) dt
+    = T(X)`` at ``lam = 0``, which ``validate`` checks against
+    ``solve_mean_interval``.
     """
     x0, y0 = float(X[0]), float(X[1])
     if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
@@ -523,99 +523,6 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
             record(s)
     return ForwardSolution(times=np.array(times), fields=fields,
                            masses=np.array(masses), source_index=src)
-
-
-# ---------------------------------------------------------------------------
-# general call-arrival laws
-# ---------------------------------------------------------------------------
-
-class ExponentialArrival:
-    """Memoryless call gap with the given rate (per hour)."""
-
-    def __init__(self, rate: float):
-        if rate <= 0.0:
-            raise DomainError("rate must be > 0; use NeverArrival for rate 0")
-        self.rate = rate
-
-    def survival(self, t):
-        return np.exp(-self.rate * np.asarray(t, dtype=float))
-
-    def tail_integral(self, t: float) -> float:
-        return math.exp(-self.rate * t) / self.rate
-
-
-class DeterministicArrival:
-    """Call gap fixed at a constant delay."""
-
-    def __init__(self, at: float):
-        if at < 0.0:
-            raise DomainError("delay must be >= 0")
-        self.at = at
-        self.support_end = at  # survival drops to zero here
-
-    def survival(self, t):
-        return (np.asarray(t, dtype=float) <= self.at).astype(float)
-
-    def tail_integral(self, t: float) -> float:
-        return max(self.at - t, 0.0)
-
-
-class NeverArrival:
-    """No calls: the update interval is the bare exit time."""
-
-    def survival(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    def tail_integral(self, t: float) -> float:
-        return math.inf
-
-
-def mean_interval_general(curve: SurvivalCurve, arrival) -> float:
-    """Mean update interval for a general call-arrival law.
-
-    Integrates ``G(X, t) P(gap >= t)`` over the sampled horizon by the
-    trapezoid rule and bounds the truncated tail; the survival curve must be
-    sampled densely enough for a relative accuracy of ``_TAIL_RTOL``.
-
-    Raises:
-        NumericalError: the estimated tail beyond the horizon exceeds
-            ``_TAIL_RTOL`` of the integral (extend the horizon).
-    """
-    times, values = curve.times, curve.values
-    support_end = getattr(arrival, "support_end", math.inf)
-    if support_end < times[-1]:
-        # integrate only up to the survival cutoff, splitting the last cell
-        k = int(np.searchsorted(times, support_end, side="right"))
-        g_cut = float(np.interp(support_end, times, values))
-        times = np.concatenate([times[:k], [support_end]])
-        values = np.concatenate([values[:k], [g_cut]])
-    integrand = values * arrival.survival(times)
-    value = float(np.trapezoid(integrand, times))
-    g_end = float(curve.values[-1])
-    arr_tail = arrival.tail_integral(float(curve.times[-1]))
-    if math.isinf(arr_tail):
-        # Bound the exit-time tail by fitting the terminal exponential decay.
-        tail = g_end * _decay_time(curve)
-    else:
-        tail = g_end * arr_tail
-    if tail > _TAIL_RTOL * max(value, 1e-300):
-        raise NumericalError(
-            f"truncated tail {tail:.3e} exceeds {_TAIL_RTOL:.0e} of {value:.3e}; extend t_max"
-        )
-    return value
-
-
-def _decay_time(curve: SurvivalCurve) -> float:
-    """Terminal e-folding time of the survival curve (conservative)."""
-    v = curve.values
-    n = v.size
-    a, b = int(0.8 * n), n - 1
-    if v[b] <= 0.0:
-        return 0.0
-    if v[a] <= v[b] or v[a] <= 0.0:
-        return math.inf
-    rate = math.log(v[a] / v[b]) / (curve.times[b] - curve.times[a])
-    return 1.0 / rate if rate > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------

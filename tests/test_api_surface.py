@@ -11,7 +11,7 @@ tests reach belongs in the tests.
 
 Because uses are matched by name, not by owner, a dead method could hide
 behind a same-named method of another class; so no two package classes may
-define a public method of the same name unless each pair is allowlisted.
+define a public method of the same name.
 """
 
 import ast
@@ -20,23 +20,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lamopt"
-
-# Kept without a caller, each for the reason given.
-ALLOWED_UNUSED = {
-    "ExponentialArrival": "a call-arrival law for mean_interval_general, "
-                          "to be wired to the CLI (ROADMAP direction 7)",
-    "DeterministicArrival": "a call-arrival law for mean_interval_general, "
-                            "to be wired to the CLI (ROADMAP direction 7)",
-}
-
-# Public method names that more than one package class defines, as
-# (class, method) pairs, each for the reason given.
-_ARRIVAL_LAW = "a call-arrival law: mean_interval_general reads it through one interface"
-ALLOWED_SHARED_METHODS = {
-    (law, method): _ARRIVAL_LAW
-    for law in ("NeverArrival", "ExponentialArrival", "DeterministicArrival")
-    for method in ("survival", "tail_integral")
-}
 
 
 def _trees() -> dict[Path, ast.Module]:
@@ -94,7 +77,7 @@ def unused_public_names() -> set[str]:
 
 
 def test_every_public_name_has_a_caller():
-    assert unused_public_names() == set(ALLOWED_UNUSED)
+    assert unused_public_names() == set()
 
 
 def shared_public_methods() -> set[tuple[str, str]]:
@@ -115,7 +98,7 @@ def shared_public_methods() -> set[tuple[str, str]]:
 
 
 def test_no_public_method_name_is_shared_unless_allowed():
-    assert shared_public_methods() == set(ALLOWED_SHARED_METHODS)
+    assert shared_public_methods() == set()
 
 
 def test_package_root_imports_nothing():

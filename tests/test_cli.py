@@ -12,6 +12,7 @@ import lamopt
 from lamopt import cli
 from lamopt.cli import main
 from lamopt.config import DEFAULTS, SCENARIO_KEYS
+from lamopt.costs import MAX_PAGING_ROUNDS
 from lamopt.validate import CHECKS, run_checks
 
 
@@ -275,6 +276,20 @@ class TestOptimizeAndSimulate:
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["optimize"], ["simulate"]])
+    @pytest.mark.parametrize("m", [MAX_PAGING_ROUNDS + 1, 10**9])
+    def test_unbounded_paging_rounds_rejected(self, tmp_path, capsys, argv, m):
+        # a plan of 1e9 rounds would ask for an 8 GB tuple of wedge angles
+        cfg = tmp_path / "rounds.cfg"
+        cfg.write_text(f"m_paging = {m}\n")
+        out = tmp_path / "x.csv"
+        t0 = time.perf_counter()
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     @pytest.mark.parametrize("command", ["optimize", "fig5", "simulate"])
     @pytest.mark.parametrize("line", [

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from lamopt import costs
 from lamopt.config import default_mobility
 from lamopt.costs import (
+    MAX_PAGING_ROUNDS,
     PROVIDERS,
     CostParams,
     PagingPlan,
@@ -32,6 +33,18 @@ from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import DiscGrid, ScalarField, solve_mean_interval
 
 COSTS = CostParams(lam=2.0, U=20.0, V=1.0)
+
+
+class TestCostParams:
+    def test_round_bound_accepted_and_usable(self):
+        params = CostParams(lam=2.0, U=20.0, V=1.0, m=MAX_PAGING_ROUNDS)
+        plan = build_paging_plan(params.m, 0.5, anchor_x=-0.3)
+        assert region_areas(plan, 1.0).size == MAX_PAGING_ROUNDS
+
+    @pytest.mark.parametrize("m", [0, MAX_PAGING_ROUNDS + 1])
+    def test_round_count_out_of_range_rejected(self, m):
+        with pytest.raises(DomainError, match="paging rounds"):
+            CostParams(lam=2.0, U=20.0, V=1.0, m=m)
 
 
 class TestUpdateCost:

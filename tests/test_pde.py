@@ -9,18 +9,14 @@ import scipy.sparse.linalg as spla
 
 from lamopt.config import default_mobility
 from lamopt.ctrw import SimConfig
-from lamopt.errors import DomainError, NumericalError
+from lamopt.errors import DomainError
 from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import (
-    DeterministicArrival,
     DiscGrid,
-    ExponentialArrival,
-    NeverArrival,
     TimeGrid,
     _factor,
     _half_system,
     assemble_operator,
-    mean_interval_general,
     segment_argmax,
     segment_interval,
     solve_forward,
@@ -314,33 +310,8 @@ class TestSurvival:
         grid = DiscGrid(1.0, 1.0 / 48)
         c = solve_survival(UNIT, (0.0, 0.0), 1.0, grid, TimeGrid(4.0, 2000))
         direct = solve_mean_interval(UNIT, 1.0, 0.0, grid).value_at((0.0, 0.0))
-        val = mean_interval_general(c, NeverArrival())
+        val = float(np.trapezoid(c.values, c.times))
         assert val == pytest.approx(direct, rel=0.02)
-
-
-@pytest.fixture(scope="module")
-def curve():
-    grid = DiscGrid(1.0, 1.0 / 48)
-    return solve_survival(UNIT, (0.0, 0.0), 1.0, grid, TimeGrid(4.0, 2000))
-
-
-class TestMeanIntervalGeneral:
-    def test_deterministic_gap_truncates(self, curve):
-        val = mean_interval_general(curve, DeterministicArrival(0.2))
-        manual = np.trapezoid(
-            curve.values[curve.times <= 0.2], curve.times[curve.times <= 0.2])
-        assert val == pytest.approx(float(manual), rel=1e-6)
-
-    def test_exponential_matches_direct_solve(self, curve):
-        val = mean_interval_general(curve, ExponentialArrival(2.0))
-        direct = solve_mean_interval(UNIT, 1.0, 2.0, DiscGrid(1.0, 1.0 / 48))
-        assert val == pytest.approx(direct.value_at((0.0, 0.0)), rel=0.01)
-
-    def test_tail_error_raised(self):
-        grid = DiscGrid(1.0, 1.0 / 24)
-        short = solve_survival(UNIT, (0.0, 0.0), 1.0, grid, TimeGrid(0.3, 100))
-        with pytest.raises(NumericalError):
-            mean_interval_general(short, NeverArrival())
 
 
 class TestForward:
