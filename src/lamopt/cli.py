@@ -28,10 +28,15 @@ from lamopt.approx import (
     optimal_offset,
     trial_offset_scale,
 )
-from lamopt.config import DEFAULTS, SCENARIO_KEYS, mobility_from_config, parse_config
+from lamopt.config import (
+    DEFAULTS,
+    SCENARIO_KEYS,
+    costs_from_config,
+    mobility_from_config,
+    parse_config,
+)
 from lamopt.costs import (  # joint_optimize: the one-baseline search, kept public here
     PROVIDERS,
-    CostParams,
     joint_optimize,
     optimize_pair,
     paging_breakdown_at,
@@ -59,11 +64,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _costs_from_cfg(cfg: dict) -> CostParams:
-    return CostParams(lam=cfg["lambda_per_hr"], U=cfg["U"], V=cfg["V"],
-                      m=cfg["m_paging"])
 
 
 def _mobility_at(cfg: dict, k: float, var_eta_s2: float | None = None):
@@ -115,7 +115,7 @@ def fig6_rows(cfg: dict) -> tuple[list[str], list[list]]:
 
 def fig7_fig8_rows(cfg: dict) -> tuple[list[str], list[list]]:
     """Joint optimum (offset, radius) and saving ratio at each concentration."""
-    costs = _costs_from_cfg(cfg)
+    costs = costs_from_config(cfg)
     rows = []
     for k in K_GRID:
         mob = _mobility_at(cfg, k)
@@ -144,7 +144,7 @@ def cmd_figure(args, which: str) -> int:
 def cmd_optimize(args) -> int:
     cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
     mob = mobility_from_config(cfg)
-    costs = _costs_from_cfg(cfg)
+    costs = costs_from_config(cfg)
     opt, ctr = optimize_pair(mob, costs, args.provider)
     breakdown = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt,
                                     mode=args.paging_mode)
@@ -166,7 +166,7 @@ def cmd_simulate(args) -> int:
                           f"protocol routes draw gamma dwells, got {cfg['Var_eta_s2']}")
     if args.mode == "episode":
         scenario = Scenario(mobility=mobility_from_config(cfg),
-                            costs=_costs_from_cfg(cfg),
+                            costs=costs_from_config(cfg),
                             **{key: cfg[key] for key in SCENARIO_KEYS if key in cfg})
         m = run_episode(scenario)
         header = ["strategy", "k", "lambda_per_hr", "duration_hr", "updates",

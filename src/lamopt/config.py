@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from lamopt.costs import CostParams
 from lamopt.errors import DomainError
 from lamopt.mobility import MobilityParams
 
@@ -46,7 +47,8 @@ def parse_config(path: str | Path) -> dict:
     Raises:
         DomainError: unreadable file, unknown key, bad syntax, an unparsable
             or non-finite value, ``R_km <= 0``, a fractional ``m_paging`` or
-            ``seed``, or a negative ``seed``.
+            ``seed``, a negative ``seed``, or cost keys that ``CostParams``
+            refuses (checked here, so every command refuses them alike).
     """
     try:
         text = Path(path).read_text()
@@ -83,7 +85,14 @@ def parse_config(path: str | Path) -> dict:
             cfg[key] = int(cfg[key])
     if cfg.get("seed", 0) < 0:
         raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
+    costs_from_config(cfg)
     return cfg
+
+
+def costs_from_config(cfg: dict) -> CostParams:
+    """Build CostParams from a parsed config."""
+    return CostParams(lam=cfg["lambda_per_hr"], U=cfg["U"], V=cfg["V"],
+                      m=cfg["m_paging"])
 
 
 def mobility_from_config(cfg: dict) -> MobilityParams:

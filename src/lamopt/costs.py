@@ -18,7 +18,7 @@ import numpy as np
 from lamopt.approx import asymptotic_optimum, galerkin_solution, trial_offset_scale
 from lamopt.errors import DomainError, GeometryError
 from lamopt.mobility import MobilityParams, compute_diffusion
-from lamopt.pde import DiscGrid, ScalarField, solve_mean_interval
+from lamopt.pde import DiscGrid, FactorSlot, ScalarField, solve_mean_interval
 
 PROVIDERS = ("pde", "galerkin", "asymptotic")
 BASELINES = ("offset", "center")
@@ -245,13 +245,15 @@ class OptimizationResult:
 
 
 def _solve_at_radius(mobility: MobilityParams, diff, costs: CostParams,
-                     provider: str, R: float, pde_nodes: int):
+                     provider: str, R: float, pde_nodes: int,
+                     warm: FactorSlot | None):
     """The interval solution at a candidate radius: the one-term galerkin
-    solution, or the pde field.  Both baselines read their design from it."""
+    solution, or the pde field (refined on ``warm``'s factor when it can
+    be).  Both baselines read their design from it."""
     if provider == "galerkin":
         a = trial_offset_scale(mobility, R, diff)
         return galerkin_solution(diff, R, costs.lam, a)
-    return solve_mean_interval(diff, R, costs.lam, DiscGrid(R, R / pde_nodes))
+    return solve_mean_interval(diff, R, costs.lam, DiscGrid(R, R / pde_nodes), warm)
 
 
 def _design(solution, baseline: str) -> tuple[float, float]:
@@ -352,9 +354,9 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
 
     lo, hi = math.log(_R_BRACKET[0]), math.log(_R_BRACKET[1])
 
-    def solve(lr: float):
+    def solve(lr: float, warm: FactorSlot | None = None):
         return _solve_at_radius(mobility, diff, costs, provider, math.exp(lr),
-                                pde_nodes)
+                                pde_nodes, warm)
 
     def cost(lr: float, solution, baseline: str) -> float:
         R = math.exp(lr)
@@ -388,14 +390,18 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
         g, v = (dense_grid, dense_vals[b]) if b in dense else (grid, vals[b])
         i = int(np.argmin(v))
         lo_b, hi_b = g[max(i - 1, 0)], g[min(i + 1, g.size - 1)]
-        lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr), b),
+        # Golden-section probes soon lie within a few percent of each other
+        # in R, so each search reuses one factor; scan radii are too far
+        # apart for that.
+        warm = FactorSlot()
+        lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr, warm), b),
                                  lo_b, hi_b)
         r_opt = math.exp(lr_opt)
         if min(lr_opt - lo, hi - lr_opt) <= _SEARCH_RTOL:
             raise DomainError(
                 f"{b} optimum R = {r_opt:.6g} km sits on the search bracket "
                 f"[{_R_BRACKET[0]:g}, {_R_BRACKET[1]:g}] km")
-        t_opt, x_opt = _design(solve(lr_opt), b)
+        t_opt, x_opt = _design(solve(lr_opt, warm), b)
         c_min = update_cost(t_opt, costs.U) + costs.lam * math.pi * r_opt**2 * costs.V
         results.append(OptimizationResult(x_opt=x_opt, r_opt=r_opt, c_min=c_min,
                                           t_opt=t_opt, provider=provider,

@@ -9,21 +9,30 @@ spatial operator ``L = s11/2 d_xx + s22/2 d_yy + mu1 d_x``:
 * survival probability:             ``dG/dt = L G``,  G(.,0) = 1;
 * surviving-position density:       ``dp/dt = L* p``, p(.,0) = delta.
 
-The density problem is stepped with the transpose of the survival operator,
-which makes the discrete mass identity  ``integral p(.,t) = G(X,t)``  exact up
-to solver residual for matching time grids.
-
 The road is the +x axis and ``DiffusionParams`` carries no transverse drift
 and no cross-diffusion, so the operator has no ``d_y`` or ``d_xy`` term.
-With the lattice symmetric in the row index j, the mean-interval system is
-exactly mirror-symmetric in y, and ``solve_mean_interval`` solves it on the
-upper half disc only (j >= 0), folding the j < 0 columns onto their mirror
-nodes.  Every factor uses one LU helper, ``_factor``: a minimum-degree
-ordering of ``A^T + A`` (about half the fill of the default column ordering
-on this stencil) in SuperLU's symmetric mode.  That mode does not force
-diagonal pivots: ``DiagPivotThresh`` stays at 1.0, so a diagonal entry is
-kept as the pivot only where it is its column's largest, and some factors
-pivot off the diagonal (``perm_r != perm_c`` at N = 64, R = 1, k = 0).
+With the lattice symmetric in the row index j, the discrete operator maps
+mirror-symmetric fields (``v(i, -j) = v(i, j)``) to mirror-symmetric
+fields, and all three problems are solved on the upper half disc only
+(j >= 0): the half operator ``H`` keeps the rows of the j >= 0 nodes and
+adds the column of each j < 0 node onto its mirror node's.  ``T`` and
+``G`` are symmetric (their data are), so ``H T - lam T = -1`` and
+``G <- (I - dt H)^-1 G`` give them exactly.  The density is symmetric when
+it starts on the road axis, and its transposed step folds through
+``W = F^T F``, the number of nodes that fold onto each half node (1 on the
+axis, 2 above it): ``F^T (I - dt L)^T F = (I - dt H)^T W``, so
+``z = W p_half`` steps as ``z <- (I - dt H)^-T z``, ``p = z / W`` on the
+half disc and its mass is ``sum(z) h^2``.
+
+Every factor uses one LU helper, ``_factor``: a minimum-degree ordering of
+``A^T + A`` (about half the fill of the default column ordering on this
+stencil) in SuperLU's symmetric mode.  That mode does not force diagonal
+pivots: ``DiagPivotThresh`` stays at 1.0, so a diagonal entry is kept as
+the pivot only where it is its column's largest, and some factors pivot
+off the diagonal (``perm_r != perm_c`` at N = 64, R = 1, k = 0).  A radius
+search may hand ``solve_mean_interval`` a ``FactorSlot``: a nearby radius
+on the same lattice is then solved by iterative refinement on the factor
+the slot holds, and factored afresh only when refinement stalls.
 ``scipy.sparse`` is imported inside the functions that build or factor a
 matrix, so commands that never solve on the disc do not load it.
 
@@ -49,6 +58,11 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _RESIDUAL_TARGET = 1e-10
+# Iterative refinement on a nearby factor stops at this residual, relative
+# to max(1, max|x|), and gives up on any sweep that cuts the residual by
+# less than _REFINE_MIN_GAIN.
+_REFINE_RTOL = 1e-12
+_REFINE_MIN_GAIN = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +375,8 @@ def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
-    """Sparse LU of a disc operator, ``L - lam I``, its half-disc fold, or
-    ``I - dt L``.
+    """Sparse LU of a disc operator ``L - lam I``, its half-disc fold, or
+    the fold's backward-Euler step ``I - dt H``.
 
     The minimum-degree ordering of ``A^T + A`` suits the symmetric pattern
     of the five-point stencil.  Symmetric mode applies it to rows and
@@ -378,13 +392,6 @@ def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
 
     return splu(A.tocsc(), permc_spec=permc_spec,
                 options={"SymmetricMode": True})
-
-
-def _implicit_step(A: sp.csr_matrix, dt: float):
-    """LU of ``I - dt A``, one backward-Euler step of ``dG/dt = A G``."""
-    import scipy.sparse as sp
-
-    return _factor(sp.identity(A.shape[0]) - dt * A)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +410,36 @@ def _half_system(A: sp.csr_matrix, grid: DiscGrid) -> tuple[sp.csc_matrix, np.nd
     return half, unfold
 
 
+class FactorSlot:
+    """The last half-system factor of one radius search, for its next solve.
+
+    A search creates its own slot, passes it to each ``solve_mean_interval``
+    call, and drops it when it ends, so no factor outlives the search.
+    """
+
+    def __init__(self) -> None:
+        self.lattice: _Lattice | None = None
+        self.lu = None
+
+
+def _refine(lu, H: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
+    """Solve ``H x = b`` by iterative refinement on ``lu``, the factor of a
+    nearby matrix, or return None once a sweep cuts the residual by less
+    than ``_REFINE_MIN_GAIN`` (a NaN residual included)."""
+    x = lu.solve(b)
+    r = b - H @ x
+    res = float(np.max(np.abs(r)))
+    while not res <= _REFINE_RTOL * max(1.0, float(np.max(np.abs(x)))):
+        x += lu.solve(r)
+        r = b - H @ x
+        last, res = res, float(np.max(np.abs(r)))
+        if not res <= last / _REFINE_MIN_GAIN:
+            return None
+    return x
+
+
 def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
-                        grid: DiscGrid) -> ScalarField:
+                        grid: DiscGrid, warm: FactorSlot | None = None) -> ScalarField:
     """Solve the stationary equation for the mean update interval T(X).
 
     ``s11/2 T_xx + s22/2 T_yy + mu1 T_x - lam T = -1`` with T = 0 on the
@@ -414,8 +449,10 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     mirror-symmetric in y: only the rows of the nodes with j >= 0 are kept,
     the column of each j < 0 node is added onto its mirror node's, and the
     half solution is mirrored back.  The half system is factored in the
-    minimum-degree order the grid's lattice stores.  The residual is
-    checked against the full operator.
+    minimum-degree order the grid's lattice stores.  When ``warm`` holds a
+    factor on the same lattice, the half system is first solved by
+    refinement on that factor; either way ``warm`` ends up holding the
+    factor used.  The residual is checked against the full operator.
 
     Returns:
         ScalarField of T over the grid; nonnegative, and bounded by 1/lam
@@ -426,7 +463,16 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     A = assemble_operator(diff, grid, lam)
     rhs = np.full(grid.n_nodes, -1.0)
     half, unfold = _half_system(A, grid)
-    T = _factor(half, "NATURAL").solve(np.full(half.shape[0], -1.0))[unfold]
+    b = np.full(half.shape[0], -1.0)
+    T_half = None
+    if warm is not None and warm.lattice is grid._lattice:
+        T_half = _refine(warm.lu, half, b)
+    if T_half is None:
+        lu = _factor(half, "NATURAL")
+        T_half = lu.solve(b)
+        if warm is not None:
+            warm.lattice, warm.lu = grid._lattice, lu
+    T = T_half[unfold]
     _check_residual(A, T, rhs)
     if np.min(T) < -1e-9:
         raise NumericalError(f"negative mean interval {np.min(T):.3e}")
@@ -447,11 +493,22 @@ class SurvivalCurve:
     values: np.ndarray
 
 
+def _half_step(diff: DiffusionParams, grid: DiscGrid, dt: float):
+    """LU of ``I - dt H``, one backward-Euler step on the half-disc fold H
+    of the call-free operator, and the map from half nodes to every node."""
+    import scipy.sparse as sp
+
+    half, unfold = _half_system(assemble_operator(diff, grid, 0.0), grid)
+    step = sp.identity(half.shape[0], format="csc") - dt * half
+    return _factor(step, "NATURAL"), unfold
+
+
 def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
                    tgrid: TimeGrid) -> SurvivalCurve:
     """Backward-equation survival probability G(X, t) by implicit stepping.
 
-    G starts at 1 inside the disc and decays monotonically; the curve is
+    G starts at 1 inside the disc and decays monotonically; it is
+    mirror-symmetric in y, so it is stepped on the half disc.  The curve is
     evaluated at X by bilinear interpolation (exact when X is a node).
     Its integral is the call-free mean interval, ``integral_0^inf G(X, t) dt
     = T(X)`` at ``lam = 0``, which ``validate`` checks against
@@ -460,9 +517,9 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     x0, y0 = float(X[0]), float(X[1])
     if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not inside the disc")
-    stepper = _implicit_step(assemble_operator(diff, grid, 0.0), tgrid.dt)
-    weights = grid.interpolation_weights((x0, y0))
-    g = np.ones(grid.n_nodes)
+    stepper, unfold = _half_step(diff, grid, tgrid.dt)
+    weights = [(unfold[idx], w) for idx, w in grid.interpolation_weights((x0, y0))]
+    g = np.ones(stepper.shape[0])
     out = np.empty(tgrid.steps + 1)
     out[0] = 1.0
     for s in range(1, tgrid.steps + 1):
@@ -488,37 +545,45 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     """Forward-equation density of the not-yet-exited terminal.
 
     The point start is a unit mass on the nearest node divided by the cell
-    area.  Stepping uses the transpose of the survival operator, so the mass
-    ``sum(p) h^2`` reproduces the survival probability at the source node
-    exactly (up to solver residual) on the same time grid.
+    area.  It must lie on the road axis (y = 0), where the density stays
+    mirror-symmetric, so that it is stepped on the half disc.  Stepping uses
+    the transpose of the survival operator, so the mass ``sum(p) h^2``
+    reproduces the survival probability at the source node exactly (up to
+    solver residual) on the same time grid.
     """
     x0, y0 = float(X[0]), float(X[1])
     if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not inside the disc")
+    if y0 != 0.0:
+        raise DomainError(f"start point {X} is off the road axis; the density "
+                          "march needs y = 0")
     if output_times is None:
         output_times = [tgrid.t_max]
     src = int(grid.nearest_node_index([x0], [y0])[0])
-    stepper = _implicit_step(assemble_operator(diff, grid, 0.0), tgrid.dt)
+    stepper, unfold = _half_step(diff, grid, tgrid.dt)
 
     out_steps = sorted({int(round(t / tgrid.dt)) for t in output_times})
     if any(s < 0 or s > tgrid.steps for s in out_steps):
         raise DomainError("output times must lie within the time grid")
 
-    p = np.zeros(grid.n_nodes)
-    p[src] = 1.0 / grid.h**2
+    # z = W p on the half disc, W = 1 on the axis and 2 above it
+    W = np.bincount(unfold, minlength=stepper.shape[0])
+    z = np.zeros(W.size)
+    z[unfold[src]] = 1.0 / grid.h**2
     times, fields, masses = [], [], []
 
     def record(step: int) -> None:
+        p = (z / W)[unfold]
         if np.min(p) < -1e-12:
             raise NumericalError(f"density undershoot {np.min(p):.3e}")
         times.append(step * tgrid.dt)
-        fields.append(ScalarField(grid=grid, values=p.copy()))
-        masses.append(float(p.sum() * grid.h**2))
+        fields.append(ScalarField(grid=grid, values=p))
+        masses.append(float(z.sum() * grid.h**2))
 
     if 0 in out_steps:
         record(0)
     for s in range(1, max(out_steps) + 1 if out_steps else 1):
-        p = stepper.solve(p, trans="T")
+        z = stepper.solve(z, trans="T")
         if s in out_steps:
             record(s)
     return ForwardSolution(times=np.array(times), fields=fields,
@@ -529,19 +594,46 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
 # one-dimensional interval on a segment
 # ---------------------------------------------------------------------------
 
+# Below this g L the segment form is summed as a series: the closed form's
+# numerator is a difference of terms equal to first order, and loses about
+# eps / (g L) relative.  The series' terms fall faster than 2 (n - 1) / n!
+# there, so 20 of them leave less than 1e-18.
+_SEGMENT_SERIES_GL = 1.0
+_SEGMENT_SERIES_TERMS = 20
+
+
 def segment_interval(mu: float, sigma: float, L, x):
     """Solution of ``(sigma/2) T'' + mu T' = -1``, ``T(0) = T(L) = 0``, at x.
 
     Every exponent is nonpositive.  ``L`` may hold one length per point (the
     chords of ``approx``'s strong-drift form); a zero-length segment gives 0.
+    With ``g = 2 |mu| / sigma``, ``a = g L`` and ``b = g x`` (x measured
+    from the upstream end), points with ``a < _SEGMENT_SERIES_GL`` use
+    ``T = x (L - x) / sigma * a / (1 - e^-a) * sum_{n >= 2} (-1)^n 2
+    h_{n-2}(a, b) / n!``, where ``h_m(a, b) = sum_{i <= m} a^(m-i) b^i``.
     """
     if mu < 0.0:
         return segment_interval(-mu, sigma, L, L - x)
     if mu == 0.0:
         return x * (L - x) / sigma
     g = 2.0 * mu / sigma
-    denom = -np.expm1(-g * L)
-    return (L * (-np.expm1(-g * x)) - x * denom) / (mu * np.where(denom > 0.0, denom, 1.0))
+    a = g * L
+    denom = -np.expm1(-a)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    closed = (L * (-np.expm1(-g * x)) - x * denom) / (mu * safe)
+
+    # the series, with a and b capped where the closed form is taken
+    a_s = np.minimum(a, _SEGMENT_SERIES_GL)
+    b_s = np.minimum(g * x, _SEGMENT_SERIES_GL)
+    h, b_pow, fact, total = 1.0, 1.0, 2.0, 1.0
+    for n in range(3, _SEGMENT_SERIES_TERMS + 2):
+        b_pow = b_pow * b_s
+        h = a_s * h + b_pow
+        fact *= n
+        total = total + (-1) ** n * 2.0 * h / fact
+    scale = np.where(denom > 0.0, a / safe, 1.0)
+    series = x * (L - x) / sigma * scale * total
+    return np.where(a < _SEGMENT_SERIES_GL, series, closed)[()]
 
 
 def segment_argmax(mu: float, sigma: float, L: float) -> float:

@@ -277,7 +277,11 @@ class TestOptimizeAndSimulate:
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [["optimize"], ["simulate"]])
+    @pytest.mark.parametrize("argv", [
+        ["optimize"], ["simulate"],
+        # these never page, but one config is refused by every command alike
+        ["fig5"], ["fig6"], ["simulate", "--mode", "ctrw", "--trials", "100"],
+    ])
     @pytest.mark.parametrize("m", [MAX_PAGING_ROUNDS + 1, 10**9])
     def test_unbounded_paging_rounds_rejected(self, tmp_path, capsys, argv, m):
         # a plan of 1e9 rounds would ask for an 8 GB tuple of wedge angles
@@ -287,6 +291,20 @@ class TestOptimizeAndSimulate:
         t0 = time.perf_counter()
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         assert time.perf_counter() - t0 < 1.0
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize"], ["simulate"], ["fig5"], ["fig6"], ["fig7"],
+        ["simulate", "--mode", "ctrw", "--trials", "100"],
+    ])
+    @pytest.mark.parametrize("line", ["U = -5", "V = 0", "lambda_per_hr = -1"])
+    def test_bad_cost_key_rejected_by_every_command(self, tmp_path, capsys, argv, line):
+        cfg = tmp_path / "cost.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")

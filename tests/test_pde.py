@@ -7,12 +7,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from lamopt import costs, pde
 from lamopt.config import default_mobility
 from lamopt.ctrw import SimConfig
 from lamopt.errors import DomainError
 from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import (
     DiscGrid,
+    FactorSlot,
     TimeGrid,
     _factor,
     _half_system,
@@ -277,6 +279,59 @@ class TestMeanInterval:
         assert abs(est.mean - pde) <= max(0.03 * pde, est.half_width_95)
 
 
+class TestWarmFactor:
+    @pytest.mark.parametrize("k", [0.0, 0.5, 20.0])
+    def test_warm_solve_matches_fresh(self, k):
+        # a radius 1% away is refined on the held factor, which stays held
+        diff = compute_diffusion(default_mobility(k))
+        slot = FactorSlot()
+        solve_mean_interval(diff, 1.0, 2.0, DiscGrid(1.0, 1.0 / 32), slot)
+        held = slot.lu
+        R = 1.01
+        warm = solve_mean_interval(diff, R, 2.0, DiscGrid(R, R / 32), slot).values
+        assert slot.lu is held
+        fresh = solve_mean_interval(diff, R, 2.0, DiscGrid(R, R / 32)).values
+        assert np.max(np.abs(warm - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+    def test_stalled_refinement_refactors(self):
+        # 10x the radius is too far for refinement: the slot takes a new factor
+        diff = compute_diffusion(default_mobility(0.5))
+        slot = FactorSlot()
+        solve_mean_interval(diff, 1.0, 2.0, DiscGrid(1.0, 1.0 / 32), slot)
+        held = slot.lu
+        warm = solve_mean_interval(diff, 10.0, 2.0, DiscGrid(10.0, 10.0 / 32), slot)
+        assert slot.lu is not held
+        fresh = solve_mean_interval(diff, 10.0, 2.0, DiscGrid(10.0, 10.0 / 32))
+        np.testing.assert_array_equal(warm.values, fresh.values)
+
+    def test_other_lattice_is_solved_fresh(self):
+        slot = FactorSlot()
+        solve_mean_interval(UNIT, 1.0, 0.0, DiscGrid(1.0, 1.0 / 16), slot)
+        held = slot.lu
+        f = solve_mean_interval(UNIT, 1.0, 0.0, DiscGrid(1.0, 1.0 / 24), slot)
+        assert slot.lu is not held and slot.lattice is f.grid._lattice
+
+    def test_golden_search_factors_fewer_times_than_it_probes(self, monkeypatch):
+        counts = {"factor": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        mob = default_mobility(2.0)
+        cost = costs.CostParams(lam=2.0, U=20.0, V=1.0)
+        costs.joint_optimize(mob, cost, "pde", pde_nodes=16)  # builds the lattice
+        monkeypatch.setattr(pde, "_factor", counted("factor", pde._factor))
+        monkeypatch.setattr(costs, "solve_mean_interval",
+                            counted("solve", costs.solve_mean_interval))
+        costs.joint_optimize(mob, cost, "pde", pde_nodes=16)
+        # 25 scan radii, each factored, then 22 golden-section probes
+        assert counts["solve"] == 47
+        assert counts["factor"] - 25 < 22 / 2
+
+
 class TestSurvival:
     def test_starts_at_one_exactly(self):
         grid = DiscGrid(1.0, 1.0 / 32)
@@ -314,10 +369,60 @@ class TestSurvival:
         assert val == pytest.approx(direct, rel=0.02)
 
 
+def full_disc_march(diff, grid, X, tgrid):
+    """Oracle for the half-disc marches: one LU of the whole-disc ``I - dt A``,
+    stepped forward for the survival curve at X and transposed for the
+    density started at X's nearest node."""
+    A = assemble_operator(diff, grid, 0.0).tocsc()
+    lu = spla.splu(sp.identity(grid.n_nodes, format="csc") - tgrid.dt * A)
+    weights = grid.interpolation_weights(X)
+    g = np.ones(grid.n_nodes)
+    p = np.zeros(grid.n_nodes)
+    p[grid.nearest_node_index([X[0]], [X[1]])[0]] = 1.0 / grid.h**2
+    survival, densities = [1.0], [p]
+    for _ in range(tgrid.steps):
+        g = lu.solve(g)
+        survival.append(sum(w * g[idx] for idx, w in weights))
+        densities.append(lu.solve(densities[-1], trans="T"))
+    return np.array(survival), densities
+
+
+class TestHalfDiscMarch:
+    @pytest.mark.parametrize("k", [0.0, 0.5, 20.0])
+    def test_matches_full_disc_march(self, k):
+        diff = compute_diffusion(default_mobility(k))
+        grid = DiscGrid(1.0, 1.0 / 24)
+        tg = TimeGrid(0.3, 30)
+        X = grid.nearest_node_point((-0.4, 0.0))
+        survival, densities = full_disc_march(diff, grid, X, tg)
+        fwd = solve_forward(diff, X, 1.0, grid, tg, output_times=[0.0, 0.1, 0.3])
+        for t, field, mass in zip(fwd.times, fwd.fields, fwd.masses):
+            ref = densities[int(round(t / tg.dt))]
+            assert np.max(np.abs(field.values - ref)) <= 1e-12 * np.max(ref)
+            assert mass == pytest.approx(ref.sum() * grid.h**2, rel=1e-12)
+        curve = solve_survival(diff, X, 1.0, grid, tg)
+        np.testing.assert_allclose(curve.values, survival, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 20.0])
+    def test_off_axis_survival_matches_full_disc_march(self, k):
+        # G is mirror-symmetric from any start; only the density needs the axis
+        diff = compute_diffusion(default_mobility(k))
+        grid = DiscGrid(1.0, 1.0 / 24)
+        tg = TimeGrid(0.3, 30)
+        survival, _ = full_disc_march(diff, grid, (0.23, 0.17), tg)
+        curve = solve_survival(diff, (0.23, 0.17), 1.0, grid, tg)
+        np.testing.assert_allclose(curve.values, survival, rtol=1e-12, atol=0)
+
+    def test_off_axis_density_start_rejected(self):
+        grid = DiscGrid(1.0, 1.0 / 24)
+        with pytest.raises(DomainError, match="road axis"):
+            solve_forward(UNIT, (0.3, 0.1), 1.0, grid, TimeGrid(0.2, 50))
+
+
 class TestForward:
     def test_initial_mass_at_source(self):
         grid = DiscGrid(1.0, 1.0 / 24)
-        fwd = solve_forward(UNIT, (0.3, 0.1), 1.0, grid, TimeGrid(0.2, 50),
+        fwd = solve_forward(UNIT, (0.3, 0.0), 1.0, grid, TimeGrid(0.2, 50),
                             output_times=[0.0, 0.2])
         p0 = fwd.fields[0].values
         assert p0[fwd.source_index] == pytest.approx(1.0 / grid.h**2)
@@ -409,8 +514,7 @@ class TestOneDim:
     def test_argmax_beats_dense_grid(self, mu, sigma, L):
         # the closed-form maximizer lies within one step of the argmax of a
         # 2001-point grid, nothing overflows, and no grid point beats it by
-        # more than the closed form's cancellation at small drift (the value
-        # at mu = 1e-6 is good to about 1e-10)
+        # more than 1e-9 relative
         xs = np.linspace(0.0, L, 2001)
         with np.errstate(all="raise"):
             x_opt = segment_argmax(mu, sigma, L)
@@ -419,6 +523,21 @@ class TestOneDim:
         assert np.isfinite(t_opt) and np.all(np.isfinite(grid))
         assert abs(x_opt - xs[np.argmax(grid)]) <= xs[1]
         assert t_opt >= float(np.max(grid)) * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("mu", [1e-6, -1e-6, 0.49, 0.51])
+    def test_small_drift_matches_mpmath(self, mu):
+        # sigma = L = 1: g L = 2 |mu| is on the series side below 1 and on the
+        # closed form's side above it; 50-digit evaluation of the closed form
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(0.0, 1.0, 21)[1:-1]
+        vals = segment_interval(mu, 1.0, 1.0, xs)
+        with mpmath.workdps(50):
+            g = 2 * mpmath.mpf(mu)
+            refs = [float((1 - mpmath.exp(-g * x) - x * (1 - mpmath.exp(-g)))
+                          / (mpmath.mpf(mu) * (1 - mpmath.exp(-g))))
+                    for x in map(mpmath.mpf, xs)]
+        for v, ref in zip(vals, refs):
+            assert abs(v - ref) <= 1e-14 * ref
 
     def test_strong_drift_no_overflow(self):
         assert np.isfinite(float(segment_interval(500.0, 0.01, 10.0, 5.0)))
