@@ -310,8 +310,7 @@ class RegimeOptimum:
     """Closed-form joint optimum for one regime and baseline.
 
     ``baseline="offset"`` optimizes the start point; ``baseline="center"``
-    pins it to the region center.  ``expected_steps`` is the mean number of
-    displacements per update cycle when the dwell mean is supplied.
+    pins it to the region center.
     """
 
     x_opt: float
@@ -321,12 +320,10 @@ class RegimeOptimum:
     regime: str
     baseline: str
     regime_consistent: bool
-    expected_steps: float | None = None
 
 
 def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
-                       baseline: str = "offset",
-                       mean_time: float | None = None) -> RegimeOptimum:
+                       baseline: str = "offset") -> RegimeOptimum:
     """Closed-form radius/offset optimum in the weak or strong drift regime.
 
     The interval enters at zero call rate (valid for rates small against the
@@ -340,7 +337,6 @@ def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
         costs: object with ``lam``, ``U``, ``V`` attributes (cost model).
         regime: "weak" or "strong".
         baseline: "offset" (optimize the start point) or "center".
-        mean_time: dwell mean in hours; enables ``expected_steps``.
 
     Returns:
         RegimeOptimum; ``regime_consistent`` is False (and a RegimeWarning
@@ -384,9 +380,7 @@ def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
             RegimeWarning, stacklevel=2,
         )
     c_min = U / t_opt + lam * math.pi * r_opt**2 * V
-    steps = t_opt / mean_time if mean_time is not None else None
     return RegimeOptimum(
         x_opt=x_opt, t_opt=t_opt, r_opt=r_opt, c_min=c_min,
         regime=regime, baseline=baseline, regime_consistent=consistent,
-        expected_steps=steps,
     )

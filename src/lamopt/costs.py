@@ -5,6 +5,10 @@ mean interval T) plus the paging cost.  For the joint optimization the
 paging cost is the whole-region form ``lam V pi R^2`` (every cell of the
 region paged once per call); the delay-constrained sequential variant with
 angular sub-regions is available separately for cost analysis.
+
+The radius search is a 25-point scan in log R, then golden section from its
+lowest point.  The one-term cost has one minimum (``U / T = A / R^2 + B``), so
+a scan with several minima is warned about, not re-scanned.
 """
 
 from __future__ import annotations
@@ -186,14 +190,6 @@ def paging_cost(plan: PagingPlan, density: ScalarField, lam: float, V: float,
     return c_p, tuple(masses), tuple(areas)
 
 
-def cost_breakdown(t_mean: float, costs: CostParams, plan: PagingPlan,
-                   density: ScalarField, mode: str = "paper") -> CostBreakdown:
-    """Assemble the full cost split for a given design point."""
-    c_u = update_cost(t_mean, costs.U)
-    c_p, p_i, a_i = paging_cost(plan, density, costs.lam, costs.V, mode)
-    return CostBreakdown(C_u=c_u, C_p=c_p, C_t=c_u + c_p, P_i=p_i, A_i=a_i)
-
-
 def paging_breakdown_at(mobility: MobilityParams, costs: CostParams,
                         x: float, R: float, mode: str = "paper",
                         grid_nodes: int = 64,
@@ -214,17 +210,17 @@ def paging_breakdown_at(mobility: MobilityParams, costs: CostParams,
     grid = DiscGrid(R, R / grid_nodes)
     field = solve_mean_interval(diff, R, costs.lam, grid)
     t_mean = field.value_at((x, 0.0))
+    c_u = update_cost(t_mean, costs.U)
     if costs.m == 1:
         area = math.pi * R * R
-        c_u = update_cost(t_mean, costs.U)
-        c_p = costs.lam * costs.V * area
-        return CostBreakdown(C_u=c_u, C_p=c_p, C_t=c_u + c_p,
-                             P_i=(1.0,), A_i=(area,))
-    plan = build_paging_plan(costs.m, direction_moments(mobility.k).var_theta,
-                             anchor_x=x)
-    fwd = solve_forward(diff, (x, 0.0), R, grid, TimeGrid(t_mean, time_steps),
-                        output_times=[t_mean])
-    return cost_breakdown(t_mean, costs, plan, fwd.fields[-1], mode)
+        c_p, p_i, a_i = costs.lam * costs.V * area, (1.0,), (area,)
+    else:
+        plan = build_paging_plan(costs.m, direction_moments(mobility.k).var_theta,
+                                 anchor_x=x)
+        fwd = solve_forward(diff, (x, 0.0), R, grid, TimeGrid(t_mean, time_steps),
+                            output_times=[t_mean])
+        c_p, p_i, a_i = paging_cost(plan, fwd.fields[-1], costs.lam, costs.V, mode)
+    return CostBreakdown(C_u=c_u, C_p=c_p, C_t=c_u + c_p, P_i=p_i, A_i=a_i)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +238,6 @@ class OptimizationResult:
     provider: str
     baseline: str
     unimodal: bool = True
-
-
-def _solve_at_radius(mobility: MobilityParams, diff, costs: CostParams,
-                     provider: str, R: float, pde_nodes: int,
-                     warm: FactorSlot | None):
-    """The interval solution at a candidate radius: the one-term galerkin
-    solution, or the pde field (refined on ``warm``'s factor when it can
-    be).  Both baselines read their design from it."""
-    if provider == "galerkin":
-        a = trial_offset_scale(mobility, R, diff)
-        return galerkin_solution(diff, R, costs.lam, a)
-    return solve_mean_interval(diff, R, costs.lam, DiscGrid(R, R / pde_nodes), warm)
 
 
 def _design(solution, baseline: str) -> tuple[float, float]:
@@ -294,8 +278,9 @@ def joint_optimize(mobility: MobilityParams, costs: CostParams,
     closed-form trial optimum for the galerkin provider, an axis grid search
     for the pde provider), reducing the problem to one variable; the outer
     radius search is golden-section on log R over R in [0.01, 100] km after
-    a coarse scan.  A coarse scan showing multiple local minima triggers a
-    dense-scan fallback with a warning.
+    a 25-point coarse scan.  A scan showing more than one local minimum is
+    warned about and marked ``unimodal=False``, not re-scanned: the search
+    then refines the scan's lowest point.
 
     Args:
         provider: "pde", "galerkin", or "asymptotic" (closed forms; regime
@@ -325,8 +310,7 @@ def optimize_pair(mobility: MobilityParams, costs: CostParams,
     Returns:
         (offset result, center result).
     """
-    offset, center = _optimize(mobility, costs, provider, BASELINES, pde_nodes)
-    return offset, center
+    return tuple(_optimize(mobility, costs, provider, BASELINES, pde_nodes))
 
 
 def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
@@ -355,57 +339,52 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
     lo, hi = math.log(_R_BRACKET[0]), math.log(_R_BRACKET[1])
 
     def solve(lr: float, warm: FactorSlot | None = None):
-        return _solve_at_radius(mobility, diff, costs, provider, math.exp(lr),
-                                pde_nodes, warm)
-
-    def cost(lr: float, solution, baseline: str) -> float:
+        # One-term or pde solution at one radius (the pde field refined on
+        # ``warm``'s factor when it can be); both baselines read it.
         R = math.exp(lr)
-        t, _ = _design(solution, baseline)
-        return update_cost(t, costs.U) + costs.lam * math.pi * R * R * costs.V
+        if provider == "galerkin":
+            return galerkin_solution(diff, R, costs.lam,
+                                     trial_offset_scale(mobility, R, diff))
+        return solve_mean_interval(diff, R, costs.lam, DiscGrid(R, R / pde_nodes), warm)
 
-    def scan(points: int, wanted) -> tuple[np.ndarray, dict]:
-        grid = np.linspace(lo, hi, points)
-        vals = {b: np.empty(points) for b in wanted}
-        for i, lr in enumerate(grid):
-            solution = solve(lr)
-            for b in wanted:
-                vals[b][i] = cost(lr, solution, b)
-        return grid, vals
+    def cost(lr: float, solution, baseline: str) -> tuple[float, float, float]:
+        """(cost, T, x) of one baseline's design at radius exp(lr)."""
+        R = math.exp(lr)
+        t, x = _design(solution, baseline)
+        return update_cost(t, costs.U) + costs.lam * math.pi * R * R * costs.V, t, x
 
-    grid, vals = scan(_SCAN_POINTS, baselines)
-    unimodal = {}
-    for b, v in vals.items():
-        n_minima = sum(1 for i in range(1, _SCAN_POINTS - 1)
-                       if v[i] < v[i - 1] and v[i] < v[i + 1])
-        unimodal[b] = n_minima <= 1
-        if not unimodal[b]:
-            warnings.warn("cost scan is not unimodal in R; using dense scan",
-                          stacklevel=3)
-    dense = [b for b in baselines if not unimodal[b]]
-    if dense:
-        dense_grid, dense_vals = scan(_SCAN_POINTS * 8, dense)
+    def scan_costs(lr: float) -> list[float]:
+        solution = solve(lr)
+        return [cost(lr, solution, b)[0] for b in baselines]
+
+    # Each scan radius is scored as it is solved, so no solution outlives it.
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    vals = np.array([scan_costs(lr) for lr in grid])
 
     results = []
-    for b in baselines:
-        g, v = (dense_grid, dense_vals[b]) if b in dense else (grid, vals[b])
+    for j, b in enumerate(baselines):
+        v = vals[:, j]
+        n_minima = sum(1 for i in range(1, _SCAN_POINTS - 1)
+                       if v[i] < v[i - 1] and v[i] < v[i + 1])
+        if n_minima > 1:
+            warnings.warn("cost scan is not unimodal in R", stacklevel=3)
         i = int(np.argmin(v))
-        lo_b, hi_b = g[max(i - 1, 0)], g[min(i + 1, g.size - 1)]
+        lo_b, hi_b = grid[max(i - 1, 0)], grid[min(i + 1, _SCAN_POINTS - 1)]
         # Golden-section probes soon lie within a few percent of each other
         # in R, so each search reuses one factor; scan radii are too far
         # apart for that.
         warm = FactorSlot()
-        lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr, warm), b),
+        lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr, warm), b)[0],
                                  lo_b, hi_b)
         r_opt = math.exp(lr_opt)
         if min(lr_opt - lo, hi - lr_opt) <= _SEARCH_RTOL:
             raise DomainError(
                 f"{b} optimum R = {r_opt:.6g} km sits on the search bracket "
                 f"[{_R_BRACKET[0]:g}, {_R_BRACKET[1]:g}] km")
-        t_opt, x_opt = _design(solve(lr_opt, warm), b)
-        c_min = update_cost(t_opt, costs.U) + costs.lam * math.pi * r_opt**2 * costs.V
+        c_min, t_opt, x_opt = cost(lr_opt, solve(lr_opt, warm), b)
         results.append(OptimizationResult(x_opt=x_opt, r_opt=r_opt, c_min=c_min,
                                           t_opt=t_opt, provider=provider,
-                                          baseline=b, unimodal=unimodal[b]))
+                                          baseline=b, unimodal=n_minima <= 1))
     return results
 
 

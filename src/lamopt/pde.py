@@ -438,6 +438,20 @@ def _refine(lu, H: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
+def _check_disc(grid: DiscGrid, R: float, X=None) -> tuple[float, float] | None:
+    """Refuse a grid built for a radius other than ``R`` and, when given, a
+    start point ``X`` not strictly inside the disc; returns ``X`` as floats.
+    A NaN radius or coordinate fails too."""
+    if not abs(grid.R - R) <= 1e-12 * R:
+        raise DomainError(f"grid radius {grid.R:g} does not match R = {R:g}")
+    if X is None:
+        return None
+    x0, y0 = float(X[0]), float(X[1])
+    if not x0 * x0 + y0 * y0 < R * R:
+        raise DomainError(f"start point {X} is not inside the disc")
+    return x0, y0
+
+
 def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
                         grid: DiscGrid, warm: FactorSlot | None = None) -> ScalarField:
     """Solve the stationary equation for the mean update interval T(X).
@@ -458,8 +472,7 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
         ScalarField of T over the grid; nonnegative, and bounded by 1/lam
         when ``lam > 0``.
     """
-    if abs(grid.R - R) > 1e-12 * R:
-        raise DomainError("grid radius does not match R")
+    _check_disc(grid, R)
     A = assemble_operator(diff, grid, lam)
     rhs = np.full(grid.n_nodes, -1.0)
     half, unfold = _half_system(A, grid)
@@ -514,9 +527,7 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     = T(X)`` at ``lam = 0``, which ``validate`` checks against
     ``solve_mean_interval``.
     """
-    x0, y0 = float(X[0]), float(X[1])
-    if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
-        raise DomainError(f"start point {X} is not inside the disc")
+    x0, y0 = _check_disc(grid, R, X)
     stepper, unfold = _half_step(diff, grid, tgrid.dt)
     weights = [(unfold[idx], w) for idx, w in grid.interpolation_weights((x0, y0))]
     g = np.ones(stepper.shape[0])
@@ -551,9 +562,7 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     reproduces the survival probability at the source node exactly (up to
     solver residual) on the same time grid.
     """
-    x0, y0 = float(X[0]), float(X[1])
-    if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
-        raise DomainError(f"start point {X} is not inside the disc")
+    x0, y0 = _check_disc(grid, R, X)
     if y0 != 0.0:
         raise DomainError(f"start point {X} is off the road axis; the density "
                           "march needs y = 0")

@@ -151,10 +151,11 @@ def check_default_design_numbers(to_diffusion) -> tuple[bool, str, str]:
     mob = default_mobility(0.0)
     diff = to_diffusion(mob)
     costs = CostParams(lam=2.0, U=20.0, V=1.0)
-    opt = asymptotic_optimum(diff, costs, "weak", "offset", mean_time=mob.mean_time)
-    ok = 1.00 <= opt.r_opt <= 1.07 and 1300 <= opt.expected_steps <= 1380
+    opt = asymptotic_optimum(diff, costs, "weak", "offset")
+    steps = opt.t_opt / mob.mean_time  # displacements per update cycle
+    ok = 1.00 <= opt.r_opt <= 1.07 and 1300 <= steps <= 1380
     return (ok,
-            f"R_opt={opt.r_opt:.4f} km, steps={opt.expected_steps:.1f}",
+            f"R_opt={opt.r_opt:.4f} km, steps={steps:.1f}",
             "R_opt in [1.00, 1.07], steps in [1300, 1380]")
 
 

@@ -316,10 +316,9 @@ class TestAsymptoticOptimum:
 
     def test_weak_default_scenario(self):
         mob = default_mobility(0.0)
-        opt = asymptotic_optimum(compute_diffusion(mob), self.COSTS, "weak",
-                                 mean_time=mob.mean_time)
+        opt = asymptotic_optimum(compute_diffusion(mob), self.COSTS, "weak")
         assert 1.00 <= opt.r_opt <= 1.07
-        assert 1300 <= opt.expected_steps <= 1380
+        assert 1300 <= opt.t_opt / mob.mean_time <= 1380
         assert opt.x_opt == 0.0
 
     def test_weak_balances_costs(self):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lamopt import costs
+from lamopt.approx import galerkin_interval, optimal_offset
+from lamopt.cli import K_GRID
 from lamopt.config import default_mobility
 from lamopt.costs import (
     MAX_PAGING_ROUNDS,
@@ -18,7 +20,6 @@ from lamopt.costs import (
     CostParams,
     PagingPlan,
     build_paging_plan,
-    cost_breakdown,
     joint_optimize,
     optimize_pair,
     paging_breakdown_at,
@@ -225,7 +226,6 @@ class TestJointOptimize:
 
     def test_perturbing_radius_increases_cost(self):
         mob = default_mobility(0.5)
-        from lamopt.approx import galerkin_interval, optimal_offset
 
         def cost_at(R, centered):
             sol = galerkin_interval(mob, R, COSTS.lam)
@@ -309,9 +309,10 @@ class TestOptimizePair:
                              for b in ("offset", "center"))
         assert solves["n"] == 0
 
-    def test_dense_fallback_shared(self, solves, monkeypatch):
-        # a cost with three minima in log R sends both baselines to the
-        # dense scan, which is also solved once for both
+    def test_bumpy_cost_warned_not_rescanned(self, solves, monkeypatch):
+        # a cost with three minima in log R is warned about and marked, and
+        # each search refines the 25-point scan's lowest point: the pair
+        # still shares its one scan, and no radius is solved again
         def bumpy(solution, baseline):
             R = solution.R
             paging = COSTS.lam * math.pi * R * R * COSTS.V
@@ -328,7 +329,29 @@ class TestOptimizePair:
             pair = optimize_pair(mob, COSTS)
         assert pair == singles
         assert not any(r.unimodal for r in pair)
-        assert solves["n"] == separate - (25 + 200)
+        assert solves["n"] == separate - 25
+
+    def test_galerkin_search_matches_closed_form(self):
+        # One-term trial: U / T(R) = A / R^2 + B exactly, so the optimum is
+        # R^4 = A / (lam V pi), with A read off two radii.
+        def update_cost_at(mob, R, lam, baseline):
+            sol = galerkin_interval(mob, R, lam)
+            x = sol.x_opt if baseline == "offset" else 0.0
+            return COSTS.U / float(sol.interval(x, 0.0))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            warnings.filterwarnings("error", "cost scan is not unimodal")
+            for k, lam in itertools.product(K_GRID, (0.2, 2.0)):
+                mob = default_mobility(k)
+                cost = CostParams(lam=lam, U=COSTS.U, V=COSTS.V)
+                for r in optimize_pair(mob, cost, "galerkin"):
+                    u1, u2 = (update_cost_at(mob, R, lam, r.baseline)
+                              for R in (0.5, 2.0))
+                    A = (u1 - u2) / (0.5**-2 - 2.0**-2)
+                    r_closed = (A / (lam * COSTS.V * math.pi)) ** 0.25
+                    assert r.unimodal
+                    assert r.r_opt == pytest.approx(r_closed, rel=5e-5), (k, lam)
 
 
 class TestSavingRatio:
@@ -366,11 +389,11 @@ class TestSavingRatio:
 
 class TestCostBreakdown:
     def test_assembly(self):
-        grid = DiscGrid(1.0, 1.0 / 32)
-        density = ScalarField(grid, np.full(grid.n_nodes, 0.9 / math.pi))
-        plan = build_paging_plan(2, 0.5)
-        b = cost_breakdown(0.4, CostParams(lam=1.0, U=10.0, V=2.0, m=2),
-                           plan, density)
-        assert b.C_u == pytest.approx(25.0)
+        mob = default_mobility(0.5)
+        cost = CostParams(lam=1.0, U=10.0, V=2.0, m=2)
+        b = paging_breakdown_at(mob, cost, x=-0.2, R=1.0, grid_nodes=16)
+        T = solve_mean_interval(compute_diffusion(mob), 1.0, 1.0,
+                                DiscGrid(1.0, 1.0 / 16)).value_at((-0.2, 0.0))
+        assert b.C_u == cost.U / T
         assert b.C_t == b.C_u + b.C_p
         assert len(b.P_i) == len(b.A_i) == 2

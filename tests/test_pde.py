@@ -354,6 +354,19 @@ class TestSurvival:
         with pytest.raises(DomainError):
             grid.interpolation_weights(X)
 
+    @pytest.mark.parametrize("R", [5.0, 0.5, math.nan])
+    def test_grid_of_another_radius_rejected(self, R):
+        # every solver refuses a grid built for another disc, also where
+        # the start point lies inside both discs
+        grid = DiscGrid(1.0, 1.0 / 16)
+        tg = TimeGrid(0.5, 10)
+        with pytest.raises(DomainError, match="grid radius"):
+            solve_mean_interval(UNIT, R, 0.0, grid)
+        with pytest.raises(DomainError, match="grid radius"):
+            solve_survival(UNIT, (0.1, 0.0), R, grid, tg)
+        with pytest.raises(DomainError, match="grid radius"):
+            solve_forward(UNIT, (0.1, 0.0), R, grid, tg)
+
     def test_monotone_and_bounded(self):
         grid = DiscGrid(1.0, 1.0 / 32)
         c = solve_survival(UNIT, (0.3, 0.0), 1.0, grid, TimeGrid(1.5, 300))
