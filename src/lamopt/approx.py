@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lamopt.errors import (
-    DegenerateDiffusionError,
-    DomainError,
-    NumericalError,
-    RegimeWarning,
-)
+from lamopt.errors import DomainError, NumericalError, RegimeWarning
 from lamopt.mobility import DiffusionParams, MobilityParams, compute_diffusion, global_drift
 from lamopt.pde import segment_argmax, segment_interval
 
@@ -349,7 +344,7 @@ def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
     if baseline not in ("offset", "center"):
         raise DomainError(f"unknown baseline {baseline!r}")
     if diff.sigma_trace <= 0.0:
-        raise DegenerateDiffusionError(
+        raise DomainError(
             f"diffusion trace must be > 0 for a regime optimum, got {diff.sigma_trace}")
 
     if regime == "weak":

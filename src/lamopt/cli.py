@@ -42,7 +42,7 @@ from lamopt.costs import (  # joint_optimize: the one-baseline search, kept publ
     paging_breakdown_at,
 )
 from lamopt.ctrw import SimConfig, estimate_T
-from lamopt.errors import DomainError, GeometryError
+from lamopt.errors import DomainError
 from lamopt.mobility import compute_diffusion
 from lamopt.protocol import Scenario, run_episode
 from lamopt.validate import INJECTIONS, format_report, run_checks
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
             if args.command == "simulate":
                 return cmd_simulate(args)
             return cmd_validate(args)
-    except (DomainError, GeometryError) as exc:
+    except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input

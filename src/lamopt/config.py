@@ -37,6 +37,13 @@ _INT_KEYS = ("m_paging", "seed")
 
 _S_PER_HR = 3600.0
 
+# Working range of R_km, 1 mm to a million km: fig5, fig6 and the
+# Monte-Carlo route read it.  Far outside it the one-term forms break: their
+# call-rate moment grows as R^3 and overflows past about 1e102 km (NaN or
+# zero intervals), and R^2 underflows to 0 below about 1e-154 km.
+MIN_R_KM = 1e-6
+MAX_R_KM = 1e6
+
 
 def parse_config(path: str | Path) -> dict:
     """Parse a ``key = value`` config file.
@@ -46,9 +53,10 @@ def parse_config(path: str | Path) -> dict:
 
     Raises:
         DomainError: unreadable file, unknown key, bad syntax, an unparsable
-            or non-finite value, ``R_km <= 0``, a fractional ``m_paging`` or
-            ``seed``, a negative ``seed``, or cost keys that ``CostParams``
-            refuses (checked here, so every command refuses them alike).
+            or non-finite value, ``R_km`` outside ``[MIN_R_KM, MAX_R_KM]``,
+            a fractional ``m_paging`` or ``seed``, a negative ``seed``, or
+            cost keys that ``CostParams`` refuses (checked here, so every
+            command refuses them alike).
     """
     try:
         text = Path(path).read_text()
@@ -76,8 +84,9 @@ def parse_config(path: str | Path) -> dict:
             raise DomainError(f"config line {lineno}: bad value for {key!r}: {value!r}") from exc
         if not math.isfinite(cfg[key]):
             raise DomainError(f"config line {lineno}: {key!r} must be finite, got {value!r}")
-    if not cfg["R_km"] > 0.0:
-        raise DomainError(f"R_km must be > 0, got {cfg['R_km']}")
+    if not MIN_R_KM <= cfg["R_km"] <= MAX_R_KM:
+        raise DomainError(f"R_km must be between {MIN_R_KM:g} and {MAX_R_KM:g} km, "
+                          f"got {cfg['R_km']}")
     for key in _INT_KEYS:
         if key in cfg:
             if cfg[key] != int(cfg[key]):

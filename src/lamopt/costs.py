@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lamopt.approx import asymptotic_optimum, galerkin_solution, trial_offset_scale
-from lamopt.errors import DomainError, GeometryError
+from lamopt.errors import DomainError, NumericalError
 from lamopt.mobility import MobilityParams, compute_diffusion
 from lamopt.pde import DiscGrid, FactorSlot, ScalarField, solve_mean_interval
 
@@ -141,7 +141,7 @@ def region_areas(plan: PagingPlan, R: float) -> np.ndarray:
     """
     x0 = plan.anchor_x
     if abs(x0) >= R:
-        raise GeometryError("paging anchor must lie inside the disc")
+        raise DomainError("paging anchor must lie inside the disc")
     phi = plan.cumulative
     cos, sin = np.cos(phi), np.sin(phi)
     rho = -x0 * cos + np.sqrt(R * R - x0 * x0 * sin * sin)
@@ -149,7 +149,7 @@ def region_areas(plan: PagingPlan, R: float) -> np.ndarray:
     areas = np.diff(R * R * np.arctan2(q_y, q_x) - x0 * q_y)
     total = float(areas.sum())
     if not math.isclose(total, math.pi * R * R, rel_tol=1e-6):
-        raise GeometryError(
+        raise NumericalError(
             f"wedge areas sum to {total:.8g}, expected {math.pi * R * R:.8g}"
         )
     return areas

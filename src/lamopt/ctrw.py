@@ -37,13 +37,17 @@ from typing import NamedTuple
 import numpy as np
 
 from lamopt.errors import DomainError
-from lamopt.mobility import MobilityParams, sample_direction
+from lamopt.mobility import MobilityParams, direction_moments, sample_direction
 
 # Dwells per block when ``_jumps_by`` steps the dwell sums toward a time.
 _DWELL_BLOCK = 8
 # Most trials one run may take: every trial keeps its 8-byte result until
 # the run ends, 80 MB at this bound.
 MAX_TRIALS = 10**7
+# Most jumps a run may expect to walk, summed over its trials: 15 to 20
+# minutes at the 8e6 to 1.2e7 jumps/s of a shared 2-core VM.  The defaults
+# expect 2.3e9 at ``MAX_TRIALS``, or 3.3e9 with no calls.
+MAX_RUN_STEPS = 10**10
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,28 @@ def _check_start(X, R) -> tuple[float, float]:
     if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not strictly inside radius {R}")
     return x0, y0
+
+
+def _check_run_size(R: float, horizon_steps: float, params: MobilityParams,
+                    cfg: SimConfig) -> None:
+    """Refuse a run expected to walk more than ``MAX_RUN_STEPS`` jumps.
+
+    A trial is expected to stop after ``min(max_steps, horizon_steps,
+    exit steps)`` jumps, with the exit steps from the diffusion limit of
+    the jump chain from the center: ``R^2 / E[L^2]`` diffusing (``E[L^2] =
+    2 mean_len^2``) or ``2 R / (mean_len E[cos])`` crossing the diameter
+    ballistically, whichever is fewer.
+    """
+    r = R / params.mean_len
+    exit_steps = 0.5 * r * r
+    e_cos = direction_moments(params.k).e_cos
+    if e_cos > 0.0:
+        exit_steps = min(exit_steps, 2.0 * r / e_cos)
+    steps = cfg.n_trials * min(cfg.max_steps, horizon_steps, exit_steps)
+    if steps > MAX_RUN_STEPS:
+        raise DomainError(
+            f"{cfg.n_trials} trials expect to walk about {steps:.3g} jumps in all, "
+            f"more than the {MAX_RUN_STEPS:.0e} a Monte-Carlo run may take")
 
 
 class _Walk(NamedTuple):
@@ -227,7 +253,8 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
 
     Raises:
         DomainError: a bad rate or start point, ``lam > 0`` with
-            ``var_time == 0``, or every trial censored.
+            ``var_time == 0``, a run expected to walk more than
+            ``MAX_RUN_STEPS`` jumps, or every trial censored.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DomainError(f"call rate must be finite and >= 0, got {lam}")
@@ -238,6 +265,7 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
         q = -math.expm1(-shape * math.log1p(lam * scale))
         if q > 0.0:  # else lam * theta underflowed and no trial is killed
             per_step = q / lam
+    _check_run_size(R, 1.0 / q if q > 0.0 else math.inf, params, cfg)
     values, censored = [], 0
     for rng, n in _chunks(cfg):
         kill = rng.geometric(q, n) if q > 0.0 else None
@@ -297,13 +325,15 @@ def surviving_positions(X, t_target: float, R: float, params: MobilityParams,
         fraction).
 
     Raises:
-        DomainError: a negative or NaN ``t_target``, ``var_time == 0``, or
-            some trial neither passed ``t_target`` nor exited within
+        DomainError: a negative or NaN ``t_target``, ``var_time == 0``, a
+            run expected to walk more than ``MAX_RUN_STEPS`` jumps, or some
+            trial neither passed ``t_target`` nor exited within
             ``max_steps`` (it would bias the fraction either way).
     """
     if not t_target >= 0.0:  # NaN fails too
         raise DomainError(f"time must be >= 0, got {t_target}")
     x0, y0 = _check_start(X, R)
+    _check_run_size(R, t_target / params.mean_time, params, cfg)
     survivors, censored = [], 0
     for rng, n in _chunks(cfg):
         jumps = _jumps_by(t_target, params, rng, n, cfg.max_steps)

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types.
+
+Bad input is a ``DomainError`` and exits 2; any other exception is a fault
+of the program and exits 3.
+"""
 
 
 class DomainError(ValueError):
@@ -7,14 +11,6 @@ class DomainError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to reach its accuracy target."""
-
-
-class DegenerateDiffusionError(DomainError):
-    """The diffusion matrix is too degenerate for the requested operation."""
-
-
-class GeometryError(ValueError):
-    """A geometric construction (grid, region partition) is inconsistent."""
 
 
 class ConsistencyViolationError(RuntimeError):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from lamopt.errors import GeometryError
+from lamopt.errors import DomainError
 
 Cell = tuple[int, int]
 
@@ -78,7 +78,7 @@ class HexGrid:
         (by r then q).
         """
         if radius <= 0.0:
-            raise GeometryError("radius must be > 0")
+            raise DomainError("radius must be > 0")
         cx, cy = center_xy
         s = self.size
         out: list[Cell] = []

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lamopt.errors import DegenerateDiffusionError, DomainError
+from lamopt.errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def global_drift(diff: DiffusionParams, radius: float) -> float:
     if radius <= 0.0:
         raise DomainError(f"radius must be > 0, got {radius}")
     if diff.sigma11 <= 0.0:
-        raise DegenerateDiffusionError(
+        raise DomainError(
             f"sigma11 must be > 0 to define a global drift, got {diff.sigma11}"
         )
     return 2.0 * diff.mu1 * radius / diff.sigma11

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from lamopt.errors import DegenerateDiffusionError, DomainError, NumericalError
+from lamopt.errors import DomainError, NumericalError
 from lamopt.mobility import DiffusionParams
 
 if TYPE_CHECKING:
@@ -275,9 +275,8 @@ class ScalarField:
 
     def axis_argmax(self) -> float:
         """x of the maximum along y = 0, refined by a parabolic fit."""
-        on_axis = self.grid.j == 0
-        order = np.argsort(self.grid.x[on_axis])
-        xs, vals = self.grid.x[on_axis][order], self.values[on_axis][order]
+        on_axis = self.grid.j == 0  # numbered by i, so in increasing x
+        xs, vals = self.grid.x[on_axis], self.values[on_axis]
         b = int(np.argmax(vals))
         if 0 < b < xs.size - 1:
             denom = vals[b - 1] - 2 * vals[b] + vals[b + 1]
@@ -320,7 +319,7 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     regimes.
     """
     if diff.sigma11 <= 0.0 or diff.sigma22 <= 0.0:
-        raise DegenerateDiffusionError(
+        raise DomainError(
             "sigma11 and sigma22 must be > 0 for the disc solver"
         )
     if lam < 0.0:

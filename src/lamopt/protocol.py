@@ -49,7 +49,7 @@ from lamopt.costs import (
     wedge_indices,
 )
 from lamopt.ctrw import sample_dwells, sample_steps
-from lamopt.errors import ConsistencyViolationError, DomainError, GeometryError
+from lamopt.errors import ConsistencyViolationError, DomainError
 from lamopt.hexgrid import Cell, HexGrid
 from lamopt.mobility import MobilityParams, direction_moments
 
@@ -150,13 +150,13 @@ def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
     the anchor's own cell always belongs to the first sub-area.
 
     Raises:
-        DomainError: the LA would hold more than ``MAX_LA_CELLS`` cells.
-        GeometryError: the threshold is below one cell diameter.
+        DomainError: the threshold is below one cell diameter, or the LA
+            would hold more than ``MAX_LA_CELLS`` cells.
     """
     if r_opt <= 0.0 or abs(x_opt) >= r_opt:
         raise DomainError(f"need 0 < |x_opt| < r_opt, got x_opt={x_opt}, r_opt={r_opt}")
     if r_opt < 2.0 * grid.size:
-        raise GeometryError(
+        raise DomainError(
             f"threshold {r_opt:.3g} km below one cell diameter {2 * grid.size:.3g} km"
         )
     cells = math.pi * r_opt * r_opt  # cells have unit area

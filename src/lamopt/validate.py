@@ -39,6 +39,7 @@ from lamopt.approx import (
 from lamopt.config import default_mobility
 from lamopt.costs import CostParams, build_paging_plan
 from lamopt.ctrw import SimConfig, estimate_T
+from lamopt.errors import DomainError
 from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import (
     DiscGrid,
@@ -69,7 +70,7 @@ def _diffusion_mapping(inject: str | None):
     if inject is None:
         return compute_diffusion
     if inject not in INJECTIONS:
-        raise ValueError(f"unknown injection {inject!r}")
+        raise DomainError(f"unknown injection {inject!r}")
 
     def corrupted(params):
         d = compute_diffusion(params)

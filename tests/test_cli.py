@@ -1,5 +1,6 @@
 """CLI surface: schemas, determinism, exit codes, negative controls."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import lamopt
 from lamopt import cli
 from lamopt.cli import main
-from lamopt.config import DEFAULTS, SCENARIO_KEYS
+from lamopt.config import DEFAULTS, MAX_R_KM, MIN_R_KM, SCENARIO_KEYS
 from lamopt.costs import MAX_PAGING_ROUNDS
 from lamopt.validate import CHECKS, run_checks
 
@@ -155,6 +156,46 @@ class TestOptimizeAndSimulate:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "n_trials" in err[0]
+
+    def test_unbounded_no_call_walk_rejected(self, tmp_path, capsys):
+        # no calls and a diffusion-limit exit of about 1.2e7 jumps: 1e5
+        # trials would each walk the 1e6-jump cap, only to end censored
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("k = 0\nlambda_per_hr = 0\nR_km = 100\n")
+        out = tmp_path / "x.csv"
+        t0 = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--mode", "ctrw"]) == 2
+        assert time.perf_counter() - t0 < 3.0
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Monte-Carlo run" in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["fig5"], ["fig6"], ["simulate", "--mode", "ctrw"],
+    ])
+    @pytest.mark.parametrize("radius", ["1e154", "1e155", "1e200", "1e-160", "1e-300"])
+    def test_radius_outside_working_range_rejected(self, tmp_path, capsys, argv, radius):
+        # the one-term forms overflow, divide by an underflowed R^2, or
+        # return NaN; the ctrw start point is NaN at 1e200
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"R_km = {radius}\n")
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: R_km")
+
+    @pytest.mark.parametrize("argv", [["fig5"], ["fig6"]])
+    @pytest.mark.parametrize("radius", [MIN_R_KM, MAX_R_KM])
+    def test_radius_range_ends_give_finite_rows(self, tmp_path, argv, radius):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"R_km = {radius!r}\n")
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in read(out)]
+        col = header.index("T_galerkin")
+        assert all(0.0 < float(row[col]) < math.inf for row in rows)
 
     def test_sub_cell_threshold_rejected(self, tmp_path, capsys):
         # the optimal radius at 5000 calls/hr is below one cell diameter, so

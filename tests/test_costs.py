@@ -29,7 +29,7 @@ from lamopt.costs import (
     update_cost,
     wedge_indices,
 )
-from lamopt.errors import DomainError, GeometryError
+from lamopt.errors import DomainError
 from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import DiscGrid, ScalarField, solve_mean_interval
 
@@ -141,7 +141,7 @@ class TestRegionGeometry:
 
     def test_anchor_outside_rejected(self):
         plan = build_paging_plan(2, 1.0, anchor_x=1.5)
-        with pytest.raises(GeometryError):
+        with pytest.raises(DomainError, match="anchor must lie inside the disc"):
             region_areas(plan, 1.0)
 
     def test_wedge_classification(self):
@@ -243,6 +243,25 @@ class TestJointOptimize:
         assert 0.3 < r.r_opt < 4.0
         assert r.x_opt < 0.0
         assert r.c_min > 0.0
+
+    def test_coarse_scan_picks_the_lower_basin(self):
+        # On the N = 32 grid the pde offset cost at k = 10, lam = 20 has two
+        # basins, near R = 0.64 and 0.75 km, inside one scan interval; golden
+        # section over the whole bracket lands in the higher one.
+        mob = default_mobility(10.0)
+        diff = compute_diffusion(mob)
+        cost = CostParams(lam=20.0, U=COSTS.U, V=COSTS.V)
+
+        def cost_at(R):
+            field = solve_mean_interval(diff, R, cost.lam, DiscGrid(R, R / 32))
+            t = field.value_at((field.axis_argmax(), 0.0))
+            return cost.U / t + cost.lam * math.pi * R * R * cost.V
+
+        v = [cost_at(R) for R in np.linspace(0.55, 0.85, 51)]
+        minima = [i for i in range(1, len(v) - 1) if v[i] < min(v[i - 1], v[i + 1])]
+        assert len(minima) == 2
+        r = joint_optimize(mob, cost, "pde", pde_nodes=32)
+        assert r.c_min <= min(v)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ from lamopt.ctrw import (
     MAX_TRIALS,
     EstimateWithCI,
     SimConfig,
+    _check_run_size,
     _check_start,
     _chunks,
     _jumps_by,
@@ -579,6 +580,21 @@ class TestSimConfig:
         assert SimConfig(n_trials=MAX_TRIALS).n_trials == MAX_TRIALS >= 200_000
         with pytest.raises(DomainError, match="n_trials"):
             SimConfig(n_trials=MAX_TRIALS + 1)
+
+    def test_unbounded_run_rejected(self):
+        # no calls on a 100 km disc: about 1.2e7 jumps to exit by diffusion,
+        # so 1e5 trials would each walk the 1e6-jump cap
+        mob = default_mobility(0.0)
+        cfg = SimConfig(n_trials=100_000, seed=49)
+        with pytest.raises(DomainError, match="Monte-Carlo run"):
+            estimate_T((0.0, 0.0), 100.0, 0.0, mob, cfg)
+        with pytest.raises(DomainError, match="Monte-Carlo run"):
+            surviving_positions((0.0, 0.0), 1e9, 100.0, mob, cfg)
+        # no calls on the unit disc stays legal, at the defaults even at
+        # the largest trial count
+        _check_run_size(1.0, math.inf, mob, cfg)
+        _check_run_size(1.0, math.inf, default_mobility(0.5),
+                        SimConfig(n_trials=MAX_TRIALS))
 
     def test_chunk_streams_worker_independent(self):
         # chunk c draws from the substream (seed, c), so chunk 0's trials end

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from lamopt.cli import K_GRID
 from lamopt.config import default_mobility, mobility_from_config, parse_config, DEFAULTS
-from lamopt.errors import DegenerateDiffusionError, DomainError
+from lamopt.errors import DomainError
 from lamopt.mobility import (
     DiffusionParams,
     MobilityParams,
@@ -245,7 +245,7 @@ class TestGlobalDrift:
         assert hi > 90.0
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateDiffusionError):
+        with pytest.raises(DomainError, match="sigma11 must be > 0"):
             global_drift(DiffusionParams(1.0, 0.0, 1.0), 1.0)
         with pytest.raises(DomainError):
             global_drift(DiffusionParams(1.0, 1.0, 1.0), 0.0)

@@ -201,6 +201,8 @@ class TestDiscGrid:
         np.testing.assert_array_equal(g.x[g.mirror], g.x)
         np.testing.assert_array_equal(g.y[g.mirror], -g.y)
         np.testing.assert_array_equal(g.mirror[g.j == 0], np.flatnonzero(g.j == 0))
+        # ScalarField.axis_argmax reads the axis nodes in node order
+        assert np.all(np.diff(g.x[g.j == 0]) > 0.0)
 
     def test_interpolation_at_node_is_exact(self):
         g = DiscGrid(1.0, 1.0 / 16)

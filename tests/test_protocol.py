@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lamopt.config import default_mobility
 from lamopt.costs import CostParams
 from lamopt.ctrw import sample_dwells, sample_steps
-from lamopt.errors import ConsistencyViolationError, DomainError, GeometryError
+from lamopt.errors import ConsistencyViolationError, DomainError
 from lamopt.hexgrid import HexGrid
 from lamopt.mobility import compute_diffusion, direction_moments
 from lamopt.protocol import (
@@ -223,7 +223,7 @@ class TestConstructLa:
         assert GRID.cell_of(*la.initial_position) in la.sub_area_cells[0]
 
     def test_degenerate_radius_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(DomainError, match="below one cell diameter"):
             construct_la((0.0, 0.0), 0.0, 1.0, GRID)
 
     def test_consecutive_las_overlap_at_moderate_offset(self):
