@@ -5,9 +5,11 @@ Usage: python scripts/snapshot_csvs.py OUTDIR
 
 Writes fig5..fig8, ``optimize`` for each provider and paging mode at
 ``m_paging`` = 1 and 3, and ``simulate`` in episode and ctrw mode, all at the
-default scenario, and the ``validate`` report plain and under each
-``--inject``, without its wall-time ``seconds`` column.  Two checkouts agree
-when ``diff -r`` of their OUTDIRs is empty.
+default scenario; ``optimize`` with the asymptotic and galerkin providers at
+the strongly drifted point ``k`` = 20, ``lambda_per_hr`` = 0.2, where the
+strong-drift closed forms hold; and the ``validate`` report plain and under
+each ``--inject``, without its wall-time ``seconds`` column.  Two checkouts
+agree when ``diff -r`` of their OUTDIRs is empty.
 """
 
 import contextlib
@@ -45,6 +47,11 @@ with tempfile.TemporaryDirectory() as tmp:
             for mode in ("paper", "cumulative"):
                 run(f"optimize_{provider}_{mode}_m{m}", "optimize", *config,
                     "--provider", provider, "--paging-mode", mode)
+    strong = pathlib.Path(tmp) / "strong.cfg"
+    strong.write_text("k = 20\nlambda_per_hr = 0.2\n")
+    for provider in ("asymptotic", "galerkin"):
+        run(f"optimize_{provider}_strong", "optimize", "--config", str(strong),
+            "--provider", provider)
 
 for mode in ("episode", "ctrw"):
     run(f"simulate_{mode}", "simulate", "--mode", mode)

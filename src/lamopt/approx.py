@@ -317,6 +317,16 @@ class RegimeOptimum:
     regime_consistent: bool
 
 
+def regime_interval(diff: DiffusionParams, R: float, regime: str,
+                    baseline: str = "offset") -> float:
+    """Zero-call-rate interval of a radius-R region in a drift regime:
+    ``R^2 / tr sigma`` (weak), ``2R / mu1`` (strong, offset start) or
+    ``R / mu1`` (strong, center start)."""
+    if regime == "weak":
+        return R * R / diff.sigma_trace
+    return (2.0 if baseline == "offset" else 1.0) * R / diff.mu1
+
+
 def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
                        baseline: str = "offset") -> RegimeOptimum:
     """Closed-form radius/offset optimum in the weak or strong drift regime.
@@ -348,24 +358,20 @@ def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
             f"diffusion trace must be > 0 for a regime optimum, got {diff.sigma_trace}")
 
     if regime == "weak":
-        s = diff.sigma_trace
-        r_opt = (s * U / (lam * V * math.pi)) ** 0.25
-        t_opt = r_opt**2 / s
+        r_opt = (diff.sigma_trace * U / (lam * V * math.pi)) ** 0.25
         x_opt = 0.0  # the optimal offset vanishes with the drift
     elif regime == "strong":
         if diff.mu1 <= 0.0:
             raise DomainError("strong regime requires mu1 > 0")
         if baseline == "offset":
             r_opt = (U * diff.mu1 / (4.0 * lam * V * math.pi)) ** (1.0 / 3.0)
-            t_opt = 2.0 * r_opt / diff.mu1
-            x_opt = -r_opt * (1.0 - math.log(2.0 * global_drift(diff, r_opt))
-                              / global_drift(diff, r_opt))
+            x_opt = strong_drift_argmax(diff, r_opt)
         else:
             r_opt = (U * diff.mu1 / (2.0 * lam * V * math.pi)) ** (1.0 / 3.0)
-            t_opt = r_opt / diff.mu1
             x_opt = 0.0
     else:
         raise DomainError(f"unknown regime {regime!r}")
+    t_opt = regime_interval(diff, r_opt, regime, baseline)
 
     consistent = drift_regime(diff, r_opt) == regime
     if not consistent:

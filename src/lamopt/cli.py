@@ -26,6 +26,7 @@ from lamopt.approx import (
     drift_regime,
     galerkin_interval,
     optimal_offset,
+    regime_interval,
     trial_offset_scale,
 )
 from lamopt.config import (
@@ -35,10 +36,11 @@ from lamopt.config import (
     mobility_from_config,
     parse_config,
 )
-from lamopt.costs import (  # joint_optimize: the one-baseline search, kept public here
+from lamopt.costs import (  # joint_optimize: the name the benchmark tracer wraps in cli
     PROVIDERS,
     joint_optimize,
     optimize_pair,
+    pair_saving,
     paging_breakdown_at,
 )
 from lamopt.ctrw import SimConfig, estimate_T
@@ -66,16 +68,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _mobility_at(cfg: dict, k: float, var_eta_s2: float | None = None):
-    sub = dict(cfg)
-    sub["k"] = k
-    if var_eta_s2 is not None:
-        sub["Var_eta_s2"] = var_eta_s2
-    return mobility_from_config(sub)
-
-
 # ---------------------------------------------------------------------------
-# figure sweeps
+# row functions: config (and the subcommand's own flags) -> (header, rows)
 # ---------------------------------------------------------------------------
 
 def fig5_rows(cfg: dict) -> tuple[list[str], list[list]]:
@@ -89,12 +83,12 @@ def fig5_rows(cfg: dict) -> tuple[list[str], list[list]]:
     lam = 0.2
     rows = []
     for k in K_GRID:
-        mob = _mobility_at(cfg, k, var_eta_s2=0.1)
+        mob = mobility_from_config(dict(cfg, k=k, Var_eta_s2=0.1))
         diff = compute_diffusion(mob)
         sol = galerkin_interval(mob, R, lam, diff)
         regime = drift_regime(diff, R)
-        t_weak = R * R / diff.sigma_trace if regime == "weak" else None
-        t_strong = 2.0 * R / diff.mu1 if regime == "strong" else None
+        t_weak = regime_interval(diff, R, "weak") if regime == "weak" else None
+        t_strong = regime_interval(diff, R, "strong") if regime == "strong" else None
         rows.append([k, sol.interval_at_opt(), t_weak, t_strong])
     return ["k", "T_galerkin", "T_weak_asymptotic", "T_strong_asymptotic"], rows
 
@@ -105,7 +99,7 @@ def fig6_rows(cfg: dict) -> tuple[list[str], list[list]]:
     rows = []
     for k in K_GRID:
         for var_eta in (0.2, 2.0):
-            mob = _mobility_at(cfg, k, var_eta_s2=var_eta)
+            mob = mobility_from_config(dict(cfg, k=k, Var_eta_s2=var_eta))
             diff = compute_diffusion(mob)
             for lam in (0.0, 0.2, 0.5, 1.0, 3.0):
                 sol = galerkin_interval(mob, R, lam, diff)
@@ -118,81 +112,53 @@ def fig7_fig8_rows(cfg: dict) -> tuple[list[str], list[list]]:
     costs = costs_from_config(cfg)
     rows = []
     for k in K_GRID:
-        mob = _mobility_at(cfg, k)
-        opt, ctr = optimize_pair(mob, costs, "galerkin")
-        saving = (ctr.c_min - opt.c_min) / ctr.c_min
-        rows.append([k, opt.x_opt, opt.r_opt, saving])
+        opt, ctr = optimize_pair(mobility_from_config(dict(cfg, k=k)), costs, "galerkin")
+        rows.append([k, opt.x_opt, opt.r_opt, pair_saving(opt, ctr)])
     return ["k", "x_opt_km", "R_opt_km", "saving_ratio"], rows
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_figure(args, which: str) -> int:
-    cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
-    if which == "fig5":
-        header, rows = fig5_rows(cfg)
-    elif which == "fig6":
-        header, rows = fig6_rows(cfg)
-    else:
-        header, rows = fig7_fig8_rows(cfg)
-    _write_csv(args.out, header, rows)
-    return 0
-
-
-def cmd_optimize(args) -> int:
-    cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
+def optimize_rows(cfg: dict, *, provider: str,
+                  paging_mode: str) -> tuple[list[str], list[list]]:
+    """The joint optimum of one config and the cost split at it."""
     mob = mobility_from_config(cfg)
     costs = costs_from_config(cfg)
-    opt, ctr = optimize_pair(mob, costs, args.provider)
-    breakdown = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt,
-                                    mode=args.paging_mode)
+    opt, ctr = optimize_pair(mob, costs, provider)
+    breakdown = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt, mode=paging_mode)
     header = ["k", "lambda_per_hr", "provider", "x_opt_km", "R_opt_km",
               "C_u", "C_p", "C_t", "saving_ratio"]
-    rows = [[cfg["k"], costs.lam, args.provider, opt.x_opt, opt.r_opt,
-             breakdown.C_u, breakdown.C_p, breakdown.C_t,
-             (ctr.c_min - opt.c_min) / ctr.c_min]]
-    _write_csv(args.out, header, rows)
-    return 0
+    return header, [[cfg["k"], costs.lam, provider, opt.x_opt, opt.r_opt,
+                     breakdown.C_u, breakdown.C_p, breakdown.C_t, pair_saving(opt, ctr)]]
 
 
-def cmd_simulate(args) -> int:
-    cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+def simulate_rows(cfg: dict, *, seed: int | None, mode: str, trials: int,
+                  x_km: float | None) -> tuple[list[str], list[list]]:
+    """One protocol episode, or one raw Monte-Carlo interval estimate."""
+    if seed is not None:
+        cfg = dict(cfg, seed=seed)
     if not cfg["Var_eta_s2"] > 0.0:
         raise DomainError(f"Var_eta_s2 must be > 0 for simulate: the Monte-Carlo and "
                           f"protocol routes draw gamma dwells, got {cfg['Var_eta_s2']}")
-    if args.mode == "episode":
-        scenario = Scenario(mobility=mobility_from_config(cfg),
-                            costs=costs_from_config(cfg),
+    mob = mobility_from_config(cfg)
+    if mode == "episode":
+        scenario = Scenario(mobility=mob, costs=costs_from_config(cfg),
                             **{key: cfg[key] for key in SCENARIO_KEYS if key in cfg})
         m = run_episode(scenario)
         header = ["strategy", "k", "lambda_per_hr", "duration_hr", "updates",
                   "boundary_updates", "call_updates", "cells_paged",
                   "C_u", "C_p", "C_t"]
-        rows = [[scenario.strategy, cfg["k"], scenario.costs.lam,
-                 m.duration_hr, m.update_count, m.boundary_updates,
-                 m.call_triggered_updates, m.cells_paged_total,
-                 m.C_u, m.C_p, m.C_t]]
-    else:
-        mob = mobility_from_config(cfg)
-        R = cfg["R_km"]
-        lam = cfg["lambda_per_hr"]
-        if args.x_km is None:
-            x = optimal_offset(trial_offset_scale(mob, R), R)
-        else:
-            x = args.x_km
-        sim = SimConfig(n_trials=args.trials,
-                        **{key: cfg[key] for key in ("seed",) if key in cfg})
-        est = estimate_T((x, 0.0), R, lam, mob, sim)
-        header = ["k", "lambda_per_hr", "x_km", "R_km", "mean_T_hr",
-                  "ci_half_width", "n", "censored_count"]
-        rows = [[cfg["k"], lam, x, R, est.mean, est.half_width_95, est.n,
-                 est.censored_count]]
-    _write_csv(args.out, header, rows)
-    return 0
+        return header, [[scenario.strategy, cfg["k"], scenario.costs.lam,
+                         m.duration_hr, m.update_count, m.boundary_updates,
+                         m.call_triggered_updates, m.cells_paged_total,
+                         m.C_u, m.C_p, m.C_t]]
+    R = cfg["R_km"]
+    lam = cfg["lambda_per_hr"]
+    x = optimal_offset(trial_offset_scale(mob, R), R) if x_km is None else x_km
+    sim = SimConfig(n_trials=trials, **{key: cfg[key] for key in ("seed",) if key in cfg})
+    est = estimate_T((x, 0.0), R, lam, mob, sim)
+    header = ["k", "lambda_per_hr", "x_km", "R_km", "mean_T_hr",
+              "ci_half_width", "n", "censored_count"]
+    return header, [[cfg["k"], lam, x, R, est.mean, est.half_width_95, est.n,
+                     est.censored_count]]
 
 
 def cmd_validate(args) -> int:
@@ -214,52 +180,58 @@ def _seed(text: str) -> int:
     return seed
 
 
+# Parser destinations every subcommand shares; the rest are its own flags,
+# which main passes to its row function as keywords.
+_COMMON = ("command", "config", "out", "rows")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand but ``validate`` binds its row function
+    as ``rows``."""
     p = argparse.ArgumentParser(prog="lamopt", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, summary, config=True, out_required=True):
+    def subcommand(name, summary, rows):
         sp = sub.add_parser(name, help=summary)
-        if config:
-            sp.add_argument("--config", default=None, help="key = value config file")
-        sp.add_argument("--out", required=out_required, help="output CSV path")
+        sp.add_argument("--config", default=None, help="key = value config file")
+        sp.add_argument("--out", required=True, help="output CSV path")
+        sp.set_defaults(rows=rows)
         return sp
 
-    for name in ("fig5", "fig6", "fig7", "fig8"):
-        subcommand(name, f"emit {name} sweep CSV")
-    sp_opt = subcommand("optimize", "joint optimum for one config")
+    for name, rows in (("fig5", fig5_rows), ("fig6", fig6_rows),
+                       ("fig7", fig7_fig8_rows), ("fig8", fig7_fig8_rows)):
+        subcommand(name, f"emit {name} sweep CSV", rows)
+    sp_opt = subcommand("optimize", "joint optimum for one config", optimize_rows)
     sp_opt.add_argument("--provider", choices=PROVIDERS, default="galerkin")
     sp_opt.add_argument("--paging-mode", choices=("paper", "cumulative"),
                         default="paper")
-    sp_sim = subcommand("simulate", "protocol episode or raw MC run")
+    sp_sim = subcommand("simulate", "protocol episode or raw MC run", simulate_rows)
     sp_sim.add_argument("--seed", type=_seed, default=None)
     sp_sim.add_argument("--mode", choices=("episode", "ctrw"), default="episode")
     sp_sim.add_argument("--trials", type=int, default=100_000)
     sp_sim.add_argument("--x-km", type=float, default=None)
-    sp_val = subcommand("validate", "run the oracle cross-check suite",
-                        config=False, out_required=False)
+    sp_val = sub.add_parser("validate", help="run the oracle cross-check suite")
+    sp_val.add_argument("--out", default=None, help="output CSV path")
     sp_val.add_argument("--inject", choices=INJECTIONS, default=None,
                         help="corrupt the diffusion mapping (negative control)")
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Regime and search warnings are not reported yet; the CSV carries
         # only the numbers.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            if args.command in ("fig5", "fig6", "fig7", "fig8"):
-                return cmd_figure(args, "fig7" if args.command == "fig8"
-                                  else args.command)
-            if args.command == "optimize":
-                return cmd_optimize(args)
-            if args.command == "simulate":
-                return cmd_simulate(args)
-            return cmd_validate(args)
+            if args.command == "validate":
+                return cmd_validate(args)
+            cfg = parse_config(args.config) if args.config else dict(DEFAULTS)
+            flags = {key: value for key, value in vars(args).items() if key not in _COMMON}
+            header, rows = args.rows(cfg, **flags)
+            _write_csv(args.out, header, rows)
+            return 0
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from pathlib import Path
 from lamopt.costs import CostParams
 from lamopt.errors import DomainError
 from lamopt.mobility import MobilityParams
+from lamopt.protocol import check_scenario_keys
 
 # Default scenario: 20 m road sections, 8 s crossing time with 1 s^2
 # variance, 2 calls/hr, update cost 20, paging cost 1 per unit-area cell.
@@ -54,9 +55,10 @@ def parse_config(path: str | Path) -> dict:
     Raises:
         DomainError: unreadable file, unknown key, bad syntax, an unparsable
             or non-finite value, ``R_km`` outside ``[MIN_R_KM, MAX_R_KM]``,
-            a fractional ``m_paging`` or ``seed``, a negative ``seed``, or
-            cost keys that ``CostParams`` refuses (checked here, so every
-            command refuses them alike).
+            a fractional ``m_paging`` or ``seed``, a negative ``seed``, cost
+            keys that ``CostParams`` refuses, or a ``strategy``, ``provider``
+            or ``duration_hr`` that ``Scenario`` refuses (all checked here,
+            so every command refuses them alike).
     """
     try:
         text = Path(path).read_text()
@@ -95,6 +97,7 @@ def parse_config(path: str | Path) -> dict:
     if cfg.get("seed", 0) < 0:
         raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
     costs_from_config(cfg)
+    check_scenario_keys(cfg)
     return cfg
 
 
@@ -116,7 +119,4 @@ def mobility_from_config(cfg: dict) -> MobilityParams:
 
 def default_mobility(k: float, var_eta_s2: float = 1.0) -> MobilityParams:
     """Default-scenario mobility at the given concentration factor."""
-    cfg = dict(DEFAULTS)
-    cfg["k"] = k
-    cfg["Var_eta_s2"] = var_eta_s2
-    return mobility_from_config(cfg)
+    return mobility_from_config(dict(DEFAULTS, k=k, Var_eta_s2=var_eta_s2))

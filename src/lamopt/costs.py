@@ -411,5 +411,9 @@ def saving_ratio(mobility: MobilityParams, costs: CostParams,
     Both baselines re-optimize their own radius.  Nonnegative; approaches
     ``1 - 4^(-1/3) ~ 0.370`` in the strongly drifted small-call-rate limit.
     """
-    opt, ctr = optimize_pair(mobility, costs, provider, pde_nodes)
+    return pair_saving(*optimize_pair(mobility, costs, provider, pde_nodes))
+
+
+def pair_saving(opt: OptimizationResult, ctr: OptimizationResult) -> float:
+    """Saving ratio ``1 - C_opt / C_ctr`` of an (offset, center) optimum pair."""
     return (ctr.c_min - opt.c_min) / ctr.c_min

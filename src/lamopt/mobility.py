@@ -164,16 +164,6 @@ class MobilityParams:
         if self.var_time < 0.0:
             raise DomainError(f"var_time must be >= 0, got {self.var_time}")
 
-    @property
-    def var_len(self) -> float:
-        """Displacement length variance, km^2 (exponential law)."""
-        return self.mean_len**2
-
-    @property
-    def second_moment_len(self) -> float:
-        """E[length^2], km^2."""
-        return self.var_len + self.mean_len**2
-
 
 @dataclass(frozen=True)
 class DiffusionParams:
@@ -215,7 +205,7 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
     var_t = params.var_time
 
     try:
-        e_len2 = params.second_moment_len
+        e_len2 = 2.0 * e_len**2  # E[L^2] of the exponential length law
         mean_x = e_len * m.e_cos
         # Step-component variances from length/direction independence.
         var11 = e_len2 * m.e_cos2 - mean_x**2

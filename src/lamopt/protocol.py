@@ -107,6 +107,18 @@ class EpisodeMetrics:
     C_t: float
 
 
+def check_scenario_keys(values: dict) -> None:
+    """Refuse a ``strategy``, ``provider`` or ``duration_hr`` outside its
+    domain; an absent key passes.  Config files and ``Scenario`` share it."""
+    if "strategy" in values and values["strategy"] not in STRATEGIES:
+        raise DomainError(f"unknown strategy {values['strategy']!r}")
+    if "provider" in values and values["provider"] not in PROVIDERS:
+        raise DomainError(f"provider must be one of {PROVIDERS}")
+    duration = values.get("duration_hr", 1.0)
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise DomainError(f"duration_hr must be finite and > 0, got {duration}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One protocol run: mobility, costs, strategy, horizon, seed."""
@@ -120,13 +132,7 @@ class Scenario:
     design: tuple[float, float] | None = None  # (x_opt, r_opt) pin
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise DomainError(f"unknown strategy {self.strategy!r}")
-        if self.provider not in PROVIDERS:
-            raise DomainError(f"provider must be one of {PROVIDERS}")
-        if not (math.isfinite(self.duration_hr) and self.duration_hr > 0.0):
-            raise DomainError(
-                f"duration_hr must be finite and > 0, got {self.duration_hr}")
+        check_scenario_keys(vars(self))
         steps = self.duration_hr / self.mobility.mean_time
         if steps > MAX_EPISODE_STEPS:
             raise DomainError(

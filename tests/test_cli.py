@@ -1,13 +1,18 @@
 """CLI surface: schemas, determinism, exit codes, negative controls."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lamopt
 from lamopt import cli
@@ -340,7 +345,10 @@ class TestOptimizeAndSimulate:
         ["optimize"], ["simulate"], ["fig5"], ["fig6"], ["fig7"],
         ["simulate", "--mode", "ctrw", "--trials", "100"],
     ])
-    @pytest.mark.parametrize("line", ["U = -5", "V = 0", "lambda_per_hr = -1"])
+    # the last four keys only the episode reads
+    @pytest.mark.parametrize("line", ["U = -5", "V = 0", "lambda_per_hr = -1",
+                                      "provider = bogus", "strategy = nope",
+                                      "duration_hr = -5", "duration_hr = 0"])
     def test_bad_cost_key_rejected_by_every_command(self, tmp_path, capsys, argv, line):
         cfg = tmp_path / "cost.cfg"
         cfg.write_text(line + "\n")
@@ -362,6 +370,35 @@ class TestOptimizeAndSimulate:
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestConfigSpace:
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)),
+           mean_len_m=_log_uniform(1e-6, 1e9), E_eta_s=_log_uniform(1e-6, 1e9),
+           Var_eta_s2=_log_uniform(1e-6, 1e9),
+           lambda_per_hr=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e9)),
+           U=_log_uniform(1e-6, 1e9), V=_log_uniform(1e-6, 1e9),
+           R_km=_log_uniform(1e-6, 1e6), command=st.sampled_from(["fig5", "fig6"]))
+    def test_figure_is_finite_or_refused(self, command, **values):
+        # a config either gives finite, nonnegative cells or one config error
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "space.cfg", Path(tmp) / "x.csv"
+            cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("config error:")
+                return
+            assert code == 0, err.getvalue()
+            cells = [float(cell) for row in read(out)[1:] for cell in row.split(",") if cell]
+        assert all(math.isfinite(c) and c >= 0.0 for c in cells)
 
 
 class TestSeed:

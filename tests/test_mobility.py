@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from lamopt.cli import K_GRID
 from lamopt.config import default_mobility, mobility_from_config, parse_config, DEFAULTS
+from lamopt.ctrw import sample_steps
 from lamopt.errors import DomainError
 from lamopt.mobility import (
     DiffusionParams,
@@ -169,8 +170,13 @@ class TestDirectionMoments:
 
 class TestMobilityParams:
     def test_second_moment_identity(self):
+        # the sampled exponential lengths have E[L^2] = 2 mean_len^2, the
+        # moment compute_diffusion uses (4 sigma band)
         p = default_mobility(0.5)
-        assert p.second_moment_len == p.var_len + p.mean_len**2
+        dx, dy = sample_steps(p, np.random.default_rng(7), 1_000_000)
+        l2 = dx * dx + dy * dy
+        band = 4.0 * np.std(l2) / 1000.0
+        assert abs(l2.mean() - 2 * p.mean_len**2) < band
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -186,18 +192,18 @@ class TestComputeDiffusion:
         # no preferred direction: zero drift, isotropic spreading of
         # E[len^2] / (2 E[dwell])
         d = compute_diffusion(default_mobility(0.0))
-        expected = default_mobility(0.0).second_moment_len / (2 * TABLE_MEAN_TIME)
+        expected = 2 * default_mobility(0.0).mean_len**2 / (2 * TABLE_MEAN_TIME)
         assert d.mu1 == 0.0
         assert d.sigma11 == pytest.approx(expected, rel=1e-12)
         assert d.sigma22 == pytest.approx(expected, rel=1e-12)
 
     def test_full_concentration_limits(self):
         # straight-line motion: drift = speed, spread from length and dwell
-        # fluctuations only
+        # fluctuations only (the exponential length variance is mean_len^2)
         p = default_mobility(1e6)
         d = compute_diffusion(p)
         assert d.mu1 == pytest.approx(p.mean_len / p.mean_time, rel=1e-6)
-        s11 = (p.var_len * p.mean_time**2 + p.var_time * p.mean_len**2) / p.mean_time**3
+        s11 = (p.mean_len**2 * p.mean_time**2 + p.var_time * p.mean_len**2) / p.mean_time**3
         assert d.sigma11 == pytest.approx(s11, rel=1e-6)
         assert d.sigma22 == pytest.approx(0.0, abs=1e-9)
 
@@ -206,7 +212,7 @@ class TestComputeDiffusion:
         # relative at the proxy concentrations
         p_lo = default_mobility(1e-4)
         d_lo = compute_diffusion(p_lo)
-        iso = p_lo.second_moment_len / (2 * p_lo.mean_time)
+        iso = 2 * p_lo.mean_len**2 / (2 * p_lo.mean_time)
         assert d_lo.sigma11 == pytest.approx(iso, rel=1e-4)
         assert d_lo.sigma22 == pytest.approx(iso, rel=1e-4)
         p_hi = default_mobility(1e6)
