@@ -134,7 +134,8 @@ def _check_start(X, R) -> tuple[float, float]:
 
 def _check_run_size(R: float, horizon_steps: float, params: MobilityParams,
                     cfg: SimConfig) -> None:
-    """Refuse a run expected to walk more than ``MAX_RUN_STEPS`` jumps.
+    """Refuse a run expected to walk more than ``MAX_RUN_STEPS`` jumps, or
+    one that no horizon stops and that is expected to end censored.
 
     A trial is expected to stop after ``min(max_steps, horizon_steps,
     exit steps)`` jumps, with the exit steps from the diffusion limit of
@@ -152,6 +153,11 @@ def _check_run_size(R: float, horizon_steps: float, params: MobilityParams,
         raise DomainError(
             f"{cfg.n_trials} trials expect to walk about {steps:.3g} jumps in all, "
             f"more than the {MAX_RUN_STEPS:.0e} a Monte-Carlo run may take")
+    if math.isinf(horizon_steps) and exit_steps > cfg.max_steps:
+        raise DomainError(
+            f"no call or time horizon stops the walk, and a trial from the center "
+            f"is expected to take about {exit_steps:.3g} jumps to leave the disc, "
+            f"more than max_steps = {cfg.max_steps}")
 
 
 class _Walk(NamedTuple):
@@ -254,7 +260,8 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
     Raises:
         DomainError: a bad rate or start point, ``lam > 0`` with
             ``var_time == 0``, a run expected to walk more than
-            ``MAX_RUN_STEPS`` jumps, or every trial censored.
+            ``MAX_RUN_STEPS`` jumps, a run with no call horizon whose
+            expected exit steps pass ``max_steps``, or every trial censored.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DomainError(f"call rate must be finite and >= 0, got {lam}")
