@@ -1,8 +1,7 @@
 """Closed-form and weighted-residual approximations of the mean interval.
 
-Three analytic routes complement the finite-difference solver:
+Two analytic routes complement the finite-difference solver:
 
-* a two-term polynomial Galerkin solution for weakly drifted motion;
 * the exact cross-section solution for strongly drifted motion (diffusion
   across the drift axis neglected): on each chord of the disc it is the
   drifted two-point problem on a segment, evaluated by ``pde``'s segment
@@ -11,7 +10,8 @@ Three analytic routes complement the finite-difference solver:
   whose maximizer yields the closed-form optimal start offset.
 
 The regime optima (radius, offset, minimum cost) follow from the weak and
-strong interval forms by balancing update cost against paging cost.  Which
+strong interval forms (``regime_interval``; the weak one is the driftless
+``R^2 / tr sigma``) by balancing update cost against paging cost.  Which
 regime a region is in is decided here alone, by ``drift_regime``.
 """
 
@@ -40,87 +40,6 @@ def drift_regime(diff: DiffusionParams, R: float) -> str | None:
     if gam >= STRONG_DRIFT_MIN:
         return "strong"
     return None
-
-
-# ---------------------------------------------------------------------------
-# disc quadrature for polynomial integrands
-# ---------------------------------------------------------------------------
-
-def _disc_quadrature(fn, R: float, nr: int = 24, ntheta: int = 64) -> float:
-    """Integrate fn(x, y) over the disc; exact for moderate-degree polynomials."""
-    r_nodes, r_weights = np.polynomial.legendre.leggauss(nr)
-    r = 0.5 * R * (r_nodes + 1.0)
-    wr = 0.5 * R * r_weights * r
-    theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    wt = 2.0 * math.pi / ntheta
-    xs = np.outer(r, np.cos(theta))
-    ys = np.outer(r, np.sin(theta))
-    return float(np.sum(wr[:, None] * fn(xs, ys)) * wt)
-
-
-# ---------------------------------------------------------------------------
-# weak drift: two-term polynomial Galerkin solution
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeakDriftCoeffs:
-    """Coefficients of the two polynomial trial functions.
-
-    Trial space: ``phi1 = R^2 - x^2 - y^2`` and ``phi2 = phi1 (x + y)``;
-    the approximation is ``T = A phi1 + B phi2``.
-    """
-
-    A: float
-    B: float
-    R: float
-
-
-def weak_drift_coeffs(diff: DiffusionParams, R: float) -> WeakDriftCoeffs:
-    """Assemble and solve the 2x2 weighted-residual system numerically.
-
-    The residual of ``L T + 1`` (no call-rate term) is made orthogonal to
-    both trial functions under the plain area inner product.
-    """
-    s11, s22, mu1 = diff.sigma11, diff.sigma22, diff.mu1
-
-    def phi1(x, y):
-        return R * R - x * x - y * y
-
-    def L_phi1(x, y):
-        return -(s11 + s22) - 2.0 * mu1 * x
-
-    def phi2(x, y):
-        return phi1(x, y) * (x + y)
-
-    def L_phi2(x, y):
-        diffusion = s11 / 2.0 * (-6.0 * x - 2.0 * y) + s22 / 2.0 * (-2.0 * x - 6.0 * y)
-        return diffusion + mu1 * (phi1(x, y) - 2.0 * x * (x + y))
-
-    m = np.array([
-        [_disc_quadrature(lambda x, y: phi1(x, y) * L_phi1(x, y), R),
-         _disc_quadrature(lambda x, y: phi1(x, y) * L_phi2(x, y), R)],
-        [_disc_quadrature(lambda x, y: phi2(x, y) * L_phi1(x, y), R),
-         _disc_quadrature(lambda x, y: phi2(x, y) * L_phi2(x, y), R)],
-    ])
-    rhs = -np.array([
-        _disc_quadrature(phi1, R),
-        _disc_quadrature(phi2, R),
-    ])
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalError(f"weighted-residual system is singular (cond {cond:.2e})")
-    a, b = np.linalg.solve(m, rhs)
-    return WeakDriftCoeffs(A=float(a), B=float(b), R=R)
-
-
-def weak_drift_coeffs_closed_form(diff: DiffusionParams, R: float) -> WeakDriftCoeffs:
-    """Closed forms of the two-term coefficients (no assembly).
-
-    Kept as an independent cross-check of :func:`weak_drift_coeffs`.
-    """
-    s = diff.sigma_trace
-    a = 6.0 * s / ((diff.mu1 * R) ** 2 + 6.0 * s * s)
-    return WeakDriftCoeffs(A=a, B=-diff.mu1 * a / (2.0 * s), R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +199,6 @@ def optimal_offset(a: float, R: float) -> float:
     if a < R:
         raise DomainError(f"offset scale a={a} must be >= R={R}")
     return -R * R / (a + math.sqrt((a - R) * (a + R)))
-
-
-def drift_moment_residual(diff: DiffusionParams, R: float, a: float) -> float:
-    """Area integral of the drift term of the trial function.
-
-    Identically zero by the divergence theorem (the trial function vanishes
-    on the circle); exposed so validation can confirm the drift term is
-    genuinely absent from the one-term solution's denominator.
-    """
-    def gx(x, y):
-        u = x + a
-        return diff.mu1 * (-(R * R - y * y - a * a) / u**2 - 1.0)
-
-    return _disc_quadrature(gx, R, nr=48, ntheta=128)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,15 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write the CSV once the work is done, so a failed run leaves an
+    existing file whole; an unwritable path is bad input."""
+    try:
+        with open(path, "w") as f:
+            f.write(",".join(header) + "\n")
+            for row in rows:
+                f.write(",".join(_fmt(v) for v in row) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ the finite-difference solver, quadratures against analytic reductions.  The
 suite is the artifact's tripwire for implementation bugs; the accuracy of
 the *approximations* relative to the exact solver is reported by the
 acceptance tests instead, since approximation error is a property of the
-method, not of the code.
+method, not of the code.  The referee quadratures some checks need (the disc
+quadrature of the trial moments, the drift-moment residual) live here, not in
+the modules they referee.
 
 Every check takes the mobility-to-diffusion mapping under test and returns
 ``(passed, measured, expected)``; checks built on fixed diffusion parameters
@@ -29,15 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from lamopt.approx import (
-    _disc_quadrature,
     asymptotic_optimum,
-    drift_moment_residual,
     galerkin_solution,
     optimal_offset,
     strong_drift_argmax,
     strong_drift_interval,
-    weak_drift_coeffs,
-    weak_drift_coeffs_closed_form,
 )
 from lamopt.config import default_mobility
 from lamopt.costs import CostParams, build_paging_plan
@@ -200,6 +198,33 @@ def check_offset_bruteforce(to_diffusion, scales: tuple[float, ...] = (2.0,)
     return ok, "; ".join(lines), "within 1e-3"
 
 
+def _disc_quadrature(fn, R: float, nr: int = 24, ntheta: int = 64) -> float:
+    """Integrate fn(x, y) over the disc by Gauss-Legendre in r and the
+    trapezoid rule in theta; the referee for the trial moments."""
+    r_nodes, r_weights = np.polynomial.legendre.leggauss(nr)
+    r = 0.5 * R * (r_nodes + 1.0)
+    wr = 0.5 * R * r_weights * r
+    theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
+    wt = 2.0 * math.pi / ntheta
+    xs = np.outer(r, np.cos(theta))
+    ys = np.outer(r, np.sin(theta))
+    return float(np.sum(wr[:, None] * fn(xs, ys)) * wt)
+
+
+def drift_moment_residual(diff: DiffusionParams, R: float, a: float) -> float:
+    """Area integral of the drift term of the one-term trial function.
+
+    Identically zero by the divergence theorem (the trial function vanishes
+    on the circle), which is why ``approx.galerkin_solution``'s denominator
+    has no drift moment; this quadrature confirms it.
+    """
+    def gx(x, y):
+        u = x + a
+        return diff.mu1 * (-(R * R - y * y - a * a) / u**2 - 1.0)
+
+    return _disc_quadrature(gx, R, nr=48, ntheta=128)
+
+
 @_check("trial_moments_closed_form_vs_disc_quadrature")
 def check_trial_moments(to_diffusion) -> tuple[bool, str, str]:
     diff = DiffusionParams(0.0, 1.0, 1.0)
@@ -225,16 +250,6 @@ def check_drift_term_absent(to_diffusion) -> tuple[bool, str, str]:
     res = drift_moment_residual(diff, 1.0, 3.0)
     ok = abs(res) <= 1e-8
     return ok, f"{res:.2e}", "0 +- 1e-8"
-
-
-@_check("weak_coeffs_assembly_vs_closed_form")
-def check_weak_coeffs(to_diffusion) -> tuple[bool, str, str]:
-    diff = to_diffusion(default_mobility(0.3))
-    num = weak_drift_coeffs(diff, 1.0)
-    closed = weak_drift_coeffs_closed_form(diff, 1.0)
-    ok = (math.isclose(num.A, closed.A, rel_tol=1e-9)
-          and math.isclose(num.B, closed.B, rel_tol=1e-9))
-    return ok, f"A {num.A:.10f} vs {closed.A:.10f}", "relative 1e-9"
 
 
 @_check("mc_vs_pde_interval")

@@ -11,7 +11,8 @@ tests reach belongs in the tests.
 
 Because uses are matched by name, not by owner, a dead method could hide
 behind a same-named method of another class; so no two package classes may
-define a public method of the same name.
+define a public method of the same name.  And no package module imports an
+underscore name from another: what two modules share is public.
 """
 
 import ast
@@ -104,3 +105,20 @@ def test_no_public_method_name_is_shared_unless_allowed():
 def test_package_root_imports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def private_cross_module_imports() -> set[tuple[str, str]]:
+    """``(module file, imported name)`` of each ``from lamopt.x import _name``
+    (or relative ``from .x import _name``) in the package."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or (node.module or "").split(".")[0] == "lamopt")):
+                found |= {(path.name, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    return found
+
+
+def test_no_module_imports_a_private_name_from_another():
+    assert private_cross_module_imports() == set()

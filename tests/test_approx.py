@@ -10,7 +10,6 @@ from scipy.optimize import minimize_scalar
 from lamopt.approx import (
     RegimeOptimum,
     asymptotic_optimum,
-    drift_moment_residual,
     drift_regime,
     galerkin_interval,
     galerkin_solution,
@@ -18,58 +17,13 @@ from lamopt.approx import (
     strong_drift_argmax,
     strong_drift_interval,
     trial_offset_scale,
-    weak_drift_coeffs,
-    weak_drift_coeffs_closed_form,
 )
 from lamopt.config import default_mobility
 from lamopt.costs import CostParams
 from lamopt.errors import DomainError, RegimeWarning
 from lamopt.mobility import DiffusionParams, compute_diffusion, global_drift
 from lamopt.pde import DiscGrid, solve_mean_interval
-
-
-def weak_interval(diff, R, x, y):
-    """The two-term weak-drift approximation ``phi1 (A + B (x + y))``."""
-    c = weak_drift_coeffs(diff, R)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return (R * R - x * x - y * y) * (c.A + c.B * (x + y))
-
-
-class TestWeakDrift:
-    def test_assembly_matches_closed_forms(self):
-        # the numerically assembled 2x2 system reproduces the printed
-        # coefficient formulas to solver precision
-        for k in (0.0, 0.05, 0.3, 1.0):
-            diff = compute_diffusion(default_mobility(k))
-            for R in (0.5, 1.0, 2.0):
-                num = weak_drift_coeffs(diff, R)
-                ref = weak_drift_coeffs_closed_form(diff, R)
-                assert num.A == pytest.approx(ref.A, rel=1e-9)
-                assert num.B == pytest.approx(ref.B, abs=abs(ref.A) * 1e-9)
-
-    def test_driftless_recovers_exact(self):
-        diff = DiffusionParams(0.0, 1.0, 1.0)
-        assert float(weak_interval(diff, 1.0, 0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
-        # and A collapses to 1 / (sigma11 + sigma22), B to 0
-        c = weak_drift_coeffs(diff, 1.0)
-        assert c.A == pytest.approx(0.5, abs=1e-9)
-        assert c.B == pytest.approx(0.0, abs=1e-9)
-
-    def test_boundary_zero(self):
-        diff = compute_diffusion(default_mobility(0.05))
-        vals = weak_interval(diff, 1.0, np.array([1.0, 0.0, -0.6]),
-                             np.array([0.0, -1.0, 0.8]))
-        np.testing.assert_allclose(vals, 0.0, atol=1e-12)
-
-    def test_matches_pde_in_regime(self):
-        # inside its regime (global drift below one) the two-term solution
-        # tracks the solver within a few percent
-        diff = compute_diffusion(default_mobility(0.01))
-        assert global_drift(diff, 1.0) < 1.0
-        field = solve_mean_interval(diff, 1.0, 0.0, DiscGrid(1.0, 1.0 / 64))
-        approx_val = float(weak_interval(diff, 1.0, 0.0, 0.0))
-        pde_val = field.value_at((0.0, 0.0))
-        assert approx_val == pytest.approx(pde_val, rel=0.10)
+from lamopt.validate import _disc_quadrature, drift_moment_residual
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +162,6 @@ class TestGalerkinSolution:
 
     def test_plain_moment_vs_disc_quadrature(self):
         # C0 equals the area integral of the trial function
-        from lamopt.approx import _disc_quadrature
         diff = DiffusionParams(0.0, 1.0, 1.0)
         for a in (1.2, 3.0, 50.0):
             sol = galerkin_solution(diff, 1.0, 1.0, a)
@@ -219,7 +172,6 @@ class TestGalerkinSolution:
         # on either side of a = 100 R, where the adaptive oracle's large-a
         # series takes over, the closed-form plain moment matches an
         # independent 2-D disc quadrature of the trial function
-        from lamopt.approx import _disc_quadrature
         diff = DiffusionParams(0.0, 1.0, 1.0)
         for a in (99.9, 100.1):
             sol = galerkin_solution(diff, 1.0, 1.0, a)
