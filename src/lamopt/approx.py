@@ -9,10 +9,11 @@ Two analytic routes complement the finite-difference solver:
 * a one-term rational-trial-function solution valid for any concentration,
   whose maximizer yields the closed-form optimal start offset.
 
-The regime optima (radius, offset, minimum cost) follow from the weak and
-strong interval forms (``regime_interval``; the weak one is the driftless
-``R^2 / tr sigma``) by balancing update cost against paging cost.  Which
-regime a region is in is decided here alone, by ``drift_regime``.
+The zero-call-rate regime intervals (``regime_interval``: the driftless
+``R^2 / tr sigma`` when weak, ``2R / mu1`` or ``R / mu1`` when strong) are
+the forms the asymptotic provider in ``costs`` balances against paging.
+Which regime a region is in is decided here alone, by ``drift_regime``.
+The module deals in intervals only; the cost model lives in ``costs``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ def drift_regime(diff: DiffusionParams, R: float) -> str | None:
     if gam >= STRONG_DRIFT_MIN:
         return "strong"
     return None
+
+
+def regime_interval(diff: DiffusionParams, R: float, regime: str,
+                    baseline: str = "offset") -> float:
+    """Zero-call-rate interval of a radius-R region in a drift regime:
+    ``R^2 / tr sigma`` (weak), ``2R / mu1`` (strong, offset start) or
+    ``R / mu1`` (strong, center start)."""
+    if regime == "weak":
+        return R * R / diff.sigma_trace
+    return (2.0 if baseline == "offset" else 1.0) * R / diff.mu1
 
 
 # ---------------------------------------------------------------------------
@@ -199,94 +210,3 @@ def optimal_offset(a: float, R: float) -> float:
     if a < R:
         raise DomainError(f"offset scale a={a} must be >= R={R}")
     return -R * R / (a + math.sqrt((a - R) * (a + R)))
-
-
-# ---------------------------------------------------------------------------
-# regime optima
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegimeOptimum:
-    """Closed-form joint optimum for one regime and baseline.
-
-    ``baseline="offset"`` optimizes the start point; ``baseline="center"``
-    pins it to the region center.
-    """
-
-    x_opt: float
-    t_opt: float
-    r_opt: float
-    c_min: float
-    regime: str
-    baseline: str
-    regime_consistent: bool
-
-
-def regime_interval(diff: DiffusionParams, R: float, regime: str,
-                    baseline: str = "offset") -> float:
-    """Zero-call-rate interval of a radius-R region in a drift regime:
-    ``R^2 / tr sigma`` (weak), ``2R / mu1`` (strong, offset start) or
-    ``R / mu1`` (strong, center start)."""
-    if regime == "weak":
-        return R * R / diff.sigma_trace
-    return (2.0 if baseline == "offset" else 1.0) * R / diff.mu1
-
-
-def asymptotic_optimum(diff: DiffusionParams, costs, regime: str,
-                       baseline: str = "offset") -> RegimeOptimum:
-    """Closed-form radius/offset optimum in the weak or strong drift regime.
-
-    The interval enters at zero call rate (valid for rates small against the
-    exit rate); the call rate appears only through the paging term
-    ``lam pi R^2 V``.  The minimum cost is computed by substituting the
-    optimal radius into the cost objective, never from a pre-simplified
-    constant.
-
-    Args:
-        diff: diffusion parameters.
-        costs: object with ``lam``, ``U``, ``V`` attributes (cost model).
-        regime: "weak" or "strong".
-        baseline: "offset" (optimize the start point) or "center".
-
-    Returns:
-        RegimeOptimum; ``regime_consistent`` is False (and a RegimeWarning
-        is emitted) when the global drift at the optimal radius contradicts
-        the requested regime.
-    """
-    lam, U, V = costs.lam, costs.U, costs.V
-    if lam <= 0.0 or U <= 0.0 or V <= 0.0:
-        raise DomainError("asymptotic optimum needs lam, U, V all > 0")
-    if baseline not in ("offset", "center"):
-        raise DomainError(f"unknown baseline {baseline!r}")
-    if diff.sigma_trace <= 0.0:
-        raise DomainError(
-            f"diffusion trace must be > 0 for a regime optimum, got {diff.sigma_trace}")
-
-    if regime == "weak":
-        r_opt = (diff.sigma_trace * U / (lam * V * math.pi)) ** 0.25
-        x_opt = 0.0  # the optimal offset vanishes with the drift
-    elif regime == "strong":
-        if diff.mu1 <= 0.0:
-            raise DomainError("strong regime requires mu1 > 0")
-        if baseline == "offset":
-            r_opt = (U * diff.mu1 / (4.0 * lam * V * math.pi)) ** (1.0 / 3.0)
-            x_opt = strong_drift_argmax(diff, r_opt)
-        else:
-            r_opt = (U * diff.mu1 / (2.0 * lam * V * math.pi)) ** (1.0 / 3.0)
-            x_opt = 0.0
-    else:
-        raise DomainError(f"unknown regime {regime!r}")
-    t_opt = regime_interval(diff, r_opt, regime, baseline)
-
-    consistent = drift_regime(diff, r_opt) == regime
-    if not consistent:
-        warnings.warn(
-            f"{regime} optimum at R={r_opt:.4g} has global drift "
-            f"{global_drift(diff, r_opt):.3g}; regime assumption shaky",
-            RegimeWarning, stacklevel=2,
-        )
-    c_min = U / t_opt + lam * math.pi * r_opt**2 * V
-    return RegimeOptimum(
-        x_opt=x_opt, t_opt=t_opt, r_opt=r_opt, c_min=c_min,
-        regime=regime, baseline=baseline, regime_consistent=consistent,
-    )

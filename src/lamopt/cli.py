@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +60,14 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an ``--out`` path that is a directory or
+    lies in a missing one; the file is not opened, so none is truncated."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise DomainError(f"cannot write output file {path}: "
+                          "not a file in an existing directory")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -122,9 +131,12 @@ def fig7_fig8_rows(cfg: dict) -> tuple[list[str], list[list]]:
     return ["k", "x_opt_km", "R_opt_km", "saving_ratio"], rows
 
 
-def optimize_rows(cfg: dict, *, provider: str,
+def optimize_rows(cfg: dict, *, provider: str | None,
                   paging_mode: str) -> tuple[list[str], list[list]]:
-    """The joint optimum of one config and the cost split at it."""
+    """The joint optimum of one config and the cost split at it; the
+    ``--provider`` flag wins over the config's ``provider`` key."""
+    if provider is None:
+        provider = cfg.get("provider", "galerkin")
     mob = mobility_from_config(cfg)
     costs = costs_from_config(cfg)
     opt, ctr = optimize_pair(mob, costs, provider)
@@ -208,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                        ("fig7", fig7_fig8_rows), ("fig8", fig7_fig8_rows)):
         subcommand(name, f"emit {name} sweep CSV", rows)
     sp_opt = subcommand("optimize", "joint optimum for one config", optimize_rows)
-    sp_opt.add_argument("--provider", choices=PROVIDERS, default="galerkin")
+    sp_opt.add_argument("--provider", choices=PROVIDERS, default=None,
+                        help="interval provider (default: the config's, else galerkin)")
     sp_opt.add_argument("--paging-mode", choices=("paper", "cumulative"),
                         default="paper")
     sp_sim = subcommand("simulate", "protocol episode or raw MC run", simulate_rows)
@@ -230,6 +243,8 @@ def main(argv=None) -> int:
         # only the numbers.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            if args.out is not None:
+                _check_out(args.out)
             if args.command == "validate":
                 return cmd_validate(args)
             cfg = parse_config(args.config) if args.config else dict(DEFAULTS)

@@ -8,7 +8,8 @@ angular sub-regions is available separately for cost analysis.
 
 The radius search is a 25-point scan in log R, then golden section from its
 lowest point.  The one-term cost has one minimum (``U / T = A / R^2 + B``), so
-a scan with several minima is warned about, not re-scanned.
+a scan with several minima is warned about, not re-scanned.  The asymptotic
+provider needs no search: ``asymptotic_optimum`` is its closed forms.
 """
 
 from __future__ import annotations
@@ -19,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lamopt.approx import asymptotic_optimum, galerkin_solution, trial_offset_scale
-from lamopt.errors import DomainError, NumericalError
-from lamopt.mobility import MobilityParams, compute_diffusion
+from lamopt.approx import (
+    drift_regime,
+    galerkin_solution,
+    regime_interval,
+    strong_drift_argmax,
+    trial_offset_scale,
+)
+from lamopt.errors import DomainError, NumericalError, RegimeWarning
+from lamopt.mobility import DiffusionParams, MobilityParams, compute_diffusion
 from lamopt.pde import DiscGrid, FactorSlot, ScalarField, solve_mean_interval
 
 PROVIDERS = ("pde", "galerkin", "asymptotic")
@@ -70,6 +77,12 @@ def update_cost(t_mean: float, U: float) -> float:
     if t_mean <= 0.0:
         raise DomainError(f"mean interval must be > 0, got {t_mean}")
     return U / t_mean
+
+
+def _cost(costs: CostParams, t: float, R: float) -> float:
+    """The cost objective: update cost at mean interval t plus the
+    whole-region paging cost ``lam V pi R^2``."""
+    return update_cost(t, costs.U) + costs.lam * math.pi * R * R * costs.V
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +296,8 @@ def joint_optimize(mobility: MobilityParams, costs: CostParams,
     then refines the scan's lowest point.
 
     Args:
-        provider: "pde", "galerkin", or "asymptotic" (closed forms; regime
-            picked by self-consistency of the global drift at the optimum).
+        provider: "pde", "galerkin", or "asymptotic" (closed forms; see
+            ``asymptotic_optimum``).
         baseline: "offset" or "center" (start pinned to the region center).
 
     Returns:
@@ -327,14 +340,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
     diff = compute_diffusion(mobility)
 
     if provider == "asymptotic":
-        results = []
-        for baseline in baselines:
-            opt = _auto_regime_optimum(diff, costs, baseline)
-            results.append(OptimizationResult(
-                x_opt=opt.x_opt, r_opt=opt.r_opt, c_min=opt.c_min, t_opt=opt.t_opt,
-                provider=provider, baseline=baseline,
-            ))
-        return results
+        return [asymptotic_optimum(diff, costs, b) for b in baselines]
 
     lo, hi = math.log(_R_BRACKET[0]), math.log(_R_BRACKET[1])
 
@@ -351,7 +357,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
         """(cost, T, x) of one baseline's design at radius exp(lr)."""
         R = math.exp(lr)
         t, x = _design(solution, baseline)
-        return update_cost(t, costs.U) + costs.lam * math.pi * R * R * costs.V, t, x
+        return _cost(costs, t, R), t, x
 
     def scan_costs(lr: float) -> list[float]:
         solution = solve(lr)
@@ -388,19 +394,45 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
     return results
 
 
-def _auto_regime_optimum(diff, costs, baseline: str):
-    """Pick weak or strong closed forms by drift self-consistency."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        weak = asymptotic_optimum(diff, costs, "weak", baseline)
-        strong = (asymptotic_optimum(diff, costs, "strong", baseline)
-                  if diff.mu1 > 0.0 else None)
-    if strong is not None and strong.regime_consistent:
-        return strong
-    if weak.regime_consistent or strong is None:
+def asymptotic_optimum(diff: DiffusionParams, costs: CostParams,
+                       baseline: str = "offset") -> OptimizationResult:
+    """Closed-form radius/offset optimum in the drift regime it lands in.
+
+    The interval is ``approx.regime_interval``'s, at zero call rate (valid
+    for rates small against the exit rate), so balancing it against the
+    paging cost gives ``R = (tr sigma U / (lam V pi))^(1/4)`` with offset 0
+    (weak) or ``R = (U mu1 / (4 lam V pi))^(1/3)`` with the start at the
+    strong-drift argmax (strong; ``2`` for ``4`` at the center).  Strong
+    when the global drift at the strong radius is; else weak when the drift
+    at the weak radius is, or mu1 <= 0; else the cheaper of the two, with a
+    ``RegimeWarning``.  The cost is the objective at the radius, never a
+    pre-simplified constant.
+    """
+    lam, U, V = costs.lam, costs.U, costs.V
+    if lam <= 0.0:
+        raise DomainError("asymptotic optimum needs lam, U, V all > 0")
+    if baseline not in BASELINES:
+        raise DomainError(f"unknown baseline {baseline!r}")
+    if diff.sigma_trace <= 0.0:
+        raise DomainError(
+            f"diffusion trace must be > 0 for a regime optimum, got {diff.sigma_trace}")
+
+    def optimum(regime: str, r: float) -> OptimizationResult:
+        t = regime_interval(diff, r, regime, baseline)
+        x = strong_drift_argmax(diff, r) if (regime, baseline) == ("strong", "offset") else 0.0
+        return OptimizationResult(x_opt=x, r_opt=r, c_min=_cost(costs, t, r), t_opt=t,
+                                  provider="asymptotic", baseline=baseline)
+
+    if diff.mu1 > 0.0:
+        share = 4.0 if baseline == "offset" else 2.0
+        strong = optimum("strong", (U * diff.mu1 / (share * lam * V * math.pi)) ** (1.0 / 3.0))
+        if drift_regime(diff, strong.r_opt) == "strong":
+            return strong
+    weak = optimum("weak", (diff.sigma_trace * U / (lam * V * math.pi)) ** 0.25)
+    if diff.mu1 <= 0.0 or drift_regime(diff, weak.r_opt) == "weak":
         return weak
     warnings.warn("drift between regimes; choosing the cheaper closed form",
-                  stacklevel=4)
+                  RegimeWarning, stacklevel=4)
     return strong if strong.c_min < weak.c_min else weak
 
 

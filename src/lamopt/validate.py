@@ -31,14 +31,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from lamopt.approx import (
-    asymptotic_optimum,
     galerkin_solution,
     optimal_offset,
     strong_drift_argmax,
     strong_drift_interval,
 )
 from lamopt.config import default_mobility
-from lamopt.costs import CostParams, build_paging_plan
+from lamopt.costs import CostParams, asymptotic_optimum, build_paging_plan
 from lamopt.ctrw import SimConfig, estimate_T
 from lamopt.errors import DomainError
 from lamopt.mobility import DiffusionParams, compute_diffusion
@@ -133,10 +132,8 @@ def check_one_dim(to_diffusion) -> tuple[bool, str, str]:
 def check_strong_ratios(to_diffusion) -> tuple[bool, str, str]:
     diff = to_diffusion(default_mobility(1e6))
     costs = CostParams(lam=2.0, U=20.0, V=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        o = asymptotic_optimum(diff, costs, "strong", "offset")
-        c = asymptotic_optimum(diff, costs, "strong", "center")
+    o = asymptotic_optimum(diff, costs, "offset")
+    c = asymptotic_optimum(diff, costs, "center")
     r_ratio = c.r_opt / o.r_opt
     c_ratio = c.c_min / o.c_min
     saving = 1.0 - o.c_min / c.c_min
@@ -153,7 +150,7 @@ def check_default_design_numbers(to_diffusion) -> tuple[bool, str, str]:
     mob = default_mobility(0.0)
     diff = to_diffusion(mob)
     costs = CostParams(lam=2.0, U=20.0, V=1.0)
-    opt = asymptotic_optimum(diff, costs, "weak", "offset")
+    opt = asymptotic_optimum(diff, costs, "offset")
     steps = opt.t_opt / mob.mean_time  # displacements per update cycle
     ok = 1.00 <= opt.r_opt <= 1.07 and 1300 <= steps <= 1380
     return (ok,

@@ -122,3 +122,30 @@ def private_cross_module_imports() -> set[tuple[str, str]]:
 
 def test_no_module_imports_a_private_name_from_another():
     assert private_cross_module_imports() == set()
+
+
+# Warnings are filtered only at the edges that report to a person: the CLI
+# and the validation suite.  A filter deeper in the package would hide a
+# regime or search warning from every caller.
+FILTERING_MODULES = {"cli.py", "validate.py"}
+
+
+def warning_filter_calls() -> set[tuple[str, str]]:
+    """``(module file, function)`` of each ``warnings.simplefilter``,
+    ``filterwarnings`` or ``catch_warnings`` call in the package outside
+    ``FILTERING_MODULES``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in FILTERING_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+                if name in ("simplefilter", "filterwarnings", "catch_warnings"):
+                    found.add((path.name, name))
+    return found
+
+
+def test_only_cli_and_validate_filter_warnings():
+    assert warning_filter_calls() == set()

@@ -5,11 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from lamopt.approx import (
-    RegimeOptimum,
-    asymptotic_optimum,
     drift_regime,
     galerkin_interval,
     galerkin_solution,
@@ -19,7 +16,6 @@ from lamopt.approx import (
     trial_offset_scale,
 )
 from lamopt.config import default_mobility
-from lamopt.costs import CostParams
 from lamopt.errors import DomainError, RegimeWarning
 from lamopt.mobility import DiffusionParams, compute_diffusion, global_drift
 from lamopt.pde import DiscGrid, solve_mean_interval
@@ -263,74 +259,9 @@ class TestOptimalOffset:
             optimal_offset(0.9, 1.0)
 
 
-class TestAsymptoticOptimum:
-    COSTS = CostParams(lam=2.0, U=20.0, V=1.0)
-
-    def test_weak_default_scenario(self):
-        mob = default_mobility(0.0)
-        opt = asymptotic_optimum(compute_diffusion(mob), self.COSTS, "weak")
-        assert 1.00 <= opt.r_opt <= 1.07
-        assert 1300 <= opt.t_opt / mob.mean_time <= 1380
-        assert opt.x_opt == 0.0
-
-    def test_weak_balances_costs(self):
-        # at the fourth-root optimum the update and paging costs are equal
-        diff = compute_diffusion(default_mobility(0.0))
-        opt = asymptotic_optimum(diff, self.COSTS, "weak")
-        c_u = self.COSTS.U / opt.t_opt
-        c_p = self.COSTS.lam * math.pi * opt.r_opt**2 * self.COSTS.V
-        assert c_u == pytest.approx(c_p, rel=1e-9)
-        assert c_u == pytest.approx(
-            math.sqrt(diff.sigma_trace * self.COSTS.lam * self.COSTS.U
-                      * self.COSTS.V * math.pi), rel=1e-9)
-
-    def test_strong_radius_vs_scalar_minimizer(self):
-        # independent bracketed minimization of U mu/(2R) + lam pi R^2 V
-        diff = compute_diffusion(default_mobility(1e6))
-        opt = asymptotic_optimum(diff, self.COSTS, "strong")
-        res = minimize_scalar(
-            lambda r: self.COSTS.U * diff.mu1 / (2 * r)
-            + self.COSTS.lam * math.pi * r * r * self.COSTS.V,
-            bounds=(0.1, 10.0), method="bounded",
-            options={"xatol": 1e-10})
-        assert opt.r_opt == pytest.approx(res.x, rel=1e-6)
-        assert opt.r_opt == pytest.approx(1.9276, rel=1e-4)
-        assert opt.c_min == pytest.approx(res.fun, rel=1e-9)
-
-    def test_center_ratios_exact(self):
-        diff = compute_diffusion(default_mobility(1e6))
-        o = asymptotic_optimum(diff, self.COSTS, "strong", "offset")
-        c = asymptotic_optimum(diff, self.COSTS, "strong", "center")
-        assert c.r_opt / o.r_opt == pytest.approx(2.0 ** (1 / 3), abs=1e-6)
-        assert c.c_min / o.c_min == pytest.approx(4.0 ** (1 / 3), abs=1e-6)
-        assert 1.0 - o.c_min / c.c_min == pytest.approx(0.370, abs=1e-3)
-
-    def test_strong_offset_near_trailing_boundary(self):
-        diff = compute_diffusion(default_mobility(1e6))
-        opt = asymptotic_optimum(diff, self.COSTS, "strong")
-        assert -opt.r_opt < opt.x_opt < -0.9 * opt.r_opt
-
-    def test_drift_regime_thresholds(self):
-        # global drift 2 mu1 R / s11 = R here; both thresholds are inclusive
-        diff = DiffusionParams(1.0, 2.0, 2.0)
-        assert drift_regime(diff, 1.0) == "weak"
-        assert drift_regime(diff, 5.0) is None
-        assert drift_regime(diff, 10.0) == "strong"
-
-    def test_regime_consistency_flag(self):
-        diff = compute_diffusion(default_mobility(0.0))
-        opt = asymptotic_optimum(diff, self.COSTS, "weak")
-        assert opt.regime_consistent
-        strong_diff = compute_diffusion(default_mobility(1e6))
-        with pytest.warns(RegimeWarning):
-            bad = asymptotic_optimum(strong_diff, self.COSTS, "weak")
-        assert not bad.regime_consistent
-
-    def test_validation(self):
-        diff = compute_diffusion(default_mobility(1.0))
-        with pytest.raises(DomainError):
-            asymptotic_optimum(diff, CostParams(lam=0.0001, U=1, V=1), "sideways")
-        with pytest.raises(DomainError):
-            asymptotic_optimum(diff, self.COSTS, "weak", "middle")
-        assert isinstance(
-            asymptotic_optimum(diff, self.COSTS, "strong"), RegimeOptimum)
+def test_drift_regime_thresholds():
+    # global drift 2 mu1 R / s11 = R here; both thresholds are inclusive
+    diff = DiffusionParams(1.0, 2.0, 2.0)
+    assert drift_regime(diff, 1.0) == "weak"
+    assert drift_regime(diff, 5.0) is None
+    assert drift_regime(diff, 10.0) == "strong"

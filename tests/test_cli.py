@@ -20,6 +20,7 @@ from lamopt import cli, validate
 from lamopt.cli import main
 from lamopt.config import DEFAULTS, MAX_R_KM, MIN_R_KM, SCENARIO_KEYS
 from lamopt.costs import MAX_PAGING_ROUNDS
+from lamopt.errors import DomainError
 from lamopt.mobility import compute_diffusion
 from lamopt.validate import CHECKS, run_checks
 
@@ -68,6 +69,16 @@ class TestOptimizeAndSimulate:
         fields = row.split(",")
         assert fields[2] == "asymptotic"
         assert float(fields[4]) > 0
+
+    @pytest.mark.parametrize("flag, expected", [([], "asymptotic"),
+                                                (["--provider", "galerkin"], "galerkin")])
+    def test_optimize_reads_config_provider(self, tmp_path, flag, expected):
+        # the config's provider key is read; the flag wins over it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("provider = asymptotic\n")
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        assert read(out)[1].split(",")[2] == expected
 
     def test_simulate_episode(self, tmp_path):
         cfg = tmp_path / "scen.cfg"
@@ -304,13 +315,33 @@ class TestOptimizeAndSimulate:
         assert capsys.readouterr().err.splitlines() == [
             "internal error: RuntimeError: boom"]
 
-    @pytest.mark.parametrize("command, target", [
-        ("fig5", "missing_dir/x.csv"), ("fig5", "."), ("validate", "missing_dir/x.csv")])
-    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command, target):
-        # the path is bad input (exit 2), found only when the CSV is written
-        assert main([command, "--out", str(tmp_path / target)]) == 2
-        err = capsys.readouterr().err.splitlines()
+    @pytest.mark.parametrize("argv, target", [
+        (["fig5"], "missing_dir/x.csv"), (["fig5"], "."),
+        (["validate"], "missing_dir/x.csv"),
+        (["optimize", "--provider", "pde"], "missing_dir/x.csv")])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, argv, target):
+        # the path is bad input (exit 2), refused before any work: validate
+        # runs no check and prints no report
+        assert main([*argv, "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: cannot write")
+
+    def test_existing_out_not_truncated_by_the_path_check(self, tmp_path, capsys):
+        # the path check does not open the file, so a run refused for its
+        # config leaves an existing output whole
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("U = 0\n")
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        assert main(["fig5", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text() == "old\n"
+
+    def test_write_failure_is_a_config_error(self, tmp_path):
+        # the backstop for a path that passes the check but cannot be opened
+        with pytest.raises(DomainError, match="cannot write output file"):
+            cli._write_csv(str(tmp_path / "missing_dir" / "x.csv"), ["a"], [[1]])
 
     @pytest.mark.parametrize("mode", ["episode", "ctrw"])
     @pytest.mark.parametrize("var", ["0", "-1"])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from lamopt import costs
 from lamopt.approx import galerkin_interval, optimal_offset
@@ -18,7 +19,9 @@ from lamopt.costs import (
     MAX_PAGING_ROUNDS,
     PROVIDERS,
     CostParams,
+    OptimizationResult,
     PagingPlan,
+    asymptotic_optimum,
     build_paging_plan,
     joint_optimize,
     optimize_pair,
@@ -29,7 +32,7 @@ from lamopt.costs import (
     update_cost,
     wedge_indices,
 )
-from lamopt.errors import DomainError
+from lamopt.errors import DomainError, RegimeWarning
 from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import DiscGrid, ScalarField, solve_mean_interval
 
@@ -287,6 +290,105 @@ class TestJointOptimize:
         with pytest.raises(DomainError, match="baseline"):
             joint_optimize(default_mobility(0.5), COSTS, provider,
                            baseline="centre")
+
+
+class TestAsymptoticOptimum:
+    def test_weak_default_scenario(self):
+        mob = default_mobility(0.0)
+        opt = asymptotic_optimum(compute_diffusion(mob), COSTS, "offset")
+        assert 1.00 <= opt.r_opt <= 1.07
+        assert 1300 <= opt.t_opt / mob.mean_time <= 1380
+        assert opt.x_opt == 0.0
+
+    def test_weak_balances_costs(self):
+        # at the fourth-root optimum the update and paging costs are equal
+        diff = compute_diffusion(default_mobility(0.0))
+        opt = asymptotic_optimum(diff, COSTS, "offset")
+        c_u = COSTS.U / opt.t_opt
+        c_p = COSTS.lam * math.pi * opt.r_opt**2 * COSTS.V
+        assert c_u == pytest.approx(c_p, rel=1e-9)
+        assert c_u == pytest.approx(
+            math.sqrt(diff.sigma_trace * COSTS.lam * COSTS.U * COSTS.V * math.pi),
+            rel=1e-9)
+
+    def test_strong_radius_vs_scalar_minimizer(self):
+        # independent bracketed minimization of U mu/(2R) + lam pi R^2 V
+        diff = compute_diffusion(default_mobility(1e6))
+        opt = asymptotic_optimum(diff, COSTS, "offset")
+        res = minimize_scalar(
+            lambda r: COSTS.U * diff.mu1 / (2 * r) + COSTS.lam * math.pi * r * r * COSTS.V,
+            bounds=(0.1, 10.0), method="bounded", options={"xatol": 1e-10})
+        assert opt.r_opt == pytest.approx(res.x, rel=1e-6)
+        assert opt.r_opt == pytest.approx(1.9276, rel=1e-4)
+        assert opt.c_min == pytest.approx(res.fun, rel=1e-9)
+
+    def test_center_ratios_exact(self):
+        diff = compute_diffusion(default_mobility(1e6))
+        o = asymptotic_optimum(diff, COSTS, "offset")
+        c = asymptotic_optimum(diff, COSTS, "center")
+        assert c.r_opt / o.r_opt == pytest.approx(2.0 ** (1 / 3), abs=1e-6)
+        assert c.c_min / o.c_min == pytest.approx(4.0 ** (1 / 3), abs=1e-6)
+        assert 1.0 - o.c_min / c.c_min == pytest.approx(0.370, abs=1e-3)
+
+    def test_strong_offset_near_trailing_boundary(self):
+        diff = compute_diffusion(default_mobility(1e6))
+        opt = asymptotic_optimum(diff, COSTS, "offset")
+        assert -opt.r_opt < opt.x_opt < -0.9 * opt.r_opt
+
+    def test_validation(self):
+        diff = compute_diffusion(default_mobility(1.0))
+        with pytest.raises(DomainError, match="baseline"):
+            asymptotic_optimum(diff, COSTS, "middle")
+        with pytest.raises(DomainError, match="lam, U, V all > 0"):
+            asymptotic_optimum(diff, CostParams(lam=0.0, U=20.0, V=1.0))
+        with pytest.raises(DomainError, match="diffusion trace"):
+            asymptotic_optimum(DiffusionParams(0.0, 0.0, 0.0), COSTS)
+        assert isinstance(asymptotic_optimum(diff, COSTS), OptimizationResult)
+
+    # The regime each (k, lam) point lands in at U = 20, V = 1, offset
+    # baseline: "w" weak, "s" strong, "!" after the drift-between-regimes
+    # warning; one letter per call rate in MAP_LAMS.
+    MAP_LAMS = (0.02, 0.2, 2.0, 20.0)
+    REGIME_MAP = {
+        0.0: ("w", "w", "w", "w"),
+        0.01: ("s!", "s!", "w", "w"),
+        0.03: ("s!", "s!", "s!", "s!"),
+        0.1: ("s", "s", "s!", "s!"),
+        0.3: ("s", "s", "s", "w!"),
+        1.0: ("s", "s", "s", "s"),
+        20.0: ("s", "s", "s", "s"),
+        1e6: ("s", "s", "s", "s"),
+    }
+
+    @pytest.mark.parametrize("k", sorted(REGIME_MAP))
+    def test_regime_choice_map(self, k):
+        diff = compute_diffusion(default_mobility(k))
+        for lam, expected in zip(self.MAP_LAMS, self.REGIME_MAP[k]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                opt = asymptotic_optimum(diff, CostParams(lam=lam, U=20.0, V=1.0))
+            if expected[0] == "w":
+                r = (diff.sigma_trace * 20.0 / (lam * math.pi)) ** 0.25
+                assert opt.x_opt == 0.0
+            else:
+                r = (20.0 * diff.mu1 / (4.0 * lam * math.pi)) ** (1.0 / 3.0)
+                assert opt.x_opt < 0.0
+            assert opt.r_opt == pytest.approx(r, rel=1e-12), (k, lam)
+            assert [str(w.message) for w in caught] == (
+                ["drift between regimes; choosing the cheaper closed form"]
+                if expected.endswith("!") else []), (k, lam)
+
+    def test_between_regimes_takes_the_cheaper_form(self):
+        # at k = 0.03, lam = 0.2 neither radius is in its own regime; the
+        # strong forms cost less
+        diff = compute_diffusion(default_mobility(0.03))
+        costs = CostParams(lam=0.2, U=20.0, V=1.0)
+        with pytest.warns(RegimeWarning, match="drift between regimes"):
+            opt = asymptotic_optimum(diff, costs)
+        assert opt.r_opt == pytest.approx(1.10999634, abs=1e-8)
+        weak_r = (diff.sigma_trace * costs.U / (costs.lam * math.pi)) ** 0.25
+        weak_c = costs.U * diff.sigma_trace / weak_r**2 + costs.lam * math.pi * weak_r**2
+        assert opt.c_min < weak_c
 
 
 class TestOptimizePair:
