@@ -91,11 +91,20 @@ class EstimateWithCI:
 def sample_steps(params: MobilityParams, rng: np.random.Generator, n: int):
     """Vectorized draw of ``n`` independent displacements ``(dx, dy)``.
 
-    Draws ``n`` exponential lengths, then ``n`` turn angles.
+    Draws ``n`` exponential lengths, then ``n`` turn angles.  The trig runs
+    at ``|theta|``, and ``dy`` takes the sign of ``theta`` by ``copysign``:
+    numpy's float64 ``cos`` and ``sin`` are exactly even and odd, so this is
+    ``L cos(theta), L sin(theta)`` bit for bit (a zero ``dy``'s sign aside).
     """
     length = rng.exponential(params.mean_len, n)
     theta = sample_direction(params.k, rng, n)
-    return length * np.cos(theta), length * np.sin(theta)
+    half = np.abs(theta)
+    dy = np.sin(half)
+    dy *= length
+    np.copysign(dy, theta, out=dy)
+    dx = np.cos(half, out=half)
+    dx *= length
+    return dx, dy
 
 
 def _gamma_law(params: MobilityParams) -> tuple[float, float]:
@@ -178,8 +187,10 @@ def _walk_chunk(x0: float, y0: float, R: float, horizon,
     ``horizon`` is an int64 step count per trial, or None for no horizon; a
     trial with horizon 0 never moves.  The running trials are kept
     compacted in trial order, and each step draws one ``sample_steps``
-    batch for exactly those trials.  A censored trial reports its position
-    after ``max_steps`` jumps.
+    batch for exactly those trials; the squared radii overwrite that batch.
+    The bookkeeping (record the stopped trials, compact the rest) runs only
+    on a jump where some trial stops.  A censored trial reports its
+    position after ``max_steps`` jumps.
     """
     steps = np.zeros(n, dtype=np.int64)
     x_out = np.full(n, x0, dtype=float)
@@ -201,14 +212,20 @@ def _walk_chunk(x0: float, y0: float, R: float, horizon,
         dx, dy = sample_steps(params, rng, idx.size)
         x += dx
         y += dy
-        out = x * x + y * y >= r2
-        stop = out if h is None else out | (h == step)
-        i = idx[stop]
-        x_out[i] = x[stop]
-        y_out[i] = y[stop]
-        exited[i] = out[stop]
+        rr = np.multiply(x, x, out=dx)  # squared radii, in the spent batch
+        rr += np.multiply(y, y, out=dy)
+        stop = rr >= r2
+        if h is not None:
+            stop |= h == step
+        s = np.flatnonzero(stop)
+        if not s.size:
+            continue
+        i = idx[s]
+        x_out[i] = x[s]
+        y_out[i] = y[s]
+        exited[i] = rr[s] >= r2
         steps[i] = step
-        run = ~stop
+        run = np.flatnonzero(~stop)
         idx, x, y = idx[run], x[run], y[run]
         if h is not None:
             h = h[run]

@@ -38,18 +38,19 @@ def sample_direction(k: float, rng: np.random.Generator, n: int) -> np.ndarray:
 
     The law has density ``k exp(-k|theta|) / (2 (1 - exp(-k pi)))`` on
     [-pi, pi], uniform at ``k = 0``.  The positive half is a truncated
-    exponential on [0, pi]; a fair sign flip restores the symmetric law.
+    exponential on [0, pi], drawn from the first ``n`` uniforms; the next
+    ``n`` set each angle's sign with ``copysign`` (negative below 0.5),
+    which restores the symmetric law and changes no magnitude bit.
     """
-    if k < 0.0:
+    if not k >= 0.0:  # NaN fails too
         raise DomainError(f"concentration factor must be >= 0, got {k}")
     u = rng.random(n)
-    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     if k == 0.0:
-        theta = sign * u * math.pi
+        half = u * math.pi
     else:
         # F_half^{-1}(u) = -log(1 - u (1 - e^{-k pi})) / k
-        theta = sign * (-np.log1p(u * math.expm1(-k * math.pi)) / k)
-    return theta
+        half = np.log1p(u * math.expm1(-k * math.pi)) / -k
+    return np.copysign(half, rng.random(n) - 0.5)
 
 
 @dataclass(frozen=True)
@@ -155,14 +156,14 @@ class MobilityParams:
     var_time: float
 
     def __post_init__(self) -> None:
-        if self.k < 0.0:
-            raise DomainError(f"k must be >= 0, got {self.k}")
-        if self.mean_len <= 0.0:
-            raise DomainError(f"mean_len must be > 0, got {self.mean_len}")
-        if self.mean_time <= 0.0:
-            raise DomainError(f"mean_time must be > 0, got {self.mean_time}")
-        if self.var_time < 0.0:
-            raise DomainError(f"var_time must be >= 0, got {self.var_time}")
+        if not (math.isfinite(self.k) and self.k >= 0.0):
+            raise DomainError(f"k must be finite and >= 0, got {self.k}")
+        if not (math.isfinite(self.mean_len) and self.mean_len > 0.0):
+            raise DomainError(f"mean_len must be finite and > 0, got {self.mean_len}")
+        if not (math.isfinite(self.mean_time) and self.mean_time > 0.0):
+            raise DomainError(f"mean_time must be finite and > 0, got {self.mean_time}")
+        if not (math.isfinite(self.var_time) and self.var_time >= 0.0):
+            raise DomainError(f"var_time must be finite and >= 0, got {self.var_time}")
 
 
 @dataclass(frozen=True)

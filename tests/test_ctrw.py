@@ -10,6 +10,7 @@ from lamopt.ctrw import (
     MAX_TRIALS,
     EstimateWithCI,
     SimConfig,
+    _Walk,
     _check_run_size,
     _check_start,
     _chunks,
@@ -147,6 +148,113 @@ def empirical_density(X, t_target, R, params, cfg, grid):
     counts = np.bincount(grid.nearest_node_index(pos[:, 0], pos[:, 1]),
                          minlength=grid.n_nodes)
     return counts / (cfg.n_trials * grid.h**2), survival
+
+
+# ---------------------------------------------------------------------------
+# the walk before its lean rewrite, kept as its exact-bit oracle
+# ---------------------------------------------------------------------------
+
+def frozen_sample_direction(k, rng, n):
+    """``sample_direction`` as first written: a sign select times the
+    half-law draw."""
+    u = rng.random(n)
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    if k == 0.0:
+        return sign * u * math.pi
+    return sign * (-np.log1p(u * math.expm1(-k * math.pi)) / k)
+
+
+def frozen_sample_steps(params, rng, n):
+    """``sample_steps`` as first written: trig at the signed angle."""
+    length = rng.exponential(params.mean_len, n)
+    theta = frozen_sample_direction(params.k, rng, n)
+    return length * np.cos(theta), length * np.sin(theta)
+
+
+def frozen_walk(x0, y0, R, horizon, params, rng, n, max_steps):
+    """``_walk_chunk`` as first written: four mask compactions per jump."""
+    steps = np.zeros(n, dtype=np.int64)
+    x_out = np.full(n, x0, dtype=float)
+    y_out = np.full(n, y0, dtype=float)
+    exited = np.zeros(n, dtype=bool)
+    censored = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
+    h = None
+    if horizon is not None:
+        h = np.asarray(horizon, dtype=np.int64)
+        idx = idx[h > 0]
+        h = h[idx]
+    x = np.full(idx.size, x0, dtype=float)
+    y = np.full(idx.size, y0, dtype=float)
+    r2 = R * R
+    step = 0
+    while idx.size and step < max_steps:
+        step += 1
+        dx, dy = frozen_sample_steps(params, rng, idx.size)
+        x += dx
+        y += dy
+        out = x * x + y * y >= r2
+        stop = out if h is None else out | (h == step)
+        i = idx[stop]
+        x_out[i] = x[stop]
+        y_out[i] = y[stop]
+        exited[i] = out[stop]
+        steps[i] = step
+        run = ~stop
+        idx, x, y = idx[run], x[run], y[run]
+        if h is not None:
+            h = h[run]
+    x_out[idx] = x
+    y_out[idx] = y
+    steps[idx] = max_steps
+    censored[idx] = True
+    return _Walk(steps, x_out, y_out, exited, censored)
+
+
+class TestExactBits:
+    """The walk makes the same generator calls, in the same order and with
+    the same sizes, as the frozen one, so its outputs are equal bit for bit.
+    ``array_equal`` does not see the sign of a zero, the one bit that may
+    differ (``dy`` when a uniform draw is exactly 0)."""
+
+    KS = [0.0, 1e-4, 0.1, 20.0, 1e6]
+    NS = [1, 5, 16_384]
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("k", KS)
+    def test_sample_steps(self, k, n):
+        mob = default_mobility(k)
+        got = sample_steps(mob, np.random.Generator(np.random.Philox([60, n])), n)
+        ref = frozen_sample_steps(mob, np.random.Generator(np.random.Philox([60, n])), n)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("horizon", ["none", "geometric", "zeros", "censor"])
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("k", KS)
+    def test_walk(self, k, n, horizon):
+        # a 0.2 km disc is 10 mean jump lengths: about 50 jumps to exit by
+        # diffusion, 8 by drift, and max_steps = 4 censors most trials
+        mob = default_mobility(k)
+
+        def run(walk):
+            rng = np.random.Generator(np.random.Philox([61, n]))
+            h, max_steps = None, 1_000_000
+            if horizon == "geometric":
+                h = rng.geometric(0.05, n)
+            elif horizon == "zeros":
+                h = np.random.default_rng(62).integers(0, 30, n)
+            elif horizon == "censor":
+                max_steps = 4
+            return walk(0.05, -0.03, 0.2, h, mob, rng, n, max_steps)
+
+        got, ref = run(_walk_chunk), run(frozen_walk)
+        for name in _Walk._fields:
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        if n > 5:
+            assert ref.exited.any()
+            assert ref.censored.any() == (horizon == "censor")
+            assert (ref.steps == 0).any() == (horizon == "zeros")
 
 
 def test_brownian_surrogate_is_unit():

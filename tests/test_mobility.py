@@ -159,6 +159,10 @@ class TestDirectionMoments:
         with pytest.raises(DomainError):
             direction_moments(k)
 
+    def test_sampling_rejects_nan_concentration(self):
+        with pytest.raises(DomainError):
+            sample_direction(math.nan, np.random.default_rng(0), 4)
+
     def test_moments_match_sampling(self):
         # Monte-Carlo oracle for E[cos] at k = 2 (4 sigma band)
         rng = np.random.default_rng(123)
@@ -185,6 +189,15 @@ class TestMobilityParams:
             MobilityParams(k=0.5, mean_len=0.0, mean_time=1e-3, var_time=0.0)
         with pytest.raises(DomainError):
             MobilityParams(k=0.5, mean_len=0.02, mean_time=0.0, var_time=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["k", "mean_len", "mean_time", "var_time"])
+    def test_non_finite_field_rejected(self, field, bad):
+        # NaN passes a bare ``x < 0`` check; a NaN mean_len would walk every
+        # trial to its kill step and return a finite mean interval
+        good = dict(k=0.5, mean_len=0.02, mean_time=1e-3, var_time=1e-7)
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            MobilityParams(**dict(good, **{field: bad}))
 
 
 class TestComputeDiffusion:
