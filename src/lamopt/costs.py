@@ -74,8 +74,8 @@ class CostParams:
 
 def update_cost(t_mean: float, U: float) -> float:
     """Mean location-update cost per hour: U / T."""
-    if t_mean <= 0.0:
-        raise DomainError(f"mean interval must be > 0, got {t_mean}")
+    if not (t_mean > 0.0 and math.isfinite(t_mean)):
+        raise DomainError(f"mean interval must be finite and > 0, got {t_mean}")
     return U / t_mean
 
 
@@ -119,8 +119,8 @@ def build_paging_plan(m: int, var_theta: float, anchor_x: float = 0.0) -> Paging
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    if var_theta < 0.0:
-        raise DomainError("var_theta must be >= 0")
+    if not (var_theta >= 0.0 and math.isfinite(var_theta)):
+        raise DomainError(f"var_theta must be finite and >= 0, got {var_theta}")
     if m == 1:
         return PagingPlan(angles=(math.pi,), anchor_x=anchor_x)
     first = min(math.pi, var_theta)

@@ -26,13 +26,12 @@ half disc and its mass is ``sum(z) h^2``.
 
 Every factor uses one LU helper, ``_factor``: a minimum-degree ordering of
 ``A^T + A`` (about half the fill of the default column ordering on this
-stencil) in SuperLU's symmetric mode.  That mode does not force diagonal
-pivots: ``DiagPivotThresh`` stays at 1.0, so a diagonal entry is kept as
-the pivot only where it is its column's largest, and some factors pivot
-off the diagonal (``perm_r != perm_c`` at N = 64, R = 1, k = 0).  A radius
-search may hand ``solve_mean_interval`` a ``FactorSlot``: a nearby radius
-on the same lattice is then solved by iterative refinement on the factor
-the slot holds, and factored afresh only when refinement stalls.
+stencil) in SuperLU's symmetric mode, with every pivot on the diagonal
+(``perm_r == perm_c``) and one column per panel; ``_factor`` says why.
+A radius search may hand ``solve_mean_interval`` a ``FactorSlot``: a
+nearby radius on the same lattice is then solved by iterative refinement
+on the factor the slot holds, and factored afresh only when refinement
+stalls.
 ``scipy.sparse`` is imported inside the functions that build or factor a
 matrix, so commands that never solve on the disc do not load it.
 
@@ -181,9 +180,9 @@ class DiscGrid:
     """
 
     def __init__(self, R: float, h: float):
-        if R <= 0.0:
-            raise DomainError(f"radius must be > 0, got {R}")
-        if h <= 0.0 or h > R / 2.0:
+        if not (R > 0.0 and math.isfinite(R)):
+            raise DomainError(f"radius must be finite and > 0, got {R}")
+        if not 0.0 < h <= R / 2.0:
             raise DomainError(f"spacing {h} incompatible with radius {R}")
         self.R = float(R)
         self.h = float(h)
@@ -293,8 +292,8 @@ class TimeGrid:
     steps: int = 200
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0.0 or self.steps < 1:
-            raise DomainError("t_max must be > 0 and steps >= 1")
+        if not (self.t_max > 0.0 and math.isfinite(self.t_max)) or not self.steps >= 1:
+            raise DomainError("t_max must be finite and > 0, and steps >= 1")
 
     @property
     def dt(self) -> float:
@@ -315,8 +314,9 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
 
     Second-order central differences everywhere; the drift term (along x
     only) switches to a one-sided difference at nodes whose cell Peclet
-    number exceeds 2, which keeps the matrix an M-matrix in strongly drifted
-    regimes.
+    number exceeds 2.  Either way every off-diagonal entry is >= 0 and every
+    row sums to ``-lam`` or less, so the matrix is an M-matrix up to sign,
+    which ``_factor`` relies on to factor it without pivoting.
     """
     if diff.sigma11 <= 0.0 or diff.sigma22 <= 0.0:
         raise DomainError(
@@ -378,19 +378,24 @@ def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
     the fold's backward-Euler step ``I - dt H``.
 
     The minimum-degree ordering of ``A^T + A`` suits the symmetric pattern
-    of the five-point stencil.  Symmetric mode applies it to rows and
-    columns alike, but with ``DiagPivotThresh`` left at 1.0 SuperLU keeps a
-    diagonal pivot only where it is its column's largest entry; elsewhere it
-    pivots off the diagonal, which adds fill.  A matrix already permuted by
-    that order is factored with ``permc_spec="NATURAL"``.
+    of the five-point stencil, and symmetric mode applies it to rows and
+    columns alike.  Each of these matrices is an M-matrix up to sign: its
+    off-diagonal entries have one sign, its diagonal the other, and no row
+    sum has the diagonal's opposite sign.  Gaussian elimination factors such
+    a matrix stably without row interchanges, so every pivot is taken on
+    the diagonal (``DiagPivotThresh`` 0): the fill is that of the ordering
+    alone.  ``panel_size=1`` factors one column at a time, since the
+    stencil's supernodes are too small for wider panels to pay off.  A
+    matrix already permuted by the ordering is factored with
+    ``permc_spec="NATURAL"``.
 
     Returns:
         The ``scipy.sparse.linalg.SuperLU`` factor.
     """
     from scipy.sparse.linalg import splu  # 0.1-0.5 s to import; only solves need it
 
-    return splu(A.tocsc(), permc_spec=permc_spec,
-                options={"SymmetricMode": True})
+    return splu(A.tocsc(), permc_spec=permc_spec, panel_size=1,
+                options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
 
 
 # ---------------------------------------------------------------------------

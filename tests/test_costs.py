@@ -59,6 +59,12 @@ class TestUpdateCost:
         with pytest.raises(DomainError):
             update_cost(0.0, 20.0)
 
+    @pytest.mark.parametrize("t_mean", [math.nan, math.inf])
+    def test_rejects_non_finite_interval(self, t_mean):
+        # a NaN interval used to give a NaN cost, an infinite one a cost of 0
+        with pytest.raises(DomainError, match="mean interval"):
+            update_cost(t_mean, 20.0)
+
 
 class TestPagingPlan:
     def test_specific_assignment(self):
@@ -87,6 +93,12 @@ class TestPagingPlan:
             build_paging_plan(0, 1.0)
         with pytest.raises(DomainError):
             build_paging_plan(2, -0.1)
+
+    @pytest.mark.parametrize("var_theta", [math.nan, math.inf])
+    def test_rejects_non_finite_spread(self, var_theta):
+        # a NaN spread used to give a second wedge of width 0
+        with pytest.raises(DomainError, match="var_theta"):
+            build_paging_plan(2, var_theta)
 
 
 def _quadrature_areas(plan, R: float) -> np.ndarray:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lamopt import costs, pde
 from lamopt.config import default_mobility
@@ -140,18 +142,53 @@ class TestLatticePath:
                 fresh = _factor(scratch_half(A, grid)[0])
                 assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
 
-    def test_reused_order_fill_at_a_pivot_near_tie(self):
-        # threshold pivoting leaves the diagonal on near-ties here, and the
-        # last-digit differences of the reused order flip a few of them:
-        # 8842 against 8848 entries
+    def test_reused_order_fill_is_exact_with_diagonal_pivots(self):
+        # the values here differ from the scratch half system in the last
+        # digits; with every pivot on the diagonal the fill depends on the
+        # order alone, so both factors hold 7312 entries
         diff = compute_diffusion(default_mobility(20.0))
         R = 10**-0.5
         grid = DiscGrid(R, R / 16)
         A = assemble_operator(diff, grid, 2.0)
         reused = _factor(_half_system(A, grid)[0], "NATURAL")
         fresh = _factor(scratch_half(A, grid)[0])
-        fills = (reused.L.nnz + reused.U.nnz, fresh.L.nnz + fresh.U.nnz)
-        assert fills[0] == pytest.approx(fills[1], rel=1e-3)
+        assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz == 7312
+
+    def test_factor_pivots_on_the_diagonal(self):
+        # threshold pivoting took off-diagonal pivots here, for 224,321
+        # entries in L + U; the stored order alone gives 217,076
+        diff = compute_diffusion(default_mobility(20.0))
+        grid = DiscGrid(1.0, 1.0 / 64)
+        lu = _factor(_half_system(assemble_operator(diff, grid, 2.0), grid)[0], "NATURAL")
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        assert lu.L.nnz + lu.U.nnz == 217_076
+
+    @settings(max_examples=40, deadline=None)
+    @example(20.0, 2.0, 16, -2.0, 0.1)  # cell Peclet 0.06: central drift
+    @example(20.0, 2.0, 16, 1.0, 0.1)  # cell Peclet 12: one-sided drift
+    @example(1e6, 0.0, 33, 2.0, 10.0)
+    @given(st.sampled_from([0.0, 1e-4, 0.5, 2.0, 20.0, 1e3, 1e6]),
+           st.sampled_from([0.0, 0.2, 2.0, 20.0]),
+           st.sampled_from([8, 16, 33]),
+           st.floats(min_value=-2.0, max_value=2.0),
+           st.floats(min_value=1e-3, max_value=10.0))
+    def test_every_factored_matrix_is_an_m_matrix(self, k, lam, N, log_R, dt):
+        # the premise of factoring without pivots: up to sign, each matrix
+        # _factor sees has off-diagonal entries >= 0, a diagonal < 0 and
+        # row sums <= 0 (an interior row of L sums to 0 up to round-off)
+        diff = compute_diffusion(default_mobility(k))
+        R = 10.0**log_R
+        grid = DiscGrid(R, R / N)
+        A = assemble_operator(diff, grid, lam)
+        half = _half_system(A, grid)[0]
+        step = sp.identity(half.shape[0], format="csc") - dt * R * R * half
+        for M in (A, half, -step):
+            M = sp.csr_matrix(M)
+            diag = M.diagonal()
+            off = M - sp.diags(diag)
+            assert off.min() >= 0.0
+            assert np.all(diag < 0.0)
+            assert np.all(np.asarray(M.sum(axis=1)).ravel() <= 1e-12 * np.abs(diag))
 
     def test_lattice_shared_and_read_only(self):
         a, b = DiscGrid(1.0, 1.0 / 24), DiscGrid(7.3, 7.3 / 24)
@@ -172,6 +209,13 @@ class TestDiscGrid:
             assert g.n_nodes == n_inside
             assert np.all(g.i**2 + g.j**2 < N * N)
             assert min(float(np.min(d)) for d in (g.he, g.hw, g.hn, g.hs)) > 1e-3 * g.h
+
+    @pytest.mark.parametrize("R, h", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan)])
+    def test_non_finite_radius_or_spacing_rejected(self, R, h):
+        # a NaN radius used to raise a bare ValueError from the lattice
+        # bound, an infinite one an OverflowError
+        with pytest.raises(DomainError):
+            DiscGrid(R, h)
 
     def test_origin_is_node(self):
         g = DiscGrid(1.0, 1.0 / 32)
@@ -339,6 +383,12 @@ class TestSurvival:
         grid = DiscGrid(1.0, 1.0 / 32)
         c = solve_survival(UNIT, (0.0, 0.0), 1.0, grid, TimeGrid(0.5, 100))
         assert c.values[0] == 1.0
+
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0])
+    def test_time_grid_rejects_bad_horizon(self, t_max):
+        # a NaN horizon used to be accepted
+        with pytest.raises(DomainError, match="t_max"):
+            TimeGrid(t_max, 10)
 
     def test_boundary_start_rejected(self):
         grid = DiscGrid(1.0, 1.0 / 32)
