@@ -7,9 +7,13 @@ region paged once per call); the delay-constrained sequential variant with
 angular sub-regions is available separately for cost analysis.
 
 The radius search is a 25-point scan in log R, then golden section from its
-lowest point.  The one-term cost has one minimum (``U / T = A / R^2 + B``), so
-a scan with several minima is warned about, not re-scanned.  The asymptotic
-provider needs no search: ``asymptotic_optimum`` is its closed forms.
+lowest point.  The pde scan skips every radius whose cost floor, the
+objective at ``pde.mean_interval_cap``, lies above the best scan cost
+already solved; no skipped radius can be the lowest point, so the search
+and its result are those of the full scan.  The one-term cost has one
+minimum (``U / T = A / R^2 + B``), so a scan with several minima among its
+solved radii is warned about, not re-scanned.  The asymptotic provider
+needs no search: ``asymptotic_optimum`` is its closed forms.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from lamopt.approx import (
 )
 from lamopt.errors import DomainError, NumericalError, RegimeWarning
 from lamopt.mobility import DiffusionParams, MobilityParams, compute_diffusion
-from lamopt.pde import DiscGrid, FactorSlot, ScalarField, solve_mean_interval
+from lamopt.pde import DiscGrid, FactorSlot, ScalarField, mean_interval_cap, solve_mean_interval
 
 PROVIDERS = ("pde", "galerkin", "asymptotic")
 BASELINES = ("offset", "center")
@@ -291,9 +295,12 @@ def joint_optimize(mobility: MobilityParams, costs: CostParams,
     closed-form trial optimum for the galerkin provider, an axis grid search
     for the pde provider), reducing the problem to one variable; the outer
     radius search is golden-section on log R over R in [0.01, 100] km after
-    a 25-point coarse scan.  A scan showing more than one local minimum is
-    warned about and marked ``unimodal=False``, not re-scanned: the search
-    then refines the scan's lowest point.
+    a 25-point coarse scan.  The pde scan skips the radii whose cost floor
+    (the objective at ``pde.mean_interval_cap``) lies above the best scan
+    cost solved, which cannot be its lowest point.  A scan showing more than
+    one local minimum among its solved radii is warned about and marked
+    ``unimodal=False``, not re-scanned: the search then refines the scan's
+    lowest point.
 
     Args:
         provider: "pde", "galerkin", or "asymptotic" (closed forms; see
@@ -316,9 +323,10 @@ def optimize_pair(mobility: MobilityParams, costs: CostParams,
     """The offset and the center optimum, each at its own radius.
 
     Returns the same results as ``joint_optimize`` for each baseline, with
-    one coarse radius scan for both: each scan radius is solved once, and
-    both designs are read from that solution.  The two golden-section
-    searches stay apart.
+    one coarse radius scan for both: each scan radius is solved at most
+    once, and both designs are read from that solution.  A pde scan radius
+    is skipped only when its cost floor lies above both baselines' best
+    scan costs.  The two golden-section searches stay apart.
 
     Returns:
         (offset result, center result).
@@ -359,22 +367,40 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
         t, x = _design(solution, baseline)
         return _cost(costs, t, R), t, x
 
-    def scan_costs(lr: float) -> list[float]:
-        solution = solve(lr)
-        return [cost(lr, solution, b)[0] for b in baselines]
+    def floor(lr: float) -> float:
+        """A cost no design at radius exp(lr) goes below: the objective at
+        the pde cap on T; none for the one-term T, which can exceed it."""
+        if provider != "pde":
+            return -math.inf
+        R = math.exp(lr)
+        return _cost(costs, mean_interval_cap(diff, R, costs.lam), R)
 
-    # Each scan radius is scored as it is solved, so no solution outlives it.
+    # Scan radii are solved in increasing-floor order until the next floor,
+    # less the cap's round-off, lies above every baseline's best cost so
+    # far; a radius without a floor skips that comparison.  Each is scored
+    # as it is solved, so no solution outlives it; a skipped radius scores
+    # NaN.
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = np.array([scan_costs(lr) for lr in grid])
+    floors = [floor(lr) for lr in grid]
+    rows = [(math.nan,) * len(baselines)] * _SCAN_POINTS
+    solved = []
+    for i in sorted(range(_SCAN_POINTS), key=floors.__getitem__):
+        if floors[i] > -math.inf and floors[i] * (1.0 - 1e-9) > max(
+                map(min, zip(*solved)), default=math.inf):
+            break
+        solution = solve(grid[i])
+        rows[i] = [cost(grid[i], solution, b)[0] for b in baselines]
+        solved.append(rows[i])
 
     results = []
     for j, b in enumerate(baselines):
-        v = vals[:, j]
+        v = [row[j] for row in rows]
+        # NaN compares false, so a minimum has both neighbours solved.
         n_minima = sum(1 for i in range(1, _SCAN_POINTS - 1)
                        if v[i] < v[i - 1] and v[i] < v[i + 1])
         if n_minima > 1:
             warnings.warn("cost scan is not unimodal in R", stacklevel=3)
-        i = int(np.argmin(v))
+        i = v.index(min(row[j] for row in solved))
         lo_b, hi_b = grid[max(i - 1, 0)], grid[min(i + 1, _SCAN_POINTS - 1)]
         # Golden-section probes soon lie within a few percent of each other
         # in R, so each search reuses one factor; scan radii are too far

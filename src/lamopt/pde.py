@@ -402,6 +402,22 @@ def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
 # stationary mean update interval
 # ---------------------------------------------------------------------------
 
+def mean_interval_cap(diff: DiffusionParams, R: float, lam: float) -> float:
+    """Bound on every node value of ``solve_mean_interval``'s T:
+    ``min(1/lam, R^2/sigma22)``, the first only when ``lam > 0``.
+
+    ``-(L - lam I)`` is an M-matrix, so its inverse is nonnegative (the
+    discrete maximum principle), and any w with ``(L - lam I) w <= -1``
+    bounds T from above.  Both terms are such supersolutions: the constant
+    ``1/lam``, since every row of ``L - lam I`` sums to ``-lam`` or less;
+    and ``(R^2 - y^2)/sigma22``, since the x-rows sum to zero, the 3-point
+    y-difference is exact on quadratics (it gives ``-1``), and the Dirichlet
+    zeros lie below its values on the circle.
+    """
+    cap = R * R / diff.sigma22 if diff.sigma22 > 0.0 else math.inf
+    return min(cap, 1.0 / lam) if lam > 0.0 else cap
+
+
 def _half_system(A: sp.csr_matrix, grid: DiscGrid) -> tuple[sp.csc_matrix, np.ndarray]:
     """The half-disc fold of an assembled operator, permuted by the
     lattice's stored order (a j = 0 row meets its j = 1 neighbour twice),
@@ -473,8 +489,8 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     factor used.  The residual is checked against the full operator.
 
     Returns:
-        ScalarField of T over the grid; nonnegative, and bounded by 1/lam
-        when ``lam > 0``.
+        ScalarField of T over the grid; nonnegative, and at most
+        ``mean_interval_cap`` up to a relative 1e-9.
     """
     _check_disc(grid, R)
     A = assemble_operator(diff, grid, lam)
@@ -493,8 +509,10 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     _check_residual(A, T, rhs)
     if np.min(T) < -1e-9:
         raise NumericalError(f"negative mean interval {np.min(T):.3e}")
-    if lam > 0.0 and np.max(T) > 1.0 / lam + 1e-9:
-        raise NumericalError("mean interval exceeds the 1/lam bound")
+    cap = mean_interval_cap(diff, R, lam)
+    if np.max(T) > cap * (1.0 + 1e-9):
+        raise NumericalError(
+            f"mean interval {np.max(T):.6g} exceeds its maximum-principle bound {cap:.6g}")
     return ScalarField(grid=grid, values=T)
 
 

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lamopt
@@ -437,6 +437,11 @@ class TestConfigSpace:
     # 200` config ran 50 s on 2 shared cores), too slow for a property that
     # draws dozens of configs
     @settings(max_examples=60, deadline=None)
+    # max T sat 2.2e-15 above 1/lam = 1e6, and an absolute 1e-9 slack
+    # refused it with exit 3
+    @example(k=0.0, mean_len_m=1.0, E_eta_s=1.0, Var_eta_s2=1.0, lambda_per_hr=1e-6,
+             U=42169650.342858225, V=0.01, R_km=1.0,
+             argv=["optimize", "--provider", "asymptotic"])
     @given(k=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)),
            mean_len_m=_log_uniform(1e-6, 1e9), E_eta_s=_log_uniform(1e-6, 1e9),
            Var_eta_s2=_log_uniform(1e-6, 1e9),

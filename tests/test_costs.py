@@ -418,22 +418,57 @@ class TestOptimizePair:
             monkeypatch.setattr(costs, name, counted)
         return count
 
+    # (offset, center, pair) solves: the scan radii solved, then 21
+    # golden-section steps and one final solve for each baseline.  The
+    # one-term scan solves all 25 radii; the pde scan skips those above its
+    # cost floor and solves 8 (offset), 9 (center) and 9 (pair).
+    SOLVES = {"galerkin": (47, 47, 69), "pde": (30, 31, 53)}
+
     @pytest.mark.parametrize("provider, search", [
         ("galerkin", {}), ("pde", {"pde_nodes": 16}),
     ])
     def test_one_scan_for_both_baselines(self, solves, provider, search):
-        # 25 scan radii, then 21 golden-section steps and one final solve
-        # for each baseline
         mob = default_mobility(2.0)
+        *single_solves, pair_solves = self.SOLVES[provider]
         singles = []
-        for baseline in ("offset", "center"):
+        for baseline, n in zip(("offset", "center"), single_solves):
             solves["n"] = 0
             singles.append(joint_optimize(mob, COSTS, provider, baseline=baseline,
                                           **search))
-            assert solves["n"] == 47
+            assert solves["n"] == n
         solves["n"] = 0
         assert optimize_pair(mob, COSTS, provider, **search) == tuple(singles)
-        assert solves["n"] == 69
+        assert solves["n"] == pair_solves
+
+    @pytest.mark.parametrize("k, lam, N", [(0.5, 2.0, 16), (0.5, 2.0, 64), (10.0, 20.0, 32)])
+    def test_skipped_scan_radii_cannot_be_the_lowest(self, monkeypatch, k, lam, N):
+        # defaults at N = 16 and 64, and the two-basin case of
+        # test_coarse_scan_picks_the_lower_basin: every scan radius the pde
+        # search skips costs more than the best one it solved, for both
+        # baselines, so the full scan's argmin is among the solved ones
+        solved = []
+
+        def recorded(diff, R, lam, grid, warm=None):
+            if warm is None:  # the scan's solves; the golden probes pass a slot
+                solved.append(R)
+            return solve_mean_interval(diff, R, lam, grid, warm)
+
+        monkeypatch.setattr(costs, "solve_mean_interval", recorded)
+        mob, cost = default_mobility(k), CostParams(lam=lam, U=COSTS.U, V=COSTS.V)
+        optimize_pair(mob, cost, "pde", pde_nodes=N)
+        diff = compute_diffusion(mob)
+        radii = np.exp(np.linspace(math.log(0.01), math.log(100.0), 25))
+        full = {"offset": [], "center": []}
+        for R in radii:
+            field = solve_mean_interval(diff, R, lam, DiscGrid(R, R / N))
+            paging = lam * math.pi * R * R * cost.V
+            for baseline, x in (("offset", field.axis_argmax()), ("center", 0.0)):
+                full[baseline].append(cost.U / field.value_at((x, 0.0)) + paging)
+        is_solved = np.isclose(radii[:, None], solved, rtol=1e-12, atol=0.0).any(axis=1)
+        assert 0 < is_solved.sum() < 25
+        for v in map(np.array, full.values()):
+            assert np.all(v[~is_solved] > v[is_solved].min())
+            assert is_solved[np.argmin(v)]
 
     def test_asymptotic_pair(self, solves):
         mob = default_mobility(2.0)

@@ -21,6 +21,7 @@ from lamopt.pde import (
     _factor,
     _half_system,
     assemble_operator,
+    mean_interval_cap,
     segment_argmax,
     segment_interval,
     solve_forward,
@@ -29,6 +30,10 @@ from lamopt.pde import (
 )
 
 UNIT = DiffusionParams(0.0, 1.0, 1.0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
 def full_system_solve(diff, grid, lam):
@@ -307,6 +312,24 @@ class TestMeanInterval:
         assert np.all(fields[2] <= fields[1] + 1e-12)
         assert np.max(fields[2]) <= 0.5 + 1e-9  # 1/lam bound
 
+    @settings(max_examples=40, deadline=None)
+    @example(0.0, 2.0, 100.0, 64)  # no drift, every cell central; T near 1/lam
+    @example(1e3, 20.0, 1.0, 64)  # cell Peclet 1.5: central drift
+    @example(1e6, 2.0, 100.0, 8)  # cell Peclet 1231: one-sided drift everywhere
+    @example(20.0, 2.0, 1.0, 16)  # cell Peclet 6.2: one-sided drift everywhere
+    @example(0.5, 1e-6, 0.01, 64)  # R^2/sigma22 is the lower term
+    @given(st.one_of(st.just(0.0), _log_uniform(1e-4, 1e6)), _log_uniform(1e-6, 20.0),
+           _log_uniform(0.01, 100.0), st.integers(8, 64))
+    def test_mean_interval_within_cap(self, k, lam, R, N):
+        # the discrete maximum principle: 1/lam and (R^2 - y^2)/sigma22 are
+        # supersolutions of the assembled system, so both bound T at every node
+        diff = compute_diffusion(default_mobility(k))
+        grid = DiscGrid(R, R / N)
+        cap = min(1.0 / lam, R * R / diff.sigma22)
+        assert mean_interval_cap(diff, R, lam) == cap
+        assert np.max(full_system_solve(diff, grid, lam)) <= cap * (1.0 + 1e-9)
+        assert np.max(solve_mean_interval(diff, R, lam, grid).values) <= cap * (1.0 + 1e-9)
+
     def test_upwind_high_peclet_stays_positive(self):
         # drift so strong the central stencil would oscillate
         diff = DiffusionParams(50.0, 0.05, 0.05)
@@ -373,9 +396,10 @@ class TestWarmFactor:
         monkeypatch.setattr(costs, "solve_mean_interval",
                             counted("solve", costs.solve_mean_interval))
         costs.joint_optimize(mob, cost, "pde", pde_nodes=16)
-        # 25 scan radii, each factored, then 22 golden-section probes
-        assert counts["solve"] == 47
-        assert counts["factor"] - 25 < 22 / 2
+        # the 8 scan radii below the cost floor, each factored, then 22
+        # golden-section probes
+        assert counts["solve"] == 30
+        assert counts["factor"] - 8 < 22 / 2
 
 
 class TestSurvival:
