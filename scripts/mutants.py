@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Run hand-made mutants of the package against the tests that should catch them.
+
+Usage: python scripts/mutants.py [MUTANT ...]
+
+Each mutant replaces one exact piece of text in one module of
+``src/lamopt``.  For each, the checkout is copied into a temporary
+directory, the text is replaced there, and the test files mapped to the
+mutated module run with pytest, the three by-design failures of
+``tests/test_acceptance.py`` deselected.  A mutant is killed when a test
+fails, and survived when every test passes.  The checkout itself is never
+written.  With no arguments every mutant runs; each takes from a few
+seconds to about a minute on a 2-core host.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Mutated module -> the test files run against it.
+TESTS = {
+    "approx.py": ("test_approx.py", "test_costs.py", "test_cli.py"),
+    "costs.py": ("test_costs.py", "test_protocol.py"),
+    "ctrw.py": ("test_ctrw.py",),
+    "pde.py": ("test_pde.py", "test_costs.py"),
+}
+
+BY_DESIGN_FAILURES = (
+    "tests/test_acceptance.py::test_criterion_5_galerkin_vs_pde",
+    "tests/test_acceptance.py::test_criterion_8_fig5_extreme_agreement",
+    "tests/test_acceptance.py::test_criterion_8_fig8_saving_trend",
+)
+
+# name -> (module, exact old text, new text)
+MUTANTS = {
+    "nodal-argmax": (
+        "pde.py", "if 0 < b < xs.size - 1:", "if False:"),
+    "peclet-switch-at-1": (
+        "pde.py", "np.maximum(h_neg, h_pos) / s_coef <= 2.0",
+        "np.maximum(h_neg, h_pos) / s_coef <= 1.0"),
+    "refine-min-gain-1.0001": (
+        "pde.py", "_REFINE_MIN_GAIN = 10.0", "_REFINE_MIN_GAIN = 1.0001"),
+    "no-on-circle-exclusion": (
+        "pde.py", "_ON_CIRCLE_RTOL = 1e-9", "_ON_CIRCLE_RTOL = 0.0"),
+    "wedge-side-right": (
+        "costs.py", 'np.searchsorted(inner, ang, side="left")',
+        'np.searchsorted(inner, ang, side="right")'),
+    "golden-bracket-two-cells-each-side": (
+        "costs.py",
+        "lo_b, hi_b = grid[max(i - 1, 0)], grid[min(i + 1, _SCAN_POINTS - 1)]",
+        "lo_b, hi_b = grid[max(i - 2, 0)], grid[min(i + 2, _SCAN_POINTS - 1)]"),
+    "no-unimodality-warning": (
+        "costs.py", "if n_minima > 1:", "if n_minima > 99:"),
+    "half-exit-steps": (
+        "ctrw.py", "exit_steps = 0.5 * r * r", "exit_steps = 0.25 * r * r"),
+    "offset-scale-cap-1e5": (
+        "approx.py", "_OFFSET_SCALE_CAP = 1e6", "_OFFSET_SCALE_CAP = 1e5"),
+}
+
+
+def run(name: str) -> str:
+    module, old, new = MUTANTS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out"))
+        path = copy / "src" / "lamopt" / module
+        text = path.read_text()
+        if text.count(old) != 1:
+            return f"stale: the text is found {text.count(old)} times in {module}"
+        path.write_text(text.replace(old, new))
+        deselect = [arg for test in BY_DESIGN_FAILURES for arg in ("--deselect", test)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *(f"tests/{f}" for f in TESTS[module]), *deselect],
+            cwd=copy, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 1:
+        failed = [line.split()[1] for line in proc.stdout.splitlines()
+                  if line.startswith("FAILED ")]
+        return "killed" + (f" by {failed[0]}" if failed else "")
+    return f"error: pytest exit {proc.returncode}"
+
+
+def main(names: list[str]) -> None:
+    unknown = set(names) - set(MUTANTS)
+    if unknown:
+        sys.exit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    for name in names or MUTANTS:
+        start = time.perf_counter()
+        outcome = run(name)
+        print(f"{name:36s} {outcome}  ({time.perf_counter() - start:.0f} s)", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

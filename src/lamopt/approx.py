@@ -119,7 +119,6 @@ class GalerkinSolution:
     C22: float
     C0: float
     R: float
-    lam: float
 
     def trial(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -190,7 +189,7 @@ def galerkin_solution(diff: DiffusionParams, R: float, lam: float,
     if denom >= 0.0:
         raise NumericalError(f"trial-moment denominator {denom:.3e} is not negative")
     coef = -math.pi * R * R / denom
-    return GalerkinSolution(a=a, C=coef, C11=c11, C22=c22, C0=c0, R=R, lam=lam)
+    return GalerkinSolution(a=a, C=coef, C11=c11, C22=c22, C0=c0, R=R)
 
 
 def galerkin_interval(params: MobilityParams, R: float, lam: float,

@@ -252,9 +252,6 @@ class OptimizationResult:
     r_opt: float
     c_min: float
     t_opt: float
-    provider: str
-    baseline: str
-    unimodal: bool = True
 
 
 def _design(solution, baseline: str) -> tuple[float, float]:
@@ -298,9 +295,8 @@ def joint_optimize(mobility: MobilityParams, costs: CostParams,
     a 25-point coarse scan.  The pde scan skips the radii whose cost floor
     (the objective at ``pde.mean_interval_cap``) lies above the best scan
     cost solved, which cannot be its lowest point.  A scan showing more than
-    one local minimum among its solved radii is warned about and marked
-    ``unimodal=False``, not re-scanned: the search then refines the scan's
-    lowest point.
+    one local minimum among its solved radii is warned about, not
+    re-scanned: the search then refines the scan's lowest point.
 
     Args:
         provider: "pde", "galerkin", or "asymptotic" (closed forms; see
@@ -415,8 +411,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
                 f"[{_R_BRACKET[0]:g}, {_R_BRACKET[1]:g}] km")
         c_min, t_opt, x_opt = cost(lr_opt, solve(lr_opt, warm), b)
         results.append(OptimizationResult(x_opt=x_opt, r_opt=r_opt, c_min=c_min,
-                                          t_opt=t_opt, provider=provider,
-                                          baseline=b, unimodal=n_minima <= 1))
+                                          t_opt=t_opt))
     return results
 
 
@@ -446,8 +441,7 @@ def asymptotic_optimum(diff: DiffusionParams, costs: CostParams,
     def optimum(regime: str, r: float) -> OptimizationResult:
         t = regime_interval(diff, r, regime, baseline)
         x = strong_drift_argmax(diff, r) if (regime, baseline) == ("strong", "offset") else 0.0
-        return OptimizationResult(x_opt=x, r_opt=r, c_min=_cost(costs, t, r), t_opt=t,
-                                  provider="asymptotic", baseline=baseline)
+        return OptimizationResult(x_opt=x, r_opt=r, c_min=_cost(costs, t, r), t_opt=t)
 
     if diff.mu1 > 0.0:
         share = 4.0 if baseline == "offset" else 2.0

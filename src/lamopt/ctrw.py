@@ -135,6 +135,8 @@ def sample_dwells(params: MobilityParams, rng: np.random.Generator, n: int):
 # ---------------------------------------------------------------------------
 
 def _check_start(X, R) -> tuple[float, float]:
+    if not (R > 0.0 and math.isfinite(R)):
+        raise DomainError(f"radius must be finite and > 0, got {R}")
     x0, y0 = float(X[0]), float(X[1])
     if not x0 * x0 + y0 * y0 < R * R:  # a NaN coordinate fails too
         raise DomainError(f"start point {X} is not strictly inside radius {R}")

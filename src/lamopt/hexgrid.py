@@ -30,8 +30,6 @@ class HexGrid:
 
     # circumradius (corner distance) of a unit-area cell, km
     size = math.sqrt(2.0 / (3.0 * math.sqrt(3.0)))
-    # distance between adjacent cell centers, km
-    pitch = math.sqrt(3.0) * size
 
     def center(self, cell: Cell) -> tuple[float, float]:
         q, r = cell

@@ -570,7 +570,6 @@ class ForwardSolution:
     times: np.ndarray
     fields: list[ScalarField]
     masses: np.ndarray
-    source_index: int
 
 
 def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
@@ -618,7 +617,7 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
         if s in out_steps:
             record(s)
     return ForwardSolution(times=np.array(times), fields=fields,
-                           masses=np.array(masses), source_index=src)
+                           masses=np.array(masses))
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,6 @@ class LocationArea:
 
     center: Vec
     radius: float
-    initial_position: Vec
     boundary_cells: frozenset[Cell]
     interior_cells: frozenset[Cell]
     sub_area_cells: tuple[tuple[Cell, ...], ...]
@@ -188,7 +187,7 @@ def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
     for c, i in zip(interior, idx):
         lists[i].append(c)
     return LocationArea(
-        center=(ox, oy), radius=r_opt, initial_position=y_tau,
+        center=(ox, oy), radius=r_opt,
         boundary_cells=boundary, interior_cells=interior_set,
         sub_area_cells=tuple(tuple(l) for l in lists),
     )
@@ -239,7 +238,7 @@ def network_update(template: LocationArea, anchor_cell: Cell,
 
     return LocationArea(
         center=(ax + template.center[0], ay + template.center[1]),
-        radius=template.radius, initial_position=(ax, ay),
+        radius=template.radius,
         boundary_cells=frozenset(moved(template.boundary_cells)),
         interior_cells=frozenset(moved(template.interior_cells)),
         sub_area_cells=tuple(moved(sub) for sub in template.sub_area_cells),
@@ -272,16 +271,10 @@ def _first_hit(keys: np.ndarray, anchor: int, ring: np.ndarray,
                lo: int, hi: int) -> int:
     """First index in ``[lo, hi)`` whose key, taken relative to the anchor's,
     is in ``ring`` (sorted, ending in a sentinel above every key); ``hi`` if
-    none is.  Scans doubling windows, since the hit is usually close."""
-    width = 64
-    while lo < hi:
-        top = min(lo + width, hi)
-        rel = keys[lo:top] - anchor
-        hit = ring[ring.searchsorted(rel)] == rel
-        if hit.any():
-            return lo + int(hit.argmax())
-        lo, width = top, 2 * width
-    return hi
+    none is."""
+    rel = keys[lo:hi] - anchor
+    hit = ring[ring.searchsorted(rel)] == rel
+    return lo + int(hit.argmax()) if hit.any() else hi
 
 
 def _draw_block(mobility: MobilityParams, rng: np.random.Generator):

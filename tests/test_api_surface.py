@@ -13,6 +13,18 @@ Because uses are matched by name, not by owner, a dead method could hide
 behind a same-named method of another class; so no two package classes may
 define a public method of the same name.  And no package module imports an
 underscore name from another: what two modules share is public.
+
+Fields are held to the same rule.  A public field of a package class (an
+annotated or assigned class-body name, a property, or a ``self.<name>``
+assignment) counts as read when the name is loaded as an attribute, or
+appears as an exact string constant (``bench/`` reads episode and estimate
+summaries by key after ``dataclasses.asdict``).  Fields are matched by name
+too, so a field that shares its name with another object's attribute passes
+however little it is read: ``OptimizationResult.provider`` hid behind
+``Scenario.provider``, and ``GalerkinSolution.lam`` behind ``CostParams.lam``,
+until both were deleted by hand.  Unlike method names, field names such as
+``R`` or ``lam`` are rightly shared, so sharing is not refused; such a field
+is checked by reading.
 """
 
 import ast
@@ -79,6 +91,54 @@ def unused_public_names() -> set[str]:
 
 def test_every_public_name_has_a_caller():
     assert unused_public_names() == set()
+
+
+def _is_property(node: ast.AST) -> bool:
+    return any((d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", ""))
+               in ("property", "cached_property") for d in node.decorator_list)
+
+
+def _fields(cls: ast.ClassDef):
+    """Public names a class stores or computes: annotated and assigned
+    class-body names, properties, and ``self.<name> = ...`` targets."""
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+        elif isinstance(item, ast.Assign):
+            yield from (t.id for t in item.targets if isinstance(t, ast.Name))
+        elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if _is_property(item):
+                yield item.name
+            for n in ast.walk(item):
+                if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                    yield n.attr
+
+
+def unread_fields() -> set[str]:
+    """``Class.field`` of each public field of a top-level package class
+    whose name is never loaded as an attribute nor written as a string."""
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    unread = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                unread |= {f"{cls.name}.{name}" for name in _fields(cls)
+                           if not name.startswith("_") and name not in read}
+    return unread
+
+
+def test_every_field_has_a_reader():
+    assert unread_fields() == set()
 
 
 def shared_public_methods() -> set[tuple[str, str]]:

@@ -7,6 +7,7 @@ import pytest
 
 from lamopt.config import default_mobility
 from lamopt.ctrw import (
+    MAX_RUN_STEPS,
     MAX_TRIALS,
     EstimateWithCI,
     SimConfig,
@@ -309,6 +310,15 @@ class TestFirstExit:
     def test_nan_start_rejected(self, X):
         with pytest.raises(DomainError):
             estimate_T(X, 1.0, 2.0, default_mobility(0.5), SimConfig(n_trials=10))
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_radius_rejected(self, R):
+        # the start test squares R, so R = -1 used to run the R = 1 walk
+        mob, cfg = default_mobility(0.5), SimConfig(n_trials=200, seed=1)
+        with pytest.raises(DomainError, match="radius must be finite"):
+            estimate_T((0.0, 0.0), R, 2.0, mob, cfg)
+        with pytest.raises(DomainError, match="radius must be finite"):
+            surviving_positions((0.0, 0.0), 0.4, R, mob, cfg)
 
     def test_brownian_center_exit_time(self):
         # unit isotropic diffusion on the unit disc leaves the center after
@@ -703,6 +713,19 @@ class TestSimConfig:
         _check_run_size(1.0, math.inf, mob, cfg)
         _check_run_size(1.0, math.inf, default_mobility(0.5),
                         SimConfig(n_trials=MAX_TRIALS))
+
+    def test_run_size_bound_at_max_run_steps(self):
+        # without drift or a horizon a trial is expected to leave after
+        # 0.5 (R / mean_len)^2 = 1000 jumps, so 1e7 trials sit on the bound;
+        # the check is called directly, so no walk starts
+        mob = default_mobility(0.0)
+        cfg = SimConfig(n_trials=10**7)
+        assert cfg.n_trials * 1000 == MAX_RUN_STEPS
+        with pytest.raises(DomainError, match="Monte-Carlo run"):
+            _check_run_size(mob.mean_len * math.sqrt(2000.0 * (1.0 + 1e-6)),
+                            math.inf, mob, cfg)
+        _check_run_size(mob.mean_len * math.sqrt(2000.0 * (1.0 - 1e-6)),
+                        math.inf, mob, cfg)
 
     def test_chunk_streams_worker_independent(self):
         # chunk c draws from the substream (seed, c), so chunk 0's trials end

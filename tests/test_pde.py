@@ -17,6 +17,7 @@ from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import (
     DiscGrid,
     FactorSlot,
+    ScalarField,
     TimeGrid,
     _factor,
     _half_system,
@@ -195,6 +196,17 @@ class TestLatticePath:
             assert np.all(diag < 0.0)
             assert np.all(np.asarray(M.sum(axis=1)).ravel() <= 1e-12 * np.abs(diag))
 
+    @pytest.mark.parametrize("rel, west", [(-1e-9, 1.28e-7), (1e-9, 128.0)],
+                             ids=["central", "upwind"])
+    def test_drift_stencil_switches_at_peclet_2(self, rel, west):
+        # cell Peclet mu h / (s11 / 2) = 2 at mu = 16, h = 1/16: just below,
+        # the central stencil's west entry s11 / (2 h^2) - mu / (2 h) nearly
+        # cancels; just above, upwinding drops the drift from it
+        grid = DiscGrid(1.0, 1.0 / 16)
+        A = assemble_operator(DiffusionParams(16.0 * (1.0 + rel), 1.0, 1.0), grid)
+        entry = A[grid.node_index(0, 0), grid.node_index(-1, 0)]
+        assert entry == pytest.approx(west, rel=1e-6)
+
     def test_lattice_shared_and_read_only(self):
         a, b = DiscGrid(1.0, 1.0 / 24), DiscGrid(7.3, 7.3 / 24)
         assert a.i is b.i and a.mirror is b.mirror
@@ -329,6 +341,15 @@ class TestMeanInterval:
         assert mean_interval_cap(diff, R, lam) == cap
         assert np.max(full_system_solve(diff, grid, lam)) <= cap * (1.0 + 1e-9)
         assert np.max(solve_mean_interval(diff, R, lam, grid).values) <= cap * (1.0 + 1e-9)
+
+    def test_axis_argmax_refines_between_nodes(self):
+        # a parabola along the axis peaking 0.37 h past a node: the
+        # three-point fit recovers its peak exactly, the nodal argmax is
+        # 0.37 h off
+        grid = DiscGrid(1.0, 1.0 / 16)
+        peak = 0.3 + 0.37 * grid.h
+        field = ScalarField(grid=grid, values=1.0 - (grid.x - peak) ** 2 - grid.y**2)
+        assert field.axis_argmax() == pytest.approx(peak, abs=1e-12)
 
     def test_upwind_high_peclet_stays_positive(self):
         # drift so strong the central stencil would oscillate
@@ -514,7 +535,8 @@ class TestForward:
         fwd = solve_forward(UNIT, (0.3, 0.0), 1.0, grid, TimeGrid(0.2, 50),
                             output_times=[0.0, 0.2])
         p0 = fwd.fields[0].values
-        assert p0[fwd.source_index] == pytest.approx(1.0 / grid.h**2)
+        src = grid.nearest_node_index([0.3], [0.0])[0]
+        assert p0[src] == pytest.approx(1.0 / grid.h**2)
         assert fwd.masses[0] == pytest.approx(1.0)
 
     def test_mass_equals_survival(self):

@@ -28,6 +28,8 @@ from lamopt.protocol import (
 )
 
 GRID = HexGrid()
+# distance between adjacent cell centers, km
+PITCH = math.sqrt(3) * HexGrid.size
 
 
 def scalar_cell_of(x, y):
@@ -118,7 +120,6 @@ class TestHexGrid:
     def test_cell_area_sets_size(self):
         # unit-area pointy-top hexagon: circumradius ~ 0.6204 km
         assert GRID.size == pytest.approx(0.620403239, rel=1e-8)
-        assert GRID.pitch == pytest.approx(math.sqrt(3) * GRID.size)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=-50, max_value=50),
@@ -133,7 +134,7 @@ class TestHexGrid:
         cx, cy = GRID.center(cell)
         for n in GRID.neighbors(cell):
             nx, ny = GRID.center(n)
-            assert math.hypot(nx - cx, ny - cy) == pytest.approx(GRID.pitch)
+            assert math.hypot(nx - cx, ny - cy) == pytest.approx(PITCH)
 
     def test_cells_within_counts_area(self):
         for radius in (3.0, 5.0, 8.0):
@@ -149,7 +150,7 @@ class TestHexGrid:
         # at sqrt(m) pitches some lattice centers lie on the circle; all of
         # them count, so the disc keeps the lattice's 60-degree turns and
         # has one shape at every cell center
-        radius = math.sqrt(m) * GRID.pitch
+        radius = math.sqrt(m) * PITCH
         cells = set(GRID.cells_within((0.0, 0.0), radius))
         assert len(cells) == count
         assert {(-r, q + r) for q, r in cells} == cells
@@ -165,8 +166,8 @@ class TestHexGrid:
     # ties: the six corners and the six edge midpoints of a cell.
     _ties = [(GRID.size * math.cos(math.radians(30 + 60 * i)),
               GRID.size * math.sin(math.radians(30 + 60 * i))) for i in range(6)]
-    _ties += [(GRID.pitch / 2 * math.cos(math.radians(60 * i)),
-               GRID.pitch / 2 * math.sin(math.radians(60 * i))) for i in range(6)]
+    _ties += [(PITCH / 2 * math.cos(math.radians(60 * i)),
+               PITCH / 2 * math.sin(math.radians(60 * i))) for i in range(6)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
@@ -195,9 +196,9 @@ class TestConstructLa:
     def test_offset_shifts_center_forward(self):
         la = construct_la((0.0, 0.0), -3.0, 4.0, GRID)
         assert la.center == (3.0, 0.0)
-        # the anchor sits near the trailing rim: one radius behind center
-        assert math.hypot(la.initial_position[0] - la.center[0],
-                          la.initial_position[1] - la.center[1]) == pytest.approx(3.0)
+        # the anchor (the origin) sits near the trailing rim, |x_opt| behind
+        # the center
+        assert math.hypot(*la.center) == pytest.approx(3.0)
 
     def test_interior_count_tracks_area(self):
         la = construct_la((0.0, 0.0), 0.0, 5.0, GRID)
@@ -220,7 +221,7 @@ class TestConstructLa:
         merged = [c for sub in la.sub_area_cells for c in sub]
         assert sorted(merged) == sorted(la.interior_cells)
         # the anchor's own cell pages first
-        assert GRID.cell_of(*la.initial_position) in la.sub_area_cells[0]
+        assert GRID.cell_of(0.5, -0.5) in la.sub_area_cells[0]
 
     def test_degenerate_radius_rejected(self):
         with pytest.raises(DomainError, match="below one cell diameter"):
@@ -258,7 +259,6 @@ class TestUpdateExchange:
         la = network_update(template, GRID.cell_of(0.0, 0.0), GRID)
         target = max(la.boundary_cells, key=lambda c: GRID.center(c)[0])
         la2 = network_update(template, target, GRID)
-        assert la2.initial_position == GRID.center(target)
         assert la2.center == pytest.approx(
             (GRID.center(target)[0] + 1.0, GRID.center(target)[1]))
         assert target in la2.sub_area_cells[0]
@@ -274,10 +274,8 @@ class TestUpdateExchange:
         a = network_update(template, (0, 0), GRID)
         assert a == template
         assert network_update(template, (0, 0), GRID) == a
-        # strong drift: the anchor ends up near the trailing rim
-        d = math.hypot(a.initial_position[0] - a.center[0],
-                       a.initial_position[1] - a.center[1])
-        assert d > 0.9 * a.radius
+        # strong drift: the anchor (the origin) ends up near the trailing rim
+        assert math.hypot(*a.center) > 0.9 * a.radius
         # the watch list is exactly the ring around the interior
         ring = {n for c in a.interior_cells for n in GRID.neighbors(c)
                 if n not in a.interior_cells}
@@ -291,7 +289,6 @@ class TestUpdateExchange:
             warnings.simplefilter("ignore")
             la = network_update(episode_template(sc, GRID), cell, GRID)
         ax, ay = GRID.center(cell)
-        assert la.initial_position == (ax, ay)
         assert math.hypot(la.center[0] - ax, la.center[1] - ay) < 0.01 * la.radius
 
     @pytest.mark.parametrize("x_opt, r_opt, m, var_theta", [
@@ -314,7 +311,7 @@ class TestUpdateExchange:
         # has the same cells relative to the anchor everywhere, and an LA
         # built afresh at any anchor equals it, since every center on the
         # circle is interior whatever the rounding.
-        r_opt = 2.0 * GRID.pitch
+        r_opt = 2.0 * PITCH
         template = construct_la((0.0, 0.0), 0.0, r_opt, GRID)
         rng = np.random.default_rng(3)
         reshaped = 0
@@ -500,7 +497,7 @@ class TestRunEpisode:
         # anchor still pages with certainty under the template
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            m = run_episode(self._scenario(design=(0.0, 2.0 * GRID.pitch),
+            m = run_episode(self._scenario(design=(0.0, 2.0 * PITCH),
                                            duration_hr=40.0))
         assert m.paging_failures == 0 and m.calls > 0
 
