@@ -43,6 +43,8 @@ MUTANTS = {
     "peclet-switch-at-1": (
         "pde.py", "np.maximum(h_neg, h_pos) / s_coef <= 2.0",
         "np.maximum(h_neg, h_pos) / s_coef <= 1.0"),
+    "upwind-neg-spacing": (
+        "pde.py", "max(-mu, 0.0) / h_neg", "max(-mu, 0.0) / h_pos"),
     "refine-min-gain-1.0001": (
         "pde.py", "_REFINE_MIN_GAIN = 10.0", "_REFINE_MIN_GAIN = 1.0001"),
     "no-on-circle-exclusion": (
@@ -54,8 +56,6 @@ MUTANTS = {
         "costs.py",
         "lo_b, hi_b = grid[max(i - 1, 0)], grid[min(i + 1, _SCAN_POINTS - 1)]",
         "lo_b, hi_b = grid[max(i - 2, 0)], grid[min(i + 2, _SCAN_POINTS - 1)]"),
-    "no-unimodality-warning": (
-        "costs.py", "if n_minima > 1:", "if n_minima > 99:"),
     "half-exit-steps": (
         "ctrw.py", "exit_steps = 0.5 * r * r", "exit_steps = 0.25 * r * r"),
     "offset-scale-cap-1e5": (

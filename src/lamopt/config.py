@@ -55,10 +55,10 @@ def parse_config(path: str | Path) -> dict:
     Raises:
         DomainError: unreadable file, unknown key, bad syntax, an unparsable
             or non-finite value, ``R_km`` outside ``[MIN_R_KM, MAX_R_KM]``,
-            a fractional ``m_paging`` or ``seed``, a negative ``seed``, cost
-            keys that ``CostParams`` refuses, or a ``strategy``, ``provider``
-            or ``duration_hr`` that ``Scenario`` refuses (all checked here,
-            so every command refuses them alike).
+            a fractional ``m_paging`` or ``seed``, cost keys that
+            ``CostParams`` refuses, or a ``strategy``, ``provider``,
+            ``duration_hr`` or ``seed`` that ``Scenario`` refuses (all
+            checked here, so every command refuses them alike).
     """
     try:
         text = Path(path).read_text()
@@ -94,8 +94,6 @@ def parse_config(path: str | Path) -> dict:
             if cfg[key] != int(cfg[key]):
                 raise DomainError(f"{key} must be a whole number, got {cfg[key]}")
             cfg[key] = int(cfg[key])
-    if cfg.get("seed", 0) < 0:
-        raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
     costs_from_config(cfg)
     check_scenario_keys(cfg)
     return cfg

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lamopt.errors import DomainError
+from lamopt.errors import DomainError, require_int
 from lamopt.mobility import MobilityParams, direction_moments, sample_direction
 
 # Dwells per block when ``_jumps_by`` steps the dwell sums toward a time.
@@ -65,13 +65,12 @@ class SimConfig:
     chunk_size: int = 16_384
 
     def __post_init__(self) -> None:
-        if self.n_trials < 1:
-            raise DomainError("n_trials must be >= 1")
+        for name, least in (("n_trials", 1), ("seed", 0), ("max_steps", 1),
+                            ("chunk_size", 1)):
+            require_int(name, getattr(self, name), least)
         if self.n_trials > MAX_TRIALS:
             raise DomainError(f"n_trials {self.n_trials:.3g} is more than the "
                               f"{MAX_TRIALS:.0e} a Monte-Carlo run may take")
-        if self.max_steps < 1:
-            raise DomainError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)

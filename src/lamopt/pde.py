@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from lamopt.errors import DomainError, NumericalError
+from lamopt.errors import DomainError, NumericalError, require_int
 from lamopt.mobility import DiffusionParams
 
 if TYPE_CHECKING:
@@ -197,15 +197,15 @@ class DiscGrid:
         self.y = self.j * h
         self.n_nodes = lat.n_nodes
 
-        # Distance to the neighbor or, when it falls outside, to the circle.
+        # Distance to the neighbor or, when it falls outside, to the circle:
+        # no node is on the circle, so that is 5e-10 R or more.
         west, south, _, north, east = lat.present.T
-        bx = np.sqrt(np.maximum(R * R - self.y**2, 0.0))
-        by = np.sqrt(np.maximum(R * R - self.x**2, 0.0))
-        tiny = 1e-12 * h
-        self.he = np.where(east, h, np.maximum(bx - self.x, tiny))
-        self.hw = np.where(west, h, np.maximum(self.x + bx, tiny))
-        self.hn = np.where(north, h, np.maximum(by - self.y, tiny))
-        self.hs = np.where(south, h, np.maximum(self.y + by, tiny))
+        bx = np.sqrt(R * R - self.y**2)
+        by = np.sqrt(R * R - self.x**2)
+        self.he = np.where(east, h, bx - self.x)
+        self.hw = np.where(west, h, self.x + bx)
+        self.hn = np.where(north, h, by - self.y)
+        self.hs = np.where(south, h, self.y + by)
 
     def node_index(self, i: int, j: int) -> int:
         """Index of lattice node (i, j), or -1 if outside the disc."""
@@ -292,8 +292,9 @@ class TimeGrid:
     steps: int = 200
 
     def __post_init__(self) -> None:
-        if not (self.t_max > 0.0 and math.isfinite(self.t_max)) or not self.steps >= 1:
-            raise DomainError("t_max must be finite and > 0, and steps >= 1")
+        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
+            raise DomainError(f"t_max must be finite and > 0, got {self.t_max}")
+        require_int("steps", self.steps, 1)
 
     @property
     def dt(self) -> float:
@@ -339,16 +340,10 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     c_neg, c_diag, c_pos = second_difference(h_neg, h_pos, s_coef)
     diag += c_diag
     central = abs(mu) * np.maximum(h_neg, h_pos) / s_coef <= 2.0
-    d_pos = np.where(central, mu * h_neg / (h_pos * (h_neg + h_pos)), 0.0)
-    d_neg = np.where(central, -mu * h_pos / (h_neg * (h_neg + h_pos)), 0.0)
-    d_diag = np.where(central, mu * (h_pos - h_neg) / (h_neg * h_pos), 0.0)
-    if mu > 0.0:
-        d_pos = np.where(central, d_pos, mu / h_pos)
-        d_diag = np.where(central, d_diag, -mu / h_pos)
-    elif mu < 0.0:
-        d_neg = np.where(central, d_neg, -mu / h_neg)
-        d_diag = np.where(central, d_diag, mu / h_neg)
-    diag += d_diag
+    up_pos, up_neg = max(mu, 0.0) / h_pos, max(-mu, 0.0) / h_neg
+    d_pos = np.where(central, mu * h_neg / (h_pos * (h_neg + h_pos)), up_pos)
+    d_neg = np.where(central, -mu * h_pos / (h_neg * (h_neg + h_pos)), up_neg)
+    diag += np.where(central, mu * (h_pos - h_neg) / (h_neg * h_pos), -up_pos - up_neg)
     west, east = c_neg + d_neg, c_pos + d_pos
     # y, across the road: diffusion only
     south, c_diag, north = second_difference(grid.hs, grid.hn, diff.sigma22 / 2.0)

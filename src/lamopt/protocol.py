@@ -49,7 +49,7 @@ from lamopt.costs import (
     wedge_indices,
 )
 from lamopt.ctrw import sample_dwells, sample_steps
-from lamopt.errors import ConsistencyViolationError, DomainError
+from lamopt.errors import ConsistencyViolationError, DomainError, require_int
 from lamopt.hexgrid import Cell, HexGrid
 from lamopt.mobility import MobilityParams, direction_moments
 
@@ -107,8 +107,9 @@ class EpisodeMetrics:
 
 
 def check_scenario_keys(values: dict) -> None:
-    """Refuse a ``strategy``, ``provider`` or ``duration_hr`` outside its
-    domain; an absent key passes.  Config files and ``Scenario`` share it."""
+    """Refuse a ``strategy``, ``provider``, ``duration_hr`` or ``seed``
+    outside its domain; an absent key passes.  Config files and ``Scenario``
+    share it."""
     if "strategy" in values and values["strategy"] not in STRATEGIES:
         raise DomainError(f"unknown strategy {values['strategy']!r}")
     if "provider" in values and values["provider"] not in PROVIDERS:
@@ -116,6 +117,8 @@ def check_scenario_keys(values: dict) -> None:
     duration = values.get("duration_hr", 1.0)
     if not (math.isfinite(duration) and duration > 0.0):
         raise DomainError(f"duration_hr must be finite and > 0, got {duration}")
+    if "seed" in values:
+        require_int("seed", values["seed"], 0)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,16 @@ class TestCostParams:
         with pytest.raises(DomainError, match="paging rounds"):
             CostParams(lam=2.0, U=20.0, V=1.0, m=m)
 
+    @pytest.mark.parametrize("m, ok", [(2.5, False), (3.0, False), (np.int64(3), True)])
+    def test_round_count_must_be_an_integer(self, m, ok):
+        # a fractional m used to fail in paging_breakdown_at, on the tuple
+        # repetition of build_paging_plan
+        if ok:
+            assert CostParams(lam=2.0, U=20.0, V=1.0, m=m).m == 3
+        else:
+            with pytest.raises(DomainError, match="m must be an integer"):
+                CostParams(lam=2.0, U=20.0, V=1.0, m=m)
+
 
 class TestUpdateCost:
     def test_unit(self):
@@ -477,10 +487,10 @@ class TestOptimizePair:
                              for b in ("offset", "center"))
         assert solves["n"] == 0
 
-    def test_bumpy_cost_warned_not_rescanned(self, solves, monkeypatch):
-        # a cost with three minima in log R is warned about, and
-        # each search refines the 25-point scan's lowest point: the pair
-        # still shares its one scan, and no radius is solved again
+    def test_bumpy_cost_not_rescanned(self, solves, monkeypatch):
+        # with a cost of three minima in log R, each search refines the
+        # 25-point scan's lowest point: the pair still shares its one scan,
+        # and no radius is solved again
         def bumpy(solution, baseline):
             R = solution.R
             paging = COSTS.lam * math.pi * R * R * COSTS.V
@@ -489,12 +499,10 @@ class TestOptimizePair:
 
         monkeypatch.setattr(costs, "_design", bumpy)
         mob = default_mobility(2.0)
-        with pytest.warns(UserWarning, match="not unimodal"):
-            singles = tuple(joint_optimize(mob, COSTS, baseline=b)
-                            for b in ("offset", "center"))
+        singles = tuple(joint_optimize(mob, COSTS, baseline=b)
+                        for b in ("offset", "center"))
         separate, solves["n"] = solves["n"], 0
-        with pytest.warns(UserWarning, match="not unimodal"):
-            pair = optimize_pair(mob, COSTS)
+        pair = optimize_pair(mob, COSTS)
         assert pair == singles
         assert solves["n"] == separate - 25
 
@@ -508,7 +516,6 @@ class TestOptimizePair:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            warnings.filterwarnings("error", "cost scan is not unimodal")
             for k, lam in itertools.product(K_GRID, (0.2, 2.0)):
                 mob = default_mobility(k)
                 cost = CostParams(lam=lam, U=COSTS.U, V=COSTS.V)

@@ -693,6 +693,21 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(max_steps=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_trials", 100.5), ("n_trials", 10.0), ("chunk_size", 0), ("chunk_size", -5),
+        ("chunk_size", 64.5), ("max_steps", 10.5), ("seed", 1.5), ("seed", -1)])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # each used to pass here and fail later: range() with a zero or float
+        # step, an empty concatenate, the seeding of Philox, or (max_steps)
+        # not at all
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(n_trials=np.int64(10), seed=np.uint32(3),
+                        max_steps=np.int32(5), chunk_size=np.int64(4))
+        assert (cfg.n_trials, cfg.seed, cfg.max_steps, cfg.chunk_size) == (10, 3, 5, 4)
+
     def test_trial_count_bounded(self):
         # the benchmark's 50k trials and this suite's 200k stay legal
         assert SimConfig(n_trials=MAX_TRIALS).n_trials == MAX_TRIALS >= 200_000

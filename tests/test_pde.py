@@ -207,6 +207,24 @@ class TestLatticePath:
         entry = A[grid.node_index(0, 0), grid.node_index(-1, 0)]
         assert entry == pytest.approx(west, rel=1e-6)
 
+    @pytest.mark.parametrize("R", [0.3, 1.0, 7.3])
+    @pytest.mark.parametrize("N", [8, 16, 31, 64])
+    def test_reversed_drift_is_the_x_mirror(self, N, R):
+        # the lattice and its cut distances are even in x, so reversing the
+        # drift mirrors the operator through x -> -x to the bit, on central
+        # and upwind nodes alike; sparse parts only, since a dense N = 64
+        # operator needs over 1 GB
+        g = DiscGrid(R, R / N)
+        lat = g._lattice
+        P = lat.index2d[lat.n - g.i, lat.n + g.j]
+        for mu in (0.05, 3.0, 40.0, 400.0):
+            A = assemble_operator(DiffusionParams(mu, 0.2, 0.1), g, 0.7)[P][:, P]
+            B = assemble_operator(DiffusionParams(-mu, 0.2, 0.1), g, 0.7)
+            for M in (A, B):
+                M.sort_indices()
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(B, part), getattr(A, part))
+
     def test_lattice_shared_and_read_only(self):
         a, b = DiscGrid(1.0, 1.0 / 24), DiscGrid(7.3, 7.3 / 24)
         assert a.i is b.i and a.mirror is b.mirror
@@ -218,7 +236,7 @@ class TestDiscGrid:
     @pytest.mark.parametrize("N", [48, 50, 60, 65])
     def test_points_on_the_circle_are_not_nodes(self, N):
         # with h = R/N float rounding used to let some i^2 + j^2 = N^2
-        # points in, with a cut distance clamped to 1e-12 h
+        # points in, with a cut distance of round-off
         ii, jj = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1))
         n_inside = int(np.count_nonzero(ii**2 + jj**2 < N * N))
         for R in np.random.default_rng(N).uniform(0.05, 20.0, 300):
@@ -434,6 +452,16 @@ class TestSurvival:
         # a NaN horizon used to be accepted
         with pytest.raises(DomainError, match="t_max"):
             TimeGrid(t_max, 10)
+
+    @pytest.mark.parametrize("steps, ok", [(2.5, False), (10.0, False), (0, False),
+                                           (np.int64(10), True)])
+    def test_time_grid_steps_must_be_an_integer(self, steps, ok):
+        # a fractional step count used to fail on TimeGrid.times
+        if ok:
+            assert TimeGrid(0.3, steps).times.size == 11
+        else:
+            with pytest.raises(DomainError, match="steps must be an integer"):
+                TimeGrid(0.3, steps)
 
     def test_boundary_start_rejected(self):
         grid = DiscGrid(1.0, 1.0 / 32)

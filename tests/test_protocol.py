@@ -351,6 +351,16 @@ class TestEpisodeDesign:
         with pytest.raises(DomainError):
             _scenario(0.5, 2.0, **kw)
 
+    @pytest.mark.parametrize("seed, ok", [(1.5, False), (2.0, False), (-1, False),
+                                          (np.int64(7), True), (0, True)])
+    def test_scenario_seed_must_be_a_nonnegative_integer(self, seed, ok):
+        # a float or negative seed used to fail in run_episode, seeding Philox
+        if ok:
+            assert _scenario(0.5, 2.0, seed=seed).seed == seed
+        else:
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                _scenario(0.5, 2.0, seed=seed)
+
 
 class TestPaging:
     @pytest.fixture()
