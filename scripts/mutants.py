@@ -49,6 +49,8 @@ MUTANTS = {
         "pde.py", "_REFINE_MIN_GAIN = 10.0", "_REFINE_MIN_GAIN = 1.0001"),
     "no-on-circle-exclusion": (
         "pde.py", "_ON_CIRCLE_RTOL = 1e-9", "_ON_CIRCLE_RTOL = 0.0"),
+    "nearest-node-argmax": (
+        "pde.py", "idx[miss] = np.argmin(", "idx[miss] = np.argmax("),
     "wedge-side-right": (
         "costs.py", 'np.searchsorted(inner, ang, side="left")',
         'np.searchsorted(inner, ang, side="right")'),

@@ -120,14 +120,11 @@ class GalerkinSolution:
     C0: float
     R: float
 
-    def trial(self, x, y):
+    def interval(self, x, y):
+        """Approximate mean update interval at (x, y): ``C g(x, y)``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return (self.R**2 - x * x - y * y) / (x + self.a)
-
-    def interval(self, x, y):
-        """Approximate mean update interval at (x, y)."""
-        return self.C * self.trial(x, y)
+        return self.C * ((self.R**2 - x * x - y * y) / (x + self.a))
 
     @property
     def x_opt(self) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -71,7 +72,8 @@ class CostParams:
             raise DomainError("lam must be >= 0")
         if self.U <= 0.0 or self.V <= 0.0:
             raise DomainError("U and V must be > 0")
-        if not 1 <= self.m <= MAX_PAGING_ROUNDS:
+        # a non-integer such as None or "3" cannot be compared: require_int refuses it
+        if isinstance(self.m, Integral) and not 1 <= self.m <= MAX_PAGING_ROUNDS:
             raise DomainError(
                 f"m must be between 1 and {MAX_PAGING_ROUNDS} paging rounds, got {self.m}")
         require_int("m", self.m, 1)

@@ -25,6 +25,6 @@ class RegimeWarning(UserWarning):
 
 def require_int(name: str, value, least: int) -> None:
     """Refuse ``value`` unless it is an integer >= ``least``: a numpy integer
-    passes, a float such as 3.0 does not (``range`` refuses it)."""
-    if not isinstance(value, Integral) or value < least:
+    passes, a float such as 3.0 does not (``range`` refuses it), nor a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")

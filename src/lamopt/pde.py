@@ -215,7 +215,8 @@ class DiscGrid:
         return int(self._lattice.index2d[i + n, j + n])
 
     def nearest_node_index(self, xs, ys) -> np.ndarray:
-        """Vectorized nearest-node lookup with an inward search fallback."""
+        """Index of the node nearest each point: the rounded lattice point
+        when it is a node, else the nearest node (lowest index on a tie)."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         n = self._lattice.n
@@ -223,22 +224,8 @@ class DiscGrid:
         jj = np.clip(np.rint(ys / self.h).astype(np.int64), -n, n)
         idx = self._lattice.index2d[ii + n, jj + n]
         for miss in np.nonzero(idx < 0)[0]:
-            best, best_d2 = -1, np.inf
-            for di in range(-2, 3):
-                for dj in range(-2, 3):
-                    cand = self.node_index(int(ii[miss]) + di, int(jj[miss]) + dj)
-                    if cand >= 0:
-                        d2 = (self.x[cand] - xs[miss]) ** 2 + (self.y[cand] - ys[miss]) ** 2
-                        if d2 < best_d2:
-                            best, best_d2 = cand, d2
-            if best < 0:
-                raise DomainError(f"point ({xs[miss]}, {ys[miss]}) too far outside the disc")
-            idx[miss] = best
+            idx[miss] = np.argmin((self.x - xs[miss]) ** 2 + (self.y - ys[miss]) ** 2)
         return idx
-
-    def nearest_node_point(self, X) -> tuple[float, float]:
-        idx = int(self.nearest_node_index([X[0]], [X[1]])[0])
-        return float(self.x[idx]), float(self.y[idx])
 
     def interpolation_weights(self, X):
         """Bilinear weights for an interior point; falls back to nearest node
@@ -356,7 +343,7 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     return sp.csr_matrix((data, lat.indices, lat.indptr), shape=(grid.n_nodes,) * 2)
 
 
-def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> float:
+def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> None:
     res = float(np.max(np.abs(A @ sol - rhs)))
     scale = max(1.0, float(np.max(np.abs(sol))))
     if res > _RESIDUAL_TARGET * scale:
@@ -365,7 +352,6 @@ def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> float:
             f"linear solve residual {res:.3e} exceeds target; "
             f"rhs/residual ratio {cond_proxy:.3e} suggests ill-conditioning"
         )
-    return res
 
 
 def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
@@ -515,14 +501,6 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
 # survival probability and forward density
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SurvivalCurve:
-    """P(exit time >= t) at a fixed start point, on a uniform time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-
 def _half_step(diff: DiffusionParams, grid: DiscGrid, dt: float):
     """LU of ``I - dt H``, one backward-Euler step on the half-disc fold H
     of the call-free operator, and the map from half nodes to every node."""
@@ -534,12 +512,12 @@ def _half_step(diff: DiffusionParams, grid: DiscGrid, dt: float):
 
 
 def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
-                   tgrid: TimeGrid) -> SurvivalCurve:
-    """Backward-equation survival probability G(X, t) by implicit stepping.
+                   tgrid: TimeGrid) -> np.ndarray:
+    """Backward-equation survival probability G(X, t) at ``tgrid.times``.
 
-    G starts at 1 inside the disc and decays monotonically; it is
-    mirror-symmetric in y, so it is stepped on the half disc.  The curve is
-    evaluated at X by bilinear interpolation (exact when X is a node).
+    G starts at 1 inside the disc and decays monotonically under implicit
+    steps; it is mirror-symmetric in y, so it is stepped on the half disc.
+    It is read at X by bilinear interpolation (exact when X is a node).
     Its integral is the call-free mean interval, ``integral_0^inf G(X, t) dt
     = T(X)`` at ``lam = 0``, which ``validate`` checks against
     ``solve_mean_interval``.
@@ -555,7 +533,7 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
         out[s] = sum(w * g[idx] for idx, w in weights)
     if np.any(out < -1e-9) or np.any(out > 1.0 + 1e-9):
         raise NumericalError("survival probability escaped [0, 1]")
-    return SurvivalCurve(times=tgrid.times, values=np.clip(out, 0.0, 1.0))
+    return np.clip(out, 0.0, 1.0)
 
 
 @dataclass
@@ -568,7 +546,7 @@ class ForwardSolution:
 
 
 def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
-                  tgrid: TimeGrid, output_times=None) -> ForwardSolution:
+                  tgrid: TimeGrid, output_times) -> ForwardSolution:
     """Forward-equation density of the not-yet-exited terminal.
 
     The point start is a unit mass on the nearest node divided by the cell
@@ -582,8 +560,6 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     if y0 != 0.0:
         raise DomainError(f"start point {X} is off the road axis; the density "
                           "march needs y = 0")
-    if output_times is None:
-        output_times = [tgrid.t_max]
     src = int(grid.nearest_node_index([x0], [y0])[0])
     stepper, unfold = _half_step(diff, grid, tgrid.dt)
 

@@ -274,12 +274,13 @@ def check_forward_mass(to_diffusion,
     for k, x0, t_max in points:
         diff = to_diffusion(default_mobility(k))
         tg = TimeGrid(t_max, steps)
-        X = grid.nearest_node_point((x0, 0.0))
+        i = int(grid.nearest_node_index([x0], [0.0])[0])
+        X = (float(grid.x[i]), float(grid.y[i]))
         curve = solve_survival(diff, X, 1.0, grid, tg)
         fwd = solve_forward(diff, X, 1.0, grid, tg,
                             output_times=[0.25 * t_max, 0.5 * t_max, t_max])
         for t_out, mass in zip(fwd.times, fwd.masses):
-            g = curve.values[int(round(t_out / tg.dt))]
+            g = curve[int(round(t_out / tg.dt))]
             worst = max(worst, abs(mass - g) / max(g, 1e-12))
         neg = min(neg, *(float(f.values.min()) for f in fwd.fields))
     ok = worst <= 0.01 and neg >= -1e-12
@@ -290,8 +291,8 @@ def check_forward_mass(to_diffusion,
 def check_survival_integral(to_diffusion) -> tuple[bool, str, str]:
     diff = DiffusionParams(0.0, 1.0, 1.0)
     grid = DiscGrid(1.0, 1.0 / 48)
-    curve = solve_survival(diff, (0.0, 0.0), 1.0, grid, TimeGrid(4.0, 2000))
-    integral = float(np.trapezoid(curve.values, curve.times))
+    tg = TimeGrid(4.0, 2000)
+    integral = float(np.trapezoid(solve_survival(diff, (0.0, 0.0), 1.0, grid, tg), tg.times))
     direct = solve_mean_interval(diff, 1.0, 0.0, grid).value_at((0.0, 0.0))
     ok = abs(integral - direct) <= 0.02 * direct
     return ok, f"integral {integral:.5f} vs direct {direct:.5f}", "within 2%"

@@ -50,10 +50,12 @@ class TestCostParams:
         with pytest.raises(DomainError, match="paging rounds"):
             CostParams(lam=2.0, U=20.0, V=1.0, m=m)
 
-    @pytest.mark.parametrize("m, ok", [(2.5, False), (3.0, False), (np.int64(3), True)])
+    @pytest.mark.parametrize("m, ok", [(2.5, False), (3.0, False), (np.int64(3), True),
+                                       (True, False), (None, False), ("3", False)])
     def test_round_count_must_be_an_integer(self, m, ok):
         # a fractional m used to fail in paging_breakdown_at, on the tuple
-        # repetition of build_paging_plan
+        # repetition of build_paging_plan; None and "3" failed the range test
+        # with a TypeError, and True ran as one round
         if ok:
             assert CostParams(lam=2.0, U=20.0, V=1.0, m=m).m == 3
         else:
@@ -97,6 +99,14 @@ class TestPagingPlan:
         plan = build_paging_plan(m, var_theta)
         assert sum(plan.angles) == pytest.approx(math.pi, abs=1e-12)
         assert all(a >= 0.0 for a in plan.angles)
+
+    def test_point_on_a_wedge_ray_goes_to_the_lower_region(self):
+        # arctan2(1, 1) == pi / 4 exactly: the first two points lie on the
+        # ray between the two wedges, the third on the far axis
+        plan = build_paging_plan(2, math.pi / 4)
+        assert plan.cumulative[1] == math.atan2(1.0, 1.0)
+        idx = wedge_indices(plan, [1.0, 1.0, -1.0], [1.0, -1.0, 0.0])
+        np.testing.assert_array_equal(idx, [0, 0, 1])
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -695,7 +695,8 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("n_trials", 100.5), ("n_trials", 10.0), ("chunk_size", 0), ("chunk_size", -5),
-        ("chunk_size", 64.5), ("max_steps", 10.5), ("seed", 1.5), ("seed", -1)])
+        ("chunk_size", 64.5), ("max_steps", 10.5), ("seed", 1.5), ("seed", -1),
+        ("n_trials", True), ("n_trials", None), ("n_trials", "3")])
     def test_counts_and_seed_must_be_integers(self, field, value):
         # each used to pass here and fail later: range() with a zero or float
         # step, an empty concatenate, the seeding of Philox, or (max_steps)

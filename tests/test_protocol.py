@@ -352,7 +352,8 @@ class TestEpisodeDesign:
             _scenario(0.5, 2.0, **kw)
 
     @pytest.mark.parametrize("seed, ok", [(1.5, False), (2.0, False), (-1, False),
-                                          (np.int64(7), True), (0, True)])
+                                          (np.int64(7), True), (0, True), (True, False),
+                                          (None, False), ("3", False)])
     def test_scenario_seed_must_be_a_nonnegative_integer(self, seed, ok):
         # a float or negative seed used to fail in run_episode, seeding Philox
         if ok:
