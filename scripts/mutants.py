@@ -27,6 +27,7 @@ TESTS = {
     "approx.py": ("test_approx.py", "test_costs.py", "test_cli.py"),
     "costs.py": ("test_costs.py", "test_protocol.py"),
     "ctrw.py": ("test_ctrw.py",),
+    "mobility.py": ("test_mobility.py", "test_costs.py"),
     "pde.py": ("test_pde.py", "test_costs.py"),
 }
 
@@ -60,6 +61,12 @@ MUTANTS = {
         "lo_b, hi_b = grid[max(i - 2, 0)], grid[min(i + 2, _SCAN_POINTS - 1)]"),
     "half-exit-steps": (
         "ctrw.py", "exit_steps = 0.5 * r * r", "exit_steps = 0.25 * r * r"),
+    "walk-horizon-at-cap": (
+        "ctrw.py", "np.full(n, np.iinfo(np.int64).max)", "np.full(n, cfg.max_steps)"),
+    "diffusion-accepts-nan": (
+        "mobility.py",
+        "if not all(map(math.isfinite, (self.mu1, self.sigma11, self.sigma22))):",
+        "if False:"),
     "offset-scale-cap-1e5": (
         "approx.py", "_OFFSET_SCALE_CAP = 1e6", "_OFFSET_SCALE_CAP = 1e5"),
 }

@@ -130,9 +130,6 @@ class GalerkinSolution:
     def x_opt(self) -> float:
         return optimal_offset(self.a, self.R)
 
-    def interval_at_opt(self) -> float:
-        return float(self.interval(self.x_opt, 0.0))
-
 
 def trial_offset_scale(params: MobilityParams, R: float,
                        diff: DiffusionParams | None = None) -> float:
@@ -161,15 +158,18 @@ def galerkin_solution(diff: DiffusionParams, R: float, lam: float,
     cancels at any ``a``.
 
     Raises:
-        DomainError: nonpositive call rate/dimensions.
+        DomainError: a negative call rate, a nonpositive or non-finite R,
+            or a non-finite offset scale.
         NumericalError: the moment denominator is not negative.
     Warns:
         RegimeWarning: when ``a < R`` (clamped to R(1 + 1e-9)).
     """
-    if R <= 0.0:
-        raise DomainError("R must be > 0")
-    if lam < 0.0:
-        raise DomainError("lam must be >= 0")
+    if not (R > 0.0 and math.isfinite(R)):
+        raise DomainError(f"R must be finite and > 0, got {R}")
+    if not lam >= 0.0:  # NaN fails too
+        raise DomainError(f"lam must be >= 0, got {lam}")
+    if not math.isfinite(a):  # before the clamp, which would hide a NaN
+        raise DomainError(f"offset scale a must be finite, got {a}")
     if a < R:
         warnings.warn(f"offset scale a={a:.6g} < R; clamped", RegimeWarning,
                       stacklevel=2)
@@ -203,6 +203,6 @@ def optimal_offset(a: float, R: float) -> float:
     ``x = -a + sqrt(a^2 - R^2)`` written subtraction-free; lies in (-R, 0],
     reaching -R at full concentration (a = R) and 0 as a grows.
     """
-    if a < R:
+    if not a >= R:  # NaN fails too
         raise DomainError(f"offset scale a={a} must be >= R={R}")
     return -R * R / (a + math.sqrt((a - R) * (a + R)))

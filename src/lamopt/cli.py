@@ -103,7 +103,7 @@ def fig5_rows(cfg: dict) -> tuple[list[str], list[list]]:
         regime = drift_regime(diff, R)
         t_weak = regime_interval(diff, R, "weak") if regime == "weak" else None
         t_strong = regime_interval(diff, R, "strong") if regime == "strong" else None
-        rows.append([k, sol.interval_at_opt(), t_weak, t_strong])
+        rows.append([k, float(sol.interval(sol.x_opt, 0.0)), t_weak, t_strong])
     return ["k", "T_galerkin", "T_weak_asymptotic", "T_strong_asymptotic"], rows
 
 
@@ -117,7 +117,7 @@ def fig6_rows(cfg: dict) -> tuple[list[str], list[list]]:
             diff = compute_diffusion(mob)
             for lam in (0.0, 0.2, 0.5, 1.0, 3.0):
                 sol = galerkin_interval(mob, R, lam, diff)
-                rows.append([k, var_eta, lam, sol.interval_at_opt()])
+                rows.append([k, var_eta, lam, float(sol.interval(sol.x_opt, 0.0))])
     return ["k", "var_eta_s2", "lambda_per_hr", "T_galerkin"], rows
 
 
@@ -140,11 +140,11 @@ def optimize_rows(cfg: dict, *, provider: str | None,
     mob = mobility_from_config(cfg)
     costs = costs_from_config(cfg)
     opt, ctr = optimize_pair(mob, costs, provider)
-    breakdown = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt, mode=paging_mode)
+    b = paging_breakdown_at(mob, costs, opt.x_opt, opt.r_opt, mode=paging_mode)
     header = ["k", "lambda_per_hr", "provider", "x_opt_km", "R_opt_km",
               "C_u", "C_p", "C_t", "saving_ratio"]
     return header, [[cfg["k"], costs.lam, provider, opt.x_opt, opt.r_opt,
-                     breakdown.C_u, breakdown.C_p, breakdown.C_t, pair_saving(opt, ctr)]]
+                     b.C_u, b.C_p, b.C_u + b.C_p, pair_saving(opt, ctr)]]
 
 
 def simulate_rows(cfg: dict, *, seed: int | None, mode: str, trials: int,

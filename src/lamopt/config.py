@@ -115,6 +115,6 @@ def mobility_from_config(cfg: dict) -> MobilityParams:
     )
 
 
-def default_mobility(k: float, var_eta_s2: float = 1.0) -> MobilityParams:
+def default_mobility(k: float) -> MobilityParams:
     """Default-scenario mobility at the given concentration factor."""
-    return mobility_from_config(dict(DEFAULTS, k=k, Var_eta_s2=var_eta_s2))
+    return mobility_from_config(dict(DEFAULTS, k=k))

@@ -19,8 +19,8 @@ horizon with the law its estimand needs:
   Laplace transform of one Gamma(kappa, theta) dwell.  For an exponential
   call gap ``zeta`` and ``N`` jumps to exit, ``E[min(zeta, S_N)] =
   (1 - E[phi^N]) / lam = (q / lam) E[min(N, K)]`` with ``q = 1 - phi``, so
-  ``(q / lam) * steps`` is an exact per-trial value.  At ``lam == 0`` there
-  is no horizon and the value is ``mean_time * steps`` (Wald).
+  ``(q / lam) * steps`` is an exact per-trial value.  At ``lam == 0`` no
+  trial reaches its horizon and the value is ``mean_time * steps`` (Wald).
 * ``surviving_positions`` at time ``t``: ``M = max{m : S_m <= t}``, the
   number of jumps completed by ``t``, from the dwell partial sums ``S_m``.
 
@@ -185,25 +185,22 @@ def _walk_chunk(x0: float, y0: float, R: float, horizon,
                 n: int, max_steps: int) -> _Walk:
     """Walk ``n`` trials from (x0, y0) until each stops (module docstring).
 
-    ``horizon`` is an int64 step count per trial, or None for no horizon; a
-    trial with horizon 0 never moves.  The running trials are kept
-    compacted in trial order, and each step draws one ``sample_steps``
-    batch for exactly those trials; the squared radii overwrite that batch.
-    The bookkeeping (record the stopped trials, compact the rest) runs only
-    on a jump where some trial stops.  A censored trial reports its
-    position after ``max_steps`` jumps.
+    ``horizon`` is an int64 step count per trial; a trial with horizon 0
+    never moves.  The running trials are kept compacted in trial order,
+    and each step draws one ``sample_steps`` batch for exactly those
+    trials; the squared radii overwrite that batch.  The bookkeeping
+    (record the stopped trials, compact the rest) runs only on a jump where
+    some trial stops.  A censored trial reports its position after
+    ``max_steps`` jumps.
     """
     steps = np.zeros(n, dtype=np.int64)
     x_out = np.full(n, x0, dtype=float)
     y_out = np.full(n, y0, dtype=float)
     exited = np.zeros(n, dtype=bool)
     censored = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    h = None
-    if horizon is not None:
-        h = np.asarray(horizon, dtype=np.int64)
-        idx = idx[h > 0]
-        h = h[idx]
+    h = np.asarray(horizon, dtype=np.int64)
+    idx = np.flatnonzero(h > 0)
+    h = h[idx]
     x = np.full(idx.size, x0, dtype=float)
     y = np.full(idx.size, y0, dtype=float)
     r2 = R * R
@@ -216,8 +213,7 @@ def _walk_chunk(x0: float, y0: float, R: float, horizon,
         rr = np.multiply(x, x, out=dx)  # squared radii, in the spent batch
         rr += np.multiply(y, y, out=dy)
         stop = rr >= r2
-        if h is not None:
-            stop |= h == step
+        stop |= h == step
         s = np.flatnonzero(stop)
         if not s.size:
             continue
@@ -227,9 +223,7 @@ def _walk_chunk(x0: float, y0: float, R: float, horizon,
         exited[i] = rr[s] >= r2
         steps[i] = step
         run = np.flatnonzero(~stop)
-        idx, x, y = idx[run], x[run], y[run]
-        if h is not None:
-            h = h[run]
+        idx, x, y, h = idx[run], x[run], y[run], h[run]
     x_out[idx] = x
     y_out[idx] = y
     steps[idx] = max_steps
@@ -293,7 +287,7 @@ def estimate_T(X, R: float, lam: float, params: MobilityParams,
     _check_run_size(R, 1.0 / q if q > 0.0 else math.inf, params, cfg)
     values, censored = [], 0
     for rng, n in _chunks(cfg):
-        kill = rng.geometric(q, n) if q > 0.0 else None
+        kill = rng.geometric(q, n) if q > 0.0 else np.full(n, np.iinfo(np.int64).max)
         walk = _walk_chunk(x0, y0, R, kill, params, rng, n, cfg.max_steps)
         values.append(per_step * walk.steps[~walk.censored])
         censored += int(walk.censored.sum())

@@ -75,7 +75,7 @@ class HexGrid:
         has the same shape at every cell.  Deterministic row-major order
         (by r then q).
         """
-        if radius <= 0.0:
+        if not radius > 0.0:  # NaN fails too
             raise DomainError("radius must be > 0")
         cx, cy = center_xy
         s = self.size

@@ -172,11 +172,17 @@ class DiffusionParams:
 
     Units: drift km/hr, diffusion km^2/hr.  Motion is symmetric about the
     road axis, so there is no transverse drift and no cross-diffusion.
+    Each field must be finite; its sign is not checked here.
     """
 
     mu1: float
     sigma11: float
     sigma22: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.mu1, self.sigma11, self.sigma22))):
+            raise DomainError(f"drift and diffusion must be finite, got mu1={self.mu1}, "
+                              f"sigma11={self.sigma11}, sigma22={self.sigma22}")
 
     @property
     def sigma_trace(self) -> float:
@@ -212,14 +218,12 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
         var11 = e_len2 * m.e_cos2 - mean_x**2
         var22 = e_len2 * m.e_sin2
         scale = 1.0 / e_t**3
-        diff = DiffusionParams(
-            mu1=mean_x / e_t,
-            sigma11=(var11 * e_t**2 + var_t * mean_x**2) * scale,
-            sigma22=var22 * e_t**2 * scale,
-        )
-        if all(map(math.isfinite, (diff.mu1, diff.sigma11, diff.sigma22))):
-            if diff.sigma11 > 0.0:
-                return diff
+        mu1 = mean_x / e_t
+        sigma11 = (var11 * e_t**2 + var_t * mean_x**2) * scale
+        sigma22 = var22 * e_t**2 * scale
+        if all(map(math.isfinite, (mu1, sigma11, sigma22))):
+            if sigma11 > 0.0:
+                return DiffusionParams(mu1=mu1, sigma11=sigma11, sigma22=sigma22)
             raise DomainError(f"the diffusion trace underflows to 0 for mean_len "
                               f"{e_len:g} km and mean_time {e_t:g} hr")
     except ArithmeticError:
@@ -235,7 +239,7 @@ def global_drift(diff: DiffusionParams, radius: float) -> float:
     diffusive spreading over the region scale.  Zero for unbiased motion,
     large when the terminal crosses the region in a nearly straight line.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:  # NaN fails too
         raise DomainError(f"radius must be > 0, got {radius}")
     if diff.sigma11 <= 0.0:
         raise DomainError(

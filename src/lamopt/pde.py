@@ -190,10 +190,8 @@ class DiscGrid:
         # Largest integer below (R/h)^2 (1 - rtol): the bound on i^2 + j^2.
         lat = _lattice(math.ceil((R / h) ** 2 * (1.0 - _ON_CIRCLE_RTOL)) - 1)
         self._lattice = lat
-        self.i = lat.i
         self.j = lat.j
-        self.mirror = lat.mirror
-        self.x = self.i * h
+        self.x = lat.i * h
         self.y = self.j * h
         self.n_nodes = lat.n_nodes
 
@@ -641,7 +639,7 @@ def segment_argmax(mu: float, sigma: float, L: float) -> float:
     """Maximizer of ``segment_interval`` over ``[0, L]``: ``L / 2`` without
     drift, else ``-(1/g) log((1 - e^{-gL}) / (gL))`` with ``g = 2 mu / sigma``,
     evaluated via log1p for accuracy deep into the small-drift limit."""
-    if sigma <= 0.0 or L <= 0.0:
+    if not (sigma > 0.0 and L > 0.0):  # NaN fails too
         raise DomainError("sigma and L must be > 0")
     if mu == 0.0:
         return L / 2.0

@@ -74,12 +74,11 @@ _KEY_Q = 1 << 32
 
 @dataclass(frozen=True)
 class LocationArea:
-    """One discretized LA: geometry plus the three cell lists."""
+    """One discretized LA: geometry, boundary ring and paging sub-areas."""
 
     center: Vec
     radius: float
     boundary_cells: frozenset[Cell]
-    interior_cells: frozenset[Cell]
     sub_area_cells: tuple[tuple[Cell, ...], ...]
 
 
@@ -161,7 +160,7 @@ def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
         DomainError: the threshold is below one cell diameter, or the LA
             would hold more than ``MAX_LA_CELLS`` cells.
     """
-    if r_opt <= 0.0 or abs(x_opt) >= r_opt:
+    if not (r_opt > 0.0 and abs(x_opt) < r_opt):  # NaN fails too
         raise DomainError(f"need 0 < |x_opt| < r_opt, got x_opt={x_opt}, r_opt={r_opt}")
     if r_opt < 2.0 * grid.size:
         raise DomainError(
@@ -191,7 +190,7 @@ def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
         lists[i].append(c)
     return LocationArea(
         center=(ox, oy), radius=r_opt,
-        boundary_cells=boundary, interior_cells=interior_set,
+        boundary_cells=boundary,
         sub_area_cells=tuple(tuple(l) for l in lists),
     )
 
@@ -243,7 +242,6 @@ def network_update(template: LocationArea, anchor_cell: Cell,
         center=(ax + template.center[0], ay + template.center[1]),
         radius=template.radius,
         boundary_cells=frozenset(moved(template.boundary_cells)),
-        interior_cells=frozenset(moved(template.interior_cells)),
         sub_area_cells=tuple(moved(sub) for sub in template.sub_area_cells),
     )
 

@@ -204,8 +204,8 @@ class TestGalerkinSolution:
 
     def test_rate_monotone(self):
         mob = default_mobility(0.5)
-        vals = [galerkin_interval(mob, 1.0, lam).interval_at_opt()
-                for lam in (0.0, 0.2, 0.5, 2.0)]
+        sols = [galerkin_interval(mob, 1.0, lam) for lam in (0.0, 0.2, 0.5, 2.0)]
+        vals = [float(sol.interval(sol.x_opt, 0.0)) for sol in sols]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 

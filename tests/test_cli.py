@@ -25,6 +25,9 @@ from lamopt.mobility import compute_diffusion
 from lamopt.validate import CHECKS, run_checks
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def read(path):
     return path.read_text().splitlines()
 
@@ -57,6 +60,19 @@ class TestFigures:
         main(["fig5", "--out", str(a)])
         main(["fig5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fig, golden", [("fig5", "fig5"), ("fig6", "fig6"),
+                                             ("fig7", "fig7"), ("fig8", "fig7")])
+    def test_matches_golden_bytes(self, tmp_path, fig, golden):
+        """The paper's figure CSVs, byte for byte (fig8 is fig7's table).
+
+        A change that moves these bytes regenerates ``tests/golden`` with
+        ``lamopt figN --out tests/golden/figN.csv`` and gives the reason in
+        CHANGES.md.
+        """
+        out = tmp_path / f"{fig}.csv"
+        assert main([fig, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{golden}.csv").read_bytes()
 
 
 class TestOptimizeAndSimulate:

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from lamopt import costs
-from lamopt.approx import galerkin_interval, optimal_offset
+from lamopt.approx import galerkin_interval, galerkin_solution, optimal_offset
 from lamopt.cli import K_GRID
 from lamopt.config import default_mobility
 from lamopt.costs import (
@@ -33,8 +33,10 @@ from lamopt.costs import (
     wedge_indices,
 )
 from lamopt.errors import DomainError, RegimeWarning
-from lamopt.mobility import DiffusionParams, compute_diffusion
-from lamopt.pde import DiscGrid, ScalarField, solve_mean_interval
+from lamopt.hexgrid import HexGrid
+from lamopt.mobility import DiffusionParams, compute_diffusion, global_drift
+from lamopt.pde import DiscGrid, ScalarField, segment_argmax, solve_mean_interval
+from lamopt.protocol import Scenario, construct_la, run_episode
 
 COSTS = CostParams(lam=2.0, U=20.0, V=1.0)
 
@@ -137,7 +139,7 @@ def _quadrature_areas(plan, R: float) -> np.ndarray:
     cum = plan.cumulative
     return np.array([quad(rho2, cum[i], cum[i + 1], limit=200,
                           epsabs=0.0, epsrel=1e-13)[0]
-                     for i in range(plan.m)])
+                     for i in range(len(plan.angles))])
 
 
 class TestRegionGeometry:
@@ -224,7 +226,6 @@ class TestPagingCost:
         breakdown = paging_breakdown_at(mob, CostParams(lam=2.0, U=20.0, V=1.0, m=3),
                                         x=-0.2, R=1.0, grid_nodes=48)
         assert sum(breakdown.P_i) <= 1.0 + 1e-9
-        assert breakdown.C_t == pytest.approx(breakdown.C_u + breakdown.C_p)
 
     def test_mode_validation(self):
         with pytest.raises(DomainError, match="sideways"):
@@ -579,5 +580,32 @@ class TestCostBreakdown:
         T = solve_mean_interval(compute_diffusion(mob), 1.0, 1.0,
                                 DiscGrid(1.0, 1.0 / 16)).value_at((-0.2, 0.0))
         assert b.C_u == cost.U / T
-        assert b.C_t == b.C_u + b.C_p
         assert len(b.P_i) == len(b.A_i) == 2
+
+
+NAN = math.nan
+UNIT = DiffusionParams(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    pytest.param(HexGrid().cells_within, ((0.0, 0.0), NAN), id="cells_within-radius"),
+    pytest.param(construct_la, ((0.0, 0.0), NAN, 4.0, HexGrid()), id="construct_la-x_opt"),
+    pytest.param(lambda d: run_episode(Scenario(default_mobility(0.5), COSTS, design=d)),
+                 ((NAN, 4.0),), id="run_episode-design"),
+    pytest.param(galerkin_solution, (UNIT, NAN, 1.0, 2.0), id="galerkin-R"),
+    pytest.param(galerkin_solution, (UNIT, 1.0, NAN, 2.0), id="galerkin-lam"),
+    pytest.param(galerkin_solution, (UNIT, 1.0, 1.0, NAN), id="galerkin-a"),
+    pytest.param(galerkin_solution, (UNIT, 1.0, 1.0, math.inf), id="galerkin-a-inf"),
+    pytest.param(optimal_offset, (NAN, 1.0), id="optimal_offset-a"),
+    pytest.param(segment_argmax, (1.0, 1.0, NAN), id="segment_argmax-L"),
+    pytest.param(segment_argmax, (1.0, NAN, 1.0), id="segment_argmax-sigma"),
+    pytest.param(global_drift, (UNIT, NAN), id="global_drift-radius"),
+    pytest.param(region_areas, (PagingPlan(angles=(math.pi,), anchor_x=NAN), 1.0),
+                 id="region_areas-anchor"),
+])
+def test_nan_argument_refused(fn, args):
+    # each check used to be a `<=`-style comparison that a NaN passes: the
+    # call returned NaN, or failed later converting NaN to an integer, or
+    # raised NumericalError from the wedge-area sum
+    with pytest.raises(DomainError):
+        fn(*args)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lamopt.config import default_mobility
+from lamopt.config import DEFAULTS, default_mobility, mobility_from_config
 from lamopt.ctrw import (
     MAX_RUN_STEPS,
     MAX_TRIALS,
@@ -38,6 +38,11 @@ def brownian_surrogate(mean_len: float = 0.02) -> MobilityParams:
                           var_time=(0.1 * mean_time) ** 2)
 
 
+def no_horizon(n):
+    """The horizon of a walk with no call: a step count no trial reaches."""
+    return np.full(n, np.iinfo(np.int64).max)
+
+
 def mean_exit_steps(X, R, params, cfg):
     """Mean number of displacements before first exit (no call truncation).
 
@@ -47,7 +52,7 @@ def mean_exit_steps(X, R, params, cfg):
     x0, y0 = _check_start(X, R)
     counts, censored = [], 0
     for rng, n in _chunks(cfg):
-        walk = _walk_chunk(x0, y0, R, None, params, rng, n, cfg.max_steps)
+        walk = _walk_chunk(x0, y0, R, no_horizon(n), params, rng, n, cfg.max_steps)
         counts.append(walk.steps[~walk.censored].astype(float))
         censored += int(walk.censored.sum())
     return _mean_ci(counts, censored)
@@ -240,7 +245,9 @@ class TestExactBits:
 
         def run(walk):
             rng = np.random.Generator(np.random.Philox([61, n]))
-            h, max_steps = None, 1_000_000
+            # the oracle still spells "no horizon" as None
+            h = None if walk is frozen_walk else no_horizon(n)
+            max_steps = 1_000_000
             if horizon == "geometric":
                 h = rng.geometric(0.05, n)
             elif horizon == "zeros":
@@ -297,7 +304,7 @@ class TestSampling:
 
 class TestFirstExit:
     def test_start_near_boundary_exits_fast(self):
-        walk = _walk_chunk(1.0 - 1e-12, 0.0, 1.0, None, default_mobility(0.5),
+        walk = _walk_chunk(1.0 - 1e-12, 0.0, 1.0, no_horizon(1), default_mobility(0.5),
                            np.random.default_rng(4), 1, max_steps=1_000_000)
         assert walk.exited[0] and walk.steps[0] <= 3
         assert math.hypot(walk.x[0], walk.y[0]) >= 1.0
@@ -380,6 +387,11 @@ class TestFirstExit:
             estimate_T((0.0, 0.0), 1.0, 0.0, params, cfg)
         est = estimate_T((0.0, 0.0), 1.0, 50.0, params, cfg)
         assert est.censored_count + est.n == 256
+        # with no calls no trial reaches its horizon: one still walking at
+        # max_steps is censored, not stopped (about 50 jumps to leave 0.2 km)
+        est = estimate_T((0.0, 0.0), 0.2, 0.0, params,
+                         SimConfig(n_trials=256, seed=8, max_steps=60))
+        assert est.censored_count > 0 and est.censored_count + est.n == 256
 
 
 class TestEstimateT:
@@ -536,7 +548,7 @@ class TestTimeFreeLaw:
     def test_jumps_by_matches_dwell_cumsum(self, var_eta_s2, t):
         from scipy.stats import chi2_contingency
 
-        mob = default_mobility(0.5, var_eta_s2)
+        mob = mobility_from_config(dict(DEFAULTS, k=0.5, Var_eta_s2=var_eta_s2))
         n = 20_000
         new = _jumps_by(t, mob, np.random.default_rng(45), n, cap=10**6)
         old = direct_jumps_by(t, mob, np.random.default_rng(46), n)
@@ -616,7 +628,8 @@ class TestTimeFreeLaw:
         # stops every trial where the unlimited walk takes its first jump
         mob = default_mobility(20.0)
         n = 2_000
-        free = _walk_chunk(0.99, 0.0, 1.0, None, mob, np.random.default_rng(53), n, 100)
+        free = _walk_chunk(0.99, 0.0, 1.0, no_horizon(n), mob, np.random.default_rng(53),
+                           n, 100)
         one = _walk_chunk(0.99, 0.0, 1.0, np.ones(n, dtype=np.int64), mob,
                           np.random.default_rng(53), n, 100)
         first = free.steps == 1

@@ -1,5 +1,6 @@
 """Direction law, closed-form direction moments, and the diffusion mapping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -251,6 +252,32 @@ class TestComputeDiffusion:
         mus = [compute_diffusion(default_mobility(k)).mu1
                for k in np.logspace(-3, 3, 13)]
         assert all(b >= a - 1e-12 for a, b in zip(mus, mus[1:]))
+
+
+class TestDiffusionParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu1", "sigma11", "sigma22"])
+    def test_non_finite_field_rejected(self, field, bad):
+        # a NaN drift used to reach asymptotic_optimum's between-regimes
+        # branch unset (UnboundLocalError), and a NaN field made the disc
+        # solver's factor singular and the one-term forms return NaN
+        good = dict(mu1=1.0, sigma11=1.0, sigma22=1.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            DiffusionParams(**dict(good, **{field: bad}))
+
+    def test_negative_fields_allowed(self):
+        # validate's sigma-sign-bug injection builds a negative sigma22
+        # through dataclasses.replace
+        d = dataclasses.replace(compute_diffusion(default_mobility(0.5)), sigma22=-1.0)
+        assert d.sigma22 == -1.0
+        assert DiffusionParams(-1.0, -2.0, 0.0).mu1 == -1.0
+
+    def test_overflow_reports_the_mobility(self):
+        # the finiteness test runs on the three values before the object is
+        # built, so the message still names the step law
+        p = MobilityParams(k=0.5, mean_len=1e200, mean_time=1e-200, var_time=1e-300)
+        with pytest.raises(DomainError, match="no finite diffusion limit for mean_len"):
+            compute_diffusion(p)
 
 
 class TestGlobalDrift:

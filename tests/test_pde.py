@@ -48,10 +48,11 @@ def scratch_assemble(diff, grid, lam):
     """Oracle for the lattice pattern: the operator assembled from scratch,
     neighbours looked up from the node coordinates, duplicates summed by the
     COO-to-CSR conversion."""
-    n = int(np.max(np.abs(grid.i)))
+    gi = grid._lattice.i
+    n = int(np.max(np.abs(gi)))
     index2d = np.full((2 * n + 3, 2 * n + 3), -1, dtype=np.int64)
-    index2d[grid.i + n + 1, grid.j + n + 1] = np.arange(grid.n_nodes)
-    west, east, south, north = (index2d[grid.i + n + 1 + di, grid.j + n + 1 + dj]
+    index2d[gi + n + 1, grid.j + n + 1] = np.arange(grid.n_nodes)
+    west, east, south, north = (index2d[gi + n + 1 + di, grid.j + n + 1 + dj]
                                 for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)))
     diag = np.full(grid.n_nodes, -float(lam))
     rows, cols, data = [], [], []
@@ -97,7 +98,7 @@ def scratch_half(A, grid):
     """Oracle for the stored half pattern: the j >= 0 rows of A with each
     j < 0 column added onto its mirror node's, in node order."""
     upper = grid.j >= 0
-    upper_node = np.where(upper, np.arange(grid.n_nodes), grid.mirror)
+    upper_node = np.where(upper, np.arange(grid.n_nodes), grid._lattice.mirror)
     fold = (np.cumsum(upper) - 1)[upper_node]
     A_up = A[upper]
     half = sp.csr_matrix((A_up.data, fold[A_up.indices], A_up.indptr),
@@ -217,7 +218,7 @@ class TestLatticePath:
         # operator needs over 1 GB
         g = DiscGrid(R, R / N)
         lat = g._lattice
-        P = lat.index2d[lat.n - g.i, lat.n + g.j]
+        P = lat.index2d[lat.n - lat.i, lat.n + g.j]
         for mu in (0.05, 3.0, 40.0, 400.0):
             A = assemble_operator(DiffusionParams(mu, 0.2, 0.1), g, 0.7)[P][:, P]
             B = assemble_operator(DiffusionParams(-mu, 0.2, 0.1), g, 0.7)
@@ -228,9 +229,9 @@ class TestLatticePath:
 
     def test_lattice_shared_and_read_only(self):
         a, b = DiscGrid(1.0, 1.0 / 24), DiscGrid(7.3, 7.3 / 24)
-        assert a.i is b.i and a.mirror is b.mirror
+        assert a._lattice.i is b._lattice.i and a._lattice.mirror is b._lattice.mirror
         with pytest.raises(ValueError):
-            a.i[0] = 0
+            a._lattice.i[0] = 0
 
 
 class TestDiscGrid:
@@ -243,7 +244,7 @@ class TestDiscGrid:
         for R in np.random.default_rng(N).uniform(0.05, 20.0, 300):
             g = DiscGrid(R, R / N)
             assert g.n_nodes == n_inside
-            assert np.all(g.i**2 + g.j**2 < N * N)
+            assert np.all(g._lattice.i**2 + g.j**2 < N * N)
             assert min(float(np.min(d)) for d in (g.he, g.hw, g.hn, g.hs)) > 1e-3 * g.h
 
     @pytest.mark.parametrize("R, h", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan)])
@@ -290,11 +291,12 @@ class TestDiscGrid:
 
     def test_mirror_is_y_reflection_involution(self):
         g = DiscGrid(1.3, 1.3 / 20)
-        assert np.all(g.mirror >= 0)
-        np.testing.assert_array_equal(g.mirror[g.mirror], np.arange(g.n_nodes))
-        np.testing.assert_array_equal(g.x[g.mirror], g.x)
-        np.testing.assert_array_equal(g.y[g.mirror], -g.y)
-        np.testing.assert_array_equal(g.mirror[g.j == 0], np.flatnonzero(g.j == 0))
+        mirror = g._lattice.mirror
+        assert np.all(mirror >= 0)
+        np.testing.assert_array_equal(mirror[mirror], np.arange(g.n_nodes))
+        np.testing.assert_array_equal(g.x[mirror], g.x)
+        np.testing.assert_array_equal(g.y[mirror], -g.y)
+        np.testing.assert_array_equal(mirror[g.j == 0], np.flatnonzero(g.j == 0))
         # ScalarField.axis_argmax reads the axis nodes in node order
         assert np.all(np.diff(g.x[g.j == 0]) > 0.0)
 
@@ -316,7 +318,7 @@ class TestMeanInterval:
         diff = compute_diffusion(default_mobility(0.5))
         f = solve_mean_interval(diff, 1.0, 0.7, DiscGrid(1.0, 1.0 / 48))
         flipped = {}
-        for i, (ix, jy) in enumerate(zip(f.grid.i, f.grid.j)):
+        for i, (ix, jy) in enumerate(zip(f.grid._lattice.i, f.grid.j)):
             flipped[(ix, jy)] = f.values[i]
         for (ix, jy), v in flipped.items():
             assert v == pytest.approx(flipped[(ix, -jy)], abs=1e-9)
