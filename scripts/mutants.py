@@ -63,6 +63,8 @@ MUTANTS = {
         "ctrw.py", "exit_steps = 0.5 * r * r", "exit_steps = 0.25 * r * r"),
     "walk-horizon-at-cap": (
         "ctrw.py", "np.full(n, np.iinfo(np.int64).max)", "np.full(n, cfg.max_steps)"),
+    "tan-quarter-angle": (
+        "ctrw.py", "t *= 0.5", "t *= 0.25"),
     "diffusion-accepts-nan": (
         "mobility.py",
         "if not all(map(math.isfinite, (self.mu1, self.sigma11, self.sigma22))):",

@@ -75,9 +75,11 @@ class HexGrid:
         has the same shape at every cell.  Deterministic row-major order
         (by r then q).
         """
-        if not radius > 0.0:  # NaN fails too
-            raise DomainError("radius must be > 0")
+        if not 0.0 < radius < math.inf:  # NaN fails too
+            raise DomainError(f"radius must be finite and > 0, got {radius}")
         cx, cy = center_xy
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise DomainError(f"center must be finite, got {center_xy}")
         s = self.size
         out: list[Cell] = []
         r_lo = math.ceil((cy - radius) / (1.5 * s) - _TIE)

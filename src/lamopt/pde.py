@@ -639,8 +639,8 @@ def segment_argmax(mu: float, sigma: float, L: float) -> float:
     """Maximizer of ``segment_interval`` over ``[0, L]``: ``L / 2`` without
     drift, else ``-(1/g) log((1 - e^{-gL}) / (gL))`` with ``g = 2 mu / sigma``,
     evaluated via log1p for accuracy deep into the small-drift limit."""
-    if not (sigma > 0.0 and L > 0.0):  # NaN fails too
-        raise DomainError("sigma and L must be > 0")
+    if not (math.isfinite(mu) and sigma > 0.0 and L > 0.0):  # NaN fails too
+        raise DomainError(f"mu must be finite and sigma, L > 0, got {mu}, {sigma}, {L}")
     if mu == 0.0:
         return L / 2.0
     if mu < 0.0:

@@ -157,8 +157,9 @@ def construct_la(y_tau: Vec, x_opt: float, r_opt: float, grid: HexGrid,
     the anchor's own cell always belongs to the first sub-area.
 
     Raises:
-        DomainError: the threshold is below one cell diameter, or the LA
-            would hold more than ``MAX_LA_CELLS`` cells.
+        DomainError: a non-finite anchor, the threshold below one cell
+            diameter, or an LA that would hold more than ``MAX_LA_CELLS``
+            cells.
     """
     if not (r_opt > 0.0 and abs(x_opt) < r_opt):  # NaN fails too
         raise DomainError(f"need 0 < |x_opt| < r_opt, got x_opt={x_opt}, r_opt={r_opt}")

@@ -589,7 +589,10 @@ UNIT = DiffusionParams(1.0, 1.0, 1.0)
 
 @pytest.mark.parametrize("fn, args", [
     pytest.param(HexGrid().cells_within, ((0.0, 0.0), NAN), id="cells_within-radius"),
+    pytest.param(HexGrid().cells_within, ((NAN, 0.0), 2.0), id="cells_within-center"),
+    pytest.param(HexGrid().cells_within, ((0.0, 0.0), math.inf), id="cells_within-radius-inf"),
     pytest.param(construct_la, ((0.0, 0.0), NAN, 4.0, HexGrid()), id="construct_la-x_opt"),
+    pytest.param(construct_la, ((NAN, 0.0), -1.0, 4.0, HexGrid()), id="construct_la-anchor"),
     pytest.param(lambda d: run_episode(Scenario(default_mobility(0.5), COSTS, design=d)),
                  ((NAN, 4.0),), id="run_episode-design"),
     pytest.param(galerkin_solution, (UNIT, NAN, 1.0, 2.0), id="galerkin-R"),
@@ -599,6 +602,7 @@ UNIT = DiffusionParams(1.0, 1.0, 1.0)
     pytest.param(optimal_offset, (NAN, 1.0), id="optimal_offset-a"),
     pytest.param(segment_argmax, (1.0, 1.0, NAN), id="segment_argmax-L"),
     pytest.param(segment_argmax, (1.0, NAN, 1.0), id="segment_argmax-sigma"),
+    pytest.param(segment_argmax, (NAN, 1.0, 1.0), id="segment_argmax-mu"),
     pytest.param(global_drift, (UNIT, NAN), id="global_drift-radius"),
     pytest.param(region_areas, (PagingPlan(angles=(math.pi,), anchor_x=NAN), 1.0),
                  id="region_areas-anchor"),

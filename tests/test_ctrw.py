@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lamopt import ctrw
 from lamopt.config import DEFAULTS, default_mobility, mobility_from_config
 from lamopt.ctrw import (
     MAX_RUN_STEPS,
@@ -217,11 +218,20 @@ def frozen_walk(x0, y0, R, horizon, params, rng, n, max_steps):
     return _Walk(steps, x_out, y_out, exited, censored)
 
 
+EPS = np.finfo(float).eps
+# Largest gap allowed between a walk position and the frozen walk's, km.
+# The measured largest over the ``test_walk`` cases is 2e-16 km.
+WALK_ATOL = 1e-15
+
+
 class TestExactBits:
     """The walk makes the same generator calls, in the same order and with
-    the same sizes, as the frozen one, so its outputs are equal bit for bit.
-    ``array_equal`` does not see the sign of a zero, the one bit that may
-    differ (``dy`` when a uniform draw is exactly 0)."""
+    the same sizes, as the frozen one.  Its displacements come from one
+    ``tan`` by the half-angle identities, not from ``cos`` and ``sin``, so
+    they are within ``4 eps L`` of the frozen ones, with the same signs (a
+    zero ``dy``'s sign aside, when a uniform draw is exactly 0), and its
+    positions within ``WALK_ATOL``.  Its step counts and its exit and
+    censoring flags are equal bit for bit."""
 
     KS = [0.0, 1e-4, 0.1, 20.0, 1e6]
     NS = [1, 5, 16_384]
@@ -232,8 +242,27 @@ class TestExactBits:
         mob = default_mobility(k)
         got = sample_steps(mob, np.random.Generator(np.random.Philox([60, n])), n)
         ref = frozen_sample_steps(mob, np.random.Generator(np.random.Philox([60, n])), n)
-        assert np.array_equal(got[0], ref[0])
-        assert np.array_equal(got[1], ref[1])
+        # the first draw of either is the n lengths
+        length = np.random.Generator(np.random.Philox([60, n])).exponential(mob.mean_len, n)
+        assert np.all(np.abs(got[0] - ref[0]) <= 4 * EPS * length)
+        assert np.all(np.abs(got[1] - ref[1]) <= 4 * EPS * length)
+        assert np.array_equal(np.signbit(got[1]), np.signbit(ref[1]))
+
+    @pytest.mark.parametrize("theta", [
+        0.0, 1e-300, -1e-300, math.pi / 2, -math.pi / 2, math.pi / 3, -math.pi / 3,
+        np.nextafter(math.pi, 0.0), -np.nextafter(math.pi, 0.0),
+    ])
+    def test_edge_angles(self, theta, monkeypatch):
+        # the half-angle form at 0, at the quarter and the third turn, and
+        # next to the reversal, where tan(|theta| / 2) is about 1.6e16
+        mob, n = default_mobility(0.5), 64
+        monkeypatch.setattr(ctrw, "sample_direction", lambda k, rng, n: np.full(n, theta))
+        dx, dy = sample_steps(mob, np.random.default_rng(63), n)
+        length = np.random.default_rng(63).exponential(mob.mean_len, n)
+        assert np.all(np.abs(dx - length * math.cos(theta)) <= 4 * EPS * length)
+        assert np.all(np.abs(dy - length * math.sin(theta)) <= 4 * EPS * length)
+        assert np.all(np.abs(dx * dx + dy * dy - length**2) <= 8 * EPS * length**2)
+        assert np.all(np.signbit(dy) == np.signbit(theta))
 
     @pytest.mark.parametrize("horizon", ["none", "geometric", "zeros", "censor"])
     @pytest.mark.parametrize("n", NS)
@@ -257,8 +286,10 @@ class TestExactBits:
             return walk(0.05, -0.03, 0.2, h, mob, rng, n, max_steps)
 
         got, ref = run(_walk_chunk), run(frozen_walk)
-        for name in _Walk._fields:
+        for name in ("steps", "exited", "censored"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert np.all(np.abs(got.x - ref.x) <= WALK_ATOL)
+        assert np.all(np.abs(got.y - ref.y) <= WALK_ATOL)
         if n > 5:
             assert ref.exited.any()
             assert ref.censored.any() == (horizon == "censor")
@@ -666,7 +697,7 @@ class TestEmpiricalDensity:
     @pytest.mark.parametrize("t, n_survivors, row_sum", [
         (0.0, 3000, 599.9999999999999),
         (0.05, 3000, 1000.4168023918894),
-        (0.4, 286, 238.5261802781535),
+        (0.4, 286, 238.52618027815348),
     ])
     def test_survivors_match_recorded(self, t, n_survivors, row_sum):
         pos, frac = timed_surviving_positions((0.2, 0.0), t, 1.0, default_mobility(0.5),
