@@ -52,6 +52,15 @@ MUTANTS = {
         "pde.py", "_ON_CIRCLE_RTOL = 1e-9", "_ON_CIRCLE_RTOL = 0.0"),
     "nearest-node-argmax": (
         "pde.py", "idx[miss] = np.argmin(", "idx[miss] = np.argmax("),
+    "march-step-sign": (
+        "pde.py", "stepper.solve(-g / tgrid.dt)", "stepper.solve(g / tgrid.dt)"),
+    "density-step-scale-dt": (
+        "pde.py", 'stepper.solve(-z / tgrid.dt, trans="T")',
+        'stepper.solve(-z * tgrid.dt, trans="T")'),
+    "time-step-reciprocal-unchecked": (
+        "pde.py", "math.isfinite(1.0 / float(self.dt))", "True"),
+    "argmax-series-off": (
+        "pde.py", "if u >= _SEGMENT_SERIES_GL:", "if u >= 0.0:"),
     "wedge-side-right": (
         "costs.py", 'np.searchsorted(inner, ang, side="left")',
         'np.searchsorted(inner, ang, side="right")'),

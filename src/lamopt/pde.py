@@ -15,19 +15,23 @@ With the lattice symmetric in the row index j, the discrete operator maps
 mirror-symmetric fields (``v(i, -j) = v(i, j)``) to mirror-symmetric
 fields, and all three problems are solved on the upper half disc only
 (j >= 0): the half operator ``H`` keeps the rows of the j >= 0 nodes and
-adds the column of each j < 0 node onto its mirror node's.  ``T`` and
-``G`` are symmetric (their data are), so ``H T - lam T = -1`` and
-``G <- (I - dt H)^-1 G`` give them exactly.  The density is symmetric when
-it starts on the road axis, and its transposed step folds through
-``W = F^T F``, the number of nodes that fold onto each half node (1 on the
-axis, 2 above it): ``F^T (I - dt L)^T F = (I - dt H)^T W``, so
-``z = W p_half`` steps as ``z <- (I - dt H)^-T z``, ``p = z / W`` on the
-half disc and its mass is ``sum(z) h^2``.
+adds the column of each j < 0 node onto its mirror node's.  ``T`` and ``G``
+are symmetric (their data are), so the half system gives them exactly.
 
-Every factor uses one LU helper, ``_factor``: a minimum-degree ordering of
+Every factor is of one family, ``H - rate I``, the fold of
+``assemble_operator(diff, grid, rate)``, factored by ``_factor``.  The mean
+interval takes ``rate = lam``.  A backward-Euler step takes ``rate = 1/dt``,
+since ``I - dt H = -dt (H - I/dt)``, and steps as
+``G <- (H - I/dt)^-1 (-G/dt)``; ``TimeGrid`` refuses a step whose
+reciprocal is not finite.  The density is symmetric when it starts on the
+road axis, and its transposed step folds through ``W = F^T F``, the number
+of nodes that fold onto each half node (1 on the axis, 2 above it):
+``F^T (L - rate I)^T F = (H - rate I)^T W``, so ``z = W p_half h^2`` steps
+as ``z <- (H - I/dt)^-T (-z/dt)``, ``p = z / (W h^2)`` on the half disc and
+its mass is ``sum(z)``.  ``_factor`` orders by minimum degree of
 ``A^T + A`` (about half the fill of the default column ordering on this
 stencil) in SuperLU's symmetric mode, with every pivot on the diagonal
-(``perm_r == perm_c``) and one column per panel; ``_factor`` says why.
+(``perm_r == perm_c``) and one column per panel; its docstring says why.
 A radius search may hand ``solve_mean_interval`` a ``FactorSlot``: a
 nearby radius on the same lattice is then solved by iterative refinement
 on the factor the slot holds, and factored afresh only when refinement
@@ -274,12 +278,15 @@ class TimeGrid:
     """Uniform time discretization for the evolution problems."""
 
     t_max: float
-    steps: int = 200
+    steps: int
 
     def __post_init__(self) -> None:
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise DomainError(f"t_max must be finite and > 0, got {self.t_max}")
         require_int("steps", self.steps, 1)
+        # the marches factor their system at call rate 1/dt
+        if not (self.dt > 0.0 and math.isfinite(1.0 / float(self.dt))):
+            raise DomainError(f"time step {self.dt:g} has no finite reciprocal")
 
     @property
     def dt(self) -> float:
@@ -353,20 +360,20 @@ def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> None:
 
 
 def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
-    """Sparse LU of a disc operator ``L - lam I``, its half-disc fold, or
-    the fold's backward-Euler step ``I - dt H``.
+    """Sparse LU of ``H - rate I``, the half-disc fold of
+    ``assemble_operator(diff, grid, rate)``, or of the lattice's ordering probe.
 
-    The minimum-degree ordering of ``A^T + A`` suits the symmetric pattern
-    of the five-point stencil, and symmetric mode applies it to rows and
-    columns alike.  Each of these matrices is an M-matrix up to sign: its
-    off-diagonal entries have one sign, its diagonal the other, and no row
-    sum has the diagonal's opposite sign.  Gaussian elimination factors such
-    a matrix stably without row interchanges, so every pivot is taken on
-    the diagonal (``DiagPivotThresh`` 0): the fill is that of the ordering
-    alone.  ``panel_size=1`` factors one column at a time, since the
-    stencil's supernodes are too small for wider panels to pay off.  A
-    matrix already permuted by the ordering is factored with
-    ``permc_spec="NATURAL"``.
+    ``H - rate I`` is an M-matrix up to sign: assembly gives its off-diagonal
+    entries one sign, its diagonal the other and every row a sum of
+    ``-rate`` or less, and the fold keeps all three, as it adds off-diagonal
+    columns onto off-diagonal columns only.  Gaussian elimination factors
+    such a matrix stably without row interchanges, so every pivot is taken
+    on the diagonal (``DiagPivotThresh`` 0) and the fill is that of the
+    ordering alone: the minimum degree of ``A^T + A``, which suits the
+    stencil's symmetric pattern, applied to rows and columns alike in
+    symmetric mode, or ``permc_spec="NATURAL"`` for a matrix already so
+    permuted.  ``panel_size=1`` factors one column at a time, since the
+    stencil's supernodes are too small for wider panels to pay off.
 
     Returns:
         The ``scipy.sparse.linalg.SuperLU`` factor.
@@ -499,16 +506,6 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
 # survival probability and forward density
 # ---------------------------------------------------------------------------
 
-def _half_step(diff: DiffusionParams, grid: DiscGrid, dt: float):
-    """LU of ``I - dt H``, one backward-Euler step on the half-disc fold H
-    of the call-free operator, and the map from half nodes to every node."""
-    import scipy.sparse as sp
-
-    half, unfold = _half_system(assemble_operator(diff, grid, 0.0), grid)
-    step = sp.identity(half.shape[0], format="csc") - dt * half
-    return _factor(step, "NATURAL"), unfold
-
-
 def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
                    tgrid: TimeGrid) -> np.ndarray:
     """Backward-equation survival probability G(X, t) at ``tgrid.times``.
@@ -521,13 +518,14 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     ``solve_mean_interval``.
     """
     x0, y0 = _check_disc(grid, R, X)
-    stepper, unfold = _half_step(diff, grid, tgrid.dt)
+    half, unfold = _half_system(assemble_operator(diff, grid, 1.0 / tgrid.dt), grid)
+    stepper = _factor(half, "NATURAL")
     weights = [(unfold[idx], w) for idx, w in grid.interpolation_weights((x0, y0))]
     g = np.ones(stepper.shape[0])
     out = np.empty(tgrid.steps + 1)
     out[0] = 1.0
     for s in range(1, tgrid.steps + 1):
-        g = stepper.solve(g)
+        g = stepper.solve(-g / tgrid.dt)
         out[s] = sum(w * g[idx] for idx, w in weights)
     if np.any(out < -1e-9) or np.any(out > 1.0 + 1e-9):
         raise NumericalError("survival probability escaped [0, 1]")
@@ -559,30 +557,31 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
         raise DomainError(f"start point {X} is off the road axis; the density "
                           "march needs y = 0")
     src = int(grid.nearest_node_index([x0], [y0])[0])
-    stepper, unfold = _half_step(diff, grid, tgrid.dt)
+    half, unfold = _half_system(assemble_operator(diff, grid, 1.0 / tgrid.dt), grid)
+    stepper = _factor(half, "NATURAL")
 
     out_steps = sorted({int(round(t / tgrid.dt)) for t in output_times})
     if any(s < 0 or s > tgrid.steps for s in out_steps):
         raise DomainError("output times must lie within the time grid")
 
-    # z = W p on the half disc, W = 1 on the axis and 2 above it
+    # z = W p h^2 on the half disc, W = 1 on the axis and 2 above it: at
+    # most 1, so -z/dt is finite for every step TimeGrid accepts
     W = np.bincount(unfold, minlength=stepper.shape[0])
     z = np.zeros(W.size)
-    z[unfold[src]] = 1.0 / grid.h**2
+    z[unfold[src]] = 1.0
     times, fields, masses = [], [], []
 
     def record(step: int) -> None:
-        p = (z / W)[unfold]
+        p = (z / W)[unfold] / grid.h**2
         if np.min(p) < -1e-12:
             raise NumericalError(f"density undershoot {np.min(p):.3e}")
         times.append(step * tgrid.dt)
         fields.append(ScalarField(grid=grid, values=p))
-        masses.append(float(z.sum() * grid.h**2))
+        masses.append(float(z.sum()))
 
-    if 0 in out_steps:
-        record(0)
-    for s in range(1, max(out_steps) + 1 if out_steps else 1):
-        z = stepper.solve(z, trans="T")
+    for s in range(max(out_steps, default=0) + 1):
+        if s > 0:
+            z = stepper.solve(-z / tgrid.dt, trans="T")
         if s in out_steps:
             record(s)
     return ForwardSolution(times=np.array(times), fields=fields,
@@ -593,8 +592,8 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
 # one-dimensional interval on a segment
 # ---------------------------------------------------------------------------
 
-# Below this g L the segment form is summed as a series: the closed form's
-# numerator is a difference of terms equal to first order, and loses about
+# Below this g L the segment form and its argmax are summed as series: the
+# closed forms are differences of terms equal to first order, and lose about
 # eps / (g L) relative.  The series' terms fall faster than 2 (n - 1) / n!
 # there, so 20 of them leave less than 1e-18.
 _SEGMENT_SERIES_GL = 1.0
@@ -637,8 +636,10 @@ def segment_interval(mu: float, sigma: float, L, x):
 
 def segment_argmax(mu: float, sigma: float, L: float) -> float:
     """Maximizer of ``segment_interval`` over ``[0, L]``: ``L / 2`` without
-    drift, else ``-(1/g) log((1 - e^{-gL}) / (gL))`` with ``g = 2 mu / sigma``,
-    evaluated via log1p for accuracy deep into the small-drift limit."""
+    drift, else ``-(1/g) log((1 - e^{-u}) / u)`` with ``g = 2 mu / sigma``
+    and ``u = g L``, taken without cancellation: as
+    ``(log u - log1p(-e^{-u})) / g`` from ``_SEGMENT_SERIES_GL`` up, and
+    below it through ``(1 - e^{-u}) / u - 1 = sum_{n >= 1} (-u)^n / (n + 1)!``."""
     if not (math.isfinite(mu) and sigma > 0.0 and L > 0.0):  # NaN fails too
         raise DomainError(f"mu must be finite and sigma, L > 0, got {mu}, {sigma}, {L}")
     if mu == 0.0:
@@ -646,5 +647,8 @@ def segment_argmax(mu: float, sigma: float, L: float) -> float:
     if mu < 0.0:
         return L - segment_argmax(-mu, sigma, L)
     g = 2.0 * mu / sigma
-    u_minus_1 = (-math.expm1(-g * L) - g * L) / (g * L)
-    return -math.log1p(u_minus_1) / g
+    u = g * L
+    if u >= _SEGMENT_SERIES_GL:
+        return (math.log(u) - math.log1p(-math.exp(-u))) / g
+    return -math.log1p(sum((-u) ** n / math.factorial(n + 1)
+                           for n in range(1, _SEGMENT_SERIES_TERMS + 1))) / g

@@ -346,24 +346,19 @@ def check_protocol_episode(to_diffusion) -> tuple[bool, str, str]:
             "0 failures")
 
 
-def run_checks(inject: str | None = None,
-               names: set[str] | None = None) -> list[CheckResult]:
+def run_checks(inject: str | None = None) -> list[CheckResult]:
     """Run the validation suite, optionally with an injected defect.
 
     Args:
         inject: None, "flip-drift-sign", or "sigma-sign-bug".
-        names: restrict to the checks with these report names (``CHECKS``
-            keys).
 
     Returns:
-        List of CheckResult (one per executed check); a check that raises
-        counts as failed with the exception text as the measurement.
+        List of CheckResult, one per check in ``CHECKS`` order; a check that
+        raises counts as failed with the exception text as the measurement.
     """
     to_diffusion = _diffusion_mapping(inject)
     results = []
     for name, fn in CHECKS.items():
-        if names is not None and name not in names:
-            continue
         t0 = time.perf_counter()
         try:
             passed, measured, expected = fn(to_diffusion)

@@ -541,25 +541,26 @@ class TestFlags:
 
 
 class TestValidate:
-    def test_sigma_injection_fails_psd(self):
-        results = run_checks(inject="sigma-sign-bug",
-                             names={"diffusion_psd_and_monotone_drift"})
-        assert len(results) == 1
-        assert not results[0].passed
-        assert "PSD" in results[0].measured
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """A full clean run and a full run under the sigma bug."""
+        return run_checks(), run_checks(inject="sigma-sign-bug")
 
-    def test_raising_check_keeps_its_name(self):
+    def test_sigma_injection_fails_psd(self, runs):
+        psd = [r for r in runs[1] if r.name == "diffusion_psd_and_monotone_drift"]
+        assert len(psd) == 1
+        assert not psd[0].passed
+        assert "PSD" in psd[0].measured
+
+    def test_raising_check_keeps_its_name(self, runs):
         # under the sigma bug the half-disc check raises and the shape check
         # fails; both report the name they pass under in a clean run
-        names = {"mean_interval_half_disc_vs_full_lu",
-                 "diffusion_psd_and_monotone_drift"}
-        clean = run_checks(names=names)
-        broken = run_checks(inject="sigma-sign-bug", names=names)
-        assert all(r.passed for r in clean)
-        assert not any(r.passed for r in broken)
-        assert broken[0].measured.startswith("raised")
-        assert [r.name for r in broken] == [r.name for r in clean]
-        assert [r.name for r in clean] == [n for n in CHECKS if n in names]
+        clean, broken = ({r.name: r for r in run} for run in runs)
+        names = ("mean_interval_half_disc_vs_full_lu", "diffusion_psd_and_monotone_drift")
+        assert all(clean[n].passed for n in names)
+        assert not any(broken[n].passed for n in names)
+        assert broken[names[0]].measured.startswith("raised")
+        assert [r.name for r in runs[1]] == [r.name for r in runs[0]] == list(CHECKS)
 
     def test_censored_mc_fails_interval_check(self, monkeypatch):
         # a mean taken only over the trials that left the disc is biased

@@ -1,6 +1,7 @@
 """Finite-difference engine: exact cases, identities, cross-oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lamopt import costs, pde
+from lamopt import approx, costs, pde
 from lamopt.config import default_mobility
 from lamopt.ctrw import SimConfig
 from lamopt.errors import DomainError
@@ -183,14 +184,15 @@ class TestLatticePath:
     def test_every_factored_matrix_is_an_m_matrix(self, k, lam, N, log_R, dt):
         # the premise of factoring without pivots: up to sign, each matrix
         # _factor sees has off-diagonal entries >= 0, a diagonal < 0 and
-        # row sums <= 0 (an interior row of L sums to 0 up to round-off)
+        # row sums <= 0 (an interior row of L sums to 0 up to round-off);
+        # a march step's is the fold at call rate 1/dt
         diff = compute_diffusion(default_mobility(k))
         R = 10.0**log_R
         grid = DiscGrid(R, R / N)
         A = assemble_operator(diff, grid, lam)
         half = _half_system(A, grid)[0]
-        step = sp.identity(half.shape[0], format="csc") - dt * R * R * half
-        for M in (A, half, -step):
+        step = _half_system(assemble_operator(diff, grid, 1.0 / (dt * R * R)), grid)[0]
+        for M in (A, half, step):
             M = sp.csr_matrix(M)
             diag = M.diagonal()
             off = M - sp.diags(diag)
@@ -498,6 +500,28 @@ class TestSurvival:
             with pytest.raises(DomainError, match="steps must be an integer"):
                 TimeGrid(0.3, steps)
 
+    @pytest.mark.parametrize("t_max, steps", [(1e-310, 10), (5e-324, 2)])
+    def test_time_grid_rejects_step_without_finite_reciprocal(self, t_max, steps):
+        # the marches factor at call rate 1/dt: an infinite rate would give
+        # NaN survival and density, and dt = 0 a division by zero
+        with pytest.raises(DomainError, match="time step"):
+            TimeGrid(t_max, steps)
+
+    @pytest.mark.parametrize("R", [1e-3, 1.0])
+    @pytest.mark.parametrize("k", [0.5, 20.0])
+    def test_smallest_accepted_step_marches_finitely(self, k, R):
+        # 1/dt is the largest float below overflow: the right sides -g/dt
+        # and -z/dt stay finite, and one step moves nothing
+        diff = compute_diffusion(default_mobility(k))
+        grid = DiscGrid(R, R / 16)
+        tg = TimeGrid(math.nextafter(1.0 / sys.float_info.max, 1.0), 1)
+        assert math.isfinite(1.0 / tg.dt) and 1.0 / tg.dt > 1e308
+        X = (0.1 * R, 0.0)
+        np.testing.assert_array_equal(solve_survival(diff, X, R, grid, tg), [1.0, 1.0])
+        fwd = solve_forward(diff, X, R, grid, tg, [tg.t_max])
+        assert np.all(np.isfinite(fwd.fields[-1].values))
+        assert fwd.masses[-1] == pytest.approx(1.0, rel=1e-12)
+
     def test_boundary_start_rejected(self):
         grid = DiscGrid(1.0, 1.0 / 32)
         with pytest.raises(DomainError):
@@ -561,7 +585,47 @@ def full_disc_march(diff, grid, X, tgrid):
     return np.array(survival), densities
 
 
+def scratch_step(diff, grid, dt):
+    """Oracle for one march step: the fold of the call-free operator, with
+    ``I - dt H`` built by sparse arithmetic and factored afresh."""
+    half, unfold = _half_system(assemble_operator(diff, grid, 0.0), grid)
+    return spla.splu(sp.identity(half.shape[0], format="csc") - dt * half), unfold
+
+
 class TestHalfDiscMarch:
+    @pytest.mark.parametrize("N", [16, 31])
+    @pytest.mark.parametrize("k", [0.5, 20.0])
+    def test_one_step_matches_inverse_oracle(self, k, N):
+        # a step of the survival march is (I - dt H)^-1 and one of the
+        # density march its transpose, whatever family the factor is of
+        diff = compute_diffusion(default_mobility(k))
+        grid = DiscGrid(1.0, 1.0 / N)
+        tg = TimeGrid(0.01, 1)
+        lu, unfold = scratch_step(diff, grid, tg.dt)
+        g = lu.solve(np.ones(lu.shape[0]))[unfold]
+        for i in grid.nearest_node_index([-0.5, 0.0, 0.3, 0.2], [0.0, 0.4, -0.2, 0.7]):
+            curve = solve_survival(diff, (grid.x[i], grid.y[i]), 1.0, grid, tg)
+            assert curve[1] == pytest.approx(g[i], rel=1e-13)
+        src = grid.nearest_node_index([-0.4], [0.0])[0]
+        W = np.bincount(unfold)
+        z = np.zeros(W.size)
+        z[unfold[src]] = 1.0 / grid.h**2
+        p = (lu.solve(z, trans="T") / W)[unfold]
+        fwd = solve_forward(diff, (grid.x[src], 0.0), 1.0, grid, tg, [tg.dt])
+        assert np.max(np.abs(fwd.fields[-1].values - p)) <= 1e-13 * np.max(p)
+
+    @pytest.mark.parametrize("k", [0.5, 20.0])
+    def test_one_step_is_the_mean_interval_at_rate_1_over_dt(self, k):
+        # (H - I/dt) g = -1/dt and (H - I/dt) T = -1 share one factor
+        diff = compute_diffusion(default_mobility(k))
+        grid = DiscGrid(1.0, 1.0 / 32)
+        dt = 0.01
+        i = grid.nearest_node_index([-0.4], [0.0])[0]
+        X = (grid.x[i], grid.y[i])
+        g = solve_survival(diff, X, 1.0, grid, TimeGrid(dt, 1))[1]
+        T = solve_mean_interval(diff, 1.0, 1.0 / dt, grid).value_at(X)
+        assert g == pytest.approx(T / dt, rel=4 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("k", [0.0, 0.5, 20.0])
     def test_matches_full_disc_march(self, k):
         diff = compute_diffusion(default_mobility(k))
@@ -676,6 +740,23 @@ class TestOneDim:
         assert float(segment_interval(1e-6, 1.0, 1.0, x_opt)) == pytest.approx(0.25,
                                                                               rel=1e-5)
 
+    @pytest.mark.parametrize("mu", [1e-20, 1e-16, 1e-12, 1e-8, 1e-4, 1e-2])
+    def test_argmax_small_drift_series(self, mu):
+        # the difference (1 - e^-u) / u - 1 cancels below u = g L ~ 1e-8
+        # (it gives 0.6163 at mu = 1e-16 and -0.0 at 1e-20); with u = 2 mu
+        # here, the series to u^5 is the truth within 1e-19
+        u = 2.0 * mu
+        truth = 0.5 - u / 24 + u**3 / 2880 - u**5 / 181440
+        assert segment_argmax(mu, 1.0, 1.0) == pytest.approx(truth, rel=1e-15, abs=0)
+        assert segment_argmax(-mu, 1.0, 1.0) == pytest.approx(1.0 - truth, rel=1e-15,
+                                                              abs=0)
+
+    def test_strong_drift_argmax_trails_at_weak_drift(self):
+        # a tiny forward drift moves the segment maximizer upstream of the centre
+        diff = compute_diffusion(default_mobility(1e-10))
+        assert diff.mu1 > 0.0
+        assert approx.strong_drift_argmax(diff, 1.0) <= 0.0
+
     def test_drift_reflection_symmetry(self):
         xs = np.linspace(0, 2, 11)
         np.testing.assert_allclose(segment_interval(0.7, 1.0, 2.0, xs),
@@ -719,6 +800,10 @@ class TestOneDim:
     def test_strong_drift_no_overflow(self):
         assert np.isfinite(float(segment_interval(500.0, 0.01, 10.0, 5.0)))
         assert segment_argmax(500.0, 0.01, 10.0) == pytest.approx(0.0, abs=0.01)
+        # u = g L = 2e18: (1 - e^-u) / u - 1 rounds to -1, where log1p raises
+        # ValueError; the argmax is log(u) / g to 1e-300 relative
+        u = 2e18
+        assert segment_argmax(1e9, 1e-9, 1.0) == pytest.approx(math.log(u) / u, rel=1e-15)
 
     def test_matches_disc_solver_on_thin_strip(self):
         # 1-D solution is the strip limit of the 2-D solver: cross-check the
