@@ -48,8 +48,8 @@ MUTANTS = {
         "pde.py", "max(-mu, 0.0) / h_neg", "max(-mu, 0.0) / h_pos"),
     "refine-min-gain-1.0001": (
         "pde.py", "_REFINE_MIN_GAIN = 10.0", "_REFINE_MIN_GAIN = 1.0001"),
-    "no-on-circle-exclusion": (
-        "pde.py", "_ON_CIRCLE_RTOL = 1e-9", "_ON_CIRCLE_RTOL = 0.0"),
+    "node-rule-on-circle": (
+        "pde.py", "inside = ii**2 + jj**2 < N * N", "inside = ii**2 + jj**2 <= N * N"),
     "nearest-node-argmax": (
         "pde.py", "idx[miss] = np.argmin(", "idx[miss] = np.argmax("),
     "march-step-sign": (

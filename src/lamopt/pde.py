@@ -28,7 +28,7 @@ road axis, and its transposed step folds through ``W = F^T F``, the number
 of nodes that fold onto each half node (1 on the axis, 2 above it):
 ``F^T (L - rate I)^T F = (H - rate I)^T W``, so ``z = W p_half h^2`` steps
 as ``z <- (H - I/dt)^-T (-z/dt)``, ``p = z / (W h^2)`` on the half disc and
-its mass is ``sum(z)``.  ``_factor`` orders by minimum degree of
+its mass is ``sum(z)``.  ``_factor`` factors in the minimum-degree order of
 ``A^T + A`` (about half the fill of the default column ordering on this
 stencil) in SuperLU's symmetric mode, with every pivot on the diagonal
 (``perm_r == perm_c``) and one column per panel; its docstring says why.
@@ -39,16 +39,17 @@ stalls.
 ``scipy.sparse`` is imported inside the functions that build or factor a
 matrix, so commands that never solve on the disc do not load it.
 
-A grid's node set is decided in integers, and everything that depends on
-it alone (indices, the fold, the sparsity patterns and the half system's
-minimum-degree order) is built once per node set, in a memoized
-``_Lattice``; the nodes of ``DiscGrid(R, R/N)`` depend on N only.
+``DiscGrid(R, R/N)`` is the unit-spacing lattice of radius N scaled by
+``h``.  All that depends on N alone is built once per N, in a memoized
+``_Lattice``, so the geometry obeys ``T_R(x) = R^2 T_1(x/R)`` (drift
+``mu1 R``, call rate ``lam R^2``) by construction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -72,32 +73,26 @@ _REFINE_MIN_GAIN = 10.0
 # grid and fields
 # ---------------------------------------------------------------------------
 
-# A lattice point whose i^2 + j^2 is within this relative distance of
-# (R/h)^2 lies on the circle and is left out: as a node, one of its cut
-# distances would be round-off, and its stencil weights about 1/round-off.
-_ON_CIRCLE_RTOL = 1e-9
-
-
 class _Lattice:
-    """Integer structure of the lattice points ``i^2 + j^2 <= K``.
+    """The nodes ``i^2 + j^2 < N^2`` of the disc of radius N at unit spacing.
 
-    Everything here depends on the node set only, so one instance serves
-    every DiscGrid with the same ``K``, whatever its radius and spacing: the
-    node and mirror indices, the CSR pattern of the full operator and the
-    CSC pattern of the half system.  The arrays are shared, and read-only.
+    Every ``DiscGrid(R, R/N)`` is this lattice scaled by its spacing, so one
+    instance serves them all: the node and mirror indices, the CSR pattern
+    of the full operator, the CSC pattern of the half system and the cut
+    distances at unit spacing.  The arrays are shared, and read-only.
     """
 
-    def __init__(self, K: int):
-        n = math.isqrt(K)
+    def __init__(self, N: int):
+        n = N - 1
         side = 2 * n + 1
         ii, jj = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1),
                              indexing="ij")
-        inside = ii**2 + jj**2 <= K
+        inside = ii**2 + jj**2 < N * N
+        i, j = ii[inside], jj[inside]
         self.n = n
         self.index2d = np.full((side, side), -1, dtype=np.intc)
         self.index2d[inside] = np.arange(int(inside.sum()))
-        self.i = ii[inside].astype(np.intc)
-        self.j = jj[inside].astype(np.intc)
+        self.i, self.j = i.astype(np.intc), j.astype(np.intc)
         self.n_nodes = self.i.size
 
         def shifted(di: int, dj: int) -> np.ndarray:
@@ -120,8 +115,16 @@ class _Lattice:
                                      dtype=np.intc)
         # The node at (i, -j): always inside, since the inside test is even in j.
         self.mirror = self.index2d[self.i + n, n - self.j]
+
+        # East, west, north and south: the distance to the neighbour or, when
+        # it falls outside, to the circle, from exact integer radicands;
+        # N^2 - j^2 > i^2, so that is more than 1/(2N).
+        west, south, _, north, east = self.present.T
+        bx, by = np.sqrt(N * N - j**2), np.sqrt(N * N - i**2)
+        self.cut = np.where((east, west, north, south), 1.0,
+                            (bx - i, i + bx, by - j, j + by))
         _read_only(self.index2d, self.i, self.j, self.present, self.indices,
-                   self.indptr, self.mirror)
+                   self.indptr, self.mirror, self.cut)
 
     @functools.cached_property
     def half_pattern(self):
@@ -144,12 +147,16 @@ class _Lattice:
         h_row, h_col = fold[rows[src]], fold[self.indices[src]]
         del rows
         import scipy.sparse as sp
+        from scipy.sparse.linalg import spilu
 
         # The order depends on the pattern only; these values make the fold
-        # strictly diagonally dominant, so the ordering factor cannot fail.
+        # strictly diagonally dominant.  An incomplete factor that keeps no
+        # fill orders it as a full LU would, in a third of the time or less.
         probe = sp.csc_matrix((np.where(h_row == h_col, -5.0, 1.0), (h_row, h_col)),
                               shape=(n_up, n_up))
-        rank = _factor(probe).perm_c.astype(np.int64)
+        rank = spilu(probe, drop_tol=1.0, fill_factor=1.0, panel_size=1,
+                     options={"ColPerm": "MMD_AT_PLUS_A", "SymmetricMode": True,
+                              "DiagPivotThresh": 0.0}).perm_c.astype(np.int64)
         del probe
         keys, slot = np.unique(rank[h_col] * n_up + rank[h_row], return_inverse=True)
         cols, rows_p = np.divmod(keys, n_up)
@@ -165,8 +172,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=4)
-def _lattice(K: int) -> _Lattice:
-    return _Lattice(K)
+def _lattice(N: int) -> _Lattice:
+    return _Lattice(N)
 
 
 class DiscGrid:
@@ -176,11 +183,9 @@ class DiscGrid:
     a node).  For every node and axis direction the grid stores either the
     neighboring node or the distance to the circle along that direction.
 
-    The node set is decided in integers: ``(i, j)`` is a node when
-    ``i^2 + j^2`` is below ``(R/h)^2`` by more than a relative
-    ``_ON_CIRCLE_RTOL``, so points on the circle are never nodes, and the
-    nodes of ``DiscGrid(R, R/N)`` depend on N only.  Their integer structure
-    is one memoized ``_Lattice``; a grid adds only the float geometry.
+    The radius must be a whole number N of spacings, up to ``math.isclose``:
+    the grid is the ``_Lattice`` of N scaled by ``h``, so ``(i, j)`` is a
+    node when ``i^2 + j^2 < N^2`` and no point on the circle is one.
     """
 
     def __init__(self, R: float, h: float):
@@ -188,26 +193,14 @@ class DiscGrid:
             raise DomainError(f"radius must be finite and > 0, got {R}")
         if not 0.0 < h <= R / 2.0:
             raise DomainError(f"spacing {h} incompatible with radius {R}")
-        self.R = float(R)
-        self.h = float(h)
-
-        # Largest integer below (R/h)^2 (1 - rtol): the bound on i^2 + j^2.
-        lat = _lattice(math.ceil((R / h) ** 2 * (1.0 - _ON_CIRCLE_RTOL)) - 1)
-        self._lattice = lat
-        self.j = lat.j
-        self.x = lat.i * h
-        self.y = self.j * h
-        self.n_nodes = lat.n_nodes
-
-        # Distance to the neighbor or, when it falls outside, to the circle:
-        # no node is on the circle, so that is 5e-10 R or more.
-        west, south, _, north, east = lat.present.T
-        bx = np.sqrt(R * R - self.y**2)
-        by = np.sqrt(R * R - self.x**2)
-        self.he = np.where(east, h, bx - self.x)
-        self.hw = np.where(west, h, self.x + bx)
-        self.hn = np.where(north, h, by - self.y)
-        self.hs = np.where(south, h, self.y + by)
+        ratio = R / h
+        if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio))):
+            raise DomainError(f"radius {R} is not a whole number of spacings {h}")
+        self.R, self.h = float(R), float(h)
+        self._lattice = lat = _lattice(round(ratio))
+        self.j, self.n_nodes = lat.j, lat.n_nodes
+        self.x, self.y = lat.i * h, self.j * h
+        self.he, self.hw, self.hn, self.hs = lat.cut * h
 
     def node_index(self, i: int, j: int) -> int:
         """Index of lattice node (i, j), or -1 if outside the disc."""
@@ -284,6 +277,8 @@ class TimeGrid:
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise DomainError(f"t_max must be finite and > 0, got {self.t_max}")
         require_int("steps", self.steps, 1)
+        if self.steps > sys.float_info.max:  # dividing by it overflows
+            raise DomainError("steps must be at most the largest float")
         # the marches factor their system at call rate 1/dt
         if not (self.dt > 0.0 and math.isfinite(1.0 / float(self.dt))):
             raise DomainError(f"time step {self.dt:g} has no finite reciprocal")
@@ -359,9 +354,9 @@ def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> None:
         )
 
 
-def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
+def _factor(A: sp.spmatrix):
     """Sparse LU of ``H - rate I``, the half-disc fold of
-    ``assemble_operator(diff, grid, rate)``, or of the lattice's ordering probe.
+    ``assemble_operator(diff, grid, rate)``.
 
     ``H - rate I`` is an M-matrix up to sign: assembly gives its off-diagonal
     entries one sign, its diagonal the other and every row a sum of
@@ -371,17 +366,18 @@ def _factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
     on the diagonal (``DiagPivotThresh`` 0) and the fill is that of the
     ordering alone: the minimum degree of ``A^T + A``, which suits the
     stencil's symmetric pattern, applied to rows and columns alike in
-    symmetric mode, or ``permc_spec="NATURAL"`` for a matrix already so
-    permuted.  ``panel_size=1`` factors one column at a time, since the
-    stencil's supernodes are too small for wider panels to pay off.
+    symmetric mode, as the lattice stores it.  ``panel_size=1`` factors one
+    column at a time, since the stencil's supernodes are too small for
+    wider panels to pay off.
 
     Returns:
         The ``scipy.sparse.linalg.SuperLU`` factor.
     """
     from scipy.sparse.linalg import splu  # 0.1-0.5 s to import; only solves need it
 
-    return splu(A.tocsc(), permc_spec=permc_spec, panel_size=1,
-                options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+    return splu(A.tocsc(), panel_size=1,
+                options={"ColPerm": "NATURAL", "SymmetricMode": True,
+                         "DiagPivotThresh": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +483,7 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     if warm is not None and warm.lattice is grid._lattice:
         T_half = _refine(warm.lu, half, b)
     if T_half is None:
-        lu = _factor(half, "NATURAL")
+        lu = _factor(half)
         T_half = lu.solve(b)
         if warm is not None:
             warm.lattice, warm.lu = grid._lattice, lu
@@ -519,7 +515,7 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     """
     x0, y0 = _check_disc(grid, R, X)
     half, unfold = _half_system(assemble_operator(diff, grid, 1.0 / tgrid.dt), grid)
-    stepper = _factor(half, "NATURAL")
+    stepper = _factor(half)
     weights = [(unfold[idx], w) for idx, w in grid.interpolation_weights((x0, y0))]
     g = np.ones(stepper.shape[0])
     out = np.empty(tgrid.steps + 1)
@@ -558,7 +554,7 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
                           "march needs y = 0")
     src = int(grid.nearest_node_index([x0], [y0])[0])
     half, unfold = _half_system(assemble_operator(diff, grid, 1.0 / tgrid.dt), grid)
-    stepper = _factor(half, "NATURAL")
+    stepper = _factor(half)
 
     out_steps = sorted({int(round(t / tgrid.dt)) for t in output_times})
     if any(s < 0 or s > tgrid.steps for s in out_steps):
@@ -648,6 +644,8 @@ def segment_argmax(mu: float, sigma: float, L: float) -> float:
         return L - segment_argmax(-mu, sigma, L)
     g = 2.0 * mu / sigma
     u = g * L
+    if not 0.0 < u < math.inf:  # g or g L overflowed or underflowed
+        raise DomainError(f"2 mu L / sigma is out of float range, got {mu}, {sigma}, {L}")
     if u >= _SEGMENT_SERIES_GL:
         return (math.log(u) - math.log1p(-math.exp(-u))) / g
     return -math.log1p(sum((-u) ** n / math.factorial(n + 1)

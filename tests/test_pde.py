@@ -108,11 +108,18 @@ def scratch_half(A, grid):
     return half, fold
 
 
+def mmd_factor(M):
+    """A fresh LU of M in SuperLU's minimum-degree order of ``M^T + M``,
+    with the pivoting and panel options of ``pde._factor``."""
+    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1,
+                     options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+
+
 def scratch_solve(diff, grid, lam):
     """Oracle for the mean-interval solve: a fresh minimum-degree factor of
     the half system from scratch."""
     half, fold = scratch_half(scratch_assemble(diff, grid, lam), grid)
-    return _factor(half).solve(np.full(half.shape[0], -1.0))[fold]
+    return mmd_factor(half).solve(np.full(half.shape[0], -1.0))[fold]
 
 
 class TestLatticePath:
@@ -147,9 +154,20 @@ class TestLatticePath:
                 diff = compute_diffusion(default_mobility(k))
                 grid = DiscGrid(R, R / N)
                 A = assemble_operator(diff, grid, lam)
-                reused = _factor(_half_system(A, grid)[0], "NATURAL")
-                fresh = _factor(scratch_half(A, grid)[0])
+                reused = _factor(_half_system(A, grid)[0])
+                fresh = mmd_factor(scratch_half(A, grid)[0])
                 assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
+
+    @pytest.mark.parametrize("N", [2, 17, 48, 128])
+    def test_stored_order_is_the_full_lu_order(self, N):
+        # the lattice takes its order from an incomplete factor that drops
+        # all fill; a full minimum-degree LU of the half system orders it
+        # the same, node for node
+        diff = compute_diffusion(default_mobility(0.5))
+        grid = DiscGrid(1.0, 1.0 / N)
+        half, fold = scratch_half(assemble_operator(diff, grid, 0.2), grid)
+        unfold = grid._lattice.half_pattern[4]
+        np.testing.assert_array_equal(unfold, mmd_factor(half).perm_c[fold])
 
     def test_reused_order_fill_is_exact_with_diagonal_pivots(self):
         # the values here differ from the scratch half system in the last
@@ -159,8 +177,8 @@ class TestLatticePath:
         R = 10**-0.5
         grid = DiscGrid(R, R / 16)
         A = assemble_operator(diff, grid, 2.0)
-        reused = _factor(_half_system(A, grid)[0], "NATURAL")
-        fresh = _factor(scratch_half(A, grid)[0])
+        reused = _factor(_half_system(A, grid)[0])
+        fresh = mmd_factor(scratch_half(A, grid)[0])
         assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz == 7312
 
     def test_factor_pivots_on_the_diagonal(self):
@@ -168,7 +186,7 @@ class TestLatticePath:
         # entries in L + U; the stored order alone gives 217,076
         diff = compute_diffusion(default_mobility(20.0))
         grid = DiscGrid(1.0, 1.0 / 64)
-        lu = _factor(_half_system(assemble_operator(diff, grid, 2.0), grid)[0], "NATURAL")
+        lu = _factor(_half_system(assemble_operator(diff, grid, 2.0), grid)[0])
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         assert lu.L.nnz + lu.U.nnz == 217_076
 
@@ -229,6 +247,41 @@ class TestLatticePath:
             for part in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(B, part), getattr(A, part))
 
+    @settings(max_examples=30, deadline=None)
+    @example(4.0, 16, 20.0, 2.0)  # a power-of-two radius scales exactly
+    @example(0.6708625855188431, 35, 6194.7, 0.1)  # Peclet 1.9 at a cut cell
+    @given(st.one_of(_log_uniform(0.01, 100.0), st.integers(-6, 6).map(lambda e: 2.0**e)),
+           st.integers(4, 40),
+           st.one_of(st.just(0.0), _log_uniform(1e-4, 1e6)),
+           st.one_of(st.just(0.0), _log_uniform(1e-3, 30.0)))
+    def test_radius_scaling(self, R, N, k, lam):
+        # T_R(x) = R^2 T_1(x/R), with drift mu1 R and call rate lam R^2 on the
+        # unit disc: DiscGrid(R, R/N) is the unit grid scaled by R, so R^2
+        # times its operator is the unit operator up to the rounding of the
+        # spacings, a few ulps of the row's largest term (central drift at a
+        # cut cell cancels), and to the bit when R is a power of two
+        diff = compute_diffusion(default_mobility(k))
+        unit_diff = DiffusionParams(diff.mu1 * R, diff.sigma11, diff.sigma22)
+        grid, unit = DiscGrid(R, R / N), DiscGrid(1.0, 1.0 / N)
+        A = assemble_operator(diff, grid, lam)
+        B = assemble_operator(unit_diff, unit, lam * R * R)
+        for part in ("indptr", "indices"):
+            np.testing.assert_array_equal(getattr(A, part), getattr(B, part))
+
+        def central(d, g):
+            return abs(d.mu1) * np.maximum(g.hw, g.he) / (d.sigma11 / 2.0) <= 2.0
+
+        np.testing.assert_array_equal(central(diff, grid), central(unit_diff, unit))
+        term = (diff.sigma11 / (unit.hw * unit.he) + abs(unit_diff.mu1)
+                / np.minimum(unit.hw, unit.he) + diff.sigma22 / (unit.hn * unit.hs)
+                + lam * R * R)[np.repeat(np.arange(unit.n_nodes), np.diff(B.indptr))]
+        exact = math.frexp(R)[0] == 0.5
+        eps = 0.0 if exact else np.finfo(float).eps
+        assert np.all(np.abs(A.data * R * R - B.data) <= 8 * eps * term)
+        T = solve_mean_interval(diff, R, lam, grid).values
+        T_unit = R * R * solve_mean_interval(unit_diff, 1.0, lam * R * R, unit).values
+        assert np.max(np.abs(T - T_unit)) <= (0.0 if exact else 1e-12) * np.max(T_unit)
+
     def test_lattice_shared_and_read_only(self):
         a, b = DiscGrid(1.0, 1.0 / 24), DiscGrid(7.3, 7.3 / 24)
         assert a._lattice.i is b._lattice.i and a._lattice.mirror is b._lattice.mirror
@@ -255,6 +308,16 @@ class TestDiscGrid:
         # bound, an infinite one an OverflowError
         with pytest.raises(DomainError):
             DiscGrid(R, h)
+
+    @pytest.mark.parametrize("R, h", [(1.0, 1.0 / 64.5), (1.0, 1.0 / (64 + 1e-6)),
+                                      (1e300, 1e-10)])
+    def test_radius_must_be_whole_spacings(self, R, h):
+        # the node rule i^2 + j^2 < N^2 needs an integer N = R / h
+        with pytest.raises(DomainError, match="whole number"):
+            DiscGrid(R, h)
+
+    def test_radius_within_rounding_of_whole_spacings(self):
+        assert DiscGrid(1.0, 1.0 / (64 + 1e-8)).n_nodes == DiscGrid(1.0, 1.0 / 64).n_nodes
 
     def test_origin_is_node(self):
         g = DiscGrid(1.0, 1.0 / 32)
@@ -441,7 +504,7 @@ class TestWarmFactor:
             grid = DiscGrid(R, R / 32)
             return _half_system(assemble_operator(diff, grid, 2.0), grid)[0]
 
-        lu = _factor(half(1.0), "NATURAL")
+        lu = _factor(half(1.0))
         near, far = half(1.01), half(1.1)
         b = np.full(near.shape[0], -1.0)
         x = _refine(lu, near, b)
@@ -506,6 +569,12 @@ class TestSurvival:
         # NaN survival and density, and dt = 0 a division by zero
         with pytest.raises(DomainError, match="time step"):
             TimeGrid(t_max, steps)
+
+    @pytest.mark.parametrize("t_max", [1.0, 1e300])
+    def test_time_grid_rejects_step_count_past_float_range(self, t_max):
+        # t_max / steps raised a raw OverflowError
+        with pytest.raises(DomainError, match="largest float"):
+            TimeGrid(t_max, 10**400)
 
     @pytest.mark.parametrize("R", [1e-3, 1.0])
     @pytest.mark.parametrize("k", [0.5, 20.0])
@@ -823,3 +892,13 @@ class TestOneDim:
     def test_validation(self):
         with pytest.raises(DomainError):
             segment_argmax(0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("mu, sigma, L", [
+        (1e300, 1e-10, 1.0), (-1e300, 1e-10, 1.0), (1e300, 1.0, 1e300),
+        (1.0, math.inf, 1.0), (5e-324, 10.0, 1.0),
+    ])
+    def test_argmax_rejects_drift_scale_out_of_float_range(self, mu, sigma, L):
+        # g = 2 mu / sigma or g L past the float range gave NaN or inf, and
+        # one that underflowed to 0 a ZeroDivisionError
+        with pytest.raises(DomainError, match="out of float range"):
+            segment_argmax(mu, sigma, L)
