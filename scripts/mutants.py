@@ -46,8 +46,10 @@ MUTANTS = {
         "np.maximum(h_neg, h_pos) / s_coef <= 1.0"),
     "upwind-neg-spacing": (
         "pde.py", "max(-mu, 0.0) / h_neg", "max(-mu, 0.0) / h_pos"),
-    "refine-min-gain-1.0001": (
-        "pde.py", "_REFINE_MIN_GAIN = 10.0", "_REFINE_MIN_GAIN = 1.0001"),
+    "refine-solve-budget-40": (
+        "pde.py", "_REFINE_MAX_SOLVES = 12", "_REFINE_MAX_SOLVES = 40"),
+    "refine-from-zero": (
+        "pde.py", "R * R * _start(warm.solved, lr)", "np.zeros_like(b)"),
     "node-rule-on-circle": (
         "pde.py", "inside = ii**2 + jj**2 < N * N", "inside = ii**2 + jj**2 <= N * N"),
     "nearest-node-argmax": (

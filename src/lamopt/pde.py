@@ -34,8 +34,9 @@ stencil) in SuperLU's symmetric mode, with every pivot on the diagonal
 (``perm_r == perm_c``) and one column per panel; its docstring says why.
 A radius search may hand ``solve_mean_interval`` a ``FactorSlot``: a
 nearby radius on the same lattice is then solved by iterative refinement
-on the factor the slot holds, and factored afresh only when refinement
-stalls.
+on the factor the slot holds, from the interpolant in log R of the
+solutions the search has solved, and factored afresh only when refinement
+would cost more than a factor.
 ``scipy.sparse`` is imported inside the functions that build or factor a
 matrix, so commands that never solve on the disc do not load it.
 
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -63,10 +63,12 @@ if TYPE_CHECKING:
 
 _RESIDUAL_TARGET = 1e-10
 # Iterative refinement on a nearby factor stops at this residual, relative
-# to max(1, max|x|), and gives up on any sweep that cuts the residual by
-# less than _REFINE_MIN_GAIN.
+# to max(1, max|x|), and gives up once the solves taken plus those its last
+# sweep's contraction projects exceed _REFINE_MAX_SOLVES: about one factor's
+# cost at N = 64, where a factor took as long as 18 solves with their
+# residuals, and a fresh factor serves the probes after it better.
 _REFINE_RTOL = 1e-12
-_REFINE_MIN_GAIN = 10.0
+_REFINE_MAX_SOLVES = 12
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +279,13 @@ class TimeGrid:
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise DomainError(f"t_max must be finite and > 0, got {self.t_max}")
         require_int("steps", self.steps, 1)
-        if self.steps > sys.float_info.max:  # dividing by it overflows
-            raise DomainError("steps must be at most the largest float")
+        # .times holds steps + 1 8-byte floats, and numpy sizes no array of
+        # more bytes than intp holds (a count past float range also
+        # overflowed t_max / steps)
+        max_steps = np.iinfo(np.intp).max // 8 - 1
+        if self.steps > max_steps:
+            raise DomainError(f"steps must be at most {max_steps}, or no array "
+                              "holds its times")
         # the marches factor their system at call rate 1/dt
         if not (self.dt > 0.0 and math.isfinite(1.0 / float(self.dt))):
             raise DomainError(f"time step {self.dt:g} has no finite reciprocal")
@@ -413,31 +420,54 @@ def _half_system(A: sp.csr_matrix, grid: DiscGrid) -> tuple[sp.csc_matrix, np.nd
 
 
 class FactorSlot:
-    """The last half-system factor of one radius search, for its next solve.
+    """The last half-system factor of one radius search, and the half
+    solutions the search has solved on its lattice, for its next solve.
 
-    A search creates its own slot, passes it to each ``solve_mean_interval``
-    call, and drops it when it ends, so no factor outlives the search.
+    ``solved`` maps log R to the half solution divided by ``R^2``: on one
+    lattice that is the unit-disc solution at drift ``mu1 R`` and call rate
+    ``lam R^2``, smooth in log R.  A search creates its own slot, passes it
+    to each ``solve_mean_interval`` call, and drops it when it ends, so no
+    factor or solution outlives the search.
     """
 
     def __init__(self) -> None:
         self.lattice: _Lattice | None = None
         self.lu = None
+        self.solved: dict[float, np.ndarray] = {}
 
 
-def _refine(lu, H: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
-    """Solve ``H x = b`` by iterative refinement on ``lu``, the factor of a
-    nearby matrix, or return None once a sweep cuts the residual by less
-    than ``_REFINE_MIN_GAIN`` (a NaN residual included)."""
-    x = lu.solve(b)
-    r = b - H @ x
-    res = float(np.max(np.abs(r)))
-    while not res <= _REFINE_RTOL * max(1.0, float(np.max(np.abs(x)))):
-        x += lu.solve(r)
-        r = b - H @ x
-        last, res = res, float(np.max(np.abs(r)))
-        if not res <= last / _REFINE_MIN_GAIN:
-            return None
+def _start(solved: dict[float, np.ndarray], lr: float) -> np.ndarray:
+    """The quadratic Lagrange interpolant in log R, at ``lr``, of the three
+    stored solutions nearest it (of all of them when fewer are stored).  The
+    keys are distinct, so no weight divides by zero."""
+    near = sorted(solved, key=lambda s: abs(s - lr))[:3]
+    x = np.zeros_like(solved[near[0]])
+    for s in near:
+        x += math.prod((lr - t) / (s - t) for t in near if t != s) * solved[s]
     return x
+
+
+def _refine(lu, H: sp.csc_matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """Solve ``H x = b`` by iterative refinement on ``lu``, the factor of a
+    nearby matrix, from ``x + lu.solve(b - H x)``; or return None once the
+    solves taken plus those the last sweep's contraction projects exceed
+    ``_REFINE_MAX_SOLVES`` (a NaN residual, or one that does not fall,
+    included).  The first solve's drop is not projected: from a far start
+    it is not the rate of the sweeps."""
+    x = x + lu.solve(b - H @ x)
+    last = math.inf
+    for solves in range(1, _REFINE_MAX_SOLVES + 1):
+        r = b - H @ x
+        res = float(np.max(np.abs(r)))
+        target = _REFINE_RTOL * max(1.0, float(np.max(np.abs(x))))
+        if res <= target:
+            return x
+        if not res < last or (solves > 1 and solves + math.log(target / res)
+                              / math.log(res / last) > _REFINE_MAX_SOLVES):
+            return None
+        x += lu.solve(r)
+        last = res
+    return None
 
 
 def _check_disc(grid: DiscGrid, R: float, X=None) -> tuple[float, float] | None:
@@ -467,8 +497,10 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     half solution is mirrored back.  The half system is factored in the
     minimum-degree order the grid's lattice stores.  When ``warm`` holds a
     factor on the same lattice, the half system is first solved by
-    refinement on that factor; either way ``warm`` ends up holding the
-    factor used.  The residual is checked against the full operator.
+    refinement on that factor, from ``R^2`` times ``_start``'s interpolant
+    of the stored solutions; either way ``warm`` ends up holding the factor
+    used and this solution, and drops the solutions of any other lattice.
+    The residual is checked against the full operator.
 
     Returns:
         ScalarField of T over the grid; nonnegative, and at most
@@ -480,13 +512,16 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     half, unfold = _half_system(A, grid)
     b = np.full(half.shape[0], -1.0)
     T_half = None
+    lr = math.log(R)
     if warm is not None and warm.lattice is grid._lattice:
-        T_half = _refine(warm.lu, half, b)
+        T_half = _refine(warm.lu, half, b, R * R * _start(warm.solved, lr))
     if T_half is None:
         lu = _factor(half)
         T_half = lu.solve(b)
         if warm is not None:
-            warm.lattice, warm.lu = grid._lattice, lu
+            if warm.lattice is not grid._lattice:
+                warm.lattice, warm.solved = grid._lattice, {}
+            warm.lu = lu
     T = T_half[unfold]
     _check_residual(A, T, rhs)
     if np.min(T) < -1e-9:
@@ -495,6 +530,8 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     if np.max(T) > cap * (1.0 + 1e-9):
         raise NumericalError(
             f"mean interval {np.max(T):.6g} exceeds its maximum-principle bound {cap:.6g}")
+    if warm is not None:
+        warm.solved[lr] = T_half / (R * R)
     return ScalarField(grid=grid, values=T)
 
 
@@ -606,6 +643,8 @@ def segment_interval(mu: float, sigma: float, L, x):
     ``T = x (L - x) / sigma * a / (1 - e^-a) * sum_{n >= 2} (-1)^n 2
     h_{n-2}(a, b) / n!``, where ``h_m(a, b) = sum_{i <= m} a^(m-i) b^i``.
     """
+    if not (math.isfinite(mu) and sigma > 0.0 and np.all((0.0 <= L) & (L < math.inf))):
+        raise DomainError(f"mu, L must be finite, sigma > 0 and L >= 0, got {mu}, {sigma}, {L}")
     if mu < 0.0:
         return segment_interval(-mu, sigma, L, L - x)
     if mu == 0.0:
@@ -636,8 +675,8 @@ def segment_argmax(mu: float, sigma: float, L: float) -> float:
     and ``u = g L``, taken without cancellation: as
     ``(log u - log1p(-e^{-u})) / g`` from ``_SEGMENT_SERIES_GL`` up, and
     below it through ``(1 - e^{-u}) / u - 1 = sum_{n >= 1} (-u)^n / (n + 1)!``."""
-    if not (math.isfinite(mu) and sigma > 0.0 and L > 0.0):  # NaN fails too
-        raise DomainError(f"mu must be finite and sigma, L > 0, got {mu}, {sigma}, {L}")
+    if not (math.isfinite(mu) and sigma > 0.0 and 0.0 < L < math.inf):  # NaN fails too
+        raise DomainError(f"mu, L must be finite and sigma, L > 0, got {mu}, {sigma}, {L}")
     if mu == 0.0:
         return L / 2.0
     if mu < 0.0:

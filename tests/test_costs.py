@@ -35,7 +35,8 @@ from lamopt.costs import (
 from lamopt.errors import DomainError, RegimeWarning
 from lamopt.hexgrid import HexGrid
 from lamopt.mobility import DiffusionParams, compute_diffusion, global_drift
-from lamopt.pde import DiscGrid, ScalarField, segment_argmax, solve_mean_interval
+from lamopt.pde import (DiscGrid, ScalarField, segment_argmax, segment_interval,
+                        solve_mean_interval)
 from lamopt.protocol import Scenario, construct_la, run_episode
 
 COSTS = CostParams(lam=2.0, U=20.0, V=1.0)
@@ -601,6 +602,11 @@ UNIT = DiffusionParams(1.0, 1.0, 1.0)
     pytest.param(galerkin_solution, (UNIT, 1.0, 1.0, math.inf), id="galerkin-a-inf"),
     pytest.param(optimal_offset, (NAN, 1.0), id="optimal_offset-a"),
     pytest.param(segment_argmax, (1.0, 1.0, NAN), id="segment_argmax-L"),
+    pytest.param(segment_argmax, (0.0, 1.0, math.inf), id="segment_argmax-L-inf"),
+    pytest.param(segment_interval, (0.0, 1.0, math.inf, 0.5), id="segment_interval-L-inf"),
+    pytest.param(segment_interval, (1.0, 1.0, NAN, 0.5), id="segment_interval-L"),
+    pytest.param(segment_interval, (1.0, NAN, 1.0, 0.5), id="segment_interval-sigma"),
+    pytest.param(segment_interval, (NAN, 1.0, 1.0, 0.5), id="segment_interval-mu"),
     pytest.param(segment_argmax, (1.0, NAN, 1.0), id="segment_argmax-sigma"),
     pytest.param(segment_argmax, (NAN, 1.0, 1.0), id="segment_argmax-mu"),
     pytest.param(global_drift, (UNIT, NAN), id="global_drift-radius"),

@@ -494,10 +494,11 @@ class TestWarmFactor:
         fresh = solve_mean_interval(diff, 10.0, 2.0, DiscGrid(10.0, 10.0 / 32))
         np.testing.assert_array_equal(warm.values, fresh.values)
 
-    def test_refinement_stalls_below_the_minimum_gain(self):
+    def test_refinement_gives_up_past_the_sweep_budget(self):
         # on the R = 1 factor a sweep cuts the residual 27-38 times at
-        # R = 1.01, but only 3-4.5 times at R = 1.1: too slow to go on with,
-        # though it would converge in the end
+        # R = 1.01, but only 3-4.5 times at R = 1.1: reaching the target from
+        # zero would take more sweeps than a factor costs, though it would
+        # converge in the end
         diff = compute_diffusion(default_mobility(0.5))
 
         def half(R):
@@ -507,16 +508,49 @@ class TestWarmFactor:
         lu = _factor(half(1.0))
         near, far = half(1.01), half(1.1)
         b = np.full(near.shape[0], -1.0)
-        x = _refine(lu, near, b)
+        x = _refine(lu, near, b, np.zeros_like(b))
         assert np.max(np.abs(b - near @ x)) <= 1e-12 * np.max(np.abs(x))
-        assert _refine(lu, far, b) is None
+        assert _refine(lu, far, b, np.zeros_like(b)) is None
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 20.0])
+    def test_warm_solves_along_a_golden_search_match_fresh(self, k):
+        # every probe of a golden section over a 0.76-wide log R bracket,
+        # each refined from the interpolant of those before it when it can be
+        diff = compute_diffusion(default_mobility(k))
+        slot, refined = FactorSlot(), []
+
+        def probe(lr):
+            R = math.exp(lr)
+            held = slot.lu
+            warm = solve_mean_interval(diff, R, 2.0, DiscGrid(R, R / 32), slot).values
+            refined.append(slot.lu is held)
+            fresh = solve_mean_interval(diff, R, 2.0, DiscGrid(R, R / 32)).values
+            assert np.max(np.abs(warm - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+            return (lr - 0.1) ** 2
+
+        costs._golden_section(probe, -0.3, 0.46)
+        assert len(slot.solved) == len(refined) and sum(refined) > len(refined) / 2
+
+    def test_repeated_radius_is_stored_once(self):
+        # a search's last solve may land on one of its probes: the radius
+        # keeps one entry, so no interpolation weight divides by zero
+        diff = compute_diffusion(default_mobility(0.5))
+        slot = FactorSlot()
+        for R in (1.0, 1.02, 1.0, 1.01, 1.02):
+            warm = solve_mean_interval(diff, R, 2.0, DiscGrid(R, R / 32), slot).values
+            fresh = solve_mean_interval(diff, R, 2.0, DiscGrid(R, R / 32)).values
+            assert np.max(np.abs(warm - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+        assert sorted(slot.solved) == [0.0, math.log(1.01), math.log(1.02)]
 
     def test_other_lattice_is_solved_fresh(self):
         slot = FactorSlot()
         solve_mean_interval(UNIT, 1.0, 0.0, DiscGrid(1.0, 1.0 / 16), slot)
         held = slot.lu
-        f = solve_mean_interval(UNIT, 1.0, 0.0, DiscGrid(1.0, 1.0 / 24), slot)
+        f = solve_mean_interval(UNIT, 1.2, 0.0, DiscGrid(1.2, 1.2 / 24), slot)
         assert slot.lu is not held and slot.lattice is f.grid._lattice
+        # the first lattice's solution is dropped with its factor
+        assert list(slot.solved) == [math.log(1.2)]
+        assert slot.solved[math.log(1.2)].size == slot.lu.shape[0]
 
     def test_golden_search_factors_fewer_times_than_it_probes(self, monkeypatch):
         counts = {"factor": 0, "solve": 0}
@@ -538,6 +572,28 @@ class TestWarmFactor:
         # golden-section probes
         assert counts["solve"] == 30
         assert counts["factor"] - 8 < 22 / 2
+
+    def test_interpolated_start_cuts_lu_solves(self, monkeypatch):
+        # the same search, its warm solves started from zero instead
+        class Counted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves[-1] += 1
+                return self.lu.solve(rhs)
+
+        mob = default_mobility(2.0)
+        cost = costs.CostParams(lam=2.0, U=20.0, V=1.0)
+        factor = pde._factor
+        monkeypatch.setattr(pde, "_factor", lambda A: Counted(factor(A)))
+        solves, results, interpolated = [], [], pde._start
+        for start in (interpolated, lambda solved, lr: 0.0 * interpolated(solved, lr)):
+            monkeypatch.setattr(pde, "_start", start)
+            solves.append(0)
+            results.append(costs.joint_optimize(mob, cost, "pde", pde_nodes=16))
+        assert results[0].r_opt == results[1].r_opt
+        assert solves[0] < 0.6 * solves[1]
 
 
 class TestSurvival:
@@ -573,8 +629,16 @@ class TestSurvival:
     @pytest.mark.parametrize("t_max", [1.0, 1e300])
     def test_time_grid_rejects_step_count_past_float_range(self, t_max):
         # t_max / steps raised a raw OverflowError
-        with pytest.raises(DomainError, match="largest float"):
+        with pytest.raises(DomainError, match="steps must be at most"):
             TimeGrid(t_max, 10**400)
+
+    @pytest.mark.parametrize("steps", [10**300, 2**60 - 1, 2**63])
+    def test_time_grid_rejects_step_count_past_array_size(self, steps):
+        # .times raised a raw ValueError from np.linspace, and a march would
+        # have failed the same way at np.empty(steps + 1)
+        with pytest.raises(DomainError, match="no array holds its times"):
+            TimeGrid(1.0, steps)
+        assert TimeGrid(1.0, 2**60 - 2).steps == 2**60 - 2  # 2^63 - 8 bytes of times
 
     @pytest.mark.parametrize("R", [1e-3, 1.0])
     @pytest.mark.parametrize("k", [0.5, 20.0])
@@ -892,6 +956,21 @@ class TestOneDim:
     def test_validation(self):
         with pytest.raises(DomainError):
             segment_argmax(0.0, 0.0, 1.0)
+        # the interval divided by zero at sigma = 0, and went negative for
+        # a negative sigma or length
+        for sigma, L in [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]:
+            with pytest.raises(DomainError):
+                segment_interval(1.0, sigma, L, 0.5)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.7, -0.7])
+    def test_infinite_segment_refused(self, mu):
+        # the interval returned inf at every drift, and the argmax without drift
+        with pytest.raises(DomainError):
+            segment_argmax(mu, 1.0, math.inf)
+        with pytest.raises(DomainError):
+            segment_interval(mu, 1.0, math.inf, 0.5)
+        with pytest.raises(DomainError):
+            segment_interval(mu, 1.0, np.array([1.0, math.inf]), 0.5)
 
     @pytest.mark.parametrize("mu, sigma, L", [
         (1e300, 1e-10, 1.0), (-1e300, 1e-10, 1.0), (1e300, 1.0, 1e300),
