@@ -61,6 +61,11 @@ MUTANTS = {
         'stepper.solve(-z * tgrid.dt, trans="T")'),
     "time-step-reciprocal-unchecked": (
         "pde.py", "math.isfinite(1.0 / float(self.dt))", "True"),
+    "cap-reach-R-at-every-node": (
+        "pde.py", "reach = R if at_origin else 2.0 * R", "reach = R"),
+    "cap-min-for-jensen": (
+        "pde.py", "return -math.expm1(-lam * W) / lam if lam > 0.0 else W",
+        "return min(1.0 / lam, W) if lam > 0.0 else W"),
     "argmax-series-off": (
         "pde.py", "if u >= _SEGMENT_SERIES_GL:", "if u >= 0.0:"),
     "wedge-side-right": (

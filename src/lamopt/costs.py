@@ -7,10 +7,11 @@ region paged once per call); the delay-constrained sequential variant with
 angular sub-regions is available separately for cost analysis.
 
 The radius search is a 25-point scan in log R, then golden section from its
-lowest point.  The pde scan skips every radius whose cost floor, the
-objective at ``pde.mean_interval_cap``, lies above the best scan cost
-already solved; no skipped radius can be the lowest point, so the search
-and its result are those of the full scan.  The one-term cost has one
+lowest point.  The pde scan skips every radius where each baseline's cost
+floor, the objective at its ``pde.mean_interval_cap`` (the origin's for the
+center design), lies above that baseline's best scan cost already solved;
+no skipped radius can be any baseline's lowest point, so the search and its
+result are those of the full scan.  The one-term cost has one
 minimum (``U / T = A / R^2 + B``), so the search refines the scan's lowest
 point and does not re-scan.  The asymptotic provider needs no search:
 ``asymptotic_optimum`` is its closed forms.
@@ -291,9 +292,10 @@ def joint_optimize(mobility: MobilityParams, costs: CostParams,
     for the pde provider), reducing the problem to one variable; the outer
     radius search is golden-section on log R over R in [0.01, 100] km after
     a 25-point coarse scan.  The pde scan skips the radii whose cost floor
-    (the objective at ``pde.mean_interval_cap``) lies above the best scan
-    cost solved, which cannot be its lowest point.  The search refines the
-    scan's lowest point and does not re-scan.
+    (the objective at ``pde.mean_interval_cap``, its origin form for the
+    center baseline) lies above the best scan cost solved, which cannot be
+    its lowest point.  The search refines the scan's lowest point and does
+    not re-scan.
 
     Args:
         provider: "pde", "galerkin", or "asymptotic" (closed forms; see
@@ -318,8 +320,8 @@ def optimize_pair(mobility: MobilityParams, costs: CostParams,
     Returns the same results as ``joint_optimize`` for each baseline, with
     one coarse radius scan for both: each scan radius is solved at most
     once, and both designs are read from that solution.  A pde scan radius
-    is skipped only when its cost floor lies above both baselines' best
-    scan costs.  The two golden-section searches stay apart.
+    is skipped only when each baseline's cost floor there lies above that
+    baseline's best scan cost.  The two golden-section searches stay apart.
 
     Returns:
         (offset result, center result).
@@ -360,24 +362,27 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
         t, x = _design(solution, baseline)
         return _cost(costs, t, R), t, x
 
-    def floor(lr: float) -> float:
-        """A cost no design at radius exp(lr) goes below: the objective at
-        the pde cap on T; none for the one-term T, which can exceed it."""
+    def floor(lr: float, baseline: str) -> float:
+        """A cost no design of ``baseline`` at radius exp(lr) goes below: the
+        objective at the pde cap on its T (the center design reads the
+        origin node); none for the one-term T, which can exceed it."""
         if provider != "pde":
             return -math.inf
         R = math.exp(lr)
-        return _cost(costs, mean_interval_cap(diff, R, costs.lam), R)
+        cap = mean_interval_cap(diff, R, costs.lam, at_origin=baseline == "center")
+        return _cost(costs, cap, R)
 
-    # Scan radii are solved in increasing-floor order until the next floor,
-    # less the cap's round-off, lies above every baseline's best cost so
-    # far.  Each baseline keeps its best (cost, scan index), the lowest
-    # index on a tie; a -inf floor never stops the scan.
+    # Scan radii are taken in increasing order of their lowest floor, and a
+    # radius is skipped when every baseline's floor, less the cap's
+    # round-off, lies above that baseline's best cost so far.  Each baseline
+    # keeps its best (cost, scan index), the lowest index on a tie; a -inf
+    # floor skips nothing.
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    floors = [floor(lr) for lr in grid]
+    floors = [[floor(lr, b) for b in baselines] for lr in grid]
     best = [(math.inf, 0)] * len(baselines)
-    for i in sorted(range(_SCAN_POINTS), key=floors.__getitem__):
-        if floors[i] * (1.0 - 1e-9) > max(c for c, _ in best):
-            break
+    for i in sorted(range(_SCAN_POINTS), key=lambda i: min(floors[i])):
+        if all(f * (1.0 - 1e-9) > c for f, (c, _) in zip(floors[i], best)):
+            continue
         solution = solve(grid[i])
         best = [min(old, (cost(grid[i], solution, b)[0], i))
                 for old, b in zip(best, baselines)]

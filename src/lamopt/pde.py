@@ -391,20 +391,31 @@ def _factor(A: sp.spmatrix):
 # stationary mean update interval
 # ---------------------------------------------------------------------------
 
-def mean_interval_cap(diff: DiffusionParams, R: float, lam: float) -> float:
-    """Bound on every node value of ``solve_mean_interval``'s T:
-    ``min(1/lam, R^2/sigma22)``, the first only when ``lam > 0``.
+def mean_interval_cap(diff: DiffusionParams, R: float, lam: float,
+                      at_origin: bool = False) -> float:
+    """Bound on ``solve_mean_interval``'s T at every node, or at the origin
+    node alone: ``-expm1(-lam W)/lam`` (W itself at ``lam = 0``), with
+    ``W = min(R^2/sigma22, reach/|mu1|)`` and the reach ``2R``, or ``R`` at
+    the origin.
 
-    ``-(L - lam I)`` is an M-matrix, so its inverse is nonnegative (the
-    discrete maximum principle), and any w with ``(L - lam I) w <= -1``
-    bounds T from above.  Both terms are such supersolutions: the constant
-    ``1/lam``, since every row of ``L - lam I`` sums to ``-lam`` or less;
-    and ``(R^2 - y^2)/sigma22``, since the x-rows sum to zero, the 3-point
+    ``-L`` is an M-matrix, so its inverse is nonnegative (the discrete
+    maximum principle), and any w with ``L w <= -1`` bounds the call-free
+    interval T0 from above.  Two such supersolutions make W:
+    ``(R^2 - y^2)/sigma22``, since the x-rows sum to zero, the 3-point
     y-difference is exact on quadratics (it gives ``-1``), and the Dirichlet
-    zeros lie below its values on the circle.
+    zeros lie below its values on the circle; and, for ``mu1 != 0``,
+    ``(R - x sgn mu1)/|mu1|``, since the second differences and both x-drift
+    stencils, central and upwinded, are exact on linear functions (they give
+    ``-1``), and it is >= 0 on the circle.  ``L`` is the generator of a
+    killed continuous-time chain, so ``T = E[(1 - e^{-lam tau})/lam]`` and
+    ``T0 = E tau`` over its killing time tau, and Jensen's inequality for
+    the concave ``t -> (1 - e^{-lam t})/lam`` gives ``T <= -expm1(-lam
+    T0)/lam``.  The cap is at most ``min(1/lam, W)``.
     """
-    cap = R * R / diff.sigma22 if diff.sigma22 > 0.0 else math.inf
-    return min(cap, 1.0 / lam) if lam > 0.0 else cap
+    reach = R if at_origin else 2.0 * R
+    W = min(R * R / diff.sigma22 if diff.sigma22 > 0.0 else math.inf,
+            reach / abs(diff.mu1) if diff.mu1 != 0.0 else math.inf)
+    return -math.expm1(-lam * W) / lam if lam > 0.0 else W
 
 
 def _half_system(A: sp.csr_matrix, grid: DiscGrid) -> tuple[sp.csc_matrix, np.ndarray]:
@@ -504,7 +515,8 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
 
     Returns:
         ScalarField of T over the grid; nonnegative, and at most
-        ``mean_interval_cap`` up to a relative 1e-9.
+        ``mean_interval_cap`` up to a relative 1e-9, its origin form at the
+        origin node.
     """
     _check_disc(grid, R)
     A = assemble_operator(diff, grid, lam)
@@ -526,10 +538,11 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     _check_residual(A, T, rhs)
     if np.min(T) < -1e-9:
         raise NumericalError(f"negative mean interval {np.min(T):.3e}")
-    cap = mean_interval_cap(diff, R, lam)
-    if np.max(T) > cap * (1.0 + 1e-9):
-        raise NumericalError(
-            f"mean interval {np.max(T):.6g} exceeds its maximum-principle bound {cap:.6g}")
+    for t, cap in ((np.max(T), mean_interval_cap(diff, R, lam)),
+                   (T[grid.node_index(0, 0)], mean_interval_cap(diff, R, lam, at_origin=True))):
+        if t > cap * (1.0 + 1e-9):
+            raise NumericalError(
+                f"mean interval {t:.6g} exceeds its maximum-principle bound {cap:.6g}")
     if warm is not None:
         warm.solved[lr] = T_half / (R * R)
     return ScalarField(grid=grid, values=T)
@@ -638,6 +651,7 @@ def segment_interval(mu: float, sigma: float, L, x):
 
     Every exponent is nonpositive.  ``L`` may hold one length per point (the
     chords of ``approx``'s strong-drift form); a zero-length segment gives 0.
+    A point outside ``[0, L]`` is refused.
     With ``g = 2 |mu| / sigma``, ``a = g L`` and ``b = g x`` (x measured
     from the upstream end), points with ``a < _SEGMENT_SERIES_GL`` use
     ``T = x (L - x) / sigma * a / (1 - e^-a) * sum_{n >= 2} (-1)^n 2
@@ -645,6 +659,8 @@ def segment_interval(mu: float, sigma: float, L, x):
     """
     if not (math.isfinite(mu) and sigma > 0.0 and np.all((0.0 <= L) & (L < math.inf))):
         raise DomainError(f"mu, L must be finite, sigma > 0 and L >= 0, got {mu}, {sigma}, {L}")
+    if not np.all((0.0 <= x) & (x <= L)):  # a NaN point fails too
+        raise DomainError(f"x must lie in [0, L], got {x} for L = {L}")
     if mu < 0.0:
         return segment_interval(-mu, sigma, L, L - x)
     if mu == 0.0:

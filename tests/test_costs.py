@@ -442,9 +442,11 @@ class TestOptimizePair:
 
     # (offset, center, pair) solves: the scan radii solved, then 21
     # golden-section steps and one final solve for each baseline.  The
-    # one-term scan solves all 25 radii; the pde scan skips those above its
-    # cost floor and solves 8 (offset), 9 (center) and 9 (pair).
-    SOLVES = {"galerkin": (47, 47, 69), "pde": (30, 31, 53)}
+    # one-term scan solves all 25 radii; the pde scan skips those above
+    # every baseline's cost floor, which the drift bounds (the center's
+    # floor by the origin's reach R) and the call rate cuts through
+    # Jensen's inequality, and solves 2 (offset), 1 (center) and 2 (pair).
+    SOLVES = {"galerkin": (47, 47, 69), "pde": (24, 23, 46)}
 
     @pytest.mark.parametrize("provider, search", [
         ("galerkin", {}), ("pde", {"pde_nodes": 16}),
@@ -462,10 +464,12 @@ class TestOptimizePair:
         assert optimize_pair(mob, COSTS, provider, **search) == tuple(singles)
         assert solves["n"] == pair_solves
 
-    @pytest.mark.parametrize("k, lam, N", [(0.5, 2.0, 16), (0.5, 2.0, 64), (10.0, 20.0, 32)])
+    @pytest.mark.parametrize("k, lam, N", [(0.5, 2.0, 16), (0.5, 2.0, 64), (10.0, 20.0, 32),
+                                           (20.0, 0.2, 32), (0.0, 2.0, 16)])
     def test_skipped_scan_radii_cannot_be_the_lowest(self, monkeypatch, k, lam, N):
-        # defaults at N = 16 and 64, and the two-basin case of
-        # test_coarse_scan_picks_the_lower_basin: every scan radius the pde
+        # defaults at N = 16 and 64, the two-basin case of
+        # test_coarse_scan_picks_the_lower_basin, a strong drift whose term
+        # binds the floor, and no drift at all: every scan radius the pde
         # search skips costs more than the best one it solved, for both
         # baselines, so the full scan's argmin is among the solved ones
         solved = []
@@ -607,6 +611,7 @@ UNIT = DiffusionParams(1.0, 1.0, 1.0)
     pytest.param(segment_interval, (1.0, 1.0, NAN, 0.5), id="segment_interval-L"),
     pytest.param(segment_interval, (1.0, NAN, 1.0, 0.5), id="segment_interval-sigma"),
     pytest.param(segment_interval, (NAN, 1.0, 1.0, 0.5), id="segment_interval-mu"),
+    pytest.param(segment_interval, (1.0, 1.0, 1.0, NAN), id="segment_interval-x"),
     pytest.param(segment_argmax, (1.0, NAN, 1.0), id="segment_argmax-sigma"),
     pytest.param(segment_argmax, (NAN, 1.0, 1.0), id="segment_argmax-mu"),
     pytest.param(global_drift, (UNIT, NAN), id="global_drift-radius"),

@@ -430,17 +430,33 @@ class TestMeanInterval:
     @example(1e6, 2.0, 100.0, 8)  # cell Peclet 1231: one-sided drift everywhere
     @example(20.0, 2.0, 1.0, 16)  # cell Peclet 6.2: one-sided drift everywhere
     @example(0.5, 1e-6, 0.01, 64)  # R^2/sigma22 is the lower term
+    @example(1e6, 0.0, 100.0, 64)  # T(0) = (1 + 7.1e-15) R/mu1: the drift term, attained
+    @example(0.0, 2.0, 100.0, 33)  # no drift: max T = (1 + 1.8e-15) cap
     @given(st.one_of(st.just(0.0), _log_uniform(1e-4, 1e6)), _log_uniform(1e-6, 20.0),
            _log_uniform(0.01, 100.0), st.integers(8, 64))
     def test_mean_interval_within_cap(self, k, lam, R, N):
-        # the discrete maximum principle: 1/lam and (R^2 - y^2)/sigma22 are
-        # supersolutions of the assembled system, so both bound T at every node
+        # the discrete maximum principle: (R^2 - y^2)/sigma22 and
+        # (R - x sgn mu1)/|mu1| are supersolutions of the call-free system,
+        # so the smaller of their maxima, W, bounds T0 at every node (reach
+        # 2R) and at the origin (reach R); Jensen's inequality carries W to
+        # lam > 0
         diff = compute_diffusion(default_mobility(k))
         grid = DiscGrid(R, R / N)
-        cap = min(1.0 / lam, R * R / diff.sigma22)
-        assert mean_interval_cap(diff, R, lam) == cap
-        assert np.max(full_system_solve(diff, grid, lam)) <= cap * (1.0 + 1e-9)
-        assert np.max(solve_mean_interval(diff, R, lam, grid).values) <= cap * (1.0 + 1e-9)
+        caps = []
+        for at_origin, reach in ((False, 2.0 * R), (True, R)):
+            W = R * R / diff.sigma22
+            if diff.mu1 != 0.0:
+                W = min(W, reach / abs(diff.mu1))
+            cap = -math.expm1(-lam * W) / lam if lam > 0.0 else W
+            # never looser than min(1/lam, W), up to an ulp of round-off
+            assert cap <= (min(1.0 / lam, W) if lam > 0.0 else W) * (1.0 + 2**-52)
+            assert mean_interval_cap(diff, R, lam, at_origin) == cap
+            caps.append(cap)
+        origin = grid.node_index(0, 0)
+        for T in (full_system_solve(diff, grid, lam),
+                  solve_mean_interval(diff, R, lam, grid).values):
+            assert np.max(T) <= caps[0] * (1.0 + 1e-9)
+            assert T[origin] <= caps[1] * (1.0 + 1e-9)
 
     def test_axis_argmax_refines_between_nodes(self):
         # a parabola along the axis peaking 0.37 h past a node: the
@@ -568,10 +584,10 @@ class TestWarmFactor:
         monkeypatch.setattr(costs, "solve_mean_interval",
                             counted("solve", costs.solve_mean_interval))
         costs.joint_optimize(mob, cost, "pde", pde_nodes=16)
-        # the 8 scan radii below the cost floor, each factored, then 22
+        # the 2 scan radii below the cost floor, each factored, then 22
         # golden-section probes
-        assert counts["solve"] == 30
-        assert counts["factor"] - 8 < 22 / 2
+        assert counts["solve"] == 24
+        assert counts["factor"] - 2 < 22 / 2
 
     def test_interpolated_start_cuts_lu_solves(self, monkeypatch):
         # the same search, its warm solves started from zero instead
@@ -961,6 +977,14 @@ class TestOneDim:
         for sigma, L in [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]:
             with pytest.raises(DomainError):
                 segment_interval(1.0, sigma, L, 0.5)
+        # a point off the segment gave a negative interval: -0.8647 at
+        # x = 2 and -1.4872 at x = -0.5 on [0, 1]
+        for mu in (1.0, 0.0, -1.0):
+            for x in (2.0, -0.5, np.array([0.5, 1.5]), np.array([0.5, math.nan])):
+                with pytest.raises(DomainError, match=r"x must lie in \[0, L\]"):
+                    segment_interval(mu, 1.0, 1.0, x)
+        with pytest.raises(DomainError):
+            segment_interval(1.0, 1.0, np.array([1.0, 2.0]), np.array([0.5, 2.5]))
 
     @pytest.mark.parametrize("mu", [0.0, 0.7, -0.7])
     def test_infinite_segment_refused(self, mu):
