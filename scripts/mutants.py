@@ -46,6 +46,9 @@ MUTANTS = {
         "np.maximum(h_neg, h_pos) / s_coef <= 1.0"),
     "upwind-neg-spacing": (
         "pde.py", "max(-mu, 0.0) / h_neg", "max(-mu, 0.0) / h_pos"),
+    "half-table-north-south": (
+        "pde.py", "np.column_stack((west, south, diag, north, east))[pattern.present]",
+        "np.column_stack((west, north, diag, south, east))[pattern.present]"),
     "refine-solve-budget-40": (
         "pde.py", "_REFINE_MAX_SOLVES = 12", "_REFINE_MAX_SOLVES = 40"),
     "refine-from-zero": (

@@ -18,14 +18,21 @@ fields, and all three problems are solved on the upper half disc only
 adds the column of each j < 0 node onto its mirror node's.  ``T`` and ``G``
 are symmetric (their data are), so the half system gives them exactly.
 
-Every factor is of one family, ``H - rate I``, the fold of
-``assemble_operator(diff, grid, rate)``, factored by ``_factor``.  The mean
-interval takes ``rate = lam``.  A backward-Euler step takes ``rate = 1/dt``,
-since ``I - dt H = -dt (H - I/dt)``, and steps as
-``G <- (H - I/dt)^-1 (-G/dt)``; ``TimeGrid`` refuses a step whose
-reciprocal is not finite.  The density is symmetric when it starts on the
-road axis, and its transposed step folds through ``W = F^T F``, the number
-of nodes that fold onto each half node (1 on the axis, 2 above it):
+Every system is built by one constructor, ``_disc_system(diff, grid,
+rate)``.  It computes the stencil at the j >= 0 nodes only and adds it
+straight into ``H - rate I``, bit for bit the fold of
+``assemble_operator(diff, grid, rate)``; the same table, with its columns
+on every node, is the j >= 0 rows of ``L - rate I``, against which the mean
+interval's residual is checked.  The j < 0 rows are their exact mirrors, so
+that is the full-disc check.  ``assemble_operator`` remains the full-disc
+view of the same stencil, for the referees.  Every factor is of this one
+family, factored by ``_factor``.  The mean interval takes ``rate = lam``.
+A backward-Euler step takes ``rate = 1/dt``, since
+``I - dt H = -dt (H - I/dt)``, and steps as ``G <- (H - I/dt)^-1 (-G/dt)``;
+``TimeGrid`` refuses a step whose reciprocal is not finite.  The density is
+symmetric when it starts on the road axis, and its transposed step folds
+through ``W = F^T F``, the number of nodes that fold onto each half node
+(1 on the axis, 2 above it, stored on the lattice):
 ``F^T (L - rate I)^T F = (H - rate I)^T W``, so ``z = W p_half h^2`` steps
 as ``z <- (H - I/dt)^-T (-z/dt)``, ``p = z / (W h^2)`` on the half disc and
 its mass is ``sum(z)``.  ``_factor`` factors in the minimum-degree order of
@@ -51,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -80,8 +87,8 @@ class _Lattice:
 
     Every ``DiscGrid(R, R/N)`` is this lattice scaled by its spacing, so one
     instance serves them all: the node and mirror indices, the CSR pattern
-    of the full operator, the CSC pattern of the half system and the cut
-    distances at unit spacing.  The arrays are shared, and read-only.
+    of the full operator, the cut distances at unit spacing and, built on
+    first use, the ``half_pattern``.  The arrays are shared, and read-only.
     """
 
     def __init__(self, N: int):
@@ -129,25 +136,24 @@ class _Lattice:
                    self.indptr, self.mirror, self.cut)
 
     @functools.cached_property
-    def half_pattern(self):
-        """``(indptr, indices, src, slot, unfold)`` of the half system in CSC form.
+    def half_pattern(self) -> _HalfPattern:
+        """The j >= 0 rows of the operator and the half system they fold into.
 
         The half system keeps the rows of the j >= 0 nodes and adds each
-        j < 0 column onto its mirror node's.  It is stored symmetrically
-        permuted by its minimum-degree order, so that ``_factor`` can skip
-        the ordering step: entry ``src[e]`` of the full CSR data adds into
-        entry ``slot[e]`` of the half CSC data, and ``unfold`` maps the
-        permuted half solution back onto every node.
+        j < 0 column onto its mirror node's.  It is stored in CSC form,
+        symmetrically permuted by its minimum-degree order, so that
+        ``_factor`` can skip the ordering step.
         """
         upper = self.j >= 0
         n_up = int(np.count_nonzero(upper))
         # fold[k]: position, among the j >= 0 nodes, of node k or of its mirror
         fold = (np.cumsum(upper, dtype=np.intc) - 1)[
             np.where(upper, np.arange(self.n_nodes), self.mirror)]
-        rows = np.repeat(np.arange(self.n_nodes, dtype=np.intc), np.diff(self.indptr))
-        src = np.flatnonzero(upper[rows]).astype(np.intc)
-        h_row, h_col = fold[rows[src]], fold[self.indices[src]]
-        del rows
+        present = self.present[upper]
+        row_indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))), dtype=np.intc)
+        row_indices = self.indices[np.repeat(upper, np.diff(self.indptr))]
+        h_row = np.repeat(np.arange(n_up, dtype=np.intc), np.diff(row_indptr))
+        h_col = fold[row_indices]
         import scipy.sparse as sp
         from scipy.sparse.linalg import spilu
 
@@ -163,8 +169,36 @@ class _Lattice:
         keys, slot = np.unique(rank[h_col] * n_up + rank[h_row], return_inverse=True)
         cols, rows_p = np.divmod(keys, n_up)
         h_indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_up))))
-        return _read_only(h_indptr.astype(np.intc), rows_p.astype(np.intc), src,
-                          slot.astype(np.intc), rank[fold].astype(np.intc))
+        unfold = rank[fold].astype(np.intc)
+        return _HalfPattern(*_read_only(
+            self.cut[:, upper], present, row_indptr, row_indices,
+            h_indptr.astype(np.intc), rows_p.astype(np.intc), slot.astype(np.intc),
+            unfold, np.bincount(unfold, minlength=n_up)))
+
+
+class _HalfPattern(NamedTuple):
+    """What ``_Lattice.half_pattern`` stores, all read-only.
+
+    ``cut`` and ``present`` are the lattice's unit cut distances and
+    stencil table restricted to the j >= 0 nodes, in node order;
+    ``row_indptr`` and ``row_indices`` the CSR pattern of those rows of the
+    operator, with their columns on every node.  ``indptr`` and ``indices``
+    are the CSC pattern of the permuted half system, and entry ``e`` of the
+    j >= 0 rows' CSR data adds into its entry ``slot[e]``.  ``unfold`` maps
+    the permuted half solution back onto every node, and ``weight``, the
+    number of nodes that fold onto each half node, is ``W = F^T F``: 1 on
+    the axis, 2 above it.
+    """
+
+    cut: np.ndarray
+    present: np.ndarray
+    row_indptr: np.ndarray
+    row_indices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    unfold: np.ndarray
+    weight: np.ndarray
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -303,24 +337,30 @@ class TimeGrid:
 # operator assembly
 # ---------------------------------------------------------------------------
 
-def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
-                      lam: float = 0.0) -> sp.csr_matrix:
-    """Assemble ``L - lam I`` with Dirichlet-0 closure on the circle.
+def _coefficients(diff: DiffusionParams, h_e: np.ndarray, h_w: np.ndarray,
+                  h_n: np.ndarray, h_s: np.ndarray, rate: float):
+    """The stencil of ``L - rate I`` at nodes with east, west, north and
+    south spacings ``h_e``, ``h_w``, ``h_n`` and ``h_s``: the coefficients
+    (west, south, diagonal, north, east), one array each.
 
     Second-order central differences everywhere; the drift term (along x
     only) switches to a one-sided difference at nodes whose cell Peclet
-    number exceeds 2.  Either way every off-diagonal entry is >= 0 and every
-    row sums to ``-lam`` or less, so the matrix is an M-matrix up to sign,
-    which ``_factor`` relies on to factor it without pivoting.
+    number exceeds 2.  Either way every off-diagonal coefficient is >= 0
+    and the five sum to ``-rate`` or less, so the matrix is an M-matrix up
+    to sign, which ``_factor`` relies on to factor it without pivoting.
+    Each node's coefficients depend on its own spacings alone.  The node
+    (i, -j) has the spacings of (i, j), north and south swapped, and the
+    y-stencil is symmetric in them (``h_n + h_s`` and ``h_n h_s`` are
+    exact sums and products, which commute), so its row is the mirror of
+    (i, j)'s to the bit.
     """
     if diff.sigma11 <= 0.0 or diff.sigma22 <= 0.0:
         raise DomainError(
             "sigma11 and sigma22 must be > 0 for the disc solver"
         )
-    if lam < 0.0:
-        raise DomainError(f"call rate must be >= 0, got {lam}")
-
-    diag = np.full(grid.n_nodes, -float(lam))
+    if not 0.0 <= rate < math.inf:  # a NaN rate fails too
+        raise DomainError(f"call rate must be finite and >= 0, got {rate}")
+    diag = np.full(h_e.size, -float(rate))
 
     def second_difference(h_neg, h_pos, s_coef):
         """Weights (neg, center, pos) of the one-sided-capable 3-point stencil."""
@@ -330,7 +370,7 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
 
     # x, the road axis: diffusion plus drift, central below the Peclet
     # threshold and one-sided above
-    h_neg, h_pos, s_coef, mu = grid.hw, grid.he, diff.sigma11 / 2.0, diff.mu1
+    h_neg, h_pos, s_coef, mu = h_w, h_e, diff.sigma11 / 2.0, diff.mu1
     c_neg, c_diag, c_pos = second_difference(h_neg, h_pos, s_coef)
     diag += c_diag
     central = abs(mu) * np.maximum(h_neg, h_pos) / s_coef <= 2.0
@@ -340,20 +380,64 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     diag += np.where(central, mu * (h_pos - h_neg) / (h_neg * h_pos), -up_pos - up_neg)
     west, east = c_neg + d_neg, c_pos + d_pos
     # y, across the road: diffusion only
-    south, c_diag, north = second_difference(grid.hs, grid.hn, diff.sigma22 / 2.0)
+    south, c_diag, north = second_difference(h_s, h_n, diff.sigma22 / 2.0)
     diag += c_diag
+    return west, south, diag, north, east
 
+
+def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
+                      lam: float = 0.0) -> sp.csr_matrix:
+    """Assemble ``L - lam I`` on every node, with Dirichlet-0 closure on the
+    circle: the full-disc view of ``_coefficients``.
+
+    The solvers build only its j >= 0 rows (``_disc_system``); this view is
+    the referee that ``validate`` and the tests solve and fold themselves.
+    """
     import scipy.sparse as sp
 
     lat = grid._lattice
-    data = np.column_stack((west, south, diag, north, east))[lat.present]
+    data = np.column_stack(_coefficients(diff, grid.he, grid.hw, grid.hn, grid.hs,
+                                         lam))[lat.present]
     return sp.csr_matrix((data, lat.indices, lat.indptr), shape=(grid.n_nodes,) * 2)
 
 
+def _disc_system(diff: DiffusionParams, grid: DiscGrid,
+                 rate: float) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """The half system ``H - rate I`` and the j >= 0 rows of ``L - rate I``.
+
+    The stencil is computed at the j >= 0 nodes only, from the lattice's
+    unit cut distances times ``h``.  Its table is added into the half system
+    through the lattice's ``slot`` map (a j = 0 row meets its j = 1
+    neighbour twice) in the order the fold of ``assemble_operator(diff,
+    grid, rate)`` would add it, so the half system is that fold bit for bit,
+    and the full operator is built nowhere on this path.  With its columns
+    on every node, the same table is the CSR of the j >= 0 rows, which
+    ``solve_mean_interval`` checks its mirrored-back solution against.
+    Those rows are the whole full-disc check: each j < 0 row is the mirror
+    of a j > 0 row (``_coefficients``), and a solution read through
+    ``unfold`` is mirror-symmetric.  A negative, infinite or NaN rate is
+    refused with ``DomainError`` before any matrix is built.
+    """
+    pattern = grid._lattice.half_pattern
+    west, south, diag, north, east = _coefficients(diff, *(pattern.cut * grid.h), rate)
+    table = np.column_stack((west, south, diag, north, east))[pattern.present]
+    import scipy.sparse as sp
+
+    n_up = pattern.weight.size
+    half = sp.csc_matrix((np.bincount(pattern.slot, weights=table,
+                                      minlength=pattern.indices.size),
+                          pattern.indices, pattern.indptr), shape=(n_up, n_up))
+    rows = sp.csr_matrix((table, pattern.row_indices, pattern.row_indptr),
+                         shape=(n_up, grid.n_nodes))
+    return half, rows
+
+
 def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> None:
+    """Refuse ``sol`` unless ``max|A sol - rhs|`` is within the target,
+    relative to ``max(1, max|sol|)``; a NaN residual fails too."""
     res = float(np.max(np.abs(A @ sol - rhs)))
     scale = max(1.0, float(np.max(np.abs(sol))))
-    if res > _RESIDUAL_TARGET * scale:
+    if not res <= _RESIDUAL_TARGET * scale:
         cond_proxy = float(np.max(np.abs(rhs))) / max(res, 1e-300)
         raise NumericalError(
             f"linear solve residual {res:.3e} exceeds target; "
@@ -362,20 +446,20 @@ def _check_residual(A: sp.spmatrix, sol: np.ndarray, rhs: np.ndarray) -> None:
 
 
 def _factor(A: sp.spmatrix):
-    """Sparse LU of ``H - rate I``, the half-disc fold of
-    ``assemble_operator(diff, grid, rate)``.
+    """Sparse LU of ``H - rate I``, the half system of ``_disc_system(diff,
+    grid, rate)``.
 
-    ``H - rate I`` is an M-matrix up to sign: assembly gives its off-diagonal
-    entries one sign, its diagonal the other and every row a sum of
-    ``-rate`` or less, and the fold keeps all three, as it adds off-diagonal
-    columns onto off-diagonal columns only.  Gaussian elimination factors
-    such a matrix stably without row interchanges, so every pivot is taken
-    on the diagonal (``DiagPivotThresh`` 0) and the fill is that of the
-    ordering alone: the minimum degree of ``A^T + A``, which suits the
-    stencil's symmetric pattern, applied to rows and columns alike in
-    symmetric mode, as the lattice stores it.  ``panel_size=1`` factors one
-    column at a time, since the stencil's supernodes are too small for
-    wider panels to pay off.
+    ``H - rate I`` is an M-matrix up to sign: ``_coefficients`` gives its
+    off-diagonal entries one sign, its diagonal the other and every row a
+    sum of ``-rate`` or less, and the fold keeps all three, as it adds
+    off-diagonal columns onto off-diagonal columns only.  Gaussian
+    elimination factors such a matrix stably without row interchanges, so
+    every pivot is taken on the diagonal (``DiagPivotThresh`` 0) and the
+    fill is that of the ordering alone: the minimum degree of ``A^T + A``,
+    which suits the stencil's symmetric pattern, applied to rows and
+    columns alike in symmetric mode, as the lattice stores it.
+    ``panel_size=1`` factors one column at a time, since the stencil's
+    supernodes are too small for wider panels to pay off.
 
     Returns:
         The ``scipy.sparse.linalg.SuperLU`` factor.
@@ -416,18 +500,6 @@ def mean_interval_cap(diff: DiffusionParams, R: float, lam: float,
     W = min(R * R / diff.sigma22 if diff.sigma22 > 0.0 else math.inf,
             reach / abs(diff.mu1) if diff.mu1 != 0.0 else math.inf)
     return -math.expm1(-lam * W) / lam if lam > 0.0 else W
-
-
-def _half_system(A: sp.csr_matrix, grid: DiscGrid) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The half-disc fold of an assembled operator, permuted by the
-    lattice's stored order (a j = 0 row meets its j = 1 neighbour twice),
-    and the map from its solution to every node."""
-    indptr, indices, src, slot, unfold = grid._lattice.half_pattern
-    import scipy.sparse as sp
-
-    data = np.bincount(slot, weights=A.data[src], minlength=indices.size)
-    half = sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
-    return half, unfold
 
 
 class FactorSlot:
@@ -511,7 +583,9 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     refinement on that factor, from ``R^2`` times ``_start``'s interpolant
     of the stored solutions; either way ``warm`` ends up holding the factor
     used and this solution, and drops the solutions of any other lattice.
-    The residual is checked against the full operator.
+    The residual of the mirrored-back solution is checked on the j >= 0
+    rows of the unfolded operator, which ``_disc_system`` builds from the
+    same table as the half system; the j < 0 rows are their mirrors.
 
     Returns:
         ScalarField of T over the grid; nonnegative, and at most
@@ -519,9 +593,7 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
         origin node.
     """
     _check_disc(grid, R)
-    A = assemble_operator(diff, grid, lam)
-    rhs = np.full(grid.n_nodes, -1.0)
-    half, unfold = _half_system(A, grid)
+    half, rows = _disc_system(diff, grid, lam)
     b = np.full(half.shape[0], -1.0)
     T_half = None
     lr = math.log(R)
@@ -534,8 +606,8 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
             if warm.lattice is not grid._lattice:
                 warm.lattice, warm.solved = grid._lattice, {}
             warm.lu = lu
-    T = T_half[unfold]
-    _check_residual(A, T, rhs)
+    T = T_half[grid._lattice.half_pattern.unfold]
+    _check_residual(rows, T, b)  # b is -1 on every j >= 0 row as well
     if np.min(T) < -1e-9:
         raise NumericalError(f"negative mean interval {np.min(T):.3e}")
     for t, cap in ((np.max(T), mean_interval_cap(diff, R, lam)),
@@ -564,8 +636,8 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     ``solve_mean_interval``.
     """
     x0, y0 = _check_disc(grid, R, X)
-    half, unfold = _half_system(assemble_operator(diff, grid, 1.0 / tgrid.dt), grid)
-    stepper = _factor(half)
+    stepper = _factor(_disc_system(diff, grid, 1.0 / tgrid.dt)[0])
+    unfold = grid._lattice.half_pattern.unfold
     weights = [(unfold[idx], w) for idx, w in grid.interpolation_weights((x0, y0))]
     g = np.ones(stepper.shape[0])
     out = np.empty(tgrid.steps + 1)
@@ -603,8 +675,9 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
         raise DomainError(f"start point {X} is off the road axis; the density "
                           "march needs y = 0")
     src = int(grid.nearest_node_index([x0], [y0])[0])
-    half, unfold = _half_system(assemble_operator(diff, grid, 1.0 / tgrid.dt), grid)
-    stepper = _factor(half)
+    stepper = _factor(_disc_system(diff, grid, 1.0 / tgrid.dt)[0])
+    pattern = grid._lattice.half_pattern
+    unfold, W = pattern.unfold, pattern.weight
 
     out_steps = sorted({int(round(t / tgrid.dt)) for t in output_times})
     if any(s < 0 or s > tgrid.steps for s in out_steps):
@@ -612,7 +685,6 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
 
     # z = W p h^2 on the half disc, W = 1 on the axis and 2 above it: at
     # most 1, so -z/dt is finite for every step TimeGrid accepts
-    W = np.bincount(unfold, minlength=stepper.shape[0])
     z = np.zeros(W.size)
     z[unfold[src]] = 1.0
     times, fields, masses = [], [], []

@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 from lamopt import approx, costs, pde
 from lamopt.config import default_mobility
 from lamopt.ctrw import SimConfig
-from lamopt.errors import DomainError
+from lamopt.errors import DomainError, NumericalError
 from lamopt.mobility import DiffusionParams, compute_diffusion
 from lamopt.pde import (
     DiscGrid,
     FactorSlot,
     ScalarField,
     TimeGrid,
+    _check_residual,
+    _disc_system,
     _factor,
-    _half_system,
     _refine,
     assemble_operator,
     mean_interval_cap,
@@ -122,6 +123,102 @@ def scratch_solve(diff, grid, lam):
     return mmd_factor(half).solve(np.full(half.shape[0], -1.0))[fold]
 
 
+def bits(a):
+    """The IEEE bit patterns of a float array, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _switch_cases():
+    """(N, diff, R): no drift at R = 1, and drift of either sign at
+    ``R_s (1 -+ 1e-9)``, just inside and just past the radius
+    ``R_s = N s11 / |mu1|`` where the full cells switch from central to
+    upwind x-drift."""
+    for N in (2, 3, 16, 64, 128):
+        yield N, DiffusionParams(0.0, 0.2, 0.1), 1.0
+        for mu in (3.0, -3.0):
+            for rel in (-1e-9, 1e-9):
+                yield N, DiffusionParams(mu, 0.2, 0.1), N * 0.2 / 3.0 * (1.0 + rel)
+
+
+class TestDiscSystem:
+    @pytest.mark.parametrize("N, diff, R", list(_switch_cases()))
+    def test_half_system_is_the_fold_bit_for_bit(self, N, diff, R):
+        # the half system is the fold of the full-disc operator, entry for
+        # entry and bit for bit, and its residual rows are the operator's
+        # j >= 0 rows; at call rates 0, lam and 1/dt
+        grid = DiscGrid(R, R / N)
+        unfold = grid._lattice.half_pattern.unfold
+        rank = unfold[grid.j >= 0]  # half position of each j >= 0 node
+        inverse = np.argsort(rank)
+        for rate in (0.0, 2.0, 1.0 / 0.01):
+            A = assemble_operator(diff, grid, rate)
+            half, rows = _disc_system(diff, grid, rate)
+            ref = scratch_half(A, grid)[0][inverse][:, inverse].tocoo()
+            got = half.tocoo()
+            for M in (ref, got):
+                order = np.lexsort((M.row, M.col))
+                M.row, M.col, M.data = M.row[order], M.col[order], M.data[order]
+            np.testing.assert_array_equal(got.row, ref.row)
+            np.testing.assert_array_equal(got.col, ref.col)
+            np.testing.assert_array_equal(bits(got.data), bits(ref.data))
+            up = A[grid.j >= 0]
+            np.testing.assert_array_equal(rows.indptr, up.indptr)
+            np.testing.assert_array_equal(rows.indices, up.indices)
+            np.testing.assert_array_equal(bits(rows.data), bits(up.data))
+
+    @pytest.mark.parametrize("N", [2, 3, 16, 64, 128])
+    def test_cases_cover_both_sides_of_the_switch(self, N):
+        # just inside R_s every node is central; just past it every node of
+        # a full cell, the origin among them, is upwinded
+        (d, below), (_, above) = [(d, R) for n, d, R in _switch_cases()
+                                  if n == N and d.mu1 > 0.0]
+
+        def central(R):
+            g = DiscGrid(R, R / N)
+            return abs(d.mu1) * np.maximum(g.hw, g.he) / (d.sigma11 / 2.0) <= 2.0
+
+        full = np.all(DiscGrid(1.0, 1.0 / N)._lattice.cut == 1.0, axis=0)
+        assert np.all(central(below))
+        assert not np.any(central(above)[full]) and full.any()
+
+    @pytest.mark.parametrize("N", [2, 3, 16, 33])
+    @pytest.mark.parametrize("mu", [0.0, 0.7, -40.0])
+    def test_mirror_rows_are_exact(self, N, mu):
+        # row (i, -j) of the full operator is row (i, j) with north and south
+        # swapped, bit for bit: the upper rows are the whole residual check
+        grid = DiscGrid(1.3, 1.3 / N)
+        lat = grid._lattice
+        A = assemble_operator(DiffusionParams(mu, 0.2, 0.1), grid, 0.7)
+        table = np.zeros(lat.present.shape)
+        table[lat.present] = A.data
+        swap = [0, 3, 2, 1, 4]
+        np.testing.assert_array_equal(lat.present, lat.present[lat.mirror][:, swap])
+        np.testing.assert_array_equal(bits(table), bits(table[lat.mirror][:, swap]))
+
+    @pytest.mark.parametrize("rate", [float("nan"), -1e-12, math.inf])
+    def test_bad_call_rate_is_refused(self, rate):
+        # a NaN rate reached SuperLU as "Factor is exactly singular"
+        grid = DiscGrid(1.0, 1.0 / 16)
+        with pytest.raises(DomainError, match="call rate"):
+            solve_mean_interval(UNIT, 1.0, rate, grid)
+        with pytest.raises(DomainError, match="call rate"):
+            assemble_operator(UNIT, grid, rate)
+
+    def test_nan_residual_fails_the_check(self):
+        eye = sp.identity(3, format="csr")
+        with pytest.raises(NumericalError, match="residual"):
+            _check_residual(eye, np.array([np.nan, 0.0, 0.0]), np.zeros(3))
+        _check_residual(eye, np.zeros(3), np.zeros(3))
+
+    def test_fold_weight_is_stored_once(self):
+        pattern = DiscGrid(1.0, 1.0 / 16)._lattice.half_pattern
+        assert DiscGrid(5.0, 5.0 / 16)._lattice.half_pattern.weight is pattern.weight
+        np.testing.assert_array_equal(pattern.weight, np.bincount(pattern.unfold))
+        assert set(pattern.weight) == {1, 2}
+        with pytest.raises(ValueError):
+            pattern.weight[0] = 3
+
+
 class TestLatticePath:
     @pytest.mark.parametrize("N", [16, 48, 64])
     @pytest.mark.parametrize("k", [0.0, 0.5, 20.0])
@@ -153,9 +250,8 @@ class TestLatticePath:
             for k, lam in ((0.0, 0.0), (0.5, 0.2), (20.0, 2.0)):
                 diff = compute_diffusion(default_mobility(k))
                 grid = DiscGrid(R, R / N)
-                A = assemble_operator(diff, grid, lam)
-                reused = _factor(_half_system(A, grid)[0])
-                fresh = mmd_factor(scratch_half(A, grid)[0])
+                reused = _factor(_disc_system(diff, grid, lam)[0])
+                fresh = mmd_factor(scratch_half(assemble_operator(diff, grid, lam), grid)[0])
                 assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
 
     @pytest.mark.parametrize("N", [2, 17, 48, 128])
@@ -166,7 +262,7 @@ class TestLatticePath:
         diff = compute_diffusion(default_mobility(0.5))
         grid = DiscGrid(1.0, 1.0 / N)
         half, fold = scratch_half(assemble_operator(diff, grid, 0.2), grid)
-        unfold = grid._lattice.half_pattern[4]
+        unfold = grid._lattice.half_pattern.unfold
         np.testing.assert_array_equal(unfold, mmd_factor(half).perm_c[fold])
 
     def test_reused_order_fill_is_exact_with_diagonal_pivots(self):
@@ -176,9 +272,8 @@ class TestLatticePath:
         diff = compute_diffusion(default_mobility(20.0))
         R = 10**-0.5
         grid = DiscGrid(R, R / 16)
-        A = assemble_operator(diff, grid, 2.0)
-        reused = _factor(_half_system(A, grid)[0])
-        fresh = mmd_factor(scratch_half(A, grid)[0])
+        reused = _factor(_disc_system(diff, grid, 2.0)[0])
+        fresh = mmd_factor(scratch_half(assemble_operator(diff, grid, 2.0), grid)[0])
         assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz == 7312
 
     def test_factor_pivots_on_the_diagonal(self):
@@ -186,7 +281,7 @@ class TestLatticePath:
         # entries in L + U; the stored order alone gives 217,076
         diff = compute_diffusion(default_mobility(20.0))
         grid = DiscGrid(1.0, 1.0 / 64)
-        lu = _factor(_half_system(assemble_operator(diff, grid, 2.0), grid)[0])
+        lu = _factor(_disc_system(diff, grid, 2.0)[0])
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         assert lu.L.nnz + lu.U.nnz == 217_076
 
@@ -208,8 +303,8 @@ class TestLatticePath:
         R = 10.0**log_R
         grid = DiscGrid(R, R / N)
         A = assemble_operator(diff, grid, lam)
-        half = _half_system(A, grid)[0]
-        step = _half_system(assemble_operator(diff, grid, 1.0 / (dt * R * R)), grid)[0]
+        half = _disc_system(diff, grid, lam)[0]
+        step = _disc_system(diff, grid, 1.0 / (dt * R * R))[0]
         for M in (A, half, step):
             M = sp.csr_matrix(M)
             diag = M.diagonal()
@@ -519,7 +614,7 @@ class TestWarmFactor:
 
         def half(R):
             grid = DiscGrid(R, R / 32)
-            return _half_system(assemble_operator(diff, grid, 2.0), grid)[0]
+            return _disc_system(diff, grid, 2.0)[0]
 
         lu = _factor(half(1.0))
         near, far = half(1.01), half(1.1)
@@ -736,9 +831,10 @@ def full_disc_march(diff, grid, X, tgrid):
 
 def scratch_step(diff, grid, dt):
     """Oracle for one march step: the fold of the call-free operator, with
-    ``I - dt H`` built by sparse arithmetic and factored afresh."""
-    half, unfold = _half_system(assemble_operator(diff, grid, 0.0), grid)
-    return spla.splu(sp.identity(half.shape[0], format="csc") - dt * half), unfold
+    ``I - dt H`` built by sparse arithmetic and factored afresh; and the map
+    from every node to its half-disc row."""
+    half, fold = scratch_half(assemble_operator(diff, grid, 0.0), grid)
+    return spla.splu(sp.identity(half.shape[0], format="csc") - dt * half), fold
 
 
 class TestHalfDiscMarch:
@@ -750,16 +846,16 @@ class TestHalfDiscMarch:
         diff = compute_diffusion(default_mobility(k))
         grid = DiscGrid(1.0, 1.0 / N)
         tg = TimeGrid(0.01, 1)
-        lu, unfold = scratch_step(diff, grid, tg.dt)
-        g = lu.solve(np.ones(lu.shape[0]))[unfold]
+        lu, fold = scratch_step(diff, grid, tg.dt)
+        g = lu.solve(np.ones(lu.shape[0]))[fold]
         for i in grid.nearest_node_index([-0.5, 0.0, 0.3, 0.2], [0.0, 0.4, -0.2, 0.7]):
             curve = solve_survival(diff, (grid.x[i], grid.y[i]), 1.0, grid, tg)
             assert curve[1] == pytest.approx(g[i], rel=1e-13)
         src = grid.nearest_node_index([-0.4], [0.0])[0]
-        W = np.bincount(unfold)
+        W = np.bincount(fold)
         z = np.zeros(W.size)
-        z[unfold[src]] = 1.0 / grid.h**2
-        p = (lu.solve(z, trans="T") / W)[unfold]
+        z[fold[src]] = 1.0 / grid.h**2
+        p = (lu.solve(z, trans="T") / W)[fold]
         fwd = solve_forward(diff, (grid.x[src], 0.0), 1.0, grid, tg, [tg.dt])
         assert np.max(np.abs(fwd.fields[-1].values - p)) <= 1e-13 * np.max(p)
 
