@@ -2,21 +2,20 @@
 """Run the benchmark in two checkouts in alternating pairs and compare them.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N
-           --out BENCH_<n>.json [--seed S] [--seconds T] [--trace 0|1]
-           [--metric M]
+           --out BENCH_<n>.json [--seed S] [--trace 0|1]
 
 Each pair runs ``bench/run.py`` once in each checkout, from that checkout's
-own ``bench/`` and ``src/``, with the same seed: ``S + i`` for pair i.  Even
+own ``bench/`` and ``src/``, with the same seed, ``S + i`` for pair i,
+and for the ``run_seconds`` of the parent's ``BENCHMARK.json``.  Even
 pairs run the parent first and odd pairs the change first.  Each run
 becomes one record in the ``BENCH_*.json`` format: workload, seed, side,
 the side that ran first in its pair, trace flag, exit status, the command,
 and the two JSON lines ``bench/run.py`` prints (``result`` and ``info``).
 An existing ``--out`` file is extended, so one file can hold the runs of
-several workloads.  ``--seconds`` defaults to ``run_seconds`` in the
-parent's ``BENCHMARK.json``.
+several workloads.
 
-At the end it prints, for each side, the median and quartiles of
-``--metric`` (default ``wall_s``; quartiles by ``statistics.quantiles``,
+At the end it prints, for each end-to-end metric of ``BENCHMARK.json``
+and each side, the median and quartiles (by ``statistics.quantiles``,
 inclusive method), the gap between the medians, the parent's interquartile
 range, and how many pairs the change won (ties count for neither side).
 A traced run reports no end-to-end metric, so with ``--trace 1`` only the
@@ -67,20 +66,18 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=int)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--metric", default="wall_s")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}.get(args.metric, "lower")
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     records = json.loads(args.out.read_text()) if args.out.exists() else []
     sides = {"parent": args.parent, "change": args.change}
-    values = {"parent": [], "change": []}
-    won = 0
+    values = {name: {"parent": [], "change": []} for name in better}
+    won = dict.fromkeys(better, 0)
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -91,27 +88,30 @@ def main() -> int:
                    **run_once(sides[side], args.workload, seed, seconds, args.trace)}
             records.append(rec)
             args.out.write_text(json.dumps(records, indent=1) + "\n")
-            pair[side] = metric(rec, args.metric)
+            pair[side] = {name: metric(rec, name) for name in better}
             print(f"pair {i + 1}/{args.pairs} seed {seed} {side:6s} exit {rec['exit']} "
-                  f"{args.metric} {pair[side]}", flush=True)
-        if None not in pair.values():
-            for side in sides:
-                values[side].append(pair[side])
-            gain = pair["parent"] - pair["change"]
-            won += (gain > 0) if better == "lower" else (gain < 0)
+                  + " ".join(f"{k} {v}" for k, v in pair[side].items()), flush=True)
+        for name in better:
+            p, c = pair["parent"][name], pair["change"][name]
+            if p is None or c is None:
+                continue
+            values[name]["parent"].append(p)
+            values[name]["change"].append(c)
+            won[name] += (p > c) if better[name] == "lower" else (p < c)
 
-    n = len(values["parent"])
-    if n < 2:
-        print(f"{args.metric}: fewer than 2 complete pairs, no summary")
-        return 0
-    stats = {side: summary(values[side]) for side in sides}
-    for side, (med, q1, q3) in stats.items():
-        print(f"{side:6s} {args.metric} median {med:.6g}  quartiles {q1:.6g} .. {q3:.6g}"
-              f"  (n = {n})")
-    gap = stats["parent"][0] - stats["change"][0]
-    iqr = stats["parent"][2] - stats["parent"][1]
-    print(f"median gap (parent - change) {gap:.6g}, parent IQR {iqr:.6g}; "
-          f"change won {won} of {n} pairs")
+    for name in better:
+        n = len(values[name]["parent"])
+        if n < 2:
+            print(f"{name}: fewer than 2 complete pairs, no summary")
+            continue
+        stats = {side: summary(values[name][side]) for side in sides}
+        for side, (med, q1, q3) in stats.items():
+            print(f"{name} {side:6s} median {med:.6g}  quartiles {q1:.6g} .. {q3:.6g}"
+                  f"  (n = {n})")
+        gap = stats["parent"][0] - stats["change"][0]
+        iqr = stats["parent"][2] - stats["parent"][1]
+        print(f"{name} median gap (parent - change) {gap:.6g}, parent IQR {iqr:.6g}; "
+              f"change won {won[name]} of {n} pairs")
     return 0
 
 

@@ -607,7 +607,7 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
                 warm.lattice, warm.solved = grid._lattice, {}
             warm.lu = lu
     T = T_half[grid._lattice.half_pattern.unfold]
-    _check_residual(rows, T, b)  # b is -1 on every j >= 0 row as well
+    _check_residual(rows, T, np.full(rows.shape[0], -1.0))
     if np.min(T) < -1e-9:
         raise NumericalError(f"negative mean interval {np.min(T):.3e}")
     for t, cap in ((np.max(T), mean_interval_cap(diff, R, lam)),
