@@ -47,8 +47,11 @@ MUTANTS = {
     "upwind-neg-spacing": (
         "pde.py", "max(-mu, 0.0) / h_neg", "max(-mu, 0.0) / h_pos"),
     "half-table-north-south": (
-        "pde.py", "np.column_stack((west, south, diag, north, east))[pattern.present]",
-        "np.column_stack((west, north, diag, south, east))[pattern.present]"),
+        "pde.py", "np.column_stack((west, south, diag, north, east))[lat.up_present]",
+        "np.column_stack((west, north, diag, south, east))[lat.up_present]"),
+    "fold-onto-self": (
+        "pde.py", "mirror = self.index2d[self.i + n, n - self.j]",
+        "mirror = self.index2d[self.i + n, n + self.j]"),
     "refine-solve-budget-40": (
         "pde.py", "_REFINE_MAX_SOLVES = 12", "_REFINE_MAX_SOLVES = 40"),
     "refine-from-zero": (

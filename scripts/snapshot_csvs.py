@@ -5,11 +5,12 @@ Usage: python scripts/snapshot_csvs.py OUTDIR
 
 Writes fig5..fig8, ``optimize`` for each provider and paging mode at
 ``m_paging`` = 1 and 3, and ``simulate`` in episode and ctrw mode, all at the
-default scenario; ``optimize`` with the asymptotic and galerkin providers at
-the strongly drifted point ``k`` = 20, ``lambda_per_hr`` = 0.2, where the
-strong-drift closed forms hold; and the ``validate`` report plain and under
-each ``--inject``, without its wall-time ``seconds`` column.  Two checkouts
-agree when ``diff -r`` of their OUTDIRs is empty.
+default scenario; ``optimize`` with each provider at the strongly drifted
+point ``k`` = 20, ``lambda_per_hr`` = 0.2, where the strong-drift closed
+forms hold and the disc solver upwinds its drift stencil; and the
+``validate`` report plain and under each ``--inject``, without its
+wall-time ``seconds`` column.  Two checkouts agree when ``diff -r`` of
+their OUTDIRs is empty.
 """
 
 import contextlib
@@ -49,7 +50,7 @@ with tempfile.TemporaryDirectory() as tmp:
                     "--provider", provider, "--paging-mode", mode)
     strong = pathlib.Path(tmp) / "strong.cfg"
     strong.write_text("k = 20\nlambda_per_hr = 0.2\n")
-    for provider in ("asymptotic", "galerkin"):
+    for provider in PROVIDERS:
         run(f"optimize_{provider}_strong", "optimize", "--config", str(strong),
             "--provider", provider)
 

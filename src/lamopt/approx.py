@@ -162,7 +162,8 @@ def galerkin_solution(diff: DiffusionParams, R: float, lam: float,
             or a non-finite offset scale.
         NumericalError: the moment denominator is not negative.
     Warns:
-        RegimeWarning: when ``a < R`` (clamped to R(1 + 1e-9)).
+        RegimeWarning: when ``a <= R`` (clamped to R(1 + 1e-9)); ``a`` is
+            exactly R once ``trial_offset_scale``'s ``E[cos]`` rounds to 1.
     """
     if not (R > 0.0 and math.isfinite(R)):
         raise DomainError(f"R must be finite and > 0, got {R}")
@@ -170,8 +171,8 @@ def galerkin_solution(diff: DiffusionParams, R: float, lam: float,
         raise DomainError(f"lam must be >= 0, got {lam}")
     if not math.isfinite(a):  # before the clamp, which would hide a NaN
         raise DomainError(f"offset scale a must be finite, got {a}")
-    if a < R:
-        warnings.warn(f"offset scale a={a:.6g} < R; clamped", RegimeWarning,
+    if not a > R:
+        warnings.warn(f"offset scale a={a:.6g} <= R; clamped", RegimeWarning,
                       stacklevel=2)
         a = R * (1.0 + 1e-9)
     # Near-degenerate geometry: evaluate the moments a touch off a = R,

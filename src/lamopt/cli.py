@@ -26,9 +26,7 @@ import numpy as np
 from lamopt.approx import (
     drift_regime,
     galerkin_interval,
-    optimal_offset,
     regime_interval,
-    trial_offset_scale,
 )
 from lamopt.config import (
     DEFAULTS,
@@ -169,7 +167,7 @@ def simulate_rows(cfg: dict, *, seed: int | None, mode: str, trials: int,
                          m.C_u, m.C_p, m.C_t]]
     R = cfg["R_km"]
     lam = cfg["lambda_per_hr"]
-    x = optimal_offset(trial_offset_scale(mob, R), R) if x_km is None else x_km
+    x = galerkin_interval(mob, R, lam).x_opt if x_km is None else x_km
     sim = SimConfig(n_trials=trials, **{key: cfg[key] for key in ("seed",) if key in cfg})
     est = estimate_T((x, 0.0), R, lam, mob, sim)
     header = ["k", "lambda_per_hr", "x_km", "R_km", "mean_T_hr",

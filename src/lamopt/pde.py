@@ -32,7 +32,7 @@ A backward-Euler step takes ``rate = 1/dt``, since
 ``TimeGrid`` refuses a step whose reciprocal is not finite.  The density is
 symmetric when it starts on the road axis, and its transposed step folds
 through ``W = F^T F``, the number of nodes that fold onto each half node
-(1 on the axis, 2 above it, stored on the lattice):
+(1 on the axis, 2 above it):
 ``F^T (L - rate I)^T F = (H - rate I)^T W``, so ``z = W p_half h^2`` steps
 as ``z <- (H - I/dt)^-T (-z/dt)``, ``p = z / (W h^2)`` on the half disc and
 its mass is ``sum(z)``.  ``_factor`` factors in the minimum-degree order of
@@ -44,13 +44,16 @@ nearby radius on the same lattice is then solved by iterative refinement
 on the factor the slot holds, from the interpolant in log R of the
 solutions the search has solved, and factored afresh only when refinement
 would cost more than a factor.
-``scipy.sparse`` is imported inside the functions that build or factor a
-matrix, so commands that never solve on the disc do not load it.
+``scipy.sparse`` is imported where a matrix is built or factored, the
+lattice's ordering probe included, so commands that never build a disc grid
+do not load it.
 
 ``DiscGrid(R, R/N)`` is the unit-spacing lattice of radius N scaled by
-``h``.  All that depends on N alone is built once per N, in a memoized
-``_Lattice``, so the geometry obeys ``T_R(x) = R^2 T_1(x/R)`` (drift
-``mu1 R``, call rate ``lam R^2``) by construction.
+``h``.  All that depends on N alone is built once per N, by the constructor
+of a memoized ``_Lattice``: the nodes and their cut distances, and with them
+the fold, its ordered half pattern, ``unfold`` and ``W``.  So the geometry
+obeys ``T_R(x) = R^2 T_1(x/R)`` (drift ``mu1 R``, call rate ``lam R^2``) by
+construction.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -83,12 +86,22 @@ _REFINE_MAX_SOLVES = 12
 # ---------------------------------------------------------------------------
 
 class _Lattice:
-    """The nodes ``i^2 + j^2 < N^2`` of the disc of radius N at unit spacing.
+    """The nodes ``i^2 + j^2 < N^2`` of the disc of radius N at unit spacing,
+    and the half system they fold into.
 
     Every ``DiscGrid(R, R/N)`` is this lattice scaled by its spacing, so one
-    instance serves them all: the node and mirror indices, the CSR pattern
-    of the full operator, the cut distances at unit spacing and, built on
-    first use, the ``half_pattern``.  The arrays are shared, and read-only.
+    instance serves them all: the node indices, the CSR pattern of the full
+    operator and the cut distances at unit spacing; for the j >= 0 nodes,
+    their cut distances and stencil table (``up_cut``, ``up_present``) and
+    the CSR pattern of their rows of the operator, with columns on every
+    node (``row_indptr``, ``row_indices``).  The half system keeps those
+    rows and adds each j < 0 column onto its mirror node's.  It is stored in
+    CSC form (``half_indptr``, ``half_indices``), symmetrically permuted by
+    its minimum-degree order, so that ``_factor`` can skip the ordering
+    step; entry ``e`` of the rows' CSR data adds into its entry ``slot[e]``.
+    ``unfold`` maps the permuted half solution back onto every node, and
+    ``W = F^T F``, the number of nodes that fold onto each half node, is 1
+    on the axis and 2 above it.  The arrays are shared, and read-only.
     """
 
     def __init__(self, N: int):
@@ -122,8 +135,6 @@ class _Lattice:
         self.indices = stencil[self.present]
         self.indptr = np.concatenate(([0], np.cumsum(self.present.sum(axis=1))),
                                      dtype=np.intc)
-        # The node at (i, -j): always inside, since the inside test is even in j.
-        self.mirror = self.index2d[self.i + n, n - self.j]
 
         # East, west, north and south: the distance to the neighbour or, when
         # it falls outside, to the circle, from exact integer radicands;
@@ -132,28 +143,21 @@ class _Lattice:
         bx, by = np.sqrt(N * N - j**2), np.sqrt(N * N - i**2)
         self.cut = np.where((east, west, north, south), 1.0,
                             (bx - i, i + bx, by - j, j + by))
-        _read_only(self.index2d, self.i, self.j, self.present, self.indices,
-                   self.indptr, self.mirror, self.cut)
 
-    @functools.cached_property
-    def half_pattern(self) -> _HalfPattern:
-        """The j >= 0 rows of the operator and the half system they fold into.
-
-        The half system keeps the rows of the j >= 0 nodes and adds each
-        j < 0 column onto its mirror node's.  It is stored in CSC form,
-        symmetrically permuted by its minimum-degree order, so that
-        ``_factor`` can skip the ordering step.
-        """
+        # The fold: fold[k] is the position, among the j >= 0 nodes, of node
+        # k or of its mirror (i, -j), always inside since the inside test is
+        # even in j.
         upper = self.j >= 0
         n_up = int(np.count_nonzero(upper))
-        # fold[k]: position, among the j >= 0 nodes, of node k or of its mirror
+        mirror = self.index2d[self.i + n, n - self.j]
         fold = (np.cumsum(upper, dtype=np.intc) - 1)[
-            np.where(upper, np.arange(self.n_nodes), self.mirror)]
-        present = self.present[upper]
-        row_indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))), dtype=np.intc)
-        row_indices = self.indices[np.repeat(upper, np.diff(self.indptr))]
-        h_row = np.repeat(np.arange(n_up, dtype=np.intc), np.diff(row_indptr))
-        h_col = fold[row_indices]
+            np.where(upper, np.arange(self.n_nodes), mirror)]
+        self.up_cut, self.up_present = self.cut[:, upper], self.present[upper]
+        self.row_indptr = np.concatenate(([0], np.cumsum(self.up_present.sum(axis=1))),
+                                         dtype=np.intc)
+        self.row_indices = self.indices[np.repeat(upper, np.diff(self.indptr))]
+        h_row = np.repeat(np.arange(n_up, dtype=np.intc), np.diff(self.row_indptr))
+        h_col = fold[self.row_indices]
         import scipy.sparse as sp
         from scipy.sparse.linalg import spilu
 
@@ -168,43 +172,14 @@ class _Lattice:
         del probe
         keys, slot = np.unique(rank[h_col] * n_up + rank[h_row], return_inverse=True)
         cols, rows_p = np.divmod(keys, n_up)
-        h_indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_up))))
-        unfold = rank[fold].astype(np.intc)
-        return _HalfPattern(*_read_only(
-            self.cut[:, upper], present, row_indptr, row_indices,
-            h_indptr.astype(np.intc), rows_p.astype(np.intc), slot.astype(np.intc),
-            unfold, np.bincount(unfold, minlength=n_up)))
-
-
-class _HalfPattern(NamedTuple):
-    """What ``_Lattice.half_pattern`` stores, all read-only.
-
-    ``cut`` and ``present`` are the lattice's unit cut distances and
-    stencil table restricted to the j >= 0 nodes, in node order;
-    ``row_indptr`` and ``row_indices`` the CSR pattern of those rows of the
-    operator, with their columns on every node.  ``indptr`` and ``indices``
-    are the CSC pattern of the permuted half system, and entry ``e`` of the
-    j >= 0 rows' CSR data adds into its entry ``slot[e]``.  ``unfold`` maps
-    the permuted half solution back onto every node, and ``weight``, the
-    number of nodes that fold onto each half node, is ``W = F^T F``: 1 on
-    the axis, 2 above it.
-    """
-
-    cut: np.ndarray
-    present: np.ndarray
-    row_indptr: np.ndarray
-    row_indices: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    slot: np.ndarray
-    unfold: np.ndarray
-    weight: np.ndarray
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+        self.half_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(cols, minlength=n_up))), dtype=np.intc)
+        self.half_indices, self.slot = rows_p.astype(np.intc), slot.astype(np.intc)
+        self.unfold = rank[fold].astype(np.intc)
+        self.W = np.bincount(self.unfold, minlength=n_up)
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=4)
@@ -216,8 +191,9 @@ class DiscGrid:
     """Cartesian lattice restricted to the open disc of radius R.
 
     Nodes sit at integer multiples of the spacing ``h`` (the origin is always
-    a node).  For every node and axis direction the grid stores either the
-    neighboring node or the distance to the circle along that direction.
+    a node).  For every node and axis direction its lattice stores either the
+    neighboring node or, in units of ``h``, the distance to the circle along
+    that direction.
 
     The radius must be a whole number N of spacings, up to ``math.isclose``:
     the grid is the ``_Lattice`` of N scaled by ``h``, so ``(i, j)`` is a
@@ -236,7 +212,6 @@ class DiscGrid:
         self._lattice = lat = _lattice(round(ratio))
         self.j, self.n_nodes = lat.j, lat.n_nodes
         self.x, self.y = lat.i * h, self.j * h
-        self.he, self.hw, self.hn, self.hs = lat.cut * h
 
     def node_index(self, i: int, j: int) -> int:
         """Index of lattice node (i, j), or -1 if outside the disc."""
@@ -396,8 +371,7 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     import scipy.sparse as sp
 
     lat = grid._lattice
-    data = np.column_stack(_coefficients(diff, grid.he, grid.hw, grid.hn, grid.hs,
-                                         lam))[lat.present]
+    data = np.column_stack(_coefficients(diff, *(lat.cut * grid.h), lam))[lat.present]
     return sp.csr_matrix((data, lat.indices, lat.indptr), shape=(grid.n_nodes,) * 2)
 
 
@@ -406,7 +380,8 @@ def _disc_system(diff: DiffusionParams, grid: DiscGrid,
     """The half system ``H - rate I`` and the j >= 0 rows of ``L - rate I``.
 
     The stencil is computed at the j >= 0 nodes only, from the lattice's
-    unit cut distances times ``h``.  Its table is added into the half system
+    unit cut distances there (``up_cut``) times ``h``, as ``assemble_operator``
+    reads ``cut`` at every node.  Its table is added into the half system
     through the lattice's ``slot`` map (a j = 0 row meets its j = 1
     neighbour twice) in the order the fold of ``assemble_operator(diff,
     grid, rate)`` would add it, so the half system is that fold bit for bit,
@@ -418,16 +393,16 @@ def _disc_system(diff: DiffusionParams, grid: DiscGrid,
     ``unfold`` is mirror-symmetric.  A negative, infinite or NaN rate is
     refused with ``DomainError`` before any matrix is built.
     """
-    pattern = grid._lattice.half_pattern
-    west, south, diag, north, east = _coefficients(diff, *(pattern.cut * grid.h), rate)
-    table = np.column_stack((west, south, diag, north, east))[pattern.present]
+    lat = grid._lattice
+    west, south, diag, north, east = _coefficients(diff, *(lat.up_cut * grid.h), rate)
+    table = np.column_stack((west, south, diag, north, east))[lat.up_present]
     import scipy.sparse as sp
 
-    n_up = pattern.weight.size
-    half = sp.csc_matrix((np.bincount(pattern.slot, weights=table,
-                                      minlength=pattern.indices.size),
-                          pattern.indices, pattern.indptr), shape=(n_up, n_up))
-    rows = sp.csr_matrix((table, pattern.row_indices, pattern.row_indptr),
+    n_up = lat.W.size
+    half = sp.csc_matrix((np.bincount(lat.slot, weights=table,
+                                      minlength=lat.half_indices.size),
+                          lat.half_indices, lat.half_indptr), shape=(n_up, n_up))
+    rows = sp.csr_matrix((table, lat.row_indices, lat.row_indptr),
                          shape=(n_up, grid.n_nodes))
     return half, rows
 
@@ -457,7 +432,9 @@ def _factor(A: sp.spmatrix):
     every pivot is taken on the diagonal (``DiagPivotThresh`` 0) and the
     fill is that of the ordering alone: the minimum degree of ``A^T + A``,
     which suits the stencil's symmetric pattern, applied to rows and
-    columns alike in symmetric mode, as the lattice stores it.
+    columns alike in symmetric mode.  ``_Lattice`` computes that order with
+    its nodes and stores the half pattern permuted by it, so this factor
+    keeps the natural order of the matrix it is given.
     ``panel_size=1`` factors one column at a time, since the stencil's
     supernodes are too small for wider panels to pay off.
 
@@ -606,7 +583,7 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
             if warm.lattice is not grid._lattice:
                 warm.lattice, warm.solved = grid._lattice, {}
             warm.lu = lu
-    T = T_half[grid._lattice.half_pattern.unfold]
+    T = T_half[grid._lattice.unfold]
     _check_residual(rows, T, np.full(rows.shape[0], -1.0))
     if np.min(T) < -1e-9:
         raise NumericalError(f"negative mean interval {np.min(T):.3e}")
@@ -637,7 +614,7 @@ def solve_survival(diff: DiffusionParams, X, R: float, grid: DiscGrid,
     """
     x0, y0 = _check_disc(grid, R, X)
     stepper = _factor(_disc_system(diff, grid, 1.0 / tgrid.dt)[0])
-    unfold = grid._lattice.half_pattern.unfold
+    unfold = grid._lattice.unfold
     weights = [(unfold[idx], w) for idx, w in grid.interpolation_weights((x0, y0))]
     g = np.ones(stepper.shape[0])
     out = np.empty(tgrid.steps + 1)
@@ -665,7 +642,8 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
 
     The point start is a unit mass on the nearest node divided by the cell
     area.  It must lie on the road axis (y = 0), where the density stays
-    mirror-symmetric, so that it is stepped on the half disc.  Stepping uses
+    mirror-symmetric, so that it is stepped on the half disc as
+    ``z = W p h^2``, with the lattice's ``W`` and ``unfold``.  Stepping uses
     the transpose of the survival operator, so the mass ``sum(p) h^2``
     reproduces the survival probability at the source node exactly (up to
     solver residual) on the same time grid.
@@ -676,8 +654,7 @@ def solve_forward(diff: DiffusionParams, X, R: float, grid: DiscGrid,
                           "march needs y = 0")
     src = int(grid.nearest_node_index([x0], [y0])[0])
     stepper = _factor(_disc_system(diff, grid, 1.0 / tgrid.dt)[0])
-    pattern = grid._lattice.half_pattern
-    unfold, W = pattern.unfold, pattern.weight
+    unfold, W = grid._lattice.unfold, grid._lattice.W
 
     out_steps = sorted({int(round(t / tgrid.dt)) for t in output_times})
     if any(s < 0 or s > tgrid.steps for s in out_steps):

@@ -202,6 +202,17 @@ class TestGalerkinSolution:
             sol = galerkin_solution(diff, 1.0, 0.0, 0.5)
         assert sol.a >= 1.0
 
+    def test_offset_scale_at_the_radius_is_clamped(self):
+        # past k = 1e8 E[cos] rounds to 1 and trial_offset_scale returns
+        # a == R exactly; unclamped, x_opt was -R and the interval 0/0
+        mob = default_mobility(1e8)
+        diff = compute_diffusion(mob)
+        assert trial_offset_scale(mob, 2.0, diff) == 2.0
+        with pytest.warns(RegimeWarning):
+            sol = galerkin_interval(mob, 2.0, 0.2, diff)
+        assert sol.a > 2.0 and -2.0 < sol.x_opt < 0.0
+        assert 0.0 < float(sol.interval(sol.x_opt, 0.0)) < math.inf
+
     def test_rate_monotone(self):
         mob = default_mobility(0.5)
         sols = [galerkin_interval(mob, 1.0, lam) for lam in (0.0, 0.2, 0.5, 2.0)]

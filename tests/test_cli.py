@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import lamopt
 from lamopt import cli, validate
 from lamopt.cli import main
-from lamopt.config import DEFAULTS, MAX_R_KM, MIN_R_KM, SCENARIO_KEYS
-from lamopt.costs import MAX_PAGING_ROUNDS
+from lamopt.config import DEFAULTS, MAX_R_KM, MIN_R_KM, SCENARIO_KEYS, mobility_from_config
+from lamopt.costs import _SEARCH_RTOL, MAX_PAGING_ROUNDS
+from lamopt.ctrw import SimConfig, estimate_T
 from lamopt.errors import DomainError
 from lamopt.mobility import compute_diffusion
 from lamopt.validate import CHECKS, run_checks
@@ -95,6 +96,26 @@ class TestOptimizeAndSimulate:
         out = tmp_path / "opt.csv"
         assert main(["optimize", "--config", str(cfg), "--out", str(out), *flag]) == 0
         assert read(out)[1].split(",")[2] == expected
+
+    @pytest.mark.parametrize("k", ["1e8", "1e12"])
+    def test_full_concentration_runs(self, tmp_path, k):
+        # E[cos] rounds to 1 here and the offset scale reaches R exactly:
+        # the one-term optimum and the Monte-Carlo start used to sit on the
+        # circle, and both commands exited 2 on a valid config
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"k = {k}\n")
+        out = tmp_path / "o.csv"
+        assert main(["optimize", "--config", str(cfg), "--provider", "galerkin",
+                     "--out", str(out)]) == 0
+        _, row = read(out)
+        x_opt, r_opt, *costs = map(float, row.split(",")[3:])
+        assert -r_opt < x_opt < 0.0
+        assert all(0.0 < v < math.inf for v in (r_opt, *costs))
+        assert main(["simulate", "--mode", "ctrw", "--trials", "500", "--config",
+                     str(cfg), "--out", str(out)]) == 0
+        _, row = read(out)
+        x, R, mean_T = map(float, row.split(",")[2:5])
+        assert -R < x < 0.0 and 0.0 < mean_T < math.inf
 
     def test_simulate_episode(self, tmp_path):
         cfg = tmp_path / "scen.cfg"
@@ -441,6 +462,76 @@ class TestOptimizeAndSimulate:
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestUnitInvariance:
+    """The same answer in other units.  Scaling every time by c (dwell mean
+    and variance, call rate) leaves R*, x* and the saving as they are,
+    multiplies T* by c and divides C* by c; scaling every length by c (road
+    section, and the paging cost per unit area by 1/c^2) multiplies R* and
+    x* by c and leaves T*, C* and the saving as they are.  With c a power of
+    two the time relation is exact, and so is the length relation for the
+    Monte-Carlo walk.  The radius search brackets and scans in km, so under
+    the length relation the pde and galerkin optima stop at other points
+    within the search tolerance; the asymptotic forms agree to round-off."""
+
+    KEYS = ("x_opt_km", "R_opt_km", "C_u", "C_p", "C_t", "saving_ratio")
+
+    @staticmethod
+    def scaled(k, time=1.0, length=1.0):
+        return dict(DEFAULTS, k=k, E_eta_s=8.0 * time, Var_eta_s2=1.0 * time**2,
+                    lambda_per_hr=2.0 / time, mean_len_m=20.0 * length,
+                    V=1.0 / length**2)
+
+    def optimum(self, tmp_path, monkeypatch, provider, cfg):
+        """The floats ``cli.main`` writes for ``optimize``, by key."""
+        path = tmp_path / "scaled.cfg"
+        path.write_text("".join(f"{key} = {value!r}\n" for key, value in cfg.items()))
+        written = []
+        monkeypatch.setattr(cli, "_write_csv", lambda out, header, rows:
+                            written.append(dict(zip(header, rows[0]))))
+        assert main(["optimize", "--config", str(path), "--provider", provider,
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        return {key: written[0][key] for key in self.KEYS}
+
+    @pytest.mark.parametrize("k", [0.5, 20.0])
+    @pytest.mark.parametrize("provider", ["pde", "galerkin", "asymptotic"])
+    def test_optimize(self, tmp_path, monkeypatch, provider, k):
+        base = self.optimum(tmp_path, monkeypatch, provider, self.scaled(k))
+        slow = self.optimum(tmp_path, monkeypatch, provider, self.scaled(k, time=2.0))
+        for key in self.KEYS:
+            factor = 0.5 if key.startswith("C_") else 1.0
+            assert slow[key] == base[key] * factor, key
+        for c in (2.0, 4.0):
+            wide = self.optimum(tmp_path, monkeypatch, provider, self.scaled(k, length=c))
+            for key in self.KEYS:
+                factor = c if key.endswith("_km") else 1.0
+                assert wide[key] == pytest.approx(base[key] * factor, abs=0.0,
+                                                  rel=self.length_rtol(provider, key)), key
+
+    @staticmethod
+    def length_rtol(provider, key):
+        if provider != "asymptotic":
+            return _SEARCH_RTOL
+        # C_u is read off a disc solve at R* for every provider, and the
+        # solver keeps T_R(x) = R^2 T_1(x/R) to 1e-12 (test_radius_scaling)
+        return 1e-12 if key in ("C_u", "C_t") else 4 * sys.float_info.epsilon
+
+    @pytest.mark.parametrize("k", [0.5, 20.0])
+    def test_estimate_T(self, k):
+        sim = SimConfig(n_trials=2000, seed=7)
+
+        def mean(c_time=1.0, c_len=1.0):
+            cfg = self.scaled(k, time=c_time, length=c_len)
+            est = estimate_T((-0.3 * c_len, 0.0), c_len, cfg["lambda_per_hr"],
+                             mobility_from_config(cfg), sim)
+            assert est.censored_count == 0
+            return est.mean
+
+        base = mean()
+        assert mean(c_time=2.0) == 2.0 * base
+        for c in (2.0, 4.0):
+            assert mean(c_len=c) == base
 
 
 def _log_uniform(lo, hi):

@@ -40,6 +40,18 @@ def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
+def spacings(grid):
+    """The east, west, north and south spacings of every node: the
+    lattice's unit cut distances times ``h``."""
+    return grid._lattice.cut * grid.h
+
+
+def mirror_nodes(grid):
+    """Index of node (i, -j), for every node (i, j)."""
+    lat = grid._lattice
+    return lat.index2d[lat.i + lat.n, lat.n - lat.j]
+
+
 def full_system_solve(diff, grid, lam):
     """Oracle for the half-disc solve: one LU of the whole-disc operator."""
     A = assemble_operator(diff, grid, lam)
@@ -71,7 +83,8 @@ def scratch_assemble(diff, grid, lam):
             cols.append(nbr[ok])
             data.append(coef[ok])
 
-    h_neg, h_pos, s_coef, mu = grid.hw, grid.he, diff.sigma11 / 2.0, diff.mu1
+    h_e, h_w, h_n, h_s = spacings(grid)
+    h_neg, h_pos, s_coef, mu = h_w, h_e, diff.sigma11 / 2.0, diff.mu1
     c_neg, c_diag, c_pos = second_difference(h_neg, h_pos, s_coef)
     diag += c_diag
     central = abs(mu) * np.maximum(h_neg, h_pos) / s_coef <= 2.0
@@ -86,7 +99,7 @@ def scratch_assemble(diff, grid, lam):
         d_diag = np.where(central, d_diag, mu / h_neg)
     diag += d_diag
     couple(west, east, c_neg + d_neg, c_pos + d_pos)
-    c_neg, c_diag, c_pos = second_difference(grid.hs, grid.hn, diff.sigma22 / 2.0)
+    c_neg, c_diag, c_pos = second_difference(h_s, h_n, diff.sigma22 / 2.0)
     diag += c_diag
     couple(south, north, c_neg, c_pos)
     all_rows = np.concatenate(rows + [np.arange(grid.n_nodes)])
@@ -100,7 +113,7 @@ def scratch_half(A, grid):
     """Oracle for the stored half pattern: the j >= 0 rows of A with each
     j < 0 column added onto its mirror node's, in node order."""
     upper = grid.j >= 0
-    upper_node = np.where(upper, np.arange(grid.n_nodes), grid._lattice.mirror)
+    upper_node = np.where(upper, np.arange(grid.n_nodes), mirror_nodes(grid))
     fold = (np.cumsum(upper) - 1)[upper_node]
     A_up = A[upper]
     half = sp.csr_matrix((A_up.data, fold[A_up.indices], A_up.indptr),
@@ -147,7 +160,7 @@ class TestDiscSystem:
         # entry and bit for bit, and its residual rows are the operator's
         # j >= 0 rows; at call rates 0, lam and 1/dt
         grid = DiscGrid(R, R / N)
-        unfold = grid._lattice.half_pattern.unfold
+        unfold = grid._lattice.unfold
         rank = unfold[grid.j >= 0]  # half position of each j >= 0 node
         inverse = np.argsort(rank)
         for rate in (0.0, 2.0, 1.0 / 0.01):
@@ -174,8 +187,8 @@ class TestDiscSystem:
                                   if n == N and d.mu1 > 0.0]
 
         def central(R):
-            g = DiscGrid(R, R / N)
-            return abs(d.mu1) * np.maximum(g.hw, g.he) / (d.sigma11 / 2.0) <= 2.0
+            h_e, h_w = spacings(DiscGrid(R, R / N))[:2]
+            return abs(d.mu1) * np.maximum(h_w, h_e) / (d.sigma11 / 2.0) <= 2.0
 
         full = np.all(DiscGrid(1.0, 1.0 / N)._lattice.cut == 1.0, axis=0)
         assert np.all(central(below))
@@ -191,9 +204,9 @@ class TestDiscSystem:
         A = assemble_operator(DiffusionParams(mu, 0.2, 0.1), grid, 0.7)
         table = np.zeros(lat.present.shape)
         table[lat.present] = A.data
-        swap = [0, 3, 2, 1, 4]
-        np.testing.assert_array_equal(lat.present, lat.present[lat.mirror][:, swap])
-        np.testing.assert_array_equal(bits(table), bits(table[lat.mirror][:, swap]))
+        swap, mirror = [0, 3, 2, 1, 4], mirror_nodes(grid)
+        np.testing.assert_array_equal(lat.present, lat.present[mirror][:, swap])
+        np.testing.assert_array_equal(bits(table), bits(table[mirror][:, swap]))
 
     @pytest.mark.parametrize("rate", [float("nan"), -1e-12, math.inf])
     def test_bad_call_rate_is_refused(self, rate):
@@ -211,12 +224,12 @@ class TestDiscSystem:
         _check_residual(eye, np.zeros(3), np.zeros(3))
 
     def test_fold_weight_is_stored_once(self):
-        pattern = DiscGrid(1.0, 1.0 / 16)._lattice.half_pattern
-        assert DiscGrid(5.0, 5.0 / 16)._lattice.half_pattern.weight is pattern.weight
-        np.testing.assert_array_equal(pattern.weight, np.bincount(pattern.unfold))
-        assert set(pattern.weight) == {1, 2}
+        lat = DiscGrid(1.0, 1.0 / 16)._lattice
+        assert DiscGrid(5.0, 5.0 / 16)._lattice.W is lat.W
+        np.testing.assert_array_equal(lat.W, np.bincount(lat.unfold))
+        assert set(lat.W) == {1, 2}
         with pytest.raises(ValueError):
-            pattern.weight[0] = 3
+            lat.W[0] = 3
 
 
 class TestLatticePath:
@@ -262,7 +275,7 @@ class TestLatticePath:
         diff = compute_diffusion(default_mobility(0.5))
         grid = DiscGrid(1.0, 1.0 / N)
         half, fold = scratch_half(assemble_operator(diff, grid, 0.2), grid)
-        unfold = grid._lattice.half_pattern.unfold
+        unfold = grid._lattice.unfold
         np.testing.assert_array_equal(unfold, mmd_factor(half).perm_c[fold])
 
     def test_reused_order_fill_is_exact_with_diagonal_pivots(self):
@@ -364,11 +377,13 @@ class TestLatticePath:
             np.testing.assert_array_equal(getattr(A, part), getattr(B, part))
 
         def central(d, g):
-            return abs(d.mu1) * np.maximum(g.hw, g.he) / (d.sigma11 / 2.0) <= 2.0
+            h_e, h_w = spacings(g)[:2]
+            return abs(d.mu1) * np.maximum(h_w, h_e) / (d.sigma11 / 2.0) <= 2.0
 
         np.testing.assert_array_equal(central(diff, grid), central(unit_diff, unit))
-        term = (diff.sigma11 / (unit.hw * unit.he) + abs(unit_diff.mu1)
-                / np.minimum(unit.hw, unit.he) + diff.sigma22 / (unit.hn * unit.hs)
+        h_e, h_w, h_n, h_s = spacings(unit)
+        term = (diff.sigma11 / (h_w * h_e) + abs(unit_diff.mu1)
+                / np.minimum(h_w, h_e) + diff.sigma22 / (h_n * h_s)
                 + lam * R * R)[np.repeat(np.arange(unit.n_nodes), np.diff(B.indptr))]
         exact = math.frexp(R)[0] == 0.5
         eps = 0.0 if exact else np.finfo(float).eps
@@ -378,10 +393,20 @@ class TestLatticePath:
         assert np.max(np.abs(T - T_unit)) <= (0.0 if exact else 1e-12) * np.max(T_unit)
 
     def test_lattice_shared_and_read_only(self):
+        # one lattice per N: its node tables and the half system folded from
+        # them are built once, shared by every radius, and never written
         a, b = DiscGrid(1.0, 1.0 / 24), DiscGrid(7.3, 7.3 / 24)
-        assert a._lattice.i is b._lattice.i and a._lattice.mirror is b._lattice.mirror
+        lat = a._lattice
+        assert lat is b._lattice and a._lattice.i is b._lattice.i
+        arrays = {name: v for name, v in vars(lat).items() if isinstance(v, np.ndarray)}
+        assert {"up_cut", "up_present", "row_indptr", "row_indices", "half_indptr",
+                "half_indices", "slot", "unfold", "W"} <= set(arrays)
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
             a._lattice.i[0] = 0
+        with pytest.raises(ValueError):
+            lat.unfold[0] = 0
 
 
 class TestDiscGrid:
@@ -395,7 +420,7 @@ class TestDiscGrid:
             g = DiscGrid(R, R / N)
             assert g.n_nodes == n_inside
             assert np.all(g._lattice.i**2 + g.j**2 < N * N)
-            assert min(float(np.min(d)) for d in (g.he, g.hw, g.hn, g.hs)) > 1e-3 * g.h
+            assert float(np.min(spacings(g))) > 1e-3 * g.h
 
     @pytest.mark.parametrize("R, h", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan)])
     def test_non_finite_radius_or_spacing_rejected(self, R, h):
@@ -425,7 +450,7 @@ class TestDiscGrid:
 
     def test_boundary_distances_positive(self):
         g = DiscGrid(1.0, 1.0 / 24)
-        for arr in (g.he, g.hw, g.hn, g.hs):
+        for arr in spacings(g):
             assert np.all(arr > 0.0)
             assert np.all(arr <= g.h + 1e-15)
 
@@ -451,7 +476,7 @@ class TestDiscGrid:
 
     def test_mirror_is_y_reflection_involution(self):
         g = DiscGrid(1.3, 1.3 / 20)
-        mirror = g._lattice.mirror
+        mirror = mirror_nodes(g)
         assert np.all(mirror >= 0)
         np.testing.assert_array_equal(mirror[mirror], np.arange(g.n_nodes))
         np.testing.assert_array_equal(g.x[mirror], g.x)
