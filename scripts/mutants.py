@@ -47,8 +47,19 @@ MUTANTS = {
     "upwind-neg-spacing": (
         "pde.py", "max(-mu, 0.0) / h_neg", "max(-mu, 0.0) / h_pos"),
     "half-table-north-south": (
-        "pde.py", "np.column_stack((west, south, diag, north, east))[lat.up_present]",
-        "np.column_stack((west, north, diag, south, east))[lat.up_present]"),
+        "pde.py", "np.column_stack((west, south, diag, north, east)).ravel()",
+        "np.column_stack((west, north, diag, south, east)).ravel()"),
+    "rim-map-off-by-one": (
+        "pde.py", "table_row = np.where(rim, np.cumsum(rim), 0)",
+        "table_row = np.where(rim, np.cumsum(rim) - 1, 0)"),
+    # interior rows read the second rim row, (1 - N, 1); the first, (1 - N, 0),
+    # has every spacing exactly 1 (its missing neighbour lies on the circle),
+    # so reading it would be an equivalent mutant
+    "interior-reads-rim-stencil": (
+        "pde.py", "np.where(rim, np.cumsum(rim), 0)", "np.where(rim, np.cumsum(rim), 2)"),
+    "fork-aliases-solved": (
+        "pde.py", "other.lattice, other.lu, other.solved = self.lattice, self.lu, dict(self.solved)",
+        "other.lattice, other.lu, other.solved = self.lattice, self.lu, self.solved"),
     "fold-onto-self": (
         "pde.py", "mirror = self.index2d[self.i + n, n - self.j]",
         "mirror = self.index2d[self.i + n, n + self.j]"),

@@ -219,6 +219,7 @@ def paging_breakdown_at(mobility: MobilityParams, costs: CostParams,
     """
     if mode not in ("paper", "cumulative"):
         raise DomainError(f"unknown paging mode {mode!r}")
+    require_int("grid_nodes", grid_nodes, 2)
     from lamopt.mobility import direction_moments
     from lamopt.pde import TimeGrid, solve_forward
 
@@ -262,22 +263,29 @@ def _design(solution, baseline: str) -> tuple[float, float]:
     return float(solution.interval(x, 0.0)), x
 
 
-def _golden_section(fn, lo: float, hi: float) -> float:
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_probes(lo: float, hi: float) -> tuple[float, float]:
+    """The first two points ``(c, d)`` the golden section on [lo, hi] probes."""
+    return hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+
+
+def _golden_section(fn, lo: float, hi: float, first=None) -> float:
     """Golden-section minimizer on [lo, hi] to ``_SEARCH_RTOL`` (argument
-    returned)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    returned).  ``first``, when given, is ``(fn(c), fn(d))`` at
+    ``_golden_probes(lo, hi)``, already evaluated."""
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
+    c, d = _golden_probes(a, b)
+    fc, fd = first if first is not None else (fn(c), fn(d))
     while abs(b - a) > _SEARCH_RTOL:
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
+            c = b - _INVPHI * (b - a)
             fc = fn(c)
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
+            d = a + _INVPHI * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
 
@@ -321,7 +329,11 @@ def optimize_pair(mobility: MobilityParams, costs: CostParams,
     one coarse radius scan for both: each scan radius is solved at most
     once, and both designs are read from that solution.  A pde scan radius
     is skipped only when each baseline's cost floor there lies above that
-    baseline's best scan cost.  The two golden-section searches stay apart.
+    baseline's best scan cost.  When both baselines refine the same scan
+    cell, their golden-section searches share their first two probes, which
+    do not depend on the baseline: both radii are solved once, and each
+    search continues on its own fork of the ``FactorSlot`` they leave, so
+    each result is bit for bit that of ``joint_optimize``.
 
     Returns:
         (offset result, center result).
@@ -335,6 +347,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
     """Joint optimum for each baseline, from one shared coarse scan."""
     if provider not in PROVIDERS:
         raise DomainError(f"provider must be one of {PROVIDERS}")
+    require_int("pde_nodes", pde_nodes, 2)
     for baseline in baselines:
         if baseline not in BASELINES:
             raise DomainError(f"unknown baseline {baseline!r}")
@@ -387,15 +400,22 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
         best = [min(old, (cost(grid[i], solution, b)[0], i))
                 for old, b in zip(best, baselines)]
 
+    # Golden-section probes soon lie within a few percent of each other in
+    # R, so each search reuses one factor; scan radii are too far apart for
+    # that.  A search's first two probes depend on its scan cell alone:
+    # they are solved once per cell, and each search from it continues on a
+    # fork of the slot they leave, as it would on its own.
+    started = {}
     results = []
     for b, (_, i) in zip(baselines, best):
         lo_b, hi_b = grid[max(i - 1, 0)], grid[min(i + 1, _SCAN_POINTS - 1)]
-        # Golden-section probes soon lie within a few percent of each other
-        # in R, so each search reuses one factor; scan radii are too far
-        # apart for that.
-        warm = FactorSlot()
+        if i not in started:
+            slot = FactorSlot()
+            started[i] = slot, [(lr, solve(lr, slot)) for lr in _golden_probes(lo_b, hi_b)]
+        slot, probes = started[i]
+        warm = slot.fork()
         lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr, warm), b)[0],
-                                 lo_b, hi_b)
+                                 lo_b, hi_b, [cost(lr, s, b)[0] for lr, s in probes])
         r_opt = math.exp(lr_opt)
         if min(lr_opt - lo, hi - lr_opt) <= _SEARCH_RTOL:
             raise DomainError(

@@ -19,14 +19,15 @@ adds the column of each j < 0 node onto its mirror node's.  ``T`` and ``G``
 are symmetric (their data are), so the half system gives them exactly.
 
 Every system is built by one constructor, ``_disc_system(diff, grid,
-rate)``.  It computes the stencil at the j >= 0 nodes only and adds it
-straight into ``H - rate I``, bit for bit the fold of
-``assemble_operator(diff, grid, rate)``; the same table, with its columns
-on every node, is the j >= 0 rows of ``L - rate I``, against which the mean
-interval's residual is checked.  The j < 0 rows are their exact mirrors, so
-that is the full-disc check.  ``assemble_operator`` remains the full-disc
-view of the same stencil, for the referees.  Every factor is of this one
-family, factored by ``_factor``.  The mean interval takes ``rate = lam``.
+rate)``.  It computes the stencil once for the j >= 0 rows whose four
+neighbours are nodes and once for each j >= 0 rim row, and gathers that
+table straight into ``H - rate I``, bit for bit the fold of
+``assemble_operator(diff, grid, rate)``, and into the j >= 0 rows of
+``L - rate I``, against which the mean interval's residual is checked.
+The j < 0 rows are their exact mirrors, so that is the full-disc check.
+``assemble_operator`` remains the full-disc view of the same stencil, for
+the referees.  Every factor is of this one family, factored by
+``_factor``.  The mean interval takes ``rate = lam``.
 A backward-Euler step takes ``rate = 1/dt``, since
 ``I - dt H = -dt (H - I/dt)``, and steps as ``G <- (H - I/dt)^-1 (-G/dt)``;
 ``TimeGrid`` refuses a step whose reciprocal is not finite.  The density is
@@ -50,8 +51,9 @@ do not load it.
 
 ``DiscGrid(R, R/N)`` is the unit-spacing lattice of radius N scaled by
 ``h``.  All that depends on N alone is built once per N, by the constructor
-of a memoized ``_Lattice``: the nodes and their cut distances, and with them
-the fold, its ordered half pattern, ``unfold`` and ``W``.  So the geometry
+of a memoized ``_Lattice``: the nodes, the spacings of the rows the stencil
+is computed on, and with them the fold, its ordered half pattern,
+``unfold`` and ``W``.  So the geometry
 obeys ``T_R(x) = R^2 T_1(x/R)`` (drift ``mu1 R``, call rate ``lam R^2``) by
 construction.
 """
@@ -90,15 +92,19 @@ class _Lattice:
     and the half system they fold into.
 
     Every ``DiscGrid(R, R/N)`` is this lattice scaled by its spacing, so one
-    instance serves them all: the node indices, the CSR pattern of the full
-    operator and the cut distances at unit spacing; for the j >= 0 nodes,
-    their cut distances and stencil table (``up_cut``, ``up_present``) and
-    the CSR pattern of their rows of the operator, with columns on every
+    instance serves them all: the node indices and the CSR pattern of the
+    full operator (its cut distances at unit spacing, ``cut``, are built
+    on first use, by ``assemble_operator``); for the j >= 0 nodes, the CSR
+    pattern of their rows of the operator, with columns on every
     node (``row_indptr``, ``row_indices``).  The half system keeps those
     rows and adds each j < 0 column onto its mirror node's.  It is stored in
     CSC form (``half_indptr``, ``half_indices``), symmetrically permuted by
     its minimum-degree order, so that ``_factor`` can skip the ordering
-    step; entry ``e`` of the rows' CSR data adds into its entry ``slot[e]``.
+    step.  Every j >= 0 row whose four neighbours are nodes has the same
+    stencil, so a system's coefficient table has one row for them all and
+    one per rim row (a j >= 0 row with a missing neighbour), at the unit
+    spacings ``table_cut``; ``row_take``, ``half_take`` and ``twice`` /
+    ``twice_take`` gather it into the rows and the half system.
     ``unfold`` maps the permuted half solution back onto every node, and
     ``W = F^T F``, the number of nodes that fold onto each half node, is 1
     on the axis and 2 above it.  The arrays are shared, and read-only.
@@ -110,11 +116,10 @@ class _Lattice:
         ii, jj = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1),
                              indexing="ij")
         inside = ii**2 + jj**2 < N * N
-        i, j = ii[inside], jj[inside]
         self.n = n
         self.index2d = np.full((side, side), -1, dtype=np.intc)
         self.index2d[inside] = np.arange(int(inside.sum()))
-        self.i, self.j = i.astype(np.intc), j.astype(np.intc)
+        self.i, self.j = ii[inside].astype(np.intc), jj[inside].astype(np.intc)
         self.n_nodes = self.i.size
 
         def shifted(di: int, dj: int) -> np.ndarray:
@@ -136,14 +141,6 @@ class _Lattice:
         self.indptr = np.concatenate(([0], np.cumsum(self.present.sum(axis=1))),
                                      dtype=np.intc)
 
-        # East, west, north and south: the distance to the neighbour or, when
-        # it falls outside, to the circle, from exact integer radicands;
-        # N^2 - j^2 > i^2, so that is more than 1/(2N).
-        west, south, _, north, east = self.present.T
-        bx, by = np.sqrt(N * N - j**2), np.sqrt(N * N - i**2)
-        self.cut = np.where((east, west, north, south), 1.0,
-                            (bx - i, i + bx, by - j, j + by))
-
         # The fold: fold[k] is the position, among the j >= 0 nodes, of node
         # k or of its mirror (i, -j), always inside since the inside test is
         # even in j.
@@ -152,8 +149,8 @@ class _Lattice:
         mirror = self.index2d[self.i + n, n - self.j]
         fold = (np.cumsum(upper, dtype=np.intc) - 1)[
             np.where(upper, np.arange(self.n_nodes), mirror)]
-        self.up_cut, self.up_present = self.cut[:, upper], self.present[upper]
-        self.row_indptr = np.concatenate(([0], np.cumsum(self.up_present.sum(axis=1))),
+        up_present = self.present[upper]
+        self.row_indptr = np.concatenate(([0], np.cumsum(up_present.sum(axis=1))),
                                          dtype=np.intc)
         self.row_indices = self.indices[np.repeat(upper, np.diff(self.indptr))]
         h_row = np.repeat(np.arange(n_up, dtype=np.intc), np.diff(self.row_indptr))
@@ -174,12 +171,52 @@ class _Lattice:
         cols, rows_p = np.divmod(keys, n_up)
         self.half_indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(cols, minlength=n_up))), dtype=np.intc)
-        self.half_indices, self.slot = rows_p.astype(np.intc), slot.astype(np.intc)
+        self.half_indices = rows_p.astype(np.intc)
+
+        # The coefficient table: row 0 is the stencil of every j >= 0 node
+        # whose four neighbours are nodes (unit spacings), row 1 + r that of
+        # the r-th j >= 0 node with a missing neighbour (a rim row).  Entry e
+        # of the rows' CSR data reads table entry row_take[e]; it adds into
+        # half entry slot[e], which a j = 0 row reaches twice (south and
+        # north fold onto its j = 1 neighbour) and every other row once, so
+        # each half entry takes the table entry of its first e (half_take),
+        # plus that of its second where there is one (twice, twice_take).
+        # The maps are intp: numpy converts any other index type on
+        # every gather, which tripled its time.
+        rim = ~up_present.all(axis=1)
+        on_rim = np.flatnonzero(upper)[rim]
+        self.table_cut = np.column_stack((np.ones(4), self._cut(on_rim)))
+        table_row = np.where(rim, np.cumsum(rim), 0)
+        self.row_take = (5 * table_row[:, None] + np.arange(5, dtype=np.intp))[up_present]
+        order = np.argsort(slot, kind="stable")
+        first = np.concatenate(([True], np.diff(slot[order]) != 0))
+        self.half_take = self.row_take[order[first]]
+        self.twice = slot[order[~first]].astype(np.intp)
+        self.twice_take = self.row_take[order[~first]]
         self.unfold = rank[fold].astype(np.intc)
         self.W = np.bincount(self.unfold, minlength=n_up)
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
+
+    def _cut(self, nodes) -> np.ndarray:
+        """East, west, north and south spacings of ``nodes``: the distance to
+        the neighbour or, when it falls outside, to the circle, from exact
+        integer radicands; ``N^2 - j^2 > i^2``, so that is more than
+        ``1/(2N)``."""
+        N = self.n + 1
+        i, j = self.i[nodes].astype(np.int64), self.j[nodes].astype(np.int64)
+        west, south, _, north, east = self.present[nodes].T
+        bx, by = np.sqrt(N * N - j**2), np.sqrt(N * N - i**2)
+        return np.where((east, west, north, south), 1.0, (bx - i, i + bx, by - j, j + by))
+
+    @functools.cached_property
+    def cut(self) -> np.ndarray:
+        """The spacings of every node, for ``assemble_operator``; the solvers
+        read those of the rim rows only (``table_cut``)."""
+        cut = self._cut(slice(None))
+        cut.flags.writeable = False
+        return cut
 
 
 @functools.lru_cache(maxsize=4)
@@ -379,30 +416,33 @@ def _disc_system(diff: DiffusionParams, grid: DiscGrid,
                  rate: float) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """The half system ``H - rate I`` and the j >= 0 rows of ``L - rate I``.
 
-    The stencil is computed at the j >= 0 nodes only, from the lattice's
-    unit cut distances there (``up_cut``) times ``h``, as ``assemble_operator``
-    reads ``cut`` at every node.  Its table is added into the half system
-    through the lattice's ``slot`` map (a j = 0 row meets its j = 1
+    The stencil is computed once for the j >= 0 rows whose four neighbours
+    are nodes and once per rim row, from the lattice's unit spacings of
+    those rows (``table_cut``) times ``h``, as ``assemble_operator`` reads
+    ``cut`` at every node.  ``_coefficients`` works element by element, so
+    each row's coefficients are those ``assemble_operator`` computes for it,
+    to the bit.  The table is gathered into the half system, each entry's
+    first contribution then its second (a j = 0 row meets its j = 1
     neighbour twice) in the order the fold of ``assemble_operator(diff,
-    grid, rate)`` would add it, so the half system is that fold bit for bit,
-    and the full operator is built nowhere on this path.  With its columns
-    on every node, the same table is the CSR of the j >= 0 rows, which
-    ``solve_mean_interval`` checks its mirrored-back solution against.
+    grid, rate)`` adds them, so the half system is that fold bit for bit,
+    and the full operator is built nowhere on this path.  Gathered with its
+    columns on every node, the same table is the CSR of the j >= 0 rows,
+    which ``solve_mean_interval`` checks its mirrored-back solution against.
     Those rows are the whole full-disc check: each j < 0 row is the mirror
     of a j > 0 row (``_coefficients``), and a solution read through
     ``unfold`` is mirror-symmetric.  A negative, infinite or NaN rate is
     refused with ``DomainError`` before any matrix is built.
     """
     lat = grid._lattice
-    west, south, diag, north, east = _coefficients(diff, *(lat.up_cut * grid.h), rate)
-    table = np.column_stack((west, south, diag, north, east))[lat.up_present]
+    west, south, diag, north, east = _coefficients(diff, *(lat.table_cut * grid.h), rate)
+    table = np.column_stack((west, south, diag, north, east)).ravel()
     import scipy.sparse as sp
 
     n_up = lat.W.size
-    half = sp.csc_matrix((np.bincount(lat.slot, weights=table,
-                                      minlength=lat.half_indices.size),
-                          lat.half_indices, lat.half_indptr), shape=(n_up, n_up))
-    rows = sp.csr_matrix((table, lat.row_indices, lat.row_indptr),
+    data = table[lat.half_take]
+    data[lat.twice] += table[lat.twice_take]
+    half = sp.csc_matrix((data, lat.half_indices, lat.half_indptr), shape=(n_up, n_up))
+    rows = sp.csr_matrix((table[lat.row_take], lat.row_indices, lat.row_indptr),
                          shape=(n_up, grid.n_nodes))
     return half, rows
 
@@ -485,15 +525,24 @@ class FactorSlot:
 
     ``solved`` maps log R to the half solution divided by ``R^2``: on one
     lattice that is the unit-disc solution at drift ``mu1 R`` and call rate
-    ``lam R^2``, smooth in log R.  A search creates its own slot, passes it
-    to each ``solve_mean_interval`` call, and drops it when it ends, so no
-    factor or solution outlives the search.
+    ``lam R^2``, smooth in log R.  A search creates its own slot, or a
+    ``fork`` of the slot that solved its first probes, passes it to each
+    ``solve_mean_interval`` call, and drops it when it ends, so no factor
+    or solution outlives the search.
     """
 
     def __init__(self) -> None:
         self.lattice: _Lattice | None = None
         self.lu = None
         self.solved: dict[float, np.ndarray] = {}
+
+    def fork(self) -> FactorSlot:
+        """A new slot holding this one's factor and a copy of its solutions:
+        a second search continues from the same probes, and what either
+        search stores next, a new factor or a solution, stays its own."""
+        other = FactorSlot()
+        other.lattice, other.lu, other.solved = self.lattice, self.lu, dict(self.solved)
+        return other
 
 
 def _start(solved: dict[float, np.ndarray], lr: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from lamopt import costs
+from lamopt import costs, pde
 from lamopt.approx import galerkin_interval, galerkin_solution, optimal_offset
 from lamopt.cli import K_GRID
 from lamopt.config import default_mobility
@@ -307,6 +308,18 @@ class TestJointOptimize:
             joint_optimize(default_mobility(0.5),
                            CostParams(lam=0.0, U=20.0, V=1.0), "galerkin")
 
+    @pytest.mark.parametrize("nodes", [0, 1, 2.5, -4, True])
+    @pytest.mark.parametrize("search", [
+        lambda mob, n: joint_optimize(mob, COSTS, "pde", pde_nodes=n),
+        lambda mob, n: optimize_pair(mob, COSTS, "pde", pde_nodes=n),
+        lambda mob, n: saving_ratio(mob, COSTS, "pde", pde_nodes=n),
+    ], ids=["joint_optimize", "optimize_pair", "saving_ratio"])
+    def test_node_count_checked_at_entry(self, search, nodes):
+        # 0 raised a raw ZeroDivisionError; the others failed deep inside
+        # the scan, with spacing or radius messages
+        with pytest.raises(DomainError, match="pde_nodes must be an integer >= 2"):
+            search(default_mobility(0.5), nodes)
+
     @pytest.mark.parametrize("baseline", ["offset", "center"])
     @pytest.mark.parametrize("cost, bound", [
         (CostParams(lam=1e-9, U=20.0, V=1.0), "99.99"),   # R wants to grow
@@ -446,7 +459,9 @@ class TestOptimizePair:
     # every baseline's cost floor, which the drift bounds (the center's
     # floor by the origin's reach R) and the call rate cuts through
     # Jensen's inequality, and solves 2 (offset), 1 (center) and 2 (pair).
-    SOLVES = {"galerkin": (47, 47, 69), "pde": (24, 23, 46)}
+    # Both baselines refine the same scan cell here, so the pair solves
+    # their first two golden-section probes once.
+    SOLVES = {"galerkin": (47, 47, 67), "pde": (24, 23, 44)}
 
     @pytest.mark.parametrize("provider, search", [
         ("galerkin", {}), ("pde", {"pde_nodes": 16}),
@@ -496,6 +511,63 @@ class TestOptimizePair:
             assert np.all(v[~is_solved] > v[is_solved].min())
             assert is_solved[np.argmin(v)]
 
+    @pytest.mark.parametrize("k, lam, N", list(itertools.product((0.1, 2.0, 20.0),
+                                                                 (0.2, 2.0), (16, 32))))
+    def test_pair_is_the_two_searches_bit_for_bit(self, k, lam, N):
+        # both searches continue from forks of the slot their shared first
+        # probes leave; had the second search taken over the first one's
+        # slot, the center's c_min and t_opt would move by round-off at
+        # every k = 0.1 case
+        mob, cost = default_mobility(k), CostParams(lam=lam, U=COSTS.U, V=COSTS.V)
+        pair = optimize_pair(mob, cost, "pde", pde_nodes=N)
+        singles = [joint_optimize(mob, cost, "pde", baseline=b, pde_nodes=N)
+                   for b in ("offset", "center")]
+        assert [[v.hex() for v in astuple(r)] for r in pair] == \
+            [[v.hex() for v in astuple(r)] for r in singles]
+
+    @pytest.mark.parametrize("k, N, shared", [(0.5, 64, True), (2.0, 16, True),
+                                              (0.5, 16, False)])
+    def test_shared_first_probes_save_their_solves_and_factors(self, monkeypatch,
+                                                               k, N, shared):
+        # the golden-section solves (those given a slot) and the factors
+        # made in them: when both baselines refine the same scan cell, as at
+        # DEFAULTS on the 64-node grid, the pair solves the two first probes
+        # once, and saves the factors the center search's own first two
+        # probes made; on different cells (DEFAULTS on 16 nodes) it saves
+        # nothing
+        factor, solve = pde._factor, costs.solve_mean_interval
+        factors, calls = [0], []
+
+        def counted_factor(A):
+            factors[0] += 1
+            return factor(A)
+
+        def recorded(diff, R, lam, grid, warm=None):
+            before = factors[0]
+            field = solve(diff, R, lam, grid, warm)
+            if warm is not None:
+                calls.append(factors[0] - before)
+            return field
+
+        monkeypatch.setattr(pde, "_factor", counted_factor)
+        monkeypatch.setattr(costs, "solve_mean_interval", recorded)
+        mob = default_mobility(k)
+        separate = []
+        for baseline in ("offset", "center"):
+            calls.clear()
+            joint_optimize(mob, COSTS, "pde", baseline=baseline, pde_nodes=N)
+            separate.append(list(calls))
+        calls.clear()
+        optimize_pair(mob, COSTS, "pde", pde_nodes=N)
+        (offset, center), pair = separate, calls
+        first_two = sum(center[:2])
+        assert first_two in (1, 2)
+        if (k, N) == (0.5, 64):
+            assert first_two == 2
+        saved_solves, saved_factors = (2, first_two) if shared else (0, 0)
+        assert len(pair) == len(offset) + len(center) - saved_solves
+        assert sum(pair) == sum(offset) + sum(center) - saved_factors
+
     def test_asymptotic_pair(self, solves):
         mob = default_mobility(2.0)
         pair = optimize_pair(mob, COSTS, "asymptotic")
@@ -505,8 +577,9 @@ class TestOptimizePair:
 
     def test_bumpy_cost_not_rescanned(self, solves, monkeypatch):
         # with a cost of three minima in log R, each search refines the
-        # 25-point scan's lowest point: the pair still shares its one scan,
-        # and no radius is solved again
+        # 25-point scan's lowest point: the pair still shares its one scan
+        # and, both searches refining the same cell, their first two probes;
+        # no other radius is solved twice
         def bumpy(solution, baseline):
             R = solution.R
             paging = COSTS.lam * math.pi * R * R * COSTS.V
@@ -520,7 +593,7 @@ class TestOptimizePair:
         separate, solves["n"] = solves["n"], 0
         pair = optimize_pair(mob, COSTS)
         assert pair == singles
-        assert solves["n"] == separate - 25
+        assert solves["n"] == separate - 25 - 2
 
     def test_galerkin_search_matches_closed_form(self):
         # One-term trial: U / T(R) = A / R^2 + B exactly, so the optimum is
@@ -586,6 +659,13 @@ class TestCostBreakdown:
                                 DiscGrid(1.0, 1.0 / 16)).value_at((-0.2, 0.0))
         assert b.C_u == cost.U / T
         assert len(b.P_i) == len(b.A_i) == 2
+
+    @pytest.mark.parametrize("nodes", [0, 1, 2.5, -4, True])
+    def test_node_count_checked_at_entry(self, nodes):
+        # 0 raised a raw ZeroDivisionError
+        with pytest.raises(DomainError, match="grid_nodes must be an integer >= 2"):
+            paging_breakdown_at(default_mobility(0.5), COSTS, x=-0.2, R=1.0,
+                                grid_nodes=nodes)
 
 
 NAN = math.nan

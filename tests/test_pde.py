@@ -153,31 +153,63 @@ def _switch_cases():
                 yield N, DiffusionParams(mu, 0.2, 0.1), N * 0.2 / 3.0 * (1.0 + rel)
 
 
+def assert_fold_bit_for_bit(N, diff, R):
+    """The half system of ``_disc_system`` is the fold of the full-disc
+    operator, entry for entry and bit for bit, and its residual rows are
+    the operator's j >= 0 rows; at call rates 0, 2 and 1/dt."""
+    grid = DiscGrid(R, R / N)
+    unfold = grid._lattice.unfold
+    rank = unfold[grid.j >= 0]  # half position of each j >= 0 node
+    inverse = np.argsort(rank)
+    for rate in (0.0, 2.0, 1.0 / 0.01):
+        A = assemble_operator(diff, grid, rate)
+        half, rows = _disc_system(diff, grid, rate)
+        ref = scratch_half(A, grid)[0][inverse][:, inverse].tocoo()
+        got = half.tocoo()
+        for M in (ref, got):
+            order = np.lexsort((M.row, M.col))
+            M.row, M.col, M.data = M.row[order], M.col[order], M.data[order]
+        np.testing.assert_array_equal(got.row, ref.row)
+        np.testing.assert_array_equal(got.col, ref.col)
+        np.testing.assert_array_equal(bits(got.data), bits(ref.data))
+        up = A[grid.j >= 0]
+        np.testing.assert_array_equal(rows.indptr, up.indptr)
+        np.testing.assert_array_equal(rows.indices, up.indices)
+        np.testing.assert_array_equal(bits(rows.data), bits(up.data))
+
+
 class TestDiscSystem:
     @pytest.mark.parametrize("N, diff, R", list(_switch_cases()))
     def test_half_system_is_the_fold_bit_for_bit(self, N, diff, R):
-        # the half system is the fold of the full-disc operator, entry for
-        # entry and bit for bit, and its residual rows are the operator's
-        # j >= 0 rows; at call rates 0, lam and 1/dt
-        grid = DiscGrid(R, R / N)
-        unfold = grid._lattice.unfold
-        rank = unfold[grid.j >= 0]  # half position of each j >= 0 node
-        inverse = np.argsort(rank)
-        for rate in (0.0, 2.0, 1.0 / 0.01):
-            A = assemble_operator(diff, grid, rate)
-            half, rows = _disc_system(diff, grid, rate)
-            ref = scratch_half(A, grid)[0][inverse][:, inverse].tocoo()
-            got = half.tocoo()
-            for M in (ref, got):
-                order = np.lexsort((M.row, M.col))
-                M.row, M.col, M.data = M.row[order], M.col[order], M.data[order]
-            np.testing.assert_array_equal(got.row, ref.row)
-            np.testing.assert_array_equal(got.col, ref.col)
-            np.testing.assert_array_equal(bits(got.data), bits(ref.data))
-            up = A[grid.j >= 0]
-            np.testing.assert_array_equal(rows.indptr, up.indptr)
-            np.testing.assert_array_equal(rows.indices, up.indices)
-            np.testing.assert_array_equal(bits(rows.data), bits(up.data))
+        assert_fold_bit_for_bit(N, diff, R)
+
+    @settings(max_examples=20, deadline=None)
+    @example(16, 3.0, 4.0)  # a power-of-two radius: every spacing exact
+    @example(64, -0.7, 0.37)  # spacings and cut distances rounded
+    @given(st.sampled_from([2, 3, 16, 33, 64]),
+           st.sampled_from([0.0, 0.7, -3.0, 40.0]),
+           st.one_of(_log_uniform(0.01, 100.0), st.integers(-6, 6).map(lambda e: 2.0**e)))
+    def test_half_system_is_the_fold_at_any_radius(self, N, mu, R):
+        # the stencil is computed once for every row with four neighbour
+        # nodes and once per rim row, then gathered: still the fold
+        assert_fold_bit_for_bit(N, DiffusionParams(mu, 0.2, 0.1), R)
+
+    @pytest.mark.parametrize("N", [2, 3, 16, 64, 128])
+    def test_stencil_computed_once_per_rim_row_and_once_inside(self, monkeypatch, N):
+        # the j >= 0 rows with a missing neighbour each get their own
+        # stencil, and all the others share one
+        grid = DiscGrid(1.0, 1.0 / N)
+        lat = grid._lattice
+        rim = np.count_nonzero(~lat.present.all(axis=1) & (lat.j >= 0))
+        sizes, coefficients = [], pde._coefficients
+
+        def recorded(diff, h_e, h_w, h_n, h_s, rate):
+            sizes.append(h_e.size)
+            return coefficients(diff, h_e, h_w, h_n, h_s, rate)
+
+        monkeypatch.setattr(pde, "_coefficients", recorded)
+        _disc_system(UNIT, grid, 2.0)
+        assert sizes == [rim + 1]
 
     @pytest.mark.parametrize("N", [2, 3, 16, 64, 128])
     def test_cases_cover_both_sides_of_the_switch(self, N):
@@ -399,14 +431,29 @@ class TestLatticePath:
         lat = a._lattice
         assert lat is b._lattice and a._lattice.i is b._lattice.i
         arrays = {name: v for name, v in vars(lat).items() if isinstance(v, np.ndarray)}
-        assert {"up_cut", "up_present", "row_indptr", "row_indices", "half_indptr",
-                "half_indices", "slot", "unfold", "W"} <= set(arrays)
+        assert {"table_cut", "row_take", "row_indptr", "row_indices", "half_indptr",
+                "half_indices", "half_take", "twice", "twice_take", "unfold",
+                "W"} <= set(arrays)
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
             a._lattice.i[0] = 0
         with pytest.raises(ValueError):
             lat.unfold[0] = 0
+
+
+    def test_spacings_of_every_node_built_on_first_use(self):
+        # the solvers read the spacings of the interior row and the rim rows
+        # (table_cut); the table of every node is built when
+        # assemble_operator first asks for it, once and read-only
+        lat = pde._Lattice(37)
+        assert "cut" not in vars(lat)
+        cut = lat.cut
+        assert lat.cut is cut and not cut.flags.writeable
+        rim = ~lat.present.all(axis=1) & (lat.j >= 0)
+        np.testing.assert_array_equal(bits(lat.table_cut[:, 1:]), bits(cut[:, rim]))
+        np.testing.assert_array_equal(lat.table_cut[:, 0], 1.0)
+        assert np.all(cut[:, ~lat.present.all(axis=1)].min(axis=0) < 1.0 + 1e-15)
 
 
 class TestDiscGrid:
