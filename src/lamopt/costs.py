@@ -271,13 +271,12 @@ def _golden_probes(lo: float, hi: float) -> tuple[float, float]:
     return hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
 
 
-def _golden_section(fn, lo: float, hi: float, first=None) -> float:
+def _golden_section(fn, lo: float, hi: float, fc: float, fd: float) -> float:
     """Golden-section minimizer on [lo, hi] to ``_SEARCH_RTOL`` (argument
-    returned).  ``first``, when given, is ``(fn(c), fn(d))`` at
-    ``_golden_probes(lo, hi)``, already evaluated."""
+    returned).  The caller evaluates the first two probes: ``fc, fd`` are
+    ``fn`` at ``_golden_probes(lo, hi)``."""
     a, b = lo, hi
     c, d = _golden_probes(a, b)
-    fc, fd = first if first is not None else (fn(c), fn(d))
     while abs(b - a) > _SEARCH_RTOL:
         if fc < fd:
             b, d, fd = d, c, fc
@@ -415,7 +414,7 @@ def _optimize(mobility: MobilityParams, costs: CostParams, provider: str,
         slot, probes = started[i]
         warm = slot.fork()
         lr_opt = _golden_section(lambda lr, b=b: cost(lr, solve(lr, warm), b)[0],
-                                 lo_b, hi_b, [cost(lr, s, b)[0] for lr, s in probes])
+                                 lo_b, hi_b, *(cost(lr, s, b)[0] for lr, s in probes))
         r_opt = math.exp(lr_opt)
         if min(lr_opt - lo, hi - lr_opt) <= _SEARCH_RTOL:
             raise DomainError(

@@ -167,7 +167,8 @@ class _Lattice:
                      options={"ColPerm": "MMD_AT_PLUS_A", "SymmetricMode": True,
                               "DiagPivotThresh": 0.0}).perm_c.astype(np.int64)
         del probe
-        keys, slot = np.unique(rank[h_col] * n_up + rank[h_row], return_inverse=True)
+        keys, first, slot = np.unique(rank[h_col] * n_up + rank[h_row],
+                                      return_index=True, return_inverse=True)
         cols, rows_p = np.divmod(keys, n_up)
         self.half_indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(cols, minlength=n_up))), dtype=np.intc)
@@ -179,8 +180,9 @@ class _Lattice:
         # of the rows' CSR data reads table entry row_take[e]; it adds into
         # half entry slot[e], which a j = 0 row reaches twice (south and
         # north fold onto its j = 1 neighbour) and every other row once, so
-        # each half entry takes the table entry of its first e (half_take),
-        # plus that of its second where there is one (twice, twice_take).
+        # each half entry takes the table entry of its first e (half_take;
+        # np.unique's index is the first occurrence), plus that of its
+        # second where there is one (twice, twice_take).
         # The maps are intp: numpy converts any other index type on
         # every gather, which tripled its time.
         rim = ~up_present.all(axis=1)
@@ -188,11 +190,10 @@ class _Lattice:
         self.table_cut = np.column_stack((np.ones(4), self._cut(on_rim)))
         table_row = np.where(rim, np.cumsum(rim), 0)
         self.row_take = (5 * table_row[:, None] + np.arange(5, dtype=np.intp))[up_present]
-        order = np.argsort(slot, kind="stable")
-        first = np.concatenate(([True], np.diff(slot[order]) != 0))
-        self.half_take = self.row_take[order[first]]
-        self.twice = slot[order[~first]].astype(np.intp)
-        self.twice_take = self.row_take[order[~first]]
+        second = np.ones(slot.size, dtype=bool)
+        second[first] = False
+        self.half_take = self.row_take[first]
+        self.twice, self.twice_take = slot[second], self.row_take[second]
         self.unfold = rank[fold].astype(np.intc)
         self.W = np.bincount(self.unfold, minlength=n_up)
         for a in vars(self).values():

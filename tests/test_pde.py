@@ -711,7 +711,8 @@ class TestWarmFactor:
             assert np.max(np.abs(warm - fresh)) <= 1e-12 * np.max(np.abs(fresh))
             return (lr - 0.1) ** 2
 
-        costs._golden_section(probe, -0.3, 0.46)
+        costs._golden_section(probe, -0.3, 0.46,
+                              *map(probe, costs._golden_probes(-0.3, 0.46)))
         assert len(slot.solved) == len(refined) and sum(refined) > len(refined) / 2
 
     def test_repeated_radius_is_stored_once(self):
