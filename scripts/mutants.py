@@ -58,8 +58,8 @@ MUTANTS = {
     "interior-reads-rim-stencil": (
         "pde.py", "np.where(rim, np.cumsum(rim), 0)", "np.where(rim, np.cumsum(rim), 2)"),
     "fork-aliases-solved": (
-        "pde.py", "other.lattice, other.lu, other.solved = self.lattice, self.lu, dict(self.solved)",
-        "other.lattice, other.lu, other.solved = self.lattice, self.lu, self.solved"),
+        "pde.py", "other.lu, other.solved = self.lu, dict(self.solved)",
+        "other.lu, other.solved = self.lu, self.solved"),
     "fold-onto-self": (
         "pde.py", "mirror = self.index2d[self.i + n, n - self.j]",
         "mirror = self.index2d[self.i + n, n + self.j]"),
@@ -102,6 +102,8 @@ MUTANTS = {
         "mobility.py",
         "if not all(map(math.isfinite, (self.mu1, self.sigma11, self.sigma22))):",
         "if False:"),
+    "cos2-plus-sin2": (
+        "mobility.py", "e_len2 * (1.0 - m.e_sin2)", "e_len2 * (1.0 + m.e_sin2)"),
     "offset-scale-cap-1e5": (
         "approx.py", "_OFFSET_SCALE_CAP = 1e6", "_OFFSET_SCALE_CAP = 1e5"),
 }

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -73,11 +72,10 @@ class CostParams:
             raise DomainError("lam must be >= 0")
         if self.U <= 0.0 or self.V <= 0.0:
             raise DomainError("U and V must be > 0")
-        # a non-integer such as None or "3" cannot be compared: require_int refuses it
-        if isinstance(self.m, Integral) and not 1 <= self.m <= MAX_PAGING_ROUNDS:
+        require_int("m", self.m, 1)
+        if self.m > MAX_PAGING_ROUNDS:
             raise DomainError(
                 f"m must be between 1 and {MAX_PAGING_ROUNDS} paging rounds, got {self.m}")
-        require_int("m", self.m, 1)
 
 
 def update_cost(t_mean: float, U: float) -> float:
@@ -121,8 +119,7 @@ def build_paging_plan(m: int, var_theta: float, anchor_x: float = 0.0) -> Paging
     For ``m == 1`` the single region is the whole disc and ``var_theta`` is
     ignored.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    require_int("m", m, 1)
     if not (var_theta >= 0.0 and math.isfinite(var_theta)):
         raise DomainError(f"var_theta must be finite and >= 0, got {var_theta}")
     if m == 1:
@@ -220,6 +217,9 @@ def paging_breakdown_at(mobility: MobilityParams, costs: CostParams,
     if mode not in ("paper", "cumulative"):
         raise DomainError(f"unknown paging mode {mode!r}")
     require_int("grid_nodes", grid_nodes, 2)
+    # Looked up on each call, not bound at the top of costs: bench/tracing.py
+    # wraps these names at lamopt.mobility and lamopt.pde, and bound here
+    # they would escape its spans.
     from lamopt.mobility import direction_moments
     from lamopt.pde import TimeGrid, solve_forward
 

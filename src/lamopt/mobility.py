@@ -58,11 +58,10 @@ class DirectionMoments:
     """Trigonometric moments of the turn-angle distribution.
 
     The law is even, so the odd moments (E[sin], E[cos sin], E[theta]) are
-    zero and not stored.
+    zero and not stored; nor is E[cos^2], which is ``1 - e_sin2``.
     """
 
     e_cos: float
-    e_cos2: float
     e_sin2: float
     var_theta: float  # rad^2
 
@@ -110,12 +109,12 @@ def direction_moments(k: float) -> DirectionMoments:
         k: concentration factor, finite and ``>= 0``.
 
     Returns:
-        DirectionMoments with ``e_cos2 + e_sin2 = 1``.
+        DirectionMoments of E[cos], E[sin^2] and Var[theta].
     """
     if not (k >= 0.0 and math.isfinite(k)):
         raise DomainError(f"concentration factor must be finite and >= 0, got {k}")
     if k == 0.0:
-        return DirectionMoments(0.0, 0.5, 0.5, math.pi**2 / 3.0)
+        return DirectionMoments(0.0, 0.5, math.pi**2 / 3.0)
     u = k * math.pi
     e = math.exp(-u)
     z = -math.expm1(-u)
@@ -124,7 +123,6 @@ def direction_moments(k: float) -> DirectionMoments:
     return DirectionMoments(
         # k2 overflows past k ~ 1.3e154, where E[cos] is 1 to the last bit
         e_cos=k2 * (1.0 + e) / ((k2 + 1.0) * z) if k2 < math.inf else 1.0,
-        e_cos2=1.0 - e_sin2,
         e_sin2=e_sin2,
         var_theta=math.pi**2 * _theta2_ratio(u) / z,
     )
@@ -215,7 +213,7 @@ def compute_diffusion(params: MobilityParams) -> DiffusionParams:
         e_len2 = 2.0 * e_len**2  # E[L^2] of the exponential length law
         mean_x = e_len * m.e_cos
         # Step-component variances from length/direction independence.
-        var11 = e_len2 * m.e_cos2 - mean_x**2
+        var11 = e_len2 * (1.0 - m.e_sin2) - mean_x**2  # E[cos^2] = 1 - E[sin^2]
         var22 = e_len2 * m.e_sin2
         scale = 1.0 / e_t**3
         mu1 = mean_x / e_t

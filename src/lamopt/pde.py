@@ -40,11 +40,11 @@ its mass is ``sum(z)``.  ``_factor`` factors in the minimum-degree order of
 ``A^T + A`` (about half the fill of the default column ordering on this
 stencil) in SuperLU's symmetric mode, with every pivot on the diagonal
 (``perm_r == perm_c``) and one column per panel; its docstring says why.
-A radius search may hand ``solve_mean_interval`` a ``FactorSlot``: a
-nearby radius on the same lattice is then solved by iterative refinement
-on the factor the slot holds, from the interpolant in log R of the
-solutions the search has solved, and factored afresh only when refinement
-would cost more than a factor.
+A radius search on one lattice may hand ``solve_mean_interval`` a
+``FactorSlot``: a nearby radius is then solved by iterative refinement on
+the factor the slot holds, from the interpolant in log R of the solutions
+the search has solved, and factored afresh only when refinement would cost
+more than a factor.
 ``scipy.sparse`` is imported where a matrix is built or factored, the
 lattice's ordering probe included, so commands that never build a disc grid
 do not load it.
@@ -93,8 +93,8 @@ class _Lattice:
 
     Every ``DiscGrid(R, R/N)`` is this lattice scaled by its spacing, so one
     instance serves them all: the node indices and the CSR pattern of the
-    full operator (its cut distances at unit spacing, ``cut``, are built
-    on first use, by ``assemble_operator``); for the j >= 0 nodes, the CSR
+    full operator (``assemble_operator`` computes the spacings of every
+    node, ``_cut``, on each call); for the j >= 0 nodes, the CSR
     pattern of their rows of the operator, with columns on every
     node (``row_indptr``, ``row_indices``).  The half system keeps those
     rows and adds each j < 0 column onto its mirror node's.  It is stored in
@@ -210,14 +210,6 @@ class _Lattice:
         west, south, _, north, east = self.present[nodes].T
         bx, by = np.sqrt(N * N - j**2), np.sqrt(N * N - i**2)
         return np.where((east, west, north, south), 1.0, (bx - i, i + bx, by - j, j + by))
-
-    @functools.cached_property
-    def cut(self) -> np.ndarray:
-        """The spacings of every node, for ``assemble_operator``; the solvers
-        read those of the rim rows only (``table_cut``)."""
-        cut = self._cut(slice(None))
-        cut.flags.writeable = False
-        return cut
 
 
 @functools.lru_cache(maxsize=4)
@@ -409,7 +401,8 @@ def assemble_operator(diff: DiffusionParams, grid: DiscGrid,
     import scipy.sparse as sp
 
     lat = grid._lattice
-    data = np.column_stack(_coefficients(diff, *(lat.cut * grid.h), lam))[lat.present]
+    cut = lat._cut(slice(None)) * grid.h
+    data = np.column_stack(_coefficients(diff, *cut, lam))[lat.present]
     return sp.csr_matrix((data, lat.indices, lat.indptr), shape=(grid.n_nodes,) * 2)
 
 
@@ -419,8 +412,8 @@ def _disc_system(diff: DiffusionParams, grid: DiscGrid,
 
     The stencil is computed once for the j >= 0 rows whose four neighbours
     are nodes and once per rim row, from the lattice's unit spacings of
-    those rows (``table_cut``) times ``h``, as ``assemble_operator`` reads
-    ``cut`` at every node.  ``_coefficients`` works element by element, so
+    those rows (``table_cut``) times ``h``, as ``assemble_operator`` takes
+    ``_cut`` of every node.  ``_coefficients`` works element by element, so
     each row's coefficients are those ``assemble_operator`` computes for it,
     to the bit.  The table is gathered into the half system, each entry's
     first contribution then its second (a j = 0 row meets its j = 1
@@ -522,18 +515,20 @@ def mean_interval_cap(diff: DiffusionParams, R: float, lam: float,
 
 class FactorSlot:
     """The last half-system factor of one radius search, and the half
-    solutions the search has solved on its lattice, for its next solve.
+    solutions the search has solved, for its next solve.
 
+    A search runs on one lattice (one node count N), and so does its slot.
     ``solved`` maps log R to the half solution divided by ``R^2``: on one
     lattice that is the unit-disc solution at drift ``mu1 R`` and call rate
     ``lam R^2``, smooth in log R.  A search creates its own slot, or a
     ``fork`` of the slot that solved its first probes, passes it to each
     ``solve_mean_interval`` call, and drops it when it ends, so no factor
-    or solution outlives the search.
+    or solution outlives the search.  A slot handed a grid of another N
+    fails loudly: no two N have the same number of half nodes, so the
+    refinement's ``H @ x`` raises ``ValueError``.
     """
 
     def __init__(self) -> None:
-        self.lattice: _Lattice | None = None
         self.lu = None
         self.solved: dict[float, np.ndarray] = {}
 
@@ -542,7 +537,7 @@ class FactorSlot:
         a second search continues from the same probes, and what either
         search stores next, a new factor or a solution, stays its own."""
         other = FactorSlot()
-        other.lattice, other.lu, other.solved = self.lattice, self.lu, dict(self.solved)
+        other.lu, other.solved = self.lu, dict(self.solved)
         return other
 
 
@@ -606,10 +601,10 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     the column of each j < 0 node is added onto its mirror node's, and the
     half solution is mirrored back.  The half system is factored in the
     minimum-degree order the grid's lattice stores.  When ``warm`` holds a
-    factor on the same lattice, the half system is first solved by
-    refinement on that factor, from ``R^2`` times ``_start``'s interpolant
-    of the stored solutions; either way ``warm`` ends up holding the factor
-    used and this solution, and drops the solutions of any other lattice.
+    factor (of a radius search on this grid's lattice), the half system is
+    first solved by refinement on that factor, from ``R^2`` times
+    ``_start``'s interpolant of the stored solutions; either way ``warm``
+    ends up holding the factor used and this solution.
     The residual of the mirrored-back solution is checked on the j >= 0
     rows of the unfolded operator, which ``_disc_system`` builds from the
     same table as the half system; the j < 0 rows are their mirrors.
@@ -624,14 +619,12 @@ def solve_mean_interval(diff: DiffusionParams, R: float, lam: float,
     b = np.full(half.shape[0], -1.0)
     T_half = None
     lr = math.log(R)
-    if warm is not None and warm.lattice is grid._lattice:
+    if warm is not None and warm.lu is not None:
         T_half = _refine(warm.lu, half, b, R * R * _start(warm.solved, lr))
     if T_half is None:
         lu = _factor(half)
         T_half = lu.solve(b)
         if warm is not None:
-            if warm.lattice is not grid._lattice:
-                warm.lattice, warm.solved = grid._lattice, {}
             warm.lu = lu
     T = T_half[grid._lattice.unfold]
     _check_residual(rows, T, np.full(rows.shape[0], -1.0))

@@ -16,7 +16,7 @@ from lamopt.approx import (
     trial_offset_scale,
 )
 from lamopt.config import default_mobility
-from lamopt.errors import DomainError, RegimeWarning
+from lamopt.errors import DomainError, NumericalError, RegimeWarning
 from lamopt.mobility import DiffusionParams, compute_diffusion, global_drift
 from lamopt.pde import DiscGrid, solve_mean_interval
 from lamopt.validate import _disc_quadrature, drift_moment_residual
@@ -86,6 +86,11 @@ class TestStrongDrift:
         weak = compute_diffusion(default_mobility(0.01))
         with pytest.warns(RegimeWarning):
             strong_drift_interval(weak, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("x, y", [(1.5, 0.0), (0.0, -1.5), (0.8, 0.8)])
+    def test_point_outside_the_disc_rejected(self, strong, x, y):
+        with pytest.raises(DomainError, match="point outside the disc"):
+            strong_drift_interval(strong, 1.0, x, y)
 
 
 def _adaptive_moments(a: float, R: float) -> tuple[float, float, float]:
@@ -195,6 +200,11 @@ class TestGalerkinSolution:
     def test_drift_moment_vanishes(self):
         diff = compute_diffusion(default_mobility(0.7))
         assert abs(drift_moment_residual(diff, 1.0, 2.5)) < 1e-10
+
+    def test_moment_denominator_must_be_negative(self):
+        # no diffusion and no calls: the trial moments give no equation for C
+        with pytest.raises(NumericalError, match="denominator"):
+            galerkin_solution(DiffusionParams(0.0, 0.0, 0.0), 1.0, 0.0, 2.0)
 
     def test_clamp_warning(self):
         diff = compute_diffusion(default_mobility(20.0))

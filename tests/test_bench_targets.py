@@ -56,3 +56,19 @@ def test_recorded_episodes_reproduce(monkeypatch, seed):
         if not call.check(out, refs[call.name]):
             failed.append(call.name)
     assert failed == []
+
+
+def test_tracer_sees_the_calls_paging_breakdown_at_looks_up_late(monkeypatch):
+    # paging_breakdown_at imports direction_moments and solve_forward inside
+    # its body, from lamopt.mobility and lamopt.pde, where the tracer wraps
+    # them; bound once at the top of costs they would escape its spans
+    tracing = load_bench(monkeypatch, "tracing")
+    workloads = load_bench(monkeypatch, "workloads")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for call in workloads.pde_optimize(0, "tiny"):
+            call.run()
+    under = "costs.paging_breakdown_at"
+    assert tracer.children_of(under, {"pde.solve_forward"}) == 1
+    # one through compute_diffusion, one for the paging plan's spread
+    assert tracer.children_of(under, {"mobility.direction_moments"}) == 2

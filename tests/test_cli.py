@@ -637,6 +637,10 @@ class TestValidate:
         """A full clean run and a full run under the sigma bug."""
         return run_checks(), run_checks(inject="sigma-sign-bug")
 
+    def test_unknown_injection_refused(self):
+        with pytest.raises(DomainError, match="unknown injection 'bogus'"):
+            run_checks(inject="bogus")
+
     def test_sigma_injection_fails_psd(self, runs):
         psd = [r for r in runs[1] if r.name == "diffusion_psd_and_monotone_drift"]
         assert len(psd) == 1

@@ -51,7 +51,8 @@ class TestCostParams:
 
     @pytest.mark.parametrize("m", [0, MAX_PAGING_ROUNDS + 1])
     def test_round_count_out_of_range_rejected(self, m):
-        with pytest.raises(DomainError, match="paging rounds"):
+        # m is checked as an integer >= 1 first, then against the bound
+        with pytest.raises(DomainError, match="paging rounds" if m > 1 else "integer >= 1"):
             CostParams(lam=2.0, U=20.0, V=1.0, m=m)
 
     @pytest.mark.parametrize("m, ok", [(2.5, False), (3.0, False), (np.int64(3), True),
@@ -113,8 +114,11 @@ class TestPagingPlan:
         np.testing.assert_array_equal(idx, [0, 0, 1])
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            build_paging_plan(0, 1.0)
+        # a fractional m used to fail on the tuple repetition, None and "3"
+        # on the range test, both with a TypeError
+        for m in (0, 2.5, "3", None):
+            with pytest.raises(DomainError, match="m must be an integer >= 1"):
+                build_paging_plan(m, 1.0)
         with pytest.raises(DomainError):
             build_paging_plan(2, -0.1)
 
@@ -680,6 +684,9 @@ UNIT = DiffusionParams(1.0, 1.0, 1.0)
     pytest.param(construct_la, ((NAN, 0.0), -1.0, 4.0, HexGrid()), id="construct_la-anchor"),
     pytest.param(lambda d: run_episode(Scenario(default_mobility(0.5), COSTS, design=d)),
                  ((NAN, 4.0),), id="run_episode-design"),
+    pytest.param(CostParams, (NAN, 20.0, 1.0), id="CostParams-lam"),
+    pytest.param(CostParams, (2.0, math.inf, 1.0), id="CostParams-U-inf"),
+    pytest.param(CostParams, (2.0, 20.0, NAN), id="CostParams-V"),
     pytest.param(galerkin_solution, (UNIT, NAN, 1.0, 2.0), id="galerkin-R"),
     pytest.param(galerkin_solution, (UNIT, 1.0, NAN, 2.0), id="galerkin-lam"),
     pytest.param(galerkin_solution, (UNIT, 1.0, 1.0, NAN), id="galerkin-a"),

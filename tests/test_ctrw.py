@@ -1,5 +1,6 @@
 """Monte-Carlo oracle: step sampling, first exit, interval estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -348,6 +349,18 @@ class TestFirstExit:
     def test_nan_start_rejected(self, X):
         with pytest.raises(DomainError):
             estimate_T(X, 1.0, 2.0, default_mobility(0.5), SimConfig(n_trials=10))
+
+    @pytest.mark.parametrize("lam", [math.nan, -1.0])
+    def test_bad_call_rate_rejected(self, lam):
+        with pytest.raises(DomainError, match="call rate must be finite and >= 0"):
+            estimate_T((0.0, 0.0), 1.0, lam, default_mobility(0.5), SimConfig(n_trials=10))
+
+    def test_calls_need_a_dwell_variance(self):
+        # the call gap is drawn against a gamma dwell law, which has no
+        # zero-variance member; without calls the walk needs no dwell law
+        mob = dataclasses.replace(default_mobility(0.5), var_time=0.0)
+        with pytest.raises(DomainError, match="gamma law requires var > 0"):
+            estimate_T((0.0, 0.0), 1.0, 2.0, mob, SimConfig(n_trials=10))
 
     @pytest.mark.parametrize("R", [-1.0, 0.0, math.inf, math.nan])
     def test_bad_radius_rejected(self, R):

@@ -113,7 +113,7 @@ class TestDirectionMoments:
         m = direction_moments(0.0)
         assert m.e_cos == 0.0
         assert m.var_theta == pytest.approx(math.pi**2 / 3.0)
-        assert m.e_cos2 + m.e_sin2 == pytest.approx(1.0, abs=1e-12)
+        assert m.e_sin2 == 0.5 and 1.0 - m.e_sin2 == 0.5
 
     def test_point_mass_limit(self):
         m = direction_moments(1e6)
@@ -128,15 +128,17 @@ class TestDirectionMoments:
             e_cos = k**2 * (1 + math.exp(-k * math.pi)) / (
                 (1 + k**2) * (1 - math.exp(-k * math.pi)))
             assert m.e_cos == pytest.approx(e_cos, abs=1e-10)
-            assert m.e_cos2 == pytest.approx((1 + k**2 / (k**2 + 4)) / 2, abs=1e-10)
+            assert 1.0 - m.e_sin2 == pytest.approx((1 + k**2 / (k**2 + 4)) / 2, abs=1e-10)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_closed_forms_vs_quadrature_oracle(self):
         for k in K_GRID + np.logspace(-8, 6, 57).tolist():
             ref = _quadrature_moments(k)
             m = direction_moments(k)
+            # E[cos^2] is not stored: compute_diffusion reads it as 1 - e_sin2
+            got = {**vars(m), "e_cos2": 1.0 - m.e_sin2}
             for name, value in ref.items():
-                assert getattr(m, name) == pytest.approx(value, abs=1e-12), (k, name)
+                assert got[name] == pytest.approx(value, abs=1e-12), (k, name)
             assert m.var_theta == pytest.approx(ref["var_theta"], rel=1e-14), k
 
     def test_small_k_series_matches_uniform_expansion(self):
@@ -150,7 +152,7 @@ class TestDirectionMoments:
     def test_finite_at_extreme_concentrations(self):
         for k in (1e-300, 1e-200, 1e12, 1e200, 1e308):
             m = direction_moments(k)
-            values = (m.e_cos, m.e_cos2, m.e_sin2, m.var_theta)
+            values = (m.e_cos, m.e_sin2, m.var_theta)
             assert all(math.isfinite(v) for v in values), k
         assert direction_moments(1e-300).var_theta == pytest.approx(math.pi**2 / 3)
         assert direction_moments(1e200).e_cos == 1.0
@@ -314,6 +316,12 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("bogus = 1\n")
         with pytest.raises(DomainError):
+            parse_config(path)
+
+    def test_line_without_assignment(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("k = 2\nmean_len_m 40\n")
+        with pytest.raises(DomainError, match="config line 2: expected 'key = value'"):
             parse_config(path)
 
     def test_bad_value(self, tmp_path):

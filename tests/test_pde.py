@@ -43,7 +43,7 @@ def _log_uniform(lo, hi):
 def spacings(grid):
     """The east, west, north and south spacings of every node: the
     lattice's unit cut distances times ``h``."""
-    return grid._lattice.cut * grid.h
+    return grid._lattice._cut(slice(None)) * grid.h
 
 
 def mirror_nodes(grid):
@@ -222,7 +222,7 @@ class TestDiscSystem:
             h_e, h_w = spacings(DiscGrid(R, R / N))[:2]
             return abs(d.mu1) * np.maximum(h_w, h_e) / (d.sigma11 / 2.0) <= 2.0
 
-        full = np.all(DiscGrid(1.0, 1.0 / N)._lattice.cut == 1.0, axis=0)
+        full = np.all(DiscGrid(1.0, 1.0 / N)._lattice._cut(slice(None)) == 1.0, axis=0)
         assert np.all(central(below))
         assert not np.any(central(above)[full]) and full.any()
 
@@ -442,14 +442,16 @@ class TestLatticePath:
             lat.unfold[0] = 0
 
 
-    def test_spacings_of_every_node_built_on_first_use(self):
+    def test_table_holds_the_spacings_of_the_rim_rows(self):
         # the solvers read the spacings of the interior row and the rim rows
-        # (table_cut); the table of every node is built when
-        # assemble_operator first asks for it, once and read-only
-        lat = pde._Lattice(37)
-        assert "cut" not in vars(lat)
-        cut = lat.cut
-        assert lat.cut is cut and not cut.flags.writeable
+        # (table_cut); assemble_operator takes those of every node on each
+        # call, and the lattice keeps nothing it builds later
+        grid = DiscGrid(3.7, 0.1)
+        lat = grid._lattice
+        built = set(vars(lat))
+        assemble_operator(UNIT, grid)
+        assert set(vars(lat)) == built
+        cut = lat._cut(slice(None))
         rim = ~lat.present.all(axis=1) & (lat.j >= 0)
         np.testing.assert_array_equal(bits(lat.table_cut[:, 1:]), bits(cut[:, rim]))
         np.testing.assert_array_equal(lat.table_cut[:, 0], 1.0)
@@ -726,15 +728,13 @@ class TestWarmFactor:
             assert np.max(np.abs(warm - fresh)) <= 1e-12 * np.max(np.abs(fresh))
         assert sorted(slot.solved) == [0.0, math.log(1.01), math.log(1.02)]
 
-    def test_other_lattice_is_solved_fresh(self):
+    def test_slot_handed_another_lattice_fails_loudly(self):
+        # a slot serves one search on one lattice; on a grid of another N the
+        # refinement's H @ x meets a factor of another size
         slot = FactorSlot()
         solve_mean_interval(UNIT, 1.0, 0.0, DiscGrid(1.0, 1.0 / 16), slot)
-        held = slot.lu
-        f = solve_mean_interval(UNIT, 1.2, 0.0, DiscGrid(1.2, 1.2 / 24), slot)
-        assert slot.lu is not held and slot.lattice is f.grid._lattice
-        # the first lattice's solution is dropped with its factor
-        assert list(slot.solved) == [math.log(1.2)]
-        assert slot.solved[math.log(1.2)].size == slot.lu.shape[0]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve_mean_interval(UNIT, 1.2, 0.0, DiscGrid(1.2, 1.2 / 24), slot)
 
     def test_golden_search_factors_fewer_times_than_it_probes(self, monkeypatch):
         counts = {"factor": 0, "solve": 0}
@@ -974,6 +974,12 @@ class TestHalfDiscMarch:
         grid = DiscGrid(1.0, 1.0 / 24)
         with pytest.raises(DomainError, match="road axis"):
             solve_forward(UNIT, (0.3, 0.1), 1.0, grid, TimeGrid(0.2, 50), [0.2])
+
+    @pytest.mark.parametrize("t", [-0.1, 0.3])
+    def test_output_time_off_the_time_grid_rejected(self, t):
+        grid = DiscGrid(1.0, 1.0 / 24)
+        with pytest.raises(DomainError, match="output times must lie within the time grid"):
+            solve_forward(UNIT, (0.3, 0.0), 1.0, grid, TimeGrid(0.2, 50), [0.1, t])
 
 
 class TestForward:
